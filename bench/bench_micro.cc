@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/hash_join.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/parser.h"
 #include "store/triple_store.h"
@@ -115,9 +115,9 @@ BENCHMARK(BM_EndpointRoundTrip)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelHashJoin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(8);
-  fed::BindingTable left, right;
+  core::IdTable left, right;
   left.vars = {"k", "a"};
   right.vars = {"k", "b"};
   for (int i = 0; i < n; ++i) {
@@ -126,7 +126,7 @@ void BM_ParallelHashJoin(benchmark::State& state) {
     right.AppendRow({key, dict.Intern(rdf::Term::Integer(i * 3))});
   }
   for (auto _ : state) {
-    fed::BindingTable joined =
+    core::IdTable joined =
         core::ParallelHashJoin(left, right, &pool, 8);
     benchmark::DoNotOptimize(joined.NumRows());
   }
@@ -178,8 +178,8 @@ BENCHMARK(BM_StringHashJoin)->Arg(65536)->Unit(benchmark::kMillisecond);
 
 void BM_IdHashJoin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  fed::SharedDictionary dict;
-  fed::BindingTable left, right;
+  core::TermDictionary dict;
+  core::IdTable left, right;
   left.vars = {"k", "a"};
   right.vars = {"k", "b"};
   for (int i = 0; i < n; ++i) {
@@ -189,7 +189,7 @@ void BM_IdHashJoin(benchmark::State& state) {
     right.AppendRow({key, dict.Intern(rdf::Term::Integer(i * 3))});
   }
   for (auto _ : state) {
-    fed::BindingTable out = fed::HashJoin(left, right);
+    core::IdTable out = core::JoinIds(left, right, /*left_outer=*/false);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -201,9 +201,9 @@ BENCHMARK(BM_IdHashJoin)->Arg(65536)->Unit(benchmark::kMillisecond);
 /// sides); comparing BM_CartesianSerial/N with BM_CartesianParallel/N
 /// locates the crossover that ParallelHashJoin's 2048-cell threshold
 /// encodes (see the comment at the constant in core/hash_join.cc).
-fed::BindingTable CartesianSide(fed::SharedDictionary* dict, const char* var,
-                                int rows, int salt) {
-  fed::BindingTable side;
+core::IdTable CartesianSide(core::TermDictionary* dict, const char* var,
+                            int rows, int salt) {
+  core::IdTable side;
   side.vars = {var};
   for (int i = 0; i < rows; ++i) {
     side.AppendRow({dict->Intern(rdf::Term::Integer(i + salt))});
@@ -213,11 +213,11 @@ fed::BindingTable CartesianSide(fed::SharedDictionary* dict, const char* var,
 
 void BM_CartesianSerial(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  fed::SharedDictionary dict;
-  fed::BindingTable left = CartesianSide(&dict, "a", side, 0);
-  fed::BindingTable right = CartesianSide(&dict, "b", side, 1000000);
+  core::TermDictionary dict;
+  core::IdTable left = CartesianSide(&dict, "a", side, 0);
+  core::IdTable right = CartesianSide(&dict, "b", side, 1000000);
   for (auto _ : state) {
-    fed::BindingTable out = fed::HashJoin(left, right);
+    core::IdTable out = core::JoinIds(left, right, /*left_outer=*/false);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.counters["cells"] = static_cast<double>(side) * side;
@@ -228,12 +228,12 @@ BENCHMARK(BM_CartesianSerial)
 
 void BM_CartesianParallel(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(8);
-  fed::BindingTable left = CartesianSide(&dict, "a", side, 0);
-  fed::BindingTable right = CartesianSide(&dict, "b", side, 1000000);
+  core::IdTable left = CartesianSide(&dict, "a", side, 0);
+  core::IdTable right = CartesianSide(&dict, "b", side, 1000000);
   for (auto _ : state) {
-    fed::BindingTable out = core::ParallelCartesian(left, right, &pool, 8);
+    core::IdTable out = core::ParallelCartesian(left, right, &pool, 8);
     benchmark::DoNotOptimize(out.NumRows());
   }
   state.counters["cells"] = static_cast<double>(side) * side;
@@ -249,16 +249,16 @@ BENCHMARK(BM_CartesianParallel)
 /// starts at Cancel(), so join launch is excluded.
 void BM_CancellationLatency(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(8);
-  fed::BindingTable left = CartesianSide(&dict, "a", side, 0);
-  fed::BindingTable right = CartesianSide(&dict, "b", side, 1000000);
+  core::IdTable left = CartesianSide(&dict, "a", side, 0);
+  core::IdTable right = CartesianSide(&dict, "b", side, 1000000);
   for (auto _ : state) {
     CancelToken token = CancelToken::Cancellable();
     std::atomic<bool> started{false};
     std::thread join_thread([&] {
       started.store(true, std::memory_order_release);
-      fed::BindingTable out =
+      core::IdTable out =
           core::ParallelCartesian(left, right, &pool, 8, &token);
       benchmark::DoNotOptimize(out.NumRows());
     });

@@ -1,20 +1,19 @@
 #include "baselines/fedx_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
 #include <future>
 #include <map>
 #include <set>
 #include <unordered_set>
 
+#include "core/finisher.h"
 #include "sparql/serializer.h"
 
 namespace lusail::baselines {
 
 namespace {
 
-using fed::BindingTable;
+using core::IdTable;
 using sparql::TriplePattern;
 
 std::vector<std::string> OperandVars(
@@ -181,9 +180,9 @@ std::vector<size_t> FedXEngine::OrderOperands(const std::vector<Operand>& ops) {
   return order;
 }
 
-Result<BindingTable> FedXEngine::BoundJoinStep(
-    const Operand& op, BindingTable table, bool left_outer,
-    std::optional<uint64_t> result_cap, fed::SharedDictionary* dict,
+Result<IdTable> FedXEngine::BoundJoinStep(
+    const Operand& op, IdTable table, bool left_outer,
+    std::optional<uint64_t> result_cap, core::TermDictionary* dict,
     fed::MetricsCollector* metrics, const Deadline& deadline) {
   std::vector<std::string> op_vars = OperandVars(op.triples);
   std::vector<std::string> shared;
@@ -191,17 +190,17 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     if (table.VarIndex(v) >= 0) shared.push_back(v);
   }
 
-  auto fetch_all = [&]() -> Result<BindingTable> {
+  auto fetch_all = [&]() -> Result<IdTable> {
     // No bindings to ship: fetch the operand fully from all its sources.
     std::string text = OperandSparql(op.triples, op.filters, op_vars, nullptr);
-    BindingTable fetched;
+    IdTable fetched;
     fetched.vars = op_vars;
     for (int ep : op.sources) {
       LUSAIL_ASSIGN_OR_RETURN(
           sparql::ResultTable part,
           federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                deadline, Retry()));
-      fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     return fetched;
   };
@@ -211,9 +210,8 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     return fetch_all();
   }
   if (shared.empty()) {
-    LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return left_outer ? fed::LeftOuterJoin(table, fetched)
-                      : fed::HashJoin(table, fetched);
+    LUSAIL_ASSIGN_OR_RETURN(IdTable fetched, fetch_all());
+    return core::JoinIds(table, fetched, left_outer);
   }
 
   // Distinct binding tuples of the shared variables.
@@ -238,14 +236,13 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
     }
   }
   if (distinct.empty()) {
-    LUSAIL_ASSIGN_OR_RETURN(BindingTable fetched, fetch_all());
-    return left_outer ? fed::LeftOuterJoin(table, fetched)
-                      : fed::HashJoin(table, fetched);
+    LUSAIL_ASSIGN_OR_RETURN(IdTable fetched, fetch_all());
+    return core::JoinIds(table, fetched, left_outer);
   }
 
   // Ship the bindings block by block to every relevant source,
   // sequentially — FedX processes the query one join step at a time.
-  BindingTable fetched;
+  IdTable fetched;
   fetched.vars = op_vars;
   for (const std::string& v : shared) {
     if (std::find(fetched.vars.begin(), fetched.vars.end(), v) ==
@@ -276,23 +273,21 @@ Result<BindingTable> FedXEngine::BoundJoinStep(
           sparql::ResultTable part,
           federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                deadline, Retry()));
-      fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
     }
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
       // exist (FedX's first-N termination; see the paper's C4 discussion).
-      BindingTable probe = left_outer ? fed::LeftOuterJoin(table, fetched)
-                                      : fed::HashJoin(table, fetched);
+      IdTable probe = core::JoinIds(table, fetched, left_outer);
       if (probe.NumRows() >= *result_cap) return probe;
     }
   }
-  return left_outer ? fed::LeftOuterJoin(table, fetched)
-                    : fed::HashJoin(table, fetched);
+  return core::JoinIds(table, fetched, left_outer);
 }
 
-Result<BindingTable> FedXEngine::ExecutePattern(
+Result<IdTable> FedXEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
-    fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
+    core::TermDictionary* dict, fed::MetricsCollector* metrics,
     const Deadline& deadline, fed::ExecutionProfile* profile) {
   if (!pattern.exists_filters.empty()) {
     return Status::Unsupported("FILTER [NOT] EXISTS is not supported by FedX");
@@ -310,7 +305,7 @@ Result<BindingTable> FedXEngine::ExecutePattern(
   fed::PhaseSpan exec_span(metrics, "bound-join execution");
   for (size_t i = 0; i < pattern.triples.size(); ++i) {
     if (sources[i].empty()) {
-      BindingTable empty;
+      IdTable empty;
       std::set<std::string> vars;
       pattern.CollectVariables(&vars);
       empty.vars.assign(vars.begin(), vars.end());
@@ -324,7 +319,7 @@ Result<BindingTable> FedXEngine::ExecutePattern(
                     &residual_filters);
   std::vector<size_t> order = OrderOperands(ops);
 
-  BindingTable table;
+  IdTable table;
   for (size_t k = 0; k < order.size(); ++k) {
     bool last = (k + 1 == order.size()) && pattern.unions.empty() &&
                 pattern.optionals.empty() && residual_filters.empty();
@@ -343,36 +338,36 @@ Result<BindingTable> FedXEngine::ExecutePattern(
   }
 
   for (const auto& chain : pattern.unions) {
-    BindingTable unioned;
+    IdTable unioned;
     for (const sparql::GraphPattern& alt : chain) {
       LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable branch,
+          IdTable branch,
           ExecutePattern(alt, std::nullopt, dict, metrics, deadline, profile));
-      fed::AppendUnion(&unioned, branch);
+      core::AppendUnionIds(&unioned, branch);
     }
     if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
       table = std::move(unioned);
     } else {
-      table = fed::HashJoin(table, unioned);
+      table = core::JoinIds(table, unioned, /*left_outer=*/false);
     }
   }
   for (const sparql::GraphPattern& opt : pattern.optionals) {
     LUSAIL_ASSIGN_OR_RETURN(
-        BindingTable right,
+        IdTable right,
         ExecutePattern(opt, std::nullopt, dict, metrics, deadline, profile));
-    table = fed::LeftOuterJoin(table, right);
+    table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : residual_filters) {
-    fed::FilterRows(&table, f, *dict);
+    core::FilterIds(&table, f, *dict);
   }
   if (pattern.triples.empty()) {
     for (const sparql::Expr& f : pattern.filters) {
-      fed::FilterRows(&table, f, *dict);
+      core::FilterIds(&table, f, *dict);
     }
   }
   // VALUES blocks.
   for (const sparql::ValuesClause& vc : pattern.values) {
-    BindingTable vt;
+    IdTable vt;
     for (const sparql::Variable& v : vc.vars) vt.vars.push_back(v.name);
     std::vector<rdf::TermId> ids;
     for (const auto& row : vc.rows) {
@@ -383,7 +378,7 @@ Result<BindingTable> FedXEngine::ExecutePattern(
       }
       vt.AppendRow(ids);
     }
-    table = fed::HashJoin(table, vt);
+    table = core::JoinIds(table, vt, /*left_outer=*/false);
   }
   profile->execution_ms += timer.ElapsedMillis();
   return table;
@@ -397,73 +392,18 @@ Result<fed::FederatedResult> FedXEngine::Execute(
   fed::FederatedResult result;
   fed::MetricsCollector metrics;
   fed::QueryTrace trace(options_.trace, name(), &metrics);
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
 
-  std::optional<uint64_t> cap;
-  if (query.limit.has_value() && !query.distinct &&
-      !query.aggregate.has_value()) {
-    cap = *query.limit + query.offset.value_or(0);
-  }
-
-  Result<BindingTable> table_or =
-      ExecutePattern(query.where, cap, &dict, &metrics, deadline,
-                     &result.profile);
+  Result<IdTable> table_or =
+      ExecutePattern(query.where, query.PushableRowLimit(), &dict, &metrics,
+                     deadline, &result.profile);
   if (!table_or.ok()) {
     metrics.FillCounters(&result.profile);
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
-
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = table.NumRows();
-    } else {
-      int idx = table.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        std::set<rdf::TermId> seen;
-        for (rdf::TermId id : table.Column(static_cast<size_t>(idx))) {
-          if (id == rdf::kInvalidTermId) continue;
-          if (agg.distinct) {
-            seen.insert(id);
-          } else {
-            ++count;
-          }
-        }
-        if (agg.distinct) count = seen.size();
-      }
-    }
-    result.table.vars.push_back(agg.alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table =
+      core::DecodeIdTable(core::FinishQuery(query, *table_or, &dict), dict);
 
   metrics.FillCounters(&result.profile);
   result.profile.total_ms = total_timer.ElapsedMillis();

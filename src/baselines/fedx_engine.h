@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
 #include "sparql/parser.h"
@@ -109,15 +109,15 @@ class FedXEngine : public fed::FederatedEngine {
 
   /// Evaluates an operand with the current bindings via block bound
   /// joins; joins the fetched rows with `table` (inner or left-outer).
-  Result<fed::BindingTable> BoundJoinStep(
-      const Operand& op, fed::BindingTable table, bool left_outer,
-      std::optional<uint64_t> result_cap, fed::SharedDictionary* dict,
+  Result<core::IdTable> BoundJoinStep(
+      const Operand& op, core::IdTable table, bool left_outer,
+      std::optional<uint64_t> result_cap, core::TermDictionary* dict,
       fed::MetricsCollector* metrics, const Deadline& deadline);
 
   /// Evaluates a whole graph pattern (BGP + unions + optionals).
-  Result<fed::BindingTable> ExecutePattern(
+  Result<core::IdTable> ExecutePattern(
       const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
-      fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
+      core::TermDictionary* dict, fed::MetricsCollector* metrics,
       const Deadline& deadline, fed::ExecutionProfile* profile);
 
   /// The engine's retry policy, or null when retries are disabled.

@@ -1,11 +1,10 @@
 #include "baselines/splendid_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
 #include <set>
 
 #include "common/stopwatch.h"
+#include "core/finisher.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/serializer.h"
 
@@ -13,7 +12,7 @@ namespace lusail::baselines {
 
 namespace {
 
-using fed::BindingTable;
+using core::IdTable;
 using sparql::TriplePattern;
 
 std::string PatternSparql(const TriplePattern& tp,
@@ -122,8 +121,8 @@ double SplendidEngine::EstimateCardinality(
   return total;
 }
 
-Result<BindingTable> SplendidEngine::ExecutePattern(
-    const sparql::GraphPattern& pattern, fed::SharedDictionary* dict,
+Result<IdTable> SplendidEngine::ExecutePattern(
+    const sparql::GraphPattern& pattern, core::TermDictionary* dict,
     fed::MetricsCollector* metrics, const Deadline& deadline,
     fed::ExecutionProfile* profile) {
   if (!pattern.exists_filters.empty() || !pattern.unions.empty()) {
@@ -139,7 +138,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     LUSAIL_ASSIGN_OR_RETURN(sources[i],
                             SourcesFor(pattern.triples[i], metrics, deadline));
     if (sources[i].empty()) {
-      BindingTable empty;
+      IdTable empty;
       std::set<std::string> vars;
       pattern.CollectVariables(&vars);
       empty.vars.assign(vars.begin(), vars.end());
@@ -188,7 +187,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     }
   }
 
-  BindingTable table;
+  IdTable table;
   bool first = true;
   for (size_t k : order) {
     if (deadline.Expired()) {
@@ -201,7 +200,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
       if (!first && table.VarIndex(v) >= 0) shared.push_back(v);
     }
 
-    BindingTable fetched;
+    IdTable fetched;
     fetched.vars = tp_vars;
     if (!first && !shared.empty() &&
         table.NumRows() <= options_.bind_join_threshold) {
@@ -227,7 +226,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
               sparql::ResultTable part,
               federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                    deadline));
-          fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+          core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
         }
       }
     } else {
@@ -238,7 +237,7 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
             sparql::ResultTable part,
             federation_->Execute(static_cast<size_t>(ep), text, metrics,
                                  deadline));
-        fed::AppendUnion(&fetched, fed::InternTable(part, dict));
+        core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
       }
     }
     // Memory-footprint proxy: the running result plus the freshly
@@ -247,7 +246,8 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
     profile->peak_intermediate_rows = std::max(
         profile->peak_intermediate_rows,
         static_cast<uint64_t>(table.NumRows() + fetched.NumRows()));
-    table = first ? std::move(fetched) : fed::HashJoin(table, fetched);
+    table = first ? std::move(fetched)
+                  : core::JoinIds(table, fetched, /*left_outer=*/false);
     profile->peak_intermediate_rows = std::max(
         profile->peak_intermediate_rows,
         static_cast<uint64_t>(table.NumRows()));
@@ -256,12 +256,12 @@ Result<BindingTable> SplendidEngine::ExecutePattern(
 
   for (const sparql::GraphPattern& opt : pattern.optionals) {
     LUSAIL_ASSIGN_OR_RETURN(
-        BindingTable right,
+        IdTable right,
         ExecutePattern(opt, dict, metrics, deadline, profile));
-    table = fed::LeftOuterJoin(table, right);
+    table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : pattern.filters) {
-    fed::FilterRows(&table, f, *dict);
+    core::FilterIds(&table, f, *dict);
   }
   profile->execution_ms += timer.ElapsedMillis();
   return table;
@@ -275,48 +275,17 @@ Result<fed::FederatedResult> SplendidEngine::Execute(
   fed::FederatedResult result;
   fed::MetricsCollector metrics;
   fed::QueryTrace trace(options_.trace, name(), &metrics);
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
 
-  Result<BindingTable> table_or =
+  Result<IdTable> table_or =
       ExecutePattern(query.where, &dict, &metrics, deadline, &result.profile);
   if (!table_or.ok()) {
     metrics.FillCounters(&result.profile);
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
-
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    uint64_t count = table.NumRows();
-    result.table.vars.push_back(query.aggregate->alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table =
+      core::DecodeIdTable(core::FinishQuery(query, *table_or, &dict), dict);
 
   metrics.FillCounters(&result.profile);
   result.profile.total_ms = total_timer.ElapsedMillis();

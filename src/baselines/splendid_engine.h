@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
 #include "sparql/parser.h"
@@ -68,11 +68,11 @@ class SplendidEngine : public fed::FederatedEngine {
   double EstimateCardinality(const sparql::TriplePattern& tp,
                              const std::vector<int>& sources) const;
 
-  Result<fed::BindingTable> ExecutePattern(const sparql::GraphPattern& pattern,
-                                           fed::SharedDictionary* dict,
-                                           fed::MetricsCollector* metrics,
-                                           const Deadline& deadline,
-                                           fed::ExecutionProfile* profile);
+  Result<core::IdTable> ExecutePattern(const sparql::GraphPattern& pattern,
+                                       core::TermDictionary* dict,
+                                       fed::MetricsCollector* metrics,
+                                       const Deadline& deadline,
+                                       fed::ExecutionProfile* profile);
 
   const fed::Federation* federation_;
   SplendidOptions options_;

@@ -7,7 +7,7 @@ namespace lusail::core {
 
 namespace {
 
-size_t KeyHash(const fed::BindingTable& table, size_t row,
+size_t KeyHash(const IdTable& table, size_t row,
                const std::vector<int>& key_cols) {
   size_t h = 1469598103934665603ULL;
   for (int c : key_cols) {
@@ -20,14 +20,14 @@ size_t KeyHash(const fed::BindingTable& table, size_t row,
 }  // namespace
 
 /// Used when the sides share no variable (no key to hash-partition on).
-fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
-                                    const fed::BindingTable& right,
-                                    ThreadPool* pool, size_t partitions,
-                                    const CancelToken* cancel) {
+IdTable ParallelCartesian(const IdTable& left,
+                          const IdTable& right,
+                          ThreadPool* pool, size_t partitions,
+                          const CancelToken* cancel) {
   std::vector<std::string> out_vars = left.vars;
   out_vars.insert(out_vars.end(), right.vars.begin(), right.vars.end());
   if (left.NumRows() == 0 || right.NumRows() == 0) {
-    return fed::BindingTable(std::move(out_vars));
+    return IdTable(std::move(out_vars));
   }
 
   const size_t ln = left.NumRows();
@@ -40,7 +40,7 @@ fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
   // at bench sizes), and a cancelled worker returns an empty table the
   // drain below discards anyway.
   auto cross_chunk = [&left, &right, &out_vars, rn,
-                      cancel](size_t begin, size_t end) -> fed::BindingTable {
+                      cancel](size_t begin, size_t end) -> IdTable {
     const size_t out_n = (end - begin) * rn;
     std::vector<std::vector<rdf::TermId>> cols(out_vars.size());
     for (size_t c = 0; c < left.NumVars(); ++c) {
@@ -49,7 +49,7 @@ fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
       dst.reserve(out_n);
       for (size_t i = begin; i < end; ++i) {
         if (cancel != nullptr && cancel->Cancelled()) {
-          return fed::BindingTable{};
+          return IdTable{};
         }
         dst.insert(dst.end(), rn,
                    lc.empty() ? rdf::kInvalidTermId : lc[i]);
@@ -61,7 +61,7 @@ fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
       dst.reserve(out_n);
       for (size_t i = begin; i < end; ++i) {
         if (cancel != nullptr && cancel->Cancelled()) {
-          return fed::BindingTable{};
+          return IdTable{};
         }
         if (rc.empty()) {
           dst.insert(dst.end(), rn, rdf::kInvalidTermId);
@@ -70,31 +70,31 @@ fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
         }
       }
     }
-    return fed::BindingTable::FromColumns(out_vars, std::move(cols), out_n);
+    return IdTable::FromColumns(out_vars, std::move(cols), out_n);
   };
 
-  std::vector<std::future<fed::BindingTable>> futures;
+  std::vector<std::future<IdTable>> futures;
   for (size_t begin = 0; begin < ln; begin += chunk) {
     size_t end = std::min(ln, begin + chunk);
     futures.push_back(pool->Submit(cross_chunk, begin, end));
   }
-  fed::BindingTable out(out_vars);
+  IdTable out(out_vars);
   for (auto& f : futures) {
-    fed::BindingTable part = f.get();
+    IdTable part = f.get();
     if (cancel != nullptr && cancel->Cancelled()) continue;  // Drain only.
     out.Append(part);
   }
   return out;
 }
 
-fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
-                                   const fed::BindingTable& right,
-                                   ThreadPool* pool, size_t partitions,
-                                   const CancelToken* cancel) {
-  std::vector<std::string> shared = fed::BindingTable::SharedVars(left, right);
+IdTable ParallelHashJoin(const IdTable& left,
+                         const IdTable& right,
+                         ThreadPool* pool, size_t partitions,
+                         const CancelToken* cancel) {
+  std::vector<std::string> shared = IdTable::SharedVars(left, right);
   if (shared.empty()) {
     // Cartesian product: parallelize when the output is big enough to
-    // amortize the task overhead; HashJoin handles the small cases.
+    // amortize the task overhead; JoinIds handles the small cases.
     //
     // Threshold measured with bench_micro's BM_CartesianSerial /
     // BM_CartesianParallel pair: serial costs ~50 ns/cell, and
@@ -110,11 +110,11 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
         left.NumRows() * right.NumRows() >= 2048) {
       return ParallelCartesian(left, right, pool, partitions, cancel);
     }
-    return fed::HashJoin(left, right);
+    return JoinIds(left, right, /*left_outer=*/false);
   }
   if (partitions <= 1 || pool == nullptr ||
       left.NumRows() + right.NumRows() < 2048) {
-    return fed::HashJoin(left, right);
+    return JoinIds(left, right, /*left_outer=*/false);
   }
   std::vector<int> left_keys, right_keys;
   for (const std::string& v : shared) {
@@ -122,7 +122,7 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
     right_keys.push_back(right.VarIndex(v));
   }
   // Rows with unbound key cells break partitioning; fall back.
-  auto has_unbound_key = [](const fed::BindingTable& t,
+  auto has_unbound_key = [](const IdTable& t,
                             const std::vector<int>& keys) {
     for (int k : keys) {
       const std::vector<rdf::TermId>& col = t.Column(static_cast<size_t>(k));
@@ -134,7 +134,7 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
     return false;
   };
   if (has_unbound_key(left, left_keys) || has_unbound_key(right, right_keys)) {
-    return fed::HashJoin(left, right);
+    return JoinIds(left, right, /*left_outer=*/false);
   }
 
   // Partition row indices by key hash, then materialize each partition
@@ -149,14 +149,14 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
     right_index[KeyHash(right, r, right_keys) % partitions].push_back(
         static_cast<uint32_t>(r));
   }
-  std::vector<fed::BindingTable> left_parts(partitions);
-  std::vector<fed::BindingTable> right_parts(partitions);
+  std::vector<IdTable> left_parts(partitions);
+  std::vector<IdTable> right_parts(partitions);
   for (size_t p = 0; p < partitions; ++p) {
     left_parts[p] = left.SelectRows(left_index[p]);
     right_parts[p] = right.SelectRows(right_index[p]);
   }
 
-  std::vector<std::future<fed::BindingTable>> futures;
+  std::vector<std::future<IdTable>> futures;
   futures.reserve(partitions);
   for (size_t p = 0; p < partitions; ++p) {
     futures.push_back(pool->Submit(
@@ -164,23 +164,22 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
           // Partition-boundary cancellation: a queued bucket join whose
           // token already fired produces nothing instead of joining.
           if (cancel != nullptr && cancel->Cancelled()) {
-            return fed::BindingTable{};
+            return IdTable{};
           }
-          // JoinIds directly (not the build-side-swapping HashJoin
-          // wrapper): every partition then shares the fixed layout
-          // left.vars + right-only vars and concatenates with no
-          // column realignment.
-          return core::JoinIds(left_parts[p], right_parts[p],
-                               /*left_outer=*/false);
+          // Every partition shares JoinIds' fixed layout left.vars +
+          // right-only vars, so the parts concatenate with no column
+          // realignment.
+          return JoinIds(left_parts[p], right_parts[p],
+                         /*left_outer=*/false);
         }));
   }
-  fed::BindingTable out;
+  IdTable out;
   out.vars = left.vars;
   for (const std::string& v : right.vars) {
     if (out.VarIndex(v) < 0) out.vars.push_back(v);
   }
   for (auto& f : futures) {
-    fed::BindingTable part = f.get();
+    IdTable part = f.get();
     if (cancel != nullptr && cancel->Cancelled()) continue;  // Drain only.
     out.Append(part);
   }

@@ -3,7 +3,7 @@
 
 #include "common/cancel.h"
 #include "common/thread_pool.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 
 namespace lusail::core {
 
@@ -22,10 +22,10 @@ namespace lusail::core {
 /// incomplete table the caller must discard after its own cancel check —
 /// the join itself cannot fail, so cancellation surfaces as a Status one
 /// level up, where the token is visible.
-fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
-                                   const fed::BindingTable& right,
-                                   ThreadPool* pool, size_t partitions,
-                                   const CancelToken* cancel = nullptr);
+IdTable ParallelHashJoin(const IdTable& left,
+                         const IdTable& right,
+                         ThreadPool* pool, size_t partitions,
+                         const CancelToken* cancel = nullptr);
 
 /// Cartesian product with left rows range-partitioned across the pool;
 /// each worker crosses its left chunk with the whole right side.
@@ -33,10 +33,10 @@ fed::BindingTable ParallelHashJoin(const fed::BindingTable& left,
 /// exposed so bench_micro can measure the serial/parallel crossover at
 /// any size (that measurement is how the threshold was chosen) and the
 /// cancellation latency of a running join.
-fed::BindingTable ParallelCartesian(const fed::BindingTable& left,
-                                    const fed::BindingTable& right,
-                                    ThreadPool* pool, size_t partitions,
-                                    const CancelToken* cancel = nullptr);
+IdTable ParallelCartesian(const IdTable& left,
+                          const IdTable& right,
+                          ThreadPool* pool, size_t partitions,
+                          const CancelToken* cancel = nullptr);
 
 }  // namespace lusail::core
 

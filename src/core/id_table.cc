@@ -183,77 +183,78 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     return true;
   };
 
-  // Pass 1: find the (left, right) match pairs and the unmatched left
-  // rows. Only key columns are touched here; the non-key payload columns
-  // are never read until the gather pass below.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  // Pass 1: find the matching row pairs and the unmatched left rows. An
+  // inner join hashes the smaller side and probes with the other, so
+  // pairs come in probe-side order; OPTIONAL always probes with the left
+  // side, whose misses it keeps. Only key columns are touched here; the
+  // non-key payload columns are never read until the gather pass below.
+  const bool build_left = !left_outer && ln < rn;
+  const IdTable& build = build_left ? left : right;
+  const IdTable& probe = build_left ? right : left;
+  const std::vector<int>& build_keys = build_left ? shared_left : shared_right;
+  const std::vector<int>& probe_keys = build_left ? shared_right : shared_left;
+  // Matched pairs: probe_rows[k] joins build_rows[k].
+  std::vector<uint32_t> probe_rows, build_rows;
   std::vector<uint32_t> unmatched;
+  auto emit = [&](size_t p, size_t b) {
+    probe_rows.push_back(static_cast<uint32_t>(p));
+    build_rows.push_back(static_cast<uint32_t>(b));
+  };
+  // Emits the pair when the rows are compatible (unbound key cells).
+  auto try_match = [&](size_t p, size_t b) {
+    if (!(build_left ? compatible(b, p) : compatible(p, b))) return false;
+    emit(p, b);
+    return true;
+  };
+  auto key_of = [](const IdTable& t, size_t row, const std::vector<int>& cols,
+                   std::vector<rdf::TermId>* key) {
+    key->clear();
+    for (int idx : cols) {
+      rdf::TermId id = t.At(row, idx);
+      if (id == rdf::kInvalidTermId) return false;
+      key->push_back(id);
+    }
+    return true;
+  };
   if (ln != 0 && (rn != 0 || left_outer)) {
     std::unordered_map<std::vector<rdf::TermId>, std::vector<uint32_t>,
                        IdRowHash>
         hash_index;
-    std::vector<uint32_t> right_wildcards;
+    std::vector<uint32_t> build_wildcards;
     std::vector<rdf::TermId> key;
-    for (size_t r = 0; r < rn; ++r) {
-      key.clear();
-      bool keyed = true;
-      for (int idx : shared_right) {
-        rdf::TermId id = right.At(r, idx);
-        if (id == rdf::kInvalidTermId) {
-          keyed = false;
-          break;
-        }
-        key.push_back(id);
-      }
-      if (keyed) {
-        hash_index[key].push_back(static_cast<uint32_t>(r));
+    for (size_t b = 0; b < build.NumRows(); ++b) {
+      if (key_of(build, b, build_keys, &key)) {
+        hash_index[key].push_back(static_cast<uint32_t>(b));
       } else {
-        right_wildcards.push_back(static_cast<uint32_t>(r));
+        build_wildcards.push_back(static_cast<uint32_t>(b));
       }
     }
-    for (size_t l = 0; l < ln; ++l) {
+    for (size_t p = 0; p < probe.NumRows(); ++p) {
       bool matched = false;
-      key.clear();
-      bool keyed = true;
-      for (int idx : shared_left) {
-        rdf::TermId id = left.At(l, idx);
-        if (id == rdf::kInvalidTermId) {
-          keyed = false;
-          break;
-        }
-        key.push_back(id);
-      }
-      if (keyed) {
+      if (key_of(probe, p, probe_keys, &key)) {
         auto it = hash_index.find(key);
         if (it != hash_index.end()) {
-          for (uint32_t r : it->second) {
-            pairs.emplace_back(static_cast<uint32_t>(l), r);
-          }
+          for (uint32_t b : it->second) emit(p, b);
           matched = true;
         }
-        for (uint32_t r : right_wildcards) {
-          if (compatible(l, r)) {
-            pairs.emplace_back(static_cast<uint32_t>(l), r);
-            matched = true;
-          }
-        }
+        for (uint32_t b : build_wildcards) matched |= try_match(p, b);
       } else {
-        // Left row has an unbound shared var: scan everything.
-        for (size_t r = 0; r < rn; ++r) {
-          if (compatible(l, r)) {
-            pairs.emplace_back(static_cast<uint32_t>(l),
-                               static_cast<uint32_t>(r));
-            matched = true;
-          }
+        // Probe row has an unbound shared var: scan everything.
+        for (size_t b = 0; b < build.NumRows(); ++b) {
+          matched |= try_match(p, b);
         }
       }
-      if (left_outer && !matched) unmatched.push_back(static_cast<uint32_t>(l));
+      if (left_outer && !matched) unmatched.push_back(static_cast<uint32_t>(p));
     }
   }
 
   // Pass 2: materialize with one gather per output column. Matched rows
   // first, then (for OPTIONAL) the unmatched lefts padded unbound.
-  const size_t total = pairs.size() + unmatched.size();
+  const std::vector<uint32_t>& left_rows = build_left ? build_rows : probe_rows;
+  const std::vector<uint32_t>& right_rows =
+      build_left ? probe_rows : build_rows;
+  const size_t matched = left_rows.size();
+  const size_t total = matched + unmatched.size();
   std::vector<std::vector<rdf::TermId>> cols(out_vars.size());
   for (size_t c = 0; c < left.NumVars(); ++c) {
     std::vector<rdf::TermId>& dst = cols[c];
@@ -262,15 +263,13 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     const int br = backfill[c];
     const std::vector<rdf::TermId>& rc =
         br >= 0 ? right.Column(br) : EmptyColumn();
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      rdf::TermId v =
-          lc.empty() ? rdf::kInvalidTermId : lc[pairs[k].first];
-      if (v == rdf::kInvalidTermId && !rc.empty()) v = rc[pairs[k].second];
+    for (size_t k = 0; k < matched; ++k) {
+      rdf::TermId v = lc.empty() ? rdf::kInvalidTermId : lc[left_rows[k]];
+      if (v == rdf::kInvalidTermId && !rc.empty()) v = rc[right_rows[k]];
       dst[k] = v;
     }
     for (size_t k = 0; k < unmatched.size(); ++k) {
-      dst[pairs.size() + k] =
-          lc.empty() ? rdf::kInvalidTermId : lc[unmatched[k]];
+      dst[matched + k] = lc.empty() ? rdf::kInvalidTermId : lc[unmatched[k]];
     }
   }
   for (size_t m = 0; m < right_only.size(); ++m) {
@@ -278,7 +277,7 @@ IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer) {
     dst.resize(total, rdf::kInvalidTermId);
     const std::vector<rdf::TermId>& rc = right.Column(right_only[m]);
     if (!rc.empty()) {
-      for (size_t k = 0; k < pairs.size(); ++k) dst[k] = rc[pairs[k].second];
+      for (size_t k = 0; k < matched; ++k) dst[k] = rc[right_rows[k]];
     }
   }
   return IdTable::FromColumns(std::move(out_vars), std::move(cols), total);
@@ -328,15 +327,21 @@ IdTable ProjectIds(const IdTable& table, const std::vector<std::string>& vars,
     }
     if (seen.insert(key).second) kept.push_back(static_cast<uint32_t>(r));
   }
+  return GatherRows(table, vars, kept);
+}
+
+IdTable GatherRows(const IdTable& table, const std::vector<std::string>& vars,
+                   const std::vector<uint32_t>& rows) {
   std::vector<std::vector<rdf::TermId>> cols(vars.size());
-  for (size_t c = 0; c < idx.size(); ++c) {
-    if (idx[c] < 0) continue;
-    const std::vector<rdf::TermId>& src = table.Column(idx[c]);
+  for (size_t c = 0; c < vars.size(); ++c) {
+    int idx = table.VarIndex(vars[c]);
+    if (idx < 0) continue;
+    const std::vector<rdf::TermId>& src = table.Column(idx);
     if (src.empty()) continue;
-    cols[c].resize(kept.size());
-    for (size_t k = 0; k < kept.size(); ++k) cols[c][k] = src[kept[k]];
+    cols[c].resize(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) cols[c][k] = src[rows[k]];
   }
-  return IdTable::FromColumns(vars, std::move(cols), kept.size());
+  return IdTable::FromColumns(vars, std::move(cols), rows.size());
 }
 
 void FilterIds(IdTable* table, const sparql::Expr& filter,

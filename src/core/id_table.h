@@ -102,7 +102,9 @@ class IdTable {
 /// Natural inner (or left-outer) join on all shared variables, SPARQL
 /// compatibility semantics: an unbound shared cell is compatible with any
 /// value; shared output columns prefer the bound side. Output layout is
-/// deterministic: left.vars then right-only vars. With no shared
+/// deterministic: left.vars then right-only vars. An inner join hashes
+/// the smaller side and emits rows in the other side's order; a left
+/// outer join hashes `right` and emits in `left` order. With no shared
 /// variables this degenerates to the cartesian product.
 IdTable JoinIds(const IdTable& left, const IdTable& right, bool left_outer);
 
@@ -114,6 +116,11 @@ void AppendUnionIds(IdTable* dst, const IdTable& src);
 /// optionally deduplicates rows.
 IdTable ProjectIds(const IdTable& table, const std::vector<std::string>& vars,
                    bool distinct);
+
+/// The given rows of `table`, in that order, projected onto `vars`
+/// (missing variables become unbound columns).
+IdTable GatherRows(const IdTable& table, const std::vector<std::string>& vars,
+                   const std::vector<uint32_t>& rows);
 
 /// Keeps the rows satisfying `filter`, decoding cells through `dict`.
 void FilterIds(IdTable* table, const sparql::Expr& filter,

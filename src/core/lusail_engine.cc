@@ -1,17 +1,14 @@
 #include "core/lusail_engine.h"
 
-#include "sparql/expr_eval.h"
-
 #include <algorithm>
 
+#include "core/finisher.h"
 #include "core/hash_join.h"
 #include "core/join_optimizer.h"
 
 namespace lusail::core {
 
 namespace {
-
-using fed::BindingTable;
 
 std::set<std::string> NeededVars(const sparql::Query& query) {
   std::set<std::string> needed;
@@ -20,6 +17,13 @@ std::set<std::string> NeededVars(const sparql::Query& query) {
   }
   if (query.aggregate.has_value() && query.aggregate->var.has_value()) {
     needed.insert(query.aggregate->var->name);
+  }
+  // ORDER BY keys outside the projection reach the finisher as hidden
+  // columns, which it reads only when the query is not DISTINCT.
+  if (!query.distinct) {
+    for (const sparql::OrderKey& key : query.order_by) {
+      needed.insert(key.var.name);
+    }
   }
   return needed;
 }
@@ -146,7 +150,7 @@ LusailEngine::LusailEngine(const fed::Federation* federation,
     : federation_(federation),
       options_(options),
       pool_(options.num_threads),
-      dict_(std::make_shared<fed::SharedDictionary>()) {}
+      dict_(std::make_shared<TermDictionary>()) {}
 
 std::string LusailEngine::name() const {
   return options_.enable_sape ? "Lusail" : "Lusail-LADE";
@@ -256,12 +260,12 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   return out;
 }
 
-Result<BindingTable> LusailEngine::ExecuteBgp(
+Result<IdTable> LusailEngine::ExecuteBgp(
     const std::vector<sparql::TriplePattern>& triples,
     const std::vector<sparql::Expr>& filters,
     const std::vector<const sparql::GraphPattern*>& candidate_optionals,
     const std::set<std::string>& outside_vars,
-    const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,
+    const std::set<std::string>& needed_vars, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile,
     std::vector<const sparql::GraphPattern*>* unpushed_optionals,
@@ -306,7 +310,7 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
   // Mandatory patterns with no relevant source: the query has no answers.
   for (size_t i = 0; i < triples.size(); ++i) {
     if (sources[i].empty()) {
-      BindingTable empty;
+      IdTable empty;
       std::set<std::string> vars = PatternVars(triples);
       empty.vars.assign(vars.begin(), vars.end());
       // Optionals cannot resurrect rows; nothing more to push.
@@ -365,22 +369,22 @@ Result<BindingTable> LusailEngine::ExecuteBgp(
   fed::PhaseSpan sape_span(metrics, "SAPE execution");
   SapeExecutor sape(federation_, &pool_, &options_);
   size_t sape_limit = decomposition.global_filters.empty() ? row_limit : 0;
-  Result<BindingTable> table =
+  Result<IdTable> table =
       sape.Execute(std::move(decomposition.subqueries), triples, dict,
                    metrics, cancel, profile, sape_limit);
   if (!table.ok()) return table.status();
 
-  BindingTable result = std::move(table).value();
+  IdTable result = std::move(table).value();
   for (const sparql::Expr& f : decomposition.global_filters) {
-    fed::FilterRows(&result, f, *dict);
+    FilterIds(&result, f, *dict);
   }
   profile->execution_ms += timer.ElapsedMillis();
   return result;
 }
 
-Result<BindingTable> LusailEngine::ExecutePattern(
+Result<IdTable> LusailEngine::ExecutePattern(
     const sparql::GraphPattern& pattern,
-    const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,
+    const std::set<std::string>& needed_vars, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile, size_t row_limit) {
   if (!pattern.exists_filters.empty()) {
@@ -406,7 +410,7 @@ Result<BindingTable> LusailEngine::ExecutePattern(
   }
   bgp_needed.insert(filter_vars.begin(), filter_vars.end());
 
-  BindingTable table;
+  IdTable table;
   bool have_table = false;
 
   if (!pattern.triples.empty()) {
@@ -459,12 +463,12 @@ Result<BindingTable> LusailEngine::ExecutePattern(
     // UNION chains and the OPTIONAL blocks that could not be pushed down
     // join/extend the BGP result at the federator.
     for (const auto& chain : pattern.unions) {
-      BindingTable unioned;
+      IdTable unioned;
       for (const sparql::GraphPattern& alt : chain) {
         LUSAIL_ASSIGN_OR_RETURN(
-            BindingTable branch,
+            IdTable branch,
             ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        fed::AppendUnion(&unioned, branch);
+        AppendUnionIds(&unioned, branch);
       }
       table = ParallelHashJoin(table, unioned, &pool_,
                                options_.join_partitions, &cancel);
@@ -472,24 +476,24 @@ Result<BindingTable> LusailEngine::ExecutePattern(
     }
     for (const sparql::GraphPattern* opt : unpushed) {
       LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable right,
+          IdTable right,
           ExecutePattern(*opt, bgp_needed, dict, metrics, cancel, profile));
-      table = fed::LeftOuterJoin(table, right);
+      table = JoinIds(table, right, /*left_outer=*/true);
     }
     Stopwatch filter_timer;
     for (const sparql::Expr& f : residual_filters) {
-      fed::FilterRows(&table, f, *dict);
+      FilterIds(&table, f, *dict);
     }
     profile->execution_ms += filter_timer.ElapsedMillis();
   } else {
     // No BGP at this level: pure UNION / OPTIONAL / VALUES group.
     for (const auto& chain : pattern.unions) {
-      BindingTable unioned;
+      IdTable unioned;
       for (const sparql::GraphPattern& alt : chain) {
         LUSAIL_ASSIGN_OR_RETURN(
-            BindingTable branch,
+            IdTable branch,
             ExecutePattern(alt, bgp_needed, dict, metrics, cancel, profile));
-        fed::AppendUnion(&unioned, branch);
+        AppendUnionIds(&unioned, branch);
       }
       if (!have_table) {
         table = std::move(unioned);
@@ -505,19 +509,21 @@ Result<BindingTable> LusailEngine::ExecutePattern(
     }
     for (const sparql::GraphPattern& opt : pattern.optionals) {
       LUSAIL_ASSIGN_OR_RETURN(
-          BindingTable right,
+          IdTable right,
           ExecutePattern(opt, bgp_needed, dict, metrics, cancel, profile));
-      table = fed::LeftOuterJoin(table, right);
+      table = JoinIds(table, right, /*left_outer=*/true);
     }
     for (const sparql::Expr& f : pattern.filters) {
-      fed::FilterRows(&table, f, *dict);
+      FilterIds(&table, f, *dict);
     }
   }
 
   // VALUES data blocks: intern and join.
   for (const sparql::ValuesClause& vc : pattern.values) {
-    BindingTable values_table;
-    for (const sparql::Variable& v : vc.vars) values_table.vars.push_back(v.name);
+    IdTable values_table;
+    for (const sparql::Variable& v : vc.vars) {
+      values_table.vars.push_back(v.name);
+    }
     std::vector<rdf::TermId> ids;
     for (const auto& row : vc.rows) {
       ids.clear();
@@ -527,7 +533,7 @@ Result<BindingTable> LusailEngine::ExecutePattern(
       }
       values_table.AppendRow(ids);
     }
-    table = fed::HashJoin(table, values_table);
+    table = JoinIds(table, values_table, /*left_outer=*/false);
   }
   return table;
 }
@@ -548,24 +554,15 @@ Result<fed::FederatedResult> LusailEngine::Execute(
   // The engine-lifetime dictionary: ids persist across queries, so the
   // transports' parse dictionaries (set once at wiring time) keep
   // matching and every response arrives pre-encoded.
-  fed::SharedDictionary& dict = *dict_;
+  TermDictionary& dict = *dict_;
 
   std::set<std::string> needed = NeededVars(query);
-  // LIMIT pushdown hint: with no ORDER BY, no DISTINCT and no aggregate,
-  // any offset+limit rows of the pattern are a correct answer, so
-  // upstream operators may stop producing once they have that many.
-  // OFFSET itself is never pushed — it is applied once, here, after the
-  // gather (a pushed OFFSET would skip rows per endpoint and lose them).
-  size_t push_limit = 0;
-  if (query.form == sparql::QueryForm::kSelect && !query.distinct &&
-      !query.aggregate.has_value() && query.order_by.empty() &&
-      query.limit.has_value()) {
-    push_limit = static_cast<size_t>(
-        std::min<uint64_t>(query.offset.value_or(0) +
-                               static_cast<uint64_t>(*query.limit),
-                           std::numeric_limits<uint32_t>::max()));
-  }
-  Result<BindingTable> table_or =
+  // LIMIT pushdown hint: upstream operators may stop producing once they
+  // have this many rows of the pattern.
+  size_t push_limit = static_cast<size_t>(std::min<uint64_t>(
+      query.PushableRowLimit().value_or(0),
+      std::numeric_limits<uint32_t>::max()));
+  Result<IdTable> table_or =
       ExecutePattern(query.where, needed, &dict, &metrics, cancel,
                      &result.profile, push_limit);
   if (!table_or.ok()) {
@@ -573,67 +570,10 @@ Result<fed::FederatedResult> LusailEngine::Execute(
     trace.Attach(&result.profile);
     return table_or.status();
   }
-  BindingTable table = std::move(table_or).value();
 
+  // Late materialization: only the finished window is decoded to terms.
   Stopwatch finish_timer;
-  if (query.form == sparql::QueryForm::kAsk) {
-    if (table.NumRows() > 0) result.table.rows.push_back({});
-  } else if (query.aggregate.has_value()) {
-    // COUNT runs entirely in id space: one contiguous column scan, no
-    // term is ever decoded (the count itself is the only output).
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = table.NumRows();
-    } else {
-      int idx = table.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        const std::vector<rdf::TermId>& col =
-            table.Column(static_cast<size_t>(idx));
-        if (agg.distinct) {
-          std::set<rdf::TermId> seen;
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) seen.insert(id);
-          }
-          count = seen.size();
-        } else {
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) ++count;
-          }
-        }
-      }
-    }
-    result.table.vars.push_back(agg.alias.name);
-    result.table.rows.push_back(
-        {rdf::Term::Integer(static_cast<int64_t>(count))});
-  } else {
-    std::vector<std::string> projection;
-    for (const sparql::Variable& v : query.EffectiveProjection()) {
-      projection.push_back(v.name);
-    }
-    BindingTable projected = fed::Project(table, projection, query.distinct);
-    if (!query.order_by.empty()) {
-      // Sort the decoded full result, then cut the LIMIT/OFFSET window.
-      // ORDER BY is the one consumer that must materialize everything:
-      // the sort compares lexical forms, not ids.
-      result.table = fed::DecodeTable(projected, dict);
-      sparql::SortRows(&result.table, query.order_by);
-      size_t begin = std::min<size_t>(query.offset.value_or(0),
-                                      result.table.rows.size());
-      size_t end = result.table.rows.size();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table.rows.assign(result.table.rows.begin() + begin,
-                               result.table.rows.begin() + end);
-    } else {
-      // Late materialization pays off here: only the LIMIT/OFFSET window
-      // is decoded to strings, everything outside it stays ids.
-      size_t begin =
-          std::min<size_t>(query.offset.value_or(0), projected.NumRows());
-      size_t end = projected.NumRows();
-      if (query.limit.has_value()) end = std::min(end, begin + *query.limit);
-      result.table = fed::DecodeTable(projected.Slice(begin, end), dict);
-    }
-  }
+  result.table = DecodeIdTable(FinishQuery(query, *table_or, &dict), dict);
   result.profile.execution_ms += finish_timer.ElapsedMillis();
 
   metrics.FillCounters(&result.profile);

@@ -91,7 +91,7 @@ class LusailEngine : public fed::FederatedEngine {
   /// Shared so transports can parse responses straight into it
   /// (HttpSparqlEndpoint::set_parse_dictionary) and results arrive as ids
   /// with zero federator-side string rows.
-  const std::shared_ptr<fed::SharedDictionary>& dictionary() const {
+  const std::shared_ptr<TermDictionary>& dictionary() const {
     return dict_;
   }
 
@@ -117,12 +117,12 @@ class LusailEngine : public fed::FederatedEngine {
   /// by the rest of the query (other blocks, residual filters) — an
   /// optional may only be pushed when its overlap with them stays inside
   /// its host subquery. Appends phase timings/counters to `profile`.
-  Result<fed::BindingTable> ExecuteBgp(
+  Result<IdTable> ExecuteBgp(
       const std::vector<sparql::TriplePattern>& triples,
       const std::vector<sparql::Expr>& filters,
       const std::vector<const sparql::GraphPattern*>& candidate_optionals,
       const std::set<std::string>& outside_vars,
-      const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,
+      const std::set<std::string>& needed_vars, TermDictionary* dict,
       fed::MetricsCollector* metrics, const CancelToken& cancel,
       fed::ExecutionProfile* profile,
       std::vector<const sparql::GraphPattern*>* unpushed_optionals,
@@ -134,9 +134,9 @@ class LusailEngine : public fed::FederatedEngine {
   /// the caller (a top-level LIMIT without ORDER BY/DISTINCT): it is
   /// forwarded to the BGP only when nothing at this level — UNION joins,
   /// VALUES joins, residual filters — can discard rows afterwards.
-  Result<fed::BindingTable> ExecutePattern(
+  Result<IdTable> ExecutePattern(
       const sparql::GraphPattern& pattern,
-      const std::set<std::string>& needed_vars, fed::SharedDictionary* dict,
+      const std::set<std::string>& needed_vars, TermDictionary* dict,
       fed::MetricsCollector* metrics, const CancelToken& cancel,
       fed::ExecutionProfile* profile, size_t row_limit = 0);
 
@@ -145,7 +145,7 @@ class LusailEngine : public fed::FederatedEngine {
   ThreadPool pool_;
   fed::AskCache ask_cache_;
   fed::AskCache check_cache_;
-  std::shared_ptr<fed::SharedDictionary> dict_;
+  std::shared_ptr<TermDictionary> dict_;
 };
 
 }  // namespace lusail::core

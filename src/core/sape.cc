@@ -14,12 +14,11 @@ namespace lusail::core {
 
 namespace {
 
-using fed::BindingTable;
 using sparql::TriplePattern;
 
 /// Distinct bound values of a column (one contiguous scan — this is the
 /// columnar layout's home turf).
-std::vector<rdf::TermId> DistinctColumn(const BindingTable& table,
+std::vector<rdf::TermId> DistinctColumn(const IdTable& table,
                                         const std::string& var) {
   std::vector<rdf::TermId> out;
   int idx = table.VarIndex(var);
@@ -82,9 +81,9 @@ Status AggregateFailures(const fed::Federation* federation, const char* phase,
 /// one table per group, ordering each group's joins with the DP join
 /// optimizer; disjoint groups remain separate (the delayed phase refines
 /// against them, and only the final cartesian step may merge them).
-std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
-                                        ThreadPool* pool, size_t partitions,
-                                        const CancelToken* cancel = nullptr) {
+std::vector<IdTable> JoinConnected(std::vector<IdTable> tables,
+                                   ThreadPool* pool, size_t partitions,
+                                   const CancelToken* cancel = nullptr) {
   if (tables.size() <= 1) return tables;
 
   // Connected components of the shares-a-variable graph (BFS).
@@ -99,7 +98,7 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
       frontier.pop_back();
       for (size_t j = 0; j < tables.size(); ++j) {
         if (component[j] >= 0) continue;
-        if (BindingTable::SharedVars(tables[i], tables[j]).empty()) continue;
+        if (IdTable::SharedVars(tables[i], tables[j]).empty()) continue;
         component[j] = num_components;
         frontier.push_back(j);
       }
@@ -107,7 +106,7 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
     ++num_components;
   }
 
-  std::vector<BindingTable> out;
+  std::vector<IdTable> out;
   out.reserve(static_cast<size_t>(num_components));
   for (int c = 0; c < num_components; ++c) {
     std::vector<size_t> members;
@@ -129,7 +128,7 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
     std::vector<int> order =
         JoinOptimizer::OptimalOrder(sizes, vars, std::max<size_t>(1,
                                                                   partitions));
-    BindingTable joined = std::move(tables[members[order[0]]]);
+    IdTable joined = std::move(tables[members[order[0]]]);
     for (size_t k = 1; k < order.size(); ++k) {
       if (cancel != nullptr && cancel->Cancelled()) break;
       joined = ParallelHashJoin(joined, tables[members[order[k]]], pool,
@@ -142,9 +141,9 @@ std::vector<BindingTable> JoinConnected(std::vector<BindingTable> tables,
 
 }  // namespace
 
-Result<BindingTable> SapeExecutor::FetchEndpoint(
+Result<IdTable> SapeExecutor::FetchEndpoint(
     int ep, const std::string& text, const std::string& cache_key,
-    bool cacheable, fed::SharedDictionary* dict,
+    bool cacheable, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, obs::SpanId trace_parent) {
   // Queued fetches whose token already fired bail before touching the
@@ -172,30 +171,30 @@ Result<BindingTable> SapeExecutor::FetchEndpoint(
       }
       // The shared cache stores wire-format string rows (it outlives any
       // one dictionary), so a hit re-interns here.
-      return fed::InternTable(*hit, dict);
+      return EncodeResultTable(*hit, dict);
     }
   }
   // The string form of the response rides along exactly when the wire
   // path produced one anyway; the pure id path (parse-to-ids transport)
   // decodes only if a cache store actually needs it.
   std::optional<sparql::ResultTable> wire;
-  Result<BindingTable> ids = federation_->ExecuteEncoded(
+  Result<IdTable> ids = federation_->ExecuteEncoded(
       static_cast<size_t>(ep), text, dict, metrics, cancel.deadline(), retry,
       trace_parent, shared != nullptr ? &wire : nullptr);
   if (shared != nullptr && ids.ok()) {
     if (wire.has_value()) {
       shared->PutResult(endpoint_id, cache_key, *wire);
     } else {
-      shared->PutResult(endpoint_id, cache_key, fed::DecodeTable(*ids, *dict));
+      shared->PutResult(endpoint_id, cache_key, DecodeIdTable(*ids, *dict));
     }
   }
   return ids;
 }
 
-Result<BindingTable> SapeExecutor::RunEverywhere(
+Result<IdTable> SapeExecutor::RunEverywhere(
     const Subquery& sq, const std::vector<TriplePattern>& triples,
     const sparql::ValuesClause* values,
-    const std::vector<rdf::TermId>* bound_ids, fed::SharedDictionary* dict,
+    const std::vector<rdf::TermId>* bound_ids, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     obs::SpanId trace_parent, size_t row_limit) {
   std::string text = sq.ToSparql(triples, values);
@@ -229,33 +228,33 @@ Result<BindingTable> SapeExecutor::RunEverywhere(
   // return empty — a budget hit is a cutoff, never a failure.
   CancelToken budget =
       row_limit > 0 ? CancelToken::Cancellable() : CancelToken();
-  std::vector<std::future<Result<BindingTable>>> futures;
+  std::vector<std::future<Result<IdTable>>> futures;
   futures.reserve(sq.sources.size());
   for (int ep : sq.sources) {
     futures.push_back(pool_->Submit(
         [this, ep, text, cache_key, cacheable, dict, metrics, cancel, retry,
          trace_parent, budget, projection = sq.projection]() {
           if (budget.CancelRequested()) {
-            BindingTable skipped;
+            IdTable skipped;
             skipped.vars = projection;
-            return Result<BindingTable>(std::move(skipped));
+            return Result<IdTable>(std::move(skipped));
           }
           return FetchEndpoint(ep, text, cache_key, cacheable, dict, metrics,
                                cancel, retry, trace_parent);
         }));
   }
-  BindingTable merged;
+  IdTable merged;
   merged.vars = sq.projection;
   std::vector<EndpointFailure> failures;
   size_t successes = 0;
   for (size_t k = 0; k < futures.size(); ++k) {
-    Result<BindingTable> table = futures[k].get();
+    Result<IdTable> table = futures[k].get();
     if (!table.ok()) {
       failures.push_back({sq.sources[k], table.status()});
       continue;
     }
     ++successes;
-    fed::AppendUnion(&merged, *table);
+    AppendUnionIds(&merged, *table);
     if (row_limit > 0 && merged.NumRows() >= row_limit) budget.Cancel();
   }
   if (!failures.empty()) {
@@ -277,15 +276,15 @@ Result<BindingTable> SapeExecutor::RunEverywhere(
   return merged;
 }
 
-Result<BindingTable> SapeExecutor::Execute(
+Result<IdTable> SapeExecutor::Execute(
     std::vector<Subquery> subqueries,
-    const std::vector<TriplePattern>& triples, fed::SharedDictionary* dict,
+    const std::vector<TriplePattern>& triples, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile, size_t row_limit) {
-  auto track_peak = [profile](const std::vector<BindingTable>& tables) {
+  auto track_peak = [profile](const std::vector<IdTable>& tables) {
     if (profile == nullptr) return;
     uint64_t total = 0;
-    for (const BindingTable& t : tables) total += t.NumRows();
+    for (const IdTable& t : tables) total += t.NumRows();
     profile->peak_intermediate_rows =
         std::max(profile->peak_intermediate_rows, total);
   };
@@ -317,7 +316,7 @@ Result<BindingTable> SapeExecutor::Execute(
       tracer->Annotate(span, "limit_pushdown",
                        static_cast<uint64_t>(row_limit));
     }
-    Result<BindingTable> table =
+    Result<IdTable> table =
         RunEverywhere(subqueries[0], triples, nullptr, nullptr, dict, metrics,
                       cancel, span, row_limit);
     if (tracer != nullptr) tracer->EndSpan(span);
@@ -351,19 +350,19 @@ Result<BindingTable> SapeExecutor::Execute(
   struct Fetch {
     size_t sq_index;
     int endpoint;
-    std::future<Result<BindingTable>> result;
+    std::future<Result<IdTable>> result;
   };
   const net::RetryPolicy* retry = RetryOf(options_);
   std::vector<Fetch> fetches;
   std::vector<size_t> phase1_order;
-  std::map<size_t, BindingTable> phase1_tables;
+  std::map<size_t, IdTable> phase1_tables;
   std::map<size_t, size_t> phase1_successes;
   std::map<size_t, obs::SpanId> phase1_spans;
   std::map<size_t, size_t> phase1_pending;
   for (size_t i = 0; i < subqueries.size(); ++i) {
     if (subqueries[i].delayed) continue;
     phase1_order.push_back(i);
-    BindingTable empty;
+    IdTable empty;
     empty.vars = subqueries[i].projection;
     phase1_tables.emplace(i, std::move(empty));
     phase1_successes.emplace(i, 0);
@@ -387,13 +386,13 @@ Result<BindingTable> SapeExecutor::Execute(
   std::vector<EndpointFailure> phase1_failures;
   std::set<size_t> phase1_failed_sqs;
   for (Fetch& fetch : fetches) {
-    Result<BindingTable> part = fetch.result.get();
+    Result<IdTable> part = fetch.result.get();
     if (!part.ok()) {
       phase1_failures.push_back({fetch.endpoint, part.status()});
       phase1_failed_sqs.insert(fetch.sq_index);
     } else {
       ++phase1_successes[fetch.sq_index];
-      fed::AppendUnion(&phase1_tables[fetch.sq_index], *part);
+      AppendUnionIds(&phase1_tables[fetch.sq_index], *part);
     }
     // The subquery span closes when its last endpoint result lands.
     if (tracer != nullptr && --phase1_pending[fetch.sq_index] == 0) {
@@ -420,7 +419,7 @@ Result<BindingTable> SapeExecutor::Execute(
       }
     }
   }
-  std::vector<BindingTable> tables;
+  std::vector<IdTable> tables;
   for (size_t i : phase1_order) {
     tables.push_back(std::move(phase1_tables[i]));
   }
@@ -446,7 +445,7 @@ Result<BindingTable> SapeExecutor::Execute(
     std::string best_var;
     std::vector<rdf::TermId> best;
     for (const std::string& v : sq.projection) {
-      for (const BindingTable& t : tables) {
+      for (const IdTable& t : tables) {
         if (t.VarIndex(v) < 0) continue;
         std::vector<rdf::TermId> vals = DistinctColumn(t, v);
         if (vals.empty()) continue;
@@ -497,7 +496,7 @@ Result<BindingTable> SapeExecutor::Execute(
     // is the test — a non-empty partner whose shared column is all
     // unbound still joins compatibly and must not short-circuit.
     bool empty_partner = false;
-    for (const BindingTable& t : tables) {
+    for (const IdTable& t : tables) {
       if (t.NumRows() != 0) continue;
       for (const std::string& v : sq.projection) {
         if (t.VarIndex(v) >= 0) {
@@ -511,7 +510,7 @@ Result<BindingTable> SapeExecutor::Execute(
       if (tracer != nullptr) {
         tracer->Annotate(sq_span, "empty_partner", true);
       }
-      BindingTable empty;
+      IdTable empty;
       empty.vars = sq.projection;
       end_sq_span(0);
       tables.push_back(std::move(empty));
@@ -523,8 +522,8 @@ Result<BindingTable> SapeExecutor::Execute(
     auto [bind_var, bindings] = found_bindings_for(sq);
     if (bind_var.empty()) {
       // Nothing to bind with: evaluate unbound like phase 1.
-      Result<BindingTable> t = RunEverywhere(sq, triples, nullptr, nullptr,
-                                             dict, metrics, cancel, sq_span);
+      Result<IdTable> t = RunEverywhere(sq, triples, nullptr, nullptr,
+                                        dict, metrics, cancel, sq_span);
       if (!t.ok()) {
         end_sq_span(0);
         return t.status();
@@ -601,7 +600,7 @@ Result<BindingTable> SapeExecutor::Execute(
                   bind_var) == bound_sq.projection.end()) {
       bound_sq.projection.push_back(bind_var);
     }
-    BindingTable merged;
+    IdTable merged;
     merged.vars = bound_sq.projection;
     const size_t block = std::max<size_t>(1, options_->bound_join_block_size);
     size_t values_blocks = 0;
@@ -622,14 +621,14 @@ Result<BindingTable> SapeExecutor::Execute(
         values.rows.push_back({dict->term(id)});
       }
       ++values_blocks;
-      Result<BindingTable> part =
+      Result<IdTable> part =
           RunEverywhere(bound_sq, triples, &values, &chunk_ids, dict, metrics,
                         cancel, sq_span);
       if (!part.ok()) {
         end_sq_span(merged.NumRows());
         return part.status();
       }
-      fed::AppendUnion(&merged, *part);
+      AppendUnionIds(&merged, *part);
     }
     if (tracer != nullptr) {
       tracer->Annotate(sq_span, "values_blocks",
@@ -651,10 +650,10 @@ Result<BindingTable> SapeExecutor::Execute(
     // Cartesian products, smallest first to bound growth; the parallel
     // join partitions the product across the pool when it is large.
     std::sort(tables.begin(), tables.end(),
-              [](const BindingTable& a, const BindingTable& b) {
+              [](const IdTable& a, const IdTable& b) {
                 return a.NumRows() < b.NumRows();
               });
-    BindingTable joined =
+    IdTable joined =
         ParallelHashJoin(tables[0], tables[1], pool_,
                          options_->join_partitions, &cancel);
     tables.erase(tables.begin(), tables.begin() + 2);

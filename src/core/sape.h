@@ -10,7 +10,7 @@
 #include "core/cost_model.h"
 #include "core/options.h"
 #include "core/subquery.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "federation/federation.h"
 
 namespace lusail::core {
@@ -48,10 +48,10 @@ class SapeExecutor {
   /// the not-yet-started endpoint fetches once the union is satisfied.
   /// Multi-subquery plans ignore the hint — a join can discard rows, so
   /// no per-subquery limit is provably safe there.
-  Result<fed::BindingTable> Execute(
+  Result<IdTable> Execute(
       std::vector<Subquery> subqueries,
       const std::vector<sparql::TriplePattern>& triples,
-      fed::SharedDictionary* dict, fed::MetricsCollector* metrics,
+      TermDictionary* dict, fed::MetricsCollector* metrics,
       const CancelToken& cancel, fed::ExecutionProfile* profile = nullptr,
       size_t row_limit = 0);
 
@@ -70,15 +70,15 @@ class SapeExecutor {
   /// fetch still queued behind it returns an empty table instead of
   /// touching the wire. In-flight requests are not interrupted — the
   /// budget is a cutoff for upstream work, not a failure.
-  Result<fed::BindingTable> RunEverywhere(const Subquery& sq,
-                                          const std::vector<sparql::TriplePattern>& triples,
-                                          const sparql::ValuesClause* values,
-                                          const std::vector<rdf::TermId>* bound_ids,
-                                          fed::SharedDictionary* dict,
-                                          fed::MetricsCollector* metrics,
-                                          const CancelToken& cancel,
-                                          obs::SpanId trace_parent = 0,
-                                          size_t row_limit = 0);
+  Result<IdTable> RunEverywhere(const Subquery& sq,
+                                const std::vector<sparql::TriplePattern>& triples,
+                                const sparql::ValuesClause* values,
+                                const std::vector<rdf::TermId>* bound_ids,
+                                TermDictionary* dict,
+                                fed::MetricsCollector* metrics,
+                                const CancelToken& cancel,
+                                obs::SpanId trace_parent = 0,
+                                size_t row_limit = 0);
 
   /// One endpoint request in id space, routed through the federation's
   /// shared result cache when this engine opted in (options.result_cache)
@@ -91,14 +91,14 @@ class SapeExecutor {
   /// re-encoded from the cache's string rows into `dict`. A miss goes
   /// through Federation::ExecuteEncoded, so an endpoint parsing straight
   /// into `dict` hands back ids untouched.
-  Result<fed::BindingTable> FetchEndpoint(int ep, const std::string& text,
-                                          const std::string& cache_key,
-                                          bool cacheable,
-                                          fed::SharedDictionary* dict,
-                                          fed::MetricsCollector* metrics,
-                                          const CancelToken& cancel,
-                                          const net::RetryPolicy* retry,
-                                          obs::SpanId trace_parent);
+  Result<IdTable> FetchEndpoint(int ep, const std::string& text,
+                                const std::string& cache_key,
+                                bool cacheable,
+                                TermDictionary* dict,
+                                fed::MetricsCollector* metrics,
+                                const CancelToken& cancel,
+                                const net::RetryPolicy* retry,
+                                obs::SpanId trace_parent);
 
   const fed::Federation* federation_;
   ThreadPool* pool_;

@@ -214,8 +214,8 @@ Result<sparql::ResultTable> Federation::Execute(
   return std::move(response.table);
 }
 
-Result<BindingTable> Federation::ExecuteEncoded(
-    size_t i, const std::string& text, SharedDictionary* dict,
+Result<core::IdTable> Federation::ExecuteEncoded(
+    size_t i, const std::string& text, core::TermDictionary* dict,
     MetricsCollector* metrics, const Deadline& deadline,
     const net::RetryPolicy* retry, obs::SpanId trace_parent,
     std::optional<sparql::ResultTable>* wire_table) const {
@@ -233,11 +233,11 @@ Result<BindingTable> Federation::ExecuteEncoded(
     // minted them, then re-encode into ours. Correct, just slower.
     sparql::ResultTable table =
         core::DecodeIdTable(*response.ids, *response.ids_dict);
-    BindingTable ids = core::EncodeResultTable(table, dict);
+    core::IdTable ids = core::EncodeResultTable(table, dict);
     if (wire_table != nullptr) *wire_table = std::move(table);
     return ids;
   }
-  BindingTable ids = core::EncodeResultTable(response.table, dict);
+  core::IdTable ids = core::EncodeResultTable(response.table, dict);
   if (wire_table != nullptr) *wire_table = std::move(response.table);
   return ids;
 }

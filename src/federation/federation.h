@@ -12,8 +12,7 @@
 
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "net/endpoint.h"
 #include "net/resilience.h"
 #include "obs/endpoint_stats.h"
@@ -316,11 +315,6 @@ class QueryTrace {
   obs::SpanId root_ = 0;
 };
 
-/// ASK-query detection lives in common/string_util.h (the server-side
-/// verdict cache needs it below this layer); re-exported here because
-/// fed:: is where federated engines historically found it.
-using ::lusail::LooksLikeAskQuery;
-
 /// The registry of endpoints a federated query runs against, plus the
 /// request path every engine uses (with per-query accounting and
 /// cooperative deadline checks).
@@ -381,7 +375,7 @@ class Federation {
                                       const net::RetryPolicy* retry = nullptr,
                                       obs::SpanId trace_parent = 0) const;
 
-  /// ID-space variant of Execute: the response lands as a BindingTable in
+  /// ID-space variant of Execute: the response lands as a core::IdTable in
   /// `dict`'s id space. When the endpoint parses straight into this
   /// dictionary (HttpSparqlEndpoint::set_parse_dictionary), the ids pass
   /// through untouched; a string response is encoded here at the
@@ -390,8 +384,8 @@ class Federation {
   /// it receives the string form of the response if one existed on the
   /// wire path (for result-cache stores); it stays nullopt on the pure
   /// id path, where the caller decides whether decoding is worth it.
-  Result<BindingTable> ExecuteEncoded(
-      size_t i, const std::string& text, SharedDictionary* dict,
+  Result<core::IdTable> ExecuteEncoded(
+      size_t i, const std::string& text, core::TermDictionary* dict,
       MetricsCollector* metrics, const Deadline& deadline,
       const net::RetryPolicy* retry = nullptr, obs::SpanId trace_parent = 0,
       std::optional<sparql::ResultTable>* wire_table = nullptr) const;

@@ -9,12 +9,12 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/finisher.h"
 #include "net/replica.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "sparql/parser.h"
 #include "sparql/serializer.h"
-#include "sparql/expr_eval.h"
 
 namespace lusail::shard {
 
@@ -196,14 +196,6 @@ bool IsFlatPattern(const sparql::GraphPattern& pattern) {
   return !pattern.triples.empty() && pattern.exists_filters.empty() &&
          pattern.optionals.empty() && pattern.unions.empty() &&
          pattern.values.empty();
-}
-
-std::vector<std::string> ProjectionNames(
-    const std::vector<sparql::Variable>& vars) {
-  std::vector<std::string> names;
-  names.reserve(vars.size());
-  for (const sparql::Variable& v : vars) names.push_back(v.name);
-  return names;
 }
 
 }  // namespace
@@ -690,22 +682,20 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
   }
 
   // LIMIT pushdown to the scatter: with a single star and no gather-side
-  // row-dropping work, a shard can never contribute more than
-  // offset+limit useful rows. OFFSET itself is never shipped — each
-  // shard would skip rows the gather alone is positioned to discount.
+  // row-dropping work, a shard can never contribute more useful rows
+  // than the query's pushable row limit.
   size_t star_limit = 0;
-  if (query.limit.has_value() && query.order_by.empty() && !query.distinct &&
-      !query.aggregate.has_value() && plan.stars.size() == 1 &&
+  std::optional<uint64_t> row_limit = query.PushableRowLimit();
+  if (row_limit.has_value() && plan.stars.size() == 1 &&
       plan.residual_filters.empty() && plan.gather_values.empty() &&
       plan.optionals.empty() && plan.unions.empty() && plan.exists.empty()) {
-    uint64_t want = query.offset.value_or(0) + *query.limit;
     star_limit = static_cast<size_t>(
-        std::min<uint64_t>(want, std::numeric_limits<uint32_t>::max()));
+        std::min<uint64_t>(*row_limit, std::numeric_limits<uint32_t>::max()));
   }
 
   LUSAIL_ASSIGN_OR_RETURN(IdTable acc,
                           EvaluatePlan(plan, cancel, ctx, star_limit));
-  return FinishSelect(query, std::move(acc), ctx);
+  return FinishSelect(query, acc, ctx);
 }
 
 Result<QueryResponse> ShardedEndpoint::ScatterCount(
@@ -882,20 +872,16 @@ Result<QueryResponse> ShardedEndpoint::Broadcast(const sparql::Query& query,
     shard_query.select_all = true;
     shard_query.distinct = false;
     shard_query.limit.reset();
-  } else if (query.limit.has_value() && query.order_by.empty()) {
-    // Safe pushdown: each member may contribute anywhere in the first
-    // offset+limit rows of the union, so LIMIT offset+limit per member
-    // keeps the gather exact. OFFSET is NEVER pushed — every member would
-    // skip its own first rows and the union would lose them for good.
-    shard_query.limit = query.offset.value_or(0) + *query.limit;
   } else {
-    shard_query.limit.reset();
+    // Each member may contribute anywhere in the first rows of the union,
+    // so the pushable row limit per member keeps the gather exact.
+    shard_query.limit = query.PushableRowLimit();
   }
-  if (!query.order_by.empty() && !shard_query.aggregate.has_value() &&
-      !shard_query.select_all) {
+  if (!query.order_by.empty() && !query.distinct &&
+      !shard_query.aggregate.has_value() && !shard_query.select_all) {
     // The gather sorts, so members must ship the sort keys even when the
-    // projection omits them; FinishSelect drops the extra columns after
-    // windowing.
+    // projection omits them; the finisher reads them as hidden columns.
+    // (Under DISTINCT it ignores such keys, so they are not shipped.)
     for (const sparql::OrderKey& key : query.order_by) {
       bool present = false;
       for (const sparql::Variable& var : shard_query.projection) {
@@ -923,136 +909,17 @@ Result<QueryResponse> ShardedEndpoint::Broadcast(const sparql::Query& query,
     IdTable t = EncodeResponse(*r);
     core::AppendUnionIds(&acc, t);
   }
-  return FinishSelect(query, std::move(acc), ctx);
+  return FinishSelect(query, acc, ctx);
 }
 
 Result<QueryResponse> ShardedEndpoint::FinishSelect(const sparql::Query& query,
-                                                    IdTable acc,
+                                                    const IdTable& acc,
                                                     ScatterContext* ctx) {
   QueryResponse response = MakeResponse(ctx);
   if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
-
-  if (query.aggregate.has_value()) {
-    const sparql::CountAggregate& agg = *query.aggregate;
-    uint64_t count = 0;
-    if (!agg.var.has_value()) {
-      count = agg.distinct ? core::ProjectIds(acc, acc.vars, true).NumRows()
-                           : acc.NumRows();
-    } else {
-      int idx = acc.VarIndex(agg.var->name);
-      if (idx >= 0) {
-        const std::vector<rdf::TermId>& col =
-            acc.Column(static_cast<size_t>(idx));
-        if (agg.distinct) {
-          std::unordered_set<rdf::TermId> distinct;
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) distinct.insert(id);
-          }
-          count = distinct.size();
-        } else {
-          for (rdf::TermId id : col) {
-            if (id != rdf::kInvalidTermId) ++count;
-          }
-          if (col.empty() && acc.NumRows() > 0) count = 0;
-        }
-      }
-    }
-    IdTable out;
-    out.vars.push_back(agg.alias.name);
-    out.AppendRow({dict_->Intern(rdf::Term::Integer(
-        static_cast<int64_t>(count)))});
-    response.ids = std::make_shared<IdTable>(std::move(out));
-    response.ids_dict = dict_;
-    return response;
-  }
-
-  std::vector<std::string> names = ProjectionNames(query.EffectiveProjection());
-  const uint64_t offset = query.offset.value_or(0);
-
-  if (query.order_by.empty()) {
-    IdTable out = core::ProjectIds(acc, names, query.distinct);
-    size_t rows = out.NumRows();
-    size_t begin = std::min<size_t>(offset, rows);
-    size_t end = query.limit.has_value()
-                     ? std::min<size_t>(begin + *query.limit, rows)
-                     : rows;
-    if (begin != 0 || end != rows) out = out.Slice(begin, end);
-    response.ids = std::make_shared<IdTable>(std::move(out));
-    response.ids_dict = dict_;
-    return response;
-  }
-
-  // ORDER BY: project onto projection + sort keys, decode, sort, window,
-  // then drop the extra sort-key columns.
-  std::vector<std::string> extended = names;
-  for (const sparql::OrderKey& key : query.order_by) {
-    if (std::find(extended.begin(), extended.end(), key.var.name) ==
-        extended.end()) {
-      extended.push_back(key.var.name);
-    }
-  }
-  IdTable projected = core::ProjectIds(acc, extended, query.distinct);
-  sparql::ResultTable table;
-  if (query.limit.has_value()) {
-    // Bounded top-k: only offset+limit rows can survive the window, so
-    // keep a heap of that size (ordered worst-first) and decode the
-    // gathered IDs in slices. Peak decoded-string memory is one slice
-    // plus the heap, not the whole gather.
-    using Row = std::vector<std::optional<rdf::Term>>;
-    std::vector<std::pair<size_t, bool>> keys;
-    for (const sparql::OrderKey& key : query.order_by) {
-      auto it = std::find(extended.begin(), extended.end(), key.var.name);
-      keys.emplace_back(static_cast<size_t>(it - extended.begin()),
-                        key.descending);
-    }
-    auto ranks_before = [&keys](const Row& a, const Row& b) {
-      for (const auto& [col, desc] : keys) {
-        int c = sparql::CompareForOrder(a[col], b[col]);
-        if (c != 0) return desc ? c > 0 : c < 0;
-      }
-      return false;
-    };
-    const uint64_t want64 = offset + static_cast<uint64_t>(*query.limit);
-    const size_t k = static_cast<size_t>(
-        std::min<uint64_t>(want64, projected.NumRows()));
-    std::vector<Row> heap;
-    heap.reserve(k);
-    constexpr size_t kSliceRows = 4096;
-    const size_t total = projected.NumRows();
-    for (size_t b = 0; b < total && k > 0; b += kSliceRows) {
-      size_t e = std::min(b + kSliceRows, total);
-      sparql::ResultTable batch =
-          core::DecodeIdTable(projected.Slice(b, e), *dict_);
-      for (Row& row : batch.rows) {
-        if (heap.size() < k) {
-          heap.push_back(std::move(row));
-          std::push_heap(heap.begin(), heap.end(), ranks_before);
-        } else if (ranks_before(row, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), ranks_before);
-          heap.back() = std::move(row);
-          std::push_heap(heap.begin(), heap.end(), ranks_before);
-        }
-      }
-    }
-    std::sort_heap(heap.begin(), heap.end(), ranks_before);
-    table.vars = projected.vars;
-    size_t begin = std::min<size_t>(offset, heap.size());
-    table.rows.assign(std::make_move_iterator(heap.begin() + begin),
-                      std::make_move_iterator(heap.end()));
-  } else {
-    table = core::DecodeIdTable(projected, *dict_);
-    sparql::SortRows(&table, query.order_by);
-    size_t rows = table.rows.size();
-    size_t begin = std::min<size_t>(offset, rows);
-    if (begin != 0) {
-      table.rows.erase(table.rows.begin(), table.rows.begin() + begin);
-    }
-  }
-  if (extended.size() != names.size()) {
-    for (auto& row : table.rows) row.resize(names.size());
-    table.vars.resize(names.size());
-  }
-  response.table = std::move(table);
+  response.ids =
+      std::make_shared<IdTable>(core::FinishQuery(query, acc, dict_.get()));
+  response.ids_dict = dict_;
   return response;
 }
 

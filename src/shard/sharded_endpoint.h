@@ -216,7 +216,7 @@ class ShardedEndpoint : public net::Endpoint {
                                           const CancelToken& cancel,
                                           ScatterContext* ctx);
   Result<net::QueryResponse> FinishSelect(const sparql::Query& query,
-                                          core::IdTable acc,
+                                          const core::IdTable& acc,
                                           ScatterContext* ctx);
 
   /// One member request, run on a pool worker: tracing span, accounting,

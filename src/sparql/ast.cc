@@ -61,4 +61,13 @@ std::vector<Variable> Query::EffectiveProjection() const {
   return out;
 }
 
+std::optional<uint64_t> Query::PushableRowLimit() const {
+  if (form != QueryForm::kSelect || !limit.has_value() || distinct ||
+      aggregate.has_value() || !order_by.empty()) {
+    return std::nullopt;
+  }
+  const uint64_t skip = offset.value_or(0);
+  return *limit > UINT64_MAX - skip ? UINT64_MAX : skip + *limit;
+}
+
 }  // namespace lusail::sparql

@@ -222,6 +222,13 @@ struct Query {
   /// Effective projection: the explicit list, or all pattern variables for
   /// SELECT * (sorted for determinism).
   std::vector<Variable> EffectiveProjection() const;
+
+  /// How many rows of the WHERE pattern's answer suffice: offset+limit
+  /// (saturating) for a SELECT with LIMIT and no ORDER BY, DISTINCT or
+  /// aggregate, where any that many rows finish to a correct answer, so
+  /// upstream operators may stop producing there. nullopt otherwise.
+  /// OFFSET itself is never pushed: it is applied once, after the gather.
+  std::optional<uint64_t> PushableRowLimit() const;
 };
 
 }  // namespace lusail::sparql

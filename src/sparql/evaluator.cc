@@ -502,12 +502,10 @@ Result<ResultTable> Evaluator::Execute(const Query& query,
   for (const Variable& v : projection) ctx.SlotFor(v.name);
 
   size_t max_rows = kNoLimit;
-  bool simple = !query.distinct && !query.aggregate.has_value();
   if (query.form == QueryForm::kAsk) {
     max_rows = 1;
-  } else if (simple && query.order_by.empty() && query.limit.has_value()) {
-    // ORDER BY needs the full result before truncation.
-    max_rows = *query.limit + query.offset.value_or(0);
+  } else if (std::optional<uint64_t> cap = query.PushableRowLimit()) {
+    max_rows = static_cast<size_t>(std::min<uint64_t>(*cap, kNoLimit));
   }
 
   std::vector<Binding> seed(1, Binding(ctx.NumSlots(), rdf::kInvalidTermId));

@@ -241,9 +241,14 @@ bool EvalFilter(const Expr& expr, const VarLookup& lookup) {
 
 int CompareForOrder(const std::optional<Term>& a,
                     const std::optional<Term>& b) {
-  if (!a.has_value() || !b.has_value()) {
-    if (a.has_value() == b.has_value()) return 0;
-    return a.has_value() ? 1 : -1;  // Unbound sorts first.
+  return CompareForOrder(a.has_value() ? &*a : nullptr,
+                         b.has_value() ? &*b : nullptr);
+}
+
+int CompareForOrder(const Term* a, const Term* b) {
+  if (a == b) return 0;  // Same term, or both unbound.
+  if (a == nullptr || b == nullptr) {
+    return a != nullptr ? 1 : -1;  // Unbound sorts first.
   }
   auto rank = [](const Term& t) {
     switch (t.kind()) {

@@ -30,6 +30,10 @@ bool EvalFilter(const Expr& expr, const VarLookup& lookup);
 int CompareForOrder(const std::optional<rdf::Term>& a,
                     const std::optional<rdf::Term>& b);
 
+/// The same order over terms held elsewhere (a dictionary); nullptr is
+/// unbound.
+int CompareForOrder(const rdf::Term* a, const rdf::Term* b);
+
 /// Stable-sorts `table`'s rows by the ORDER BY keys (variables resolved
 /// by name; keys naming absent columns are ignored).
 void SortRows(ResultTable* table, const std::vector<OrderKey>& keys);

@@ -22,6 +22,7 @@
 #include "cache/cached_endpoint.h"
 #include "cache/federation_cache.h"
 #include "cache/query_service.h"
+#include "common/string_util.h"
 #include "core/cost_model.h"
 #include "core/hash_join.h"
 #include "core/lusail_engine.h"
@@ -578,7 +579,7 @@ class HugeCountEndpoint : public net::Endpoint {
 
   Result<net::QueryResponse> Query(const std::string& text) override {
     net::QueryResponse response;
-    if (fed::LooksLikeAskQuery(text)) {
+    if (lusail::LooksLikeAskQuery(text)) {
       response.table.rows.push_back({});
       return response;
     }
@@ -648,7 +649,7 @@ TEST(SapeEmptyPartnerTest, DelayedSubqueryWithEmptyPartnerIsNotFetched) {
   core::LusailOptions options;
   ThreadPool pool(4);
   core::SapeExecutor sape(federation.get(), &pool, &options);
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   auto result = sape.Execute({empty_sq, delayed_sq}, query->where.triples,
                              &dict, nullptr, CancelToken());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -743,7 +744,7 @@ TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
   options.bound_join_block_size = 1;  // 8 bindings -> 8 VALUES chunks.
   ThreadPool pool(4);
   core::SapeExecutor sape(&federation, &pool, &options);
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   auto result = sape.Execute({found_sq, delayed_sq}, query->where.triples,
                              &dict, nullptr, token);
   ASSERT_FALSE(result.ok());
@@ -761,8 +762,8 @@ TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
 // ---------------------------------------------------------------------
 
 TEST(ParallelCartesianTest, MatchesSingleThreadedProduct) {
-  fed::SharedDictionary dict;
-  fed::BindingTable left, right;
+  core::TermDictionary dict;
+  core::IdTable left, right;
   left.vars = {"a"};
   right.vars = {"b"};
   for (int i = 0; i < 80; ++i) {
@@ -772,12 +773,12 @@ TEST(ParallelCartesianTest, MatchesSingleThreadedProduct) {
     right.AppendRow({dict.Intern(rdf::Term::Iri("urn:r" + std::to_string(i)))});
   }
   ThreadPool pool(4);
-  fed::BindingTable parallel = core::ParallelHashJoin(left, right, &pool, 4);
-  fed::BindingTable serial = fed::HashJoin(left, right);
+  core::IdTable parallel = core::ParallelHashJoin(left, right, &pool, 4);
+  core::IdTable serial = core::JoinIds(left, right, /*left_outer=*/false);
   ASSERT_EQ(parallel.NumRows(), 80u * 60u);
   ASSERT_EQ(serial.NumRows(), parallel.NumRows());
 
-  auto fingerprint = [](const fed::BindingTable& t) {
+  auto fingerprint = [](const core::IdTable& t) {
     std::multiset<std::string> out;
     size_t a = static_cast<size_t>(t.VarIndex("a"));
     size_t b = static_cast<size_t>(t.VarIndex("b"));
@@ -790,14 +791,14 @@ TEST(ParallelCartesianTest, MatchesSingleThreadedProduct) {
 }
 
 TEST(ParallelCartesianTest, EmptySideYieldsEmptyProduct) {
-  fed::BindingTable left, right;
+  core::IdTable left, right;
   left.vars = {"a"};
   right.vars = {"b"};
   for (int i = 0; i < 5000; ++i) {
     left.AppendRow({static_cast<rdf::TermId>(i + 1)});
   }
   ThreadPool pool(4);
-  fed::BindingTable product = core::ParallelHashJoin(left, right, &pool, 4);
+  core::IdTable product = core::ParallelHashJoin(left, right, &pool, 4);
   EXPECT_EQ(product.NumRows(), 0u);
   EXPECT_EQ(product.vars.size(), 2u);
 }

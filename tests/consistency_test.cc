@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/anapsid_engine.h"
 #include "baselines/fedx_engine.h"
 #include "baselines/hibiscus.h"
 #include "baselines/splendid_engine.h"
@@ -144,10 +143,9 @@ TEST_P(ConsistencyTest, AllEnginesMatchOracle) {
   fedx_hibiscus.set_source_provider(&hibiscus);
   baselines::SplendidEngine splendid(federation.get());
   splendid.BuildIndex();
-  baselines::AnapsidEngine anapsid(federation.get());
 
   std::vector<fed::FederatedEngine*> engines = {
-      &lusail, &lusail_lade, &fedx, &fedx_hibiscus, &splendid, &anapsid};
+      &lusail, &lusail_lade, &fedx, &fedx_hibiscus, &splendid};
 
   for (const auto& [label, query_text] : wc.queries) {
     sparql::ResultTable oracle = Oracle(wc.specs, query_text);

@@ -221,9 +221,9 @@ TEST(JoinOptimizerTest, GreedyFallbackBeyondDpLimit) {
 // Parallel hash join
 // ---------------------------------------------------------------------
 
-fed::BindingTable BigTable(fed::SharedDictionary* dict, const std::string& var,
-                           const std::string& other, int n, int offset) {
-  fed::BindingTable t;
+core::IdTable BigTable(core::TermDictionary* dict, const std::string& var,
+                       const std::string& other, int n, int offset) {
+  core::IdTable t;
   t.vars = {var, other};
   for (int i = 0; i < n; ++i) {
     t.AppendRow({dict->Intern(rdf::Term::Integer(i + offset)),
@@ -234,16 +234,16 @@ fed::BindingTable BigTable(fed::SharedDictionary* dict, const std::string& var,
 }
 
 TEST(ParallelHashJoinTest, MatchesSequentialJoin) {
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(4);
-  fed::BindingTable left = BigTable(&dict, "k", "l", 3000, 0);
-  fed::BindingTable right = BigTable(&dict, "k", "r", 3000, 1500);
-  fed::BindingTable parallel = ParallelHashJoin(left, right, &pool, 8);
-  fed::BindingTable sequential = fed::HashJoin(left, right);
+  core::IdTable left = BigTable(&dict, "k", "l", 3000, 0);
+  core::IdTable right = BigTable(&dict, "k", "r", 3000, 1500);
+  core::IdTable parallel = ParallelHashJoin(left, right, &pool, 8);
+  core::IdTable sequential = core::JoinIds(left, right, /*left_outer=*/false);
   EXPECT_EQ(parallel.NumRows(), sequential.NumRows());
   EXPECT_EQ(parallel.NumRows(), 1500u);  // Overlap of the key ranges.
   // Same row multiset regardless of partitioning.
-  auto key_of = [](const fed::BindingTable& t) {
+  auto key_of = [](const core::IdTable& t) {
     std::multiset<std::vector<rdf::TermId>> keys;
     int k = t.VarIndex("k"), l = t.VarIndex("l"), r = t.VarIndex("r");
     for (size_t row = 0; row < t.NumRows(); ++row) {
@@ -257,20 +257,20 @@ TEST(ParallelHashJoinTest, MatchesSequentialJoin) {
 }
 
 TEST(ParallelHashJoinTest, SmallInputsFallBack) {
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(2);
-  fed::BindingTable left = BigTable(&dict, "k", "l", 10, 0);
-  fed::BindingTable right = BigTable(&dict, "k", "r", 10, 5);
-  fed::BindingTable joined = ParallelHashJoin(left, right, &pool, 8);
+  core::IdTable left = BigTable(&dict, "k", "l", 10, 0);
+  core::IdTable right = BigTable(&dict, "k", "r", 10, 5);
+  core::IdTable joined = ParallelHashJoin(left, right, &pool, 8);
   EXPECT_EQ(joined.NumRows(), 5u);
 }
 
 TEST(ParallelHashJoinTest, StableColumnOrder) {
-  fed::SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(4);
-  fed::BindingTable left = BigTable(&dict, "k", "l", 3000, 0);
-  fed::BindingTable right = BigTable(&dict, "k", "r", 3000, 0);
-  fed::BindingTable joined = ParallelHashJoin(left, right, &pool, 8);
+  core::IdTable left = BigTable(&dict, "k", "l", 3000, 0);
+  core::IdTable right = BigTable(&dict, "k", "r", 3000, 0);
+  core::IdTable joined = ParallelHashJoin(left, right, &pool, 8);
   ASSERT_EQ(joined.vars.size(), 3u);
   EXPECT_EQ(joined.vars[0], "k");
   EXPECT_EQ(joined.vars[1], "l");

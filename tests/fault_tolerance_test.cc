@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/anapsid_engine.h"
 #include "baselines/fedx_engine.h"
 #include "core/lusail_engine.h"
 #include "net/fault_injection.h"
@@ -488,16 +487,6 @@ TEST(RetryConvergenceTest, BaselinesConvergeWithSameDecorators) {
     options.retry_policy = retry;
     baselines::FedXEngine fedx(&chaos->faulty, options);
     auto actual = fedx.Execute(workload::LubmGenerator::QueryQa());
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    EXPECT_EQ(CanonicalRows(actual->table), CanonicalRows(expected->table));
-  }
-  {
-    auto chaos = WrapWithFaults(gen.GenerateAll(),
-                                net::FaultProfile::Transient(0.2, 13));
-    baselines::AnapsidOptions options;
-    options.retry_policy = retry;
-    baselines::AnapsidEngine anapsid(&chaos->faulty, options);
-    auto actual = anapsid.Execute(workload::LubmGenerator::QueryQa());
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_EQ(CanonicalRows(actual->table), CanonicalRows(expected->table));
   }

@@ -1,16 +1,24 @@
 // Tests for federation export/import via N-Triples files, federated
-// ORDER BY, and failure injection (endpoints that error out mid-query).
+// solution modifiers (ORDER BY, LIMIT, COUNT) checked on every engine
+// against the union-store oracle, and failure injection (endpoints that
+// error out mid-query).
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "baselines/fedx_engine.h"
+#include "baselines/splendid_engine.h"
 #include "core/lusail_engine.h"
 #include "net/endpoint.h"
 #include "net/fault_injection.h"
+#include "sparql/evaluator.h"
+#include "sparql/parser.h"
+#include "store/triple_store.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
 
@@ -66,16 +74,81 @@ TEST_F(FederationIoTest, CorruptFileIsReported) {
 // Federated ORDER BY
 // ---------------------------------------------------------------------
 
-TEST(FederatedOrderByTest, EnginesSortAcrossEndpoints) {
-  workload::LubmGenerator gen(workload::LubmConfig::Small());
-  auto federation =
-      workload::BuildFederation(gen.GenerateAll(), net::LatencyModel::None());
+constexpr char kUbPrefix[] =
+    "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+
+/// The small LUBM federation, plus one store holding every endpoint's
+/// triples: sparql::Evaluator's answer there is the answer every engine
+/// must give.
+class FederatedOrderByTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto specs =
+        workload::LubmGenerator(workload::LubmConfig::Small()).GenerateAll();
+    for (const workload::EndpointSpec& spec : specs) {
+      for (const rdf::TermTriple& t : spec.triples) union_store_.Add(t);
+    }
+    union_store_.Freeze();
+    federation_ =
+        workload::BuildFederation(std::move(specs), net::LatencyModel::None());
+  }
+
+  sparql::ResultTable Oracle(const std::string& text) {
+    auto query = sparql::ParseQuery(text);
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (!query.ok()) return {};
+    auto answer = sparql::Evaluator(&union_store_).Execute(*query);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    return answer.ok() ? *answer : sparql::ResultTable{};
+  }
+
+  /// Runs `text` on Lusail, LADE-only Lusail, FedX and SPLENDID and
+  /// returns each engine's name with its answer.
+  std::vector<std::pair<std::string, sparql::ResultTable>> RunEngines(
+      const std::string& text) {
+    core::LusailEngine lusail(federation_.get());
+    core::LusailOptions lade_only;
+    lade_only.enable_sape = false;
+    core::LusailEngine lade(federation_.get(), lade_only);
+    baselines::FedXEngine fedx(federation_.get());
+    baselines::SplendidEngine splendid(federation_.get());
+    splendid.BuildIndex();
+    std::vector<std::pair<std::string, sparql::ResultTable>> answers;
+    for (fed::FederatedEngine* engine :
+         std::initializer_list<fed::FederatedEngine*>{&lusail, &lade, &fedx,
+                                                      &splendid}) {
+      auto result = engine->Execute(text);
+      EXPECT_TRUE(result.ok())
+          << engine->name() << ": " << result.status().ToString();
+      if (result.ok()) answers.emplace_back(engine->name(), result->table);
+    }
+    return answers;
+  }
+
+  /// Column `var` of `table` in row order, cells rendered as N-Triples.
+  static std::vector<std::string> ColumnOf(const sparql::ResultTable& table,
+                                           const std::string& var) {
+    std::vector<std::string> cells;
+    auto it = std::find(table.vars.begin(), table.vars.end(), var);
+    if (it == table.vars.end()) return cells;
+    const size_t col = static_cast<size_t>(it - table.vars.begin());
+    for (const auto& row : table.rows) {
+      cells.push_back(row[col].has_value() ? row[col]->ToString() : "UNDEF");
+    }
+    return cells;
+  }
+
+  store::TripleStore union_store_;
+  std::unique_ptr<fed::Federation> federation_;
+};
+
+TEST_F(FederatedOrderByTest, EnginesSortAcrossEndpoints) {
   std::string query =
       "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
       "SELECT ?u ?n WHERE { ?u ub:name ?n . ?u a ub:University . } "
       "ORDER BY DESC(?n)";
-  core::LusailEngine lusail(federation.get());
-  baselines::FedXEngine fedx(federation.get());
+  core::LusailEngine lusail(federation_.get());
+  baselines::FedXEngine fedx(federation_.get());
   for (fed::FederatedEngine* engine :
        std::initializer_list<fed::FederatedEngine*>{&lusail, &fedx}) {
     auto result = engine->Execute(query);
@@ -83,6 +156,61 @@ TEST(FederatedOrderByTest, EnginesSortAcrossEndpoints) {
     ASSERT_EQ(result->table.NumRows(), 2u) << engine->name();
     EXPECT_EQ(result->table.rows[0][1]->lexical(), "University1");
     EXPECT_EQ(result->table.rows[1][1]->lexical(), "University0");
+  }
+}
+
+TEST_F(FederatedOrderByTest, SortKeyOutsideProjectionStillOrders) {
+  // ?N is not selected: the engines must sort on it before projecting.
+  const std::string pattern =
+      "WHERE { ?X a ub:GraduateStudent . ?X ub:name ?N . }";
+  const std::string text = std::string(kUbPrefix) + "SELECT ?X " + pattern +
+                           " ORDER BY DESC(?N) LIMIT 5";
+  // The answer has no ?N column, so rows compare through each student's
+  // name, looked up in the union store.
+  std::map<std::string, std::string> name_of;
+  sparql::ResultTable names =
+      Oracle(std::string(kUbPrefix) + "SELECT ?X ?N " + pattern);
+  for (const auto& row : names.rows) {
+    name_of[row[0]->ToString()] = row[1]->ToString();
+  }
+  auto keys = [&name_of](const sparql::ResultTable& table) {
+    std::vector<std::string> out;
+    for (const std::string& x : ColumnOf(table, "X")) {
+      auto it = name_of.find(x);
+      out.push_back(it == name_of.end() ? "?" : it->second);
+    }
+    return out;
+  };
+  sparql::ResultTable want = Oracle(text);
+  ASSERT_EQ(want.NumRows(), 5u);
+  for (const auto& [engine, got] : RunEngines(text)) {
+    EXPECT_EQ(got.vars, want.vars) << engine;
+    EXPECT_EQ(keys(got), keys(want)) << engine;
+  }
+}
+
+TEST_F(FederatedOrderByTest, LimitCutsTheSortedAnswer) {
+  // The top 5 names live in every department, so an engine that stops
+  // fetching at LIMIT rows before sorting returns the wrong ones.
+  const std::string text =
+      std::string(kUbPrefix) +
+      "SELECT ?X ?N WHERE { ?X a ub:GraduateStudent . ?X ub:name ?N . } "
+      "ORDER BY DESC(?N) LIMIT 5";
+  sparql::ResultTable want = Oracle(text);
+  ASSERT_EQ(want.NumRows(), 5u);
+  for (const auto& [engine, got] : RunEngines(text)) {
+    EXPECT_EQ(ColumnOf(got, "N"), ColumnOf(want, "N")) << engine;
+  }
+}
+
+TEST_F(FederatedOrderByTest, CountDistinctCountsValues) {
+  const std::string text =
+      std::string(kUbPrefix) +
+      "SELECT (COUNT(DISTINCT ?Y) AS ?n) WHERE { ?X ub:advisor ?Y . }";
+  sparql::ResultTable want = Oracle(text);
+  ASSERT_EQ(want.NumRows(), 1u);
+  for (const auto& [engine, got] : RunEngines(text)) {
+    EXPECT_EQ(ColumnOf(got, "n"), ColumnOf(want, "n")) << engine;
   }
 }
 

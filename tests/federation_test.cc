@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
-
-#include "federation/binding_table.h"
+#include "core/id_table.h"
 #include "federation/source_selection.h"
 #include "net/sparql_endpoint.h"
 #include "workload/federation_builder.h"
@@ -16,12 +16,13 @@
 namespace lusail::fed {
 namespace {
 
+using core::IdTable;
 using rdf::Term;
 using rdf::TermId;
 using workload::EndpointSpec;
 
 // ---------------------------------------------------------------------
-// BindingTable operations
+// ID-space table operations
 // ---------------------------------------------------------------------
 
 class BindingTableTest : public ::testing::Test {
@@ -30,9 +31,9 @@ class BindingTableTest : public ::testing::Test {
     return dict_.Intern(Term::Iri(iri));
   }
 
-  BindingTable Make(const std::vector<std::string>& vars,
-                    const std::vector<std::vector<std::string>>& rows) {
-    BindingTable t;
+  IdTable Make(const std::vector<std::string>& vars,
+               const std::vector<std::vector<std::string>>& rows) {
+    IdTable t;
     t.vars = vars;
     for (const auto& row : rows) {
       std::vector<TermId> ids;
@@ -44,27 +45,27 @@ class BindingTableTest : public ::testing::Test {
     return t;
   }
 
-  SharedDictionary dict_;
+  core::TermDictionary dict_;
 };
 
 TEST_F(BindingTableTest, HashJoinOnSharedVar) {
-  BindingTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "d"}});
-  BindingTable right = Make({"y", "z"}, {{"b", "e"}, {"b", "f"}, {"q", "g"}});
-  BindingTable joined = HashJoin(left, right);
+  IdTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "d"}});
+  IdTable right = Make({"y", "z"}, {{"b", "e"}, {"b", "f"}, {"q", "g"}});
+  IdTable joined = core::JoinIds(left, right, /*left_outer=*/false);
   EXPECT_EQ(joined.NumRows(), 2u);  // (a,b,e), (a,b,f).
   EXPECT_EQ(joined.vars.size(), 3u);
 }
 
 TEST_F(BindingTableTest, HashJoinNoSharedVarsIsCartesian) {
-  BindingTable left = Make({"x"}, {{"a"}, {"b"}});
-  BindingTable right = Make({"y"}, {{"c"}, {"d"}, {"e"}});
-  EXPECT_EQ(HashJoin(left, right).NumRows(), 6u);
+  IdTable left = Make({"x"}, {{"a"}, {"b"}});
+  IdTable right = Make({"y"}, {{"c"}, {"d"}, {"e"}});
+  EXPECT_EQ(core::JoinIds(left, right, /*left_outer=*/false).NumRows(), 6u);
 }
 
 TEST_F(BindingTableTest, HashJoinUnboundIsCompatible) {
-  BindingTable left = Make({"x", "y"}, {{"a", ""}});
-  BindingTable right = Make({"y", "z"}, {{"b", "c"}});
-  BindingTable joined = HashJoin(left, right);
+  IdTable left = Make({"x", "y"}, {{"a", ""}});
+  IdTable right = Make({"y", "z"}, {{"b", "c"}});
+  IdTable joined = core::JoinIds(left, right, /*left_outer=*/false);
   ASSERT_EQ(joined.NumRows(), 1u);
   // The unbound ?y picks up the right-side value.
   int y = joined.VarIndex("y");
@@ -72,9 +73,9 @@ TEST_F(BindingTableTest, HashJoinUnboundIsCompatible) {
 }
 
 TEST_F(BindingTableTest, LeftOuterJoinPadsMisses) {
-  BindingTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "nomatch"}});
-  BindingTable right = Make({"y", "z"}, {{"b", "e"}});
-  BindingTable joined = LeftOuterJoin(left, right);
+  IdTable left = Make({"x", "y"}, {{"a", "b"}, {"c", "nomatch"}});
+  IdTable right = Make({"y", "z"}, {{"b", "e"}});
+  IdTable joined = core::JoinIds(left, right, /*left_outer=*/true);
   ASSERT_EQ(joined.NumRows(), 2u);
   int z = joined.VarIndex("z");
   int matched = 0;
@@ -85,9 +86,9 @@ TEST_F(BindingTableTest, LeftOuterJoinPadsMisses) {
 }
 
 TEST_F(BindingTableTest, AppendUnionAlignsColumns) {
-  BindingTable a = Make({"x", "y"}, {{"a", "b"}});
-  BindingTable b = Make({"y", "z"}, {{"c", "d"}});
-  AppendUnion(&a, b);
+  IdTable a = Make({"x", "y"}, {{"a", "b"}});
+  IdTable b = Make({"y", "z"}, {{"c", "d"}});
+  core::AppendUnionIds(&a, b);
   ASSERT_EQ(a.NumRows(), 2u);
   EXPECT_EQ(a.vars.size(), 3u);
   int x = a.VarIndex("x"), z = a.VarIndex("z");
@@ -97,33 +98,33 @@ TEST_F(BindingTableTest, AppendUnionAlignsColumns) {
 }
 
 TEST_F(BindingTableTest, AppendUnionIntoEmpty) {
-  BindingTable empty;
-  BindingTable b = Make({"x"}, {{"a"}});
-  AppendUnion(&empty, b);
+  IdTable empty;
+  IdTable b = Make({"x"}, {{"a"}});
+  core::AppendUnionIds(&empty, b);
   EXPECT_EQ(empty.NumRows(), 1u);
   EXPECT_EQ(empty.vars, b.vars);
 }
 
 TEST_F(BindingTableTest, ProjectAndDistinct) {
-  BindingTable t = Make({"x", "y"}, {{"a", "b"}, {"a", "c"}, {"a", "b"}});
-  BindingTable all = Project(t, {"x"}, /*distinct=*/false);
+  IdTable t = Make({"x", "y"}, {{"a", "b"}, {"a", "c"}, {"a", "b"}});
+  IdTable all = core::ProjectIds(t, {"x"}, /*distinct=*/false);
   EXPECT_EQ(all.NumRows(), 3u);
-  BindingTable dedup = Project(t, {"x"}, /*distinct=*/true);
+  IdTable dedup = core::ProjectIds(t, {"x"}, /*distinct=*/true);
   EXPECT_EQ(dedup.NumRows(), 1u);
-  BindingTable missing = Project(t, {"x", "w"}, false);
+  IdTable missing = core::ProjectIds(t, {"x", "w"}, false);
   EXPECT_EQ(missing.vars.size(), 2u);
   EXPECT_EQ(missing.At(0, 1), rdf::kInvalidTermId);
 }
 
 TEST_F(BindingTableTest, FilterRowsDecodesTerms) {
-  BindingTable t;
+  IdTable t;
   t.vars = {"n"};
   t.AppendRow({dict_.Intern(Term::Integer(5))});
   t.AppendRow({dict_.Intern(Term::Integer(15))});
   sparql::Expr filter = sparql::Expr::Binary(
       sparql::ExprOp::kGt, sparql::Expr::Var("n"),
       sparql::Expr::Const(Term::Integer(10)));
-  FilterRows(&t, filter, dict_);
+  core::FilterIds(&t, filter, dict_);
   ASSERT_EQ(t.NumRows(), 1u);
   EXPECT_EQ(dict_.term(t.At(0, 0)).lexical(), "15");
 }
@@ -132,16 +133,16 @@ TEST_F(BindingTableTest, InternAndDecodeRoundTrip) {
   sparql::ResultTable rt;
   rt.vars = {"a", "b"};
   rt.rows.push_back({Term::Iri("http://x"), std::nullopt});
-  BindingTable bt = InternTable(rt, &dict_);
+  IdTable bt = core::EncodeResultTable(rt, &dict_);
   ASSERT_EQ(bt.NumRows(), 1u);
   EXPECT_EQ(bt.At(0, 1), rdf::kInvalidTermId);
-  sparql::ResultTable back = DecodeTable(bt, dict_);
+  sparql::ResultTable back = core::DecodeIdTable(bt, dict_);
   EXPECT_EQ(back.rows[0][0], Term::Iri("http://x"));
   EXPECT_FALSE(back.rows[0][1].has_value());
 }
 
 TEST(SharedDictionaryTest, ConcurrentInterningIsConsistent) {
-  SharedDictionary dict;
+  core::TermDictionary dict;
   ThreadPool pool(8);
   std::vector<std::future<TermId>> futures;
   for (int i = 0; i < 200; ++i) {

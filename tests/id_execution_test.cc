@@ -1,6 +1,7 @@
 // ID-space execution properties: the TermDictionary (round trips,
 // concurrent interning, cross-instance content hashes), the columnar
-// IdTable's operators, the encode/decode boundary, and — end to end —
+// IdTable's operators, the encode/decode boundary, the query finisher
+// against the evaluator's own solution modifiers, and — end to end —
 // row-identity of the transport ID path (responses parsed straight into
 // the engine dictionary) against the string path and the union-graph
 // oracle over a loopback LUBM federation.
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dictionary.h"
+#include "core/finisher.h"
 #include "core/id_table.h"
 #include "core/lusail_engine.h"
 #include "net/latency_model.h"
@@ -298,6 +300,88 @@ TEST(IdTableTest, EncodeDecodeRoundTripsTheTermZoo) {
   core::DictionaryStats stats = dict.GetStats();
   EXPECT_GT(stats.encode_terms, 0u);
   EXPECT_GT(stats.decode_terms, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Query finisher vs the evaluator's own solution modifiers
+// ---------------------------------------------------------------------
+
+/// Renders a table with its column names, rows in order.
+std::vector<std::string> OrderedRows(const sparql::ResultTable& table) {
+  std::vector<std::string> rows;
+  std::string header;
+  for (const std::string& v : table.vars) header += "?" + v + " ";
+  rows.push_back(header);
+  for (const auto& row : table.rows) {
+    std::string line;
+    for (const auto& cell : row) {
+      line += (cell.has_value() ? cell->ToString() : "UNDEF") + " ";
+    }
+    rows.push_back(line);
+  }
+  return rows;
+}
+
+TEST(QueryFinisherTest, MatchesEvaluatorRowForRow) {
+  // 20 subjects: <sN> <p> N%5 (ties), <sN> <q> <catN%3>, and <sN> <r> a
+  // name for even N only (unbound under OPTIONAL). The finisher runs over
+  // the evaluator's answer to the bare pattern; since the pattern is
+  // enumerated in the same order, even tie order must match exactly.
+  store::TripleStore store;
+  for (int i = 0; i < 20; ++i) {
+    rdf::Term s = rdf::Term::Iri("http://ex/s" + std::to_string(i));
+    store.Add({s, rdf::Term::Iri("http://ex/p"), rdf::Term::Integer(i % 5)});
+    store.Add({s, rdf::Term::Iri("http://ex/q"),
+               rdf::Term::Iri("http://ex/cat" + std::to_string(i % 3))});
+    if (i % 2 == 0) {
+      store.Add({s, rdf::Term::Iri("http://ex/r"),
+                 rdf::Term::Literal("n" + std::to_string(19 - i))});
+    }
+  }
+  store.Freeze();
+  sparql::Evaluator evaluator(&store);
+
+  const std::string kPq =
+      "WHERE { ?s <http://ex/p> ?o . ?s <http://ex/q> ?c . }";
+  const std::string kOpt =
+      "WHERE { ?s <http://ex/p> ?o . OPTIONAL { ?s <http://ex/r> ?n . } }";
+  const std::vector<std::string> queries = {
+      "SELECT ?s " + kPq + " ORDER BY DESC(?o) LIMIT 7",
+      "SELECT ?s ?o " + kPq + " ORDER BY ?o LIMIT 4 OFFSET 3",
+      "SELECT ?s ?c " + kPq + " ORDER BY ?c DESC(?o)",
+      "SELECT ?s " + kPq + " ORDER BY ?o OFFSET 18",
+      "SELECT ?s " + kPq + " ORDER BY ?o LIMIT 0",
+      "SELECT DISTINCT ?c " + kPq + " ORDER BY ?o",
+      "SELECT DISTINCT ?o " + kPq + " ORDER BY DESC(?o) LIMIT 2",
+      "SELECT ?s ?n " + kOpt + " ORDER BY ?n LIMIT 12",
+      "SELECT ?s ?o " + kPq + " LIMIT 3 OFFSET 5",
+      "SELECT ?s " + kPq + " OFFSET 30",
+      "SELECT * " + kOpt,
+      "SELECT ?s ?missing " + kPq + " ORDER BY ?missing LIMIT 3",
+      "SELECT (COUNT(*) AS ?k) " + kOpt,
+      "SELECT (COUNT(?n) AS ?k) " + kOpt,
+      "SELECT (COUNT(DISTINCT ?o) AS ?k) " + kPq,
+      "ASK " + kPq,
+      "ASK WHERE { ?s <http://ex/p> <http://ex/none> . }",
+  };
+  for (const std::string& text : queries) {
+    auto query = sparql::ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text << ": " << query.status().ToString();
+    auto want = evaluator.Execute(*query);
+    ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+
+    sparql::Query bare;
+    bare.select_all = true;
+    bare.where = query->where;
+    auto pattern = evaluator.Execute(bare);
+    ASSERT_TRUE(pattern.ok()) << text << ": " << pattern.status().ToString();
+    core::TermDictionary dict;
+    core::IdTable finished = core::FinishQuery(
+        *query, core::EncodeResultTable(*pattern, &dict), &dict);
+    EXPECT_EQ(OrderedRows(core::DecodeIdTable(finished, dict)),
+              OrderedRows(*want))
+        << text;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -60,6 +60,11 @@ struct RoundTripCase {
   Term term;
 };
 
+// Without this, gtest prints the raw bytes of the case, which include
+// heap and string-literal addresses, so the listed test names change
+// from one build to the next.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.label; }
+
 class TermRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(TermRoundTripTest, ParseToStringRoundTrips) {

@@ -296,6 +296,14 @@ TEST_F(ShardedEndpointTest, DistinctProjectionIsRowIdentical) {
   ExpectRowIdentical("SELECT DISTINCT ?c WHERE { ?s <http://ex/q> ?c . }");
 }
 
+TEST_F(ShardedEndpointTest, DistinctIgnoresSortKeyOutsideProjection) {
+  // DISTINCT dedups on the selected ?c alone: the sort key ?o must not
+  // widen the rows into 20 distinct (?c, ?o) pairs.
+  ExpectRowIdentical(
+      "SELECT DISTINCT ?c WHERE { ?s <http://ex/q> ?c . "
+      "?s <http://ex/p> ?o . } ORDER BY ?o");
+}
+
 TEST_F(ShardedEndpointTest, OptionalIsRowIdentical) {
   ExpectRowIdentical(
       "SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
