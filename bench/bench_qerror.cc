@@ -41,7 +41,7 @@ void QErrorBenchmark(benchmark::State& state, core::LusailEngine* lusail,
         std::string text = sq.ToSparql(triples);
         for (int ep : sq.sources) {
           auto table = federation->Execute(static_cast<size_t>(ep), text,
-                                           &metrics, Deadline());
+                                           &metrics, CancelToken());
           if (table.ok()) actual += table->NumRows();
         }
         if (actual == 0) continue;

@@ -56,7 +56,7 @@ std::string FedXEngine::name() const {
 
 Result<std::vector<std::vector<int>>> FedXEngine::SelectSources(
     const std::vector<TriplePattern>& triples, fed::MetricsCollector* metrics,
-    const Deadline& deadline) {
+    const CancelToken& cancel) {
   std::vector<std::vector<int>> sources(triples.size());
   std::vector<TriplePattern> need_ask;
   std::vector<size_t> need_ask_index;
@@ -74,7 +74,7 @@ Result<std::vector<std::vector<int>>> FedXEngine::SelectSources(
     fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
     LUSAIL_ASSIGN_OR_RETURN(
         std::vector<std::vector<int>> asked,
-        selector.SelectSources(need_ask, metrics, deadline,
+        selector.SelectSources(need_ask, metrics, cancel,
                                options_.use_cache, Retry()));
     for (size_t k = 0; k < need_ask.size(); ++k) {
       sources[need_ask_index[k]] = std::move(asked[k]);
@@ -183,7 +183,7 @@ std::vector<size_t> FedXEngine::OrderOperands(const std::vector<Operand>& ops) {
 Result<IdTable> FedXEngine::BoundJoinStep(
     const Operand& op, IdTable table, bool left_outer,
     std::optional<uint64_t> result_cap, core::TermDictionary* dict,
-    fed::MetricsCollector* metrics, const Deadline& deadline) {
+    fed::MetricsCollector* metrics, const CancelToken& cancel) {
   std::vector<std::string> op_vars = OperandVars(op.triples);
   std::vector<std::string> shared;
   for (const std::string& v : op_vars) {
@@ -197,10 +197,10 @@ Result<IdTable> FedXEngine::BoundJoinStep(
     fetched.vars = op_vars;
     for (int ep : op.sources) {
       LUSAIL_ASSIGN_OR_RETURN(
-          sparql::ResultTable part,
-          federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                               deadline, Retry()));
-      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
+          IdTable part,
+          federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
+                                      metrics, cancel, Retry()));
+      core::AppendUnionIds(&fetched, part);
     }
     return fetched;
   };
@@ -252,9 +252,7 @@ Result<IdTable> FedXEngine::BoundJoinStep(
   }
   const size_t block = std::max<size_t>(1, options_.bound_join_block_size);
   for (size_t start = 0; start < distinct.size(); start += block) {
-    if (deadline.Expired()) {
-      return Status::Timeout("deadline expired in FedX bound join");
-    }
+    if (cancel.Cancelled()) return cancel.StatusAt("FedX bound join");
     sparql::ValuesClause values;
     for (const std::string& v : shared) {
       values.vars.push_back(sparql::Variable{v});
@@ -270,10 +268,10 @@ Result<IdTable> FedXEngine::BoundJoinStep(
                                      &values);
     for (int ep : op.sources) {
       LUSAIL_ASSIGN_OR_RETURN(
-          sparql::ResultTable part,
-          federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                               deadline, Retry()));
-      core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
+          IdTable part,
+          federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
+                                      metrics, cancel, Retry()));
+      core::AppendUnionIds(&fetched, part);
     }
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
@@ -288,7 +286,7 @@ Result<IdTable> FedXEngine::BoundJoinStep(
 Result<IdTable> FedXEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
     core::TermDictionary* dict, fed::MetricsCollector* metrics,
-    const Deadline& deadline, fed::ExecutionProfile* profile) {
+    const CancelToken& cancel, fed::ExecutionProfile* profile) {
   if (!pattern.exists_filters.empty()) {
     return Status::Unsupported("FILTER [NOT] EXISTS is not supported by FedX");
   }
@@ -297,7 +295,7 @@ Result<IdTable> FedXEngine::ExecutePattern(
   fed::PhaseSpan source_span(metrics, "source selection");
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
-      SelectSources(pattern.triples, metrics, deadline));
+      SelectSources(pattern.triples, metrics, cancel));
   source_span.End();
   profile->source_selection_ms += timer.ElapsedMillis();
 
@@ -327,7 +325,7 @@ Result<IdTable> FedXEngine::ExecutePattern(
         table, BoundJoinStep(ops[order[k]], std::move(table),
                              /*left_outer=*/false,
                              last ? result_cap : std::nullopt, dict, metrics,
-                             deadline));
+                             cancel));
     profile->peak_intermediate_rows = std::max(
         profile->peak_intermediate_rows,
         static_cast<uint64_t>(table.NumRows()));
@@ -342,7 +340,7 @@ Result<IdTable> FedXEngine::ExecutePattern(
     for (const sparql::GraphPattern& alt : chain) {
       LUSAIL_ASSIGN_OR_RETURN(
           IdTable branch,
-          ExecutePattern(alt, std::nullopt, dict, metrics, deadline, profile));
+          ExecutePattern(alt, std::nullopt, dict, metrics, cancel, profile));
       core::AppendUnionIds(&unioned, branch);
     }
     if (table.vars.empty() && table.NumRows() == 0 && pattern.triples.empty()) {
@@ -354,7 +352,7 @@ Result<IdTable> FedXEngine::ExecutePattern(
   for (const sparql::GraphPattern& opt : pattern.optionals) {
     LUSAIL_ASSIGN_OR_RETURN(
         IdTable right,
-        ExecutePattern(opt, std::nullopt, dict, metrics, deadline, profile));
+        ExecutePattern(opt, std::nullopt, dict, metrics, cancel, profile));
     table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : residual_filters) {
@@ -385,7 +383,7 @@ Result<IdTable> FedXEngine::ExecutePattern(
 }
 
 Result<fed::FederatedResult> FedXEngine::Execute(
-    const std::string& sparql_text, const Deadline& deadline) {
+    const std::string& sparql_text, const CancelToken& cancel) {
   Stopwatch total_timer;
   LUSAIL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql_text));
 
@@ -396,7 +394,7 @@ Result<fed::FederatedResult> FedXEngine::Execute(
 
   Result<IdTable> table_or =
       ExecutePattern(query.where, query.PushableRowLimit(), &dict, &metrics,
-                     deadline, &result.profile);
+                     cancel, &result.profile);
   if (!table_or.ok()) {
     metrics.FillCounters(&result.profile);
     trace.Attach(&result.profile);

@@ -78,7 +78,7 @@ class FedXEngine : public fed::FederatedEngine {
   std::string name() const override;
 
   Result<fed::FederatedResult> Execute(const std::string& sparql_text,
-                                       const Deadline& deadline) override;
+                                       const CancelToken& cancel) override;
   using fed::FederatedEngine::Execute;
 
   void ClearCaches() { ask_cache_.Clear(); }
@@ -94,7 +94,7 @@ class FedXEngine : public fed::FederatedEngine {
 
   Result<std::vector<std::vector<int>>> SelectSources(
       const std::vector<sparql::TriplePattern>& triples,
-      fed::MetricsCollector* metrics, const Deadline& deadline);
+      fed::MetricsCollector* metrics, const CancelToken& cancel);
 
   /// Builds exclusive groups + singleton operands and pushes filters.
   static std::vector<Operand> BuildOperands(
@@ -112,13 +112,13 @@ class FedXEngine : public fed::FederatedEngine {
   Result<core::IdTable> BoundJoinStep(
       const Operand& op, core::IdTable table, bool left_outer,
       std::optional<uint64_t> result_cap, core::TermDictionary* dict,
-      fed::MetricsCollector* metrics, const Deadline& deadline);
+      fed::MetricsCollector* metrics, const CancelToken& cancel);
 
   /// Evaluates a whole graph pattern (BGP + unions + optionals).
   Result<core::IdTable> ExecutePattern(
       const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
       core::TermDictionary* dict, fed::MetricsCollector* metrics,
-      const Deadline& deadline, fed::ExecutionProfile* profile);
+      const CancelToken& cancel, fed::ExecutionProfile* profile);
 
   /// The engine's retry policy, or null when retries are disabled.
   const net::RetryPolicy* Retry() const {

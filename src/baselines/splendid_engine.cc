@@ -63,7 +63,7 @@ void SplendidEngine::BuildIndex() {
 
 Result<std::vector<int>> SplendidEngine::SourcesFor(
     const TriplePattern& tp, fed::MetricsCollector* metrics,
-    const Deadline& deadline) {
+    const CancelToken& cancel) {
   if (!index_.empty() && tp.p.is_term() && tp.p.term().is_iri()) {
     const std::string& pred = tp.p.term().lexical();
     bool is_type = pred == rdf::kRdfType;
@@ -83,7 +83,7 @@ Result<std::vector<int>> SplendidEngine::SourcesFor(
   fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
-      selector.SelectSources({tp}, metrics, deadline, /*use_cache=*/true));
+      selector.SelectSources({tp}, metrics, cancel, /*use_cache=*/true));
   return sources[0];
 }
 
@@ -123,7 +123,7 @@ double SplendidEngine::EstimateCardinality(
 
 Result<IdTable> SplendidEngine::ExecutePattern(
     const sparql::GraphPattern& pattern, core::TermDictionary* dict,
-    fed::MetricsCollector* metrics, const Deadline& deadline,
+    fed::MetricsCollector* metrics, const CancelToken& cancel,
     fed::ExecutionProfile* profile) {
   if (!pattern.exists_filters.empty() || !pattern.unions.empty()) {
     return Status::Unsupported(
@@ -136,7 +136,7 @@ Result<IdTable> SplendidEngine::ExecutePattern(
   std::vector<std::vector<int>> sources(pattern.triples.size());
   for (size_t i = 0; i < pattern.triples.size(); ++i) {
     LUSAIL_ASSIGN_OR_RETURN(sources[i],
-                            SourcesFor(pattern.triples[i], metrics, deadline));
+                            SourcesFor(pattern.triples[i], metrics, cancel));
     if (sources[i].empty()) {
       IdTable empty;
       std::set<std::string> vars;
@@ -190,9 +190,7 @@ Result<IdTable> SplendidEngine::ExecutePattern(
   IdTable table;
   bool first = true;
   for (size_t k : order) {
-    if (deadline.Expired()) {
-      return Status::Timeout("deadline expired in SPLENDID execution");
-    }
+    if (cancel.Cancelled()) return cancel.StatusAt("SPLENDID execution");
     const TriplePattern& tp = pattern.triples[k];
     std::vector<std::string> tp_vars = tp.VariableNames();
     std::vector<std::string> shared;
@@ -202,6 +200,17 @@ Result<IdTable> SplendidEngine::ExecutePattern(
 
     IdTable fetched;
     fetched.vars = tp_vars;
+    // Unions one request per relevant source into `fetched`.
+    auto fetch = [&](const std::string& text) -> Status {
+      for (int ep : sources[k]) {
+        LUSAIL_ASSIGN_OR_RETURN(
+            IdTable part,
+            federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
+                                        metrics, cancel));
+        core::AppendUnionIds(&fetched, part);
+      }
+      return Status::OK();
+    };
     if (!first && !shared.empty() &&
         table.NumRows() <= options_.bind_join_threshold) {
       // Bind join: ship current bindings of the first shared variable.
@@ -220,25 +229,11 @@ Result<IdTable> SplendidEngine::ExecutePattern(
         for (size_t i = start; i < end; ++i) {
           vc.rows.push_back({dict->term(values[i])});
         }
-        std::string text = PatternSparql(tp, tp_vars, &vc);
-        for (int ep : sources[k]) {
-          LUSAIL_ASSIGN_OR_RETURN(
-              sparql::ResultTable part,
-              federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                   deadline));
-          core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
-        }
+        LUSAIL_RETURN_NOT_OK(fetch(PatternSparql(tp, tp_vars, &vc)));
       }
     } else {
       // Fetch the pattern's full extension and hash join.
-      std::string text = PatternSparql(tp, tp_vars, nullptr);
-      for (int ep : sources[k]) {
-        LUSAIL_ASSIGN_OR_RETURN(
-            sparql::ResultTable part,
-            federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                 deadline));
-        core::AppendUnionIds(&fetched, core::EncodeResultTable(part, dict));
-      }
+      LUSAIL_RETURN_NOT_OK(fetch(PatternSparql(tp, tp_vars, nullptr)));
     }
     // Memory-footprint proxy: the running result plus the freshly
     // fetched extension coexist at join time (matches what SAPE and
@@ -257,7 +252,7 @@ Result<IdTable> SplendidEngine::ExecutePattern(
   for (const sparql::GraphPattern& opt : pattern.optionals) {
     LUSAIL_ASSIGN_OR_RETURN(
         IdTable right,
-        ExecutePattern(opt, dict, metrics, deadline, profile));
+        ExecutePattern(opt, dict, metrics, cancel, profile));
     table = core::JoinIds(table, right, /*left_outer=*/true);
   }
   for (const sparql::Expr& f : pattern.filters) {
@@ -268,7 +263,7 @@ Result<IdTable> SplendidEngine::ExecutePattern(
 }
 
 Result<fed::FederatedResult> SplendidEngine::Execute(
-    const std::string& sparql_text, const Deadline& deadline) {
+    const std::string& sparql_text, const CancelToken& cancel) {
   Stopwatch total_timer;
   LUSAIL_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql_text));
 
@@ -278,7 +273,7 @@ Result<fed::FederatedResult> SplendidEngine::Execute(
   core::TermDictionary dict;
 
   Result<IdTable> table_or =
-      ExecutePattern(query.where, &dict, &metrics, deadline, &result.profile);
+      ExecutePattern(query.where, &dict, &metrics, cancel, &result.profile);
   if (!table_or.ok()) {
     metrics.FillCounters(&result.profile);
     trace.Attach(&result.profile);

@@ -51,7 +51,7 @@ class SplendidEngine : public fed::FederatedEngine {
   std::string name() const override { return "SPLENDID"; }
 
   Result<fed::FederatedResult> Execute(const std::string& sparql_text,
-                                       const Deadline& deadline) override;
+                                       const CancelToken& cancel) override;
   using fed::FederatedEngine::Execute;
 
  private:
@@ -63,7 +63,7 @@ class SplendidEngine : public fed::FederatedEngine {
 
   Result<std::vector<int>> SourcesFor(const sparql::TriplePattern& tp,
                                       fed::MetricsCollector* metrics,
-                                      const Deadline& deadline);
+                                      const CancelToken& cancel);
 
   double EstimateCardinality(const sparql::TriplePattern& tp,
                              const std::vector<int>& sources) const;
@@ -71,7 +71,7 @@ class SplendidEngine : public fed::FederatedEngine {
   Result<core::IdTable> ExecutePattern(const sparql::GraphPattern& pattern,
                                        core::TermDictionary* dict,
                                        fed::MetricsCollector* metrics,
-                                       const Deadline& deadline,
+                                       const CancelToken& cancel,
                                        fed::ExecutionProfile* profile);
 
   const fed::Federation* federation_;

@@ -33,15 +33,6 @@ class CachedAskEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return inner_->id(); }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    return QueryCancellable(text, CancelToken());
-  }
-
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string& text, const Deadline& deadline) override {
-    return QueryCancellable(text, CancelToken(deadline));
-  }
-
   Result<net::QueryResponse> QueryCancellable(
       const std::string& text, const CancelToken& cancel) override;
 

@@ -77,6 +77,16 @@ class CancelToken {
   /// The deadline endpoint requests and backoff sleeps are bounded by.
   const Deadline& deadline() const { return deadline_; }
 
+  /// This token with its deadline tightened to at most `millis` from now;
+  /// the cancel flag stays shared. Transports use it to bound a request
+  /// whose caller set no deadline (or a very distant one).
+  CancelToken CappedAt(double millis) const {
+    if (deadline_.RemainingMillis() <= millis) return *this;
+    CancelToken capped = *this;
+    capped.deadline_ = Deadline::AfterMillis(millis);
+    return capped;
+  }
+
   /// True when some other thread could fire this token (a shared flag
   /// exists); deadline-only tokens return false.
   bool can_cancel() const { return state_ != nullptr; }

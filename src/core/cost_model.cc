@@ -84,7 +84,7 @@ Status CostModel::CollectStatistics(
     const std::vector<sparql::TriplePattern>& triples,
     const std::vector<std::vector<int>>& sources,
     const std::vector<sparql::Expr>& filters,
-    fed::MetricsCollector* metrics, const Deadline& deadline,
+    fed::MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, bool tolerate_failures, bool use_cache) {
   struct Probe {
     int tp;
@@ -128,10 +128,10 @@ Status CostModel::CollectStatistics(
       probe.ep = ep;
       probe.cache_key = std::move(key);
       probe.endpoint_id = std::move(endpoint_id);
-      probe.result = pool_->Submit([this, ep, text, metrics, deadline,
+      probe.result = pool_->Submit([this, ep, text, metrics, cancel,
                                     retry]() {
         return federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                    deadline, retry);
+                                    cancel, retry);
       });
       probes.push_back(std::move(probe));
     }

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/options.h"
 #include "core/subquery.h"
@@ -42,7 +42,7 @@ class CostModel {
                            const std::vector<std::vector<int>>& sources,
                            const std::vector<sparql::Expr>& filters,
                            fed::MetricsCollector* metrics,
-                           const Deadline& deadline,
+                           const CancelToken& cancel,
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false,
                            bool use_cache = true);

@@ -44,7 +44,7 @@ std::string GjvDetector::CheckQueryText(
 Result<GjvResult> GjvDetector::Detect(
     const std::vector<TriplePattern>& triples,
     const std::vector<std::vector<int>>& sources,
-    fed::MetricsCollector* metrics, const Deadline& deadline,
+    fed::MetricsCollector* metrics, const CancelToken& cancel,
     bool use_cache, const net::RetryPolicy* retry, bool tolerate_failures) {
   GjvResult result;
   std::vector<JoinVariable> join_vars = QueryGraph::JoinVariables(triples);
@@ -154,13 +154,10 @@ Result<GjvResult> GjvDetector::Detect(
       p.endpoint_id = federation_->id(ep);
       std::string text = check.query_text;
       p.nonempty =
-          pool_->Submit([this, ep, text = std::move(text), metrics,
-                         deadline, retry]() -> Result<bool> {
-            LUSAIL_ASSIGN_OR_RETURN(
-                sparql::ResultTable table,
-                federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                     deadline, retry));
-            return !table.rows.empty();
+          pool_->Submit([this, ep, text = std::move(text), metrics, cancel,
+                         retry]() {
+            return federation_->Ask(static_cast<size_t>(ep), text, metrics,
+                                    cancel, retry);
           });
       pending.push_back(std::move(p));
       ++result.check_queries;

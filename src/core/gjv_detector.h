@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "federation/federation.h"
 #include "federation/source_selection.h"
@@ -76,7 +76,7 @@ class GjvDetector {
   Result<GjvResult> Detect(const std::vector<sparql::TriplePattern>& triples,
                            const std::vector<std::vector<int>>& sources,
                            fed::MetricsCollector* metrics,
-                           const Deadline& deadline, bool use_cache,
+                           const CancelToken& cancel, bool use_cache,
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false);
 

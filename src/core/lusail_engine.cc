@@ -166,7 +166,7 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   AnalyzedQuery out;
   out.query = query;
   fed::MetricsCollector metrics;
-  Deadline deadline;
+  CancelToken cancel;
   const net::RetryPolicy* retry =
       options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
   const bool tolerate = options_.partial_results;
@@ -191,20 +191,20 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
-      selector.SelectSources(combined, &metrics, deadline,
+      selector.SelectSources(combined, &metrics, cancel,
                              options_.use_cache, retry, tolerate));
   out.sources.assign(sources.begin(),
                      sources.begin() + query.where.triples.size());
 
   GjvDetector detector(federation_, &check_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
-      out.gjvs, detector.Detect(combined, sources, &metrics, deadline,
+      out.gjvs, detector.Detect(combined, sources, &metrics, cancel,
                                 options_.use_cache, retry, tolerate));
 
   CostModel cost_model(federation_, &pool_);
   LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
       query.where.triples, out.sources, query.where.filters, &metrics,
-      deadline, retry, tolerate, options_.use_cache));
+      cancel, retry, tolerate, options_.use_cache));
   Decomposer decomposer(&cost_model);
   std::set<std::string> needed = NeededVars(query);
   out.decomposition =
@@ -270,7 +270,6 @@ Result<IdTable> LusailEngine::ExecuteBgp(
     fed::ExecutionProfile* profile,
     std::vector<const sparql::GraphPattern*>* unpushed_optionals,
     size_t row_limit) {
-  const Deadline& deadline = cancel.deadline();
   // Phase A: source selection — for the mandatory patterns and for the
   // push-down candidates' patterns (needed by the locality analysis).
   Stopwatch timer;
@@ -300,7 +299,7 @@ Result<IdTable> LusailEngine::ExecuteBgp(
   fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
       std::vector<std::vector<int>> sources,
-      selector.SelectSources(combined, metrics, deadline, options_.use_cache,
+      selector.SelectSources(combined, metrics, cancel, options_.use_cache,
                              retry, tolerate));
   source_span.Annotate("patterns", static_cast<uint64_t>(combined.size()));
   source_span.End();
@@ -333,14 +332,14 @@ Result<IdTable> LusailEngine::ExecuteBgp(
     fed::PhaseSpan gjv_span(metrics, "gjv detection");
     LUSAIL_ASSIGN_OR_RETURN(gjvs,
                             detector.Detect(combined, sources, metrics,
-                                            deadline, options_.use_cache,
+                                            cancel, options_.use_cache,
                                             retry, tolerate));
   }
   CostModel cost_model(federation_, &pool_);
   {
     fed::PhaseSpan stats_span(metrics, "statistics");
     LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
-        triples, sources, filters, metrics, deadline, retry, tolerate,
+        triples, sources, filters, metrics, cancel, retry, tolerate,
         options_.use_cache));
   }
   {
@@ -536,11 +535,6 @@ Result<IdTable> LusailEngine::ExecutePattern(
     table = JoinIds(table, values_table, /*left_outer=*/false);
   }
   return table;
-}
-
-Result<fed::FederatedResult> LusailEngine::Execute(
-    const std::string& sparql_text, const Deadline& deadline) {
-  return Execute(sparql_text, CancelToken(deadline));
 }
 
 Result<fed::FederatedResult> LusailEngine::Execute(

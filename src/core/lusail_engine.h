@@ -66,17 +66,13 @@ class LusailEngine : public fed::FederatedEngine {
 
   std::string name() const override;
 
+  /// The token (deadline and/or explicit cancel flag) is threaded through
+  /// source selection, LADE's probes, SAPE's fetch/bound-join loops, every
+  /// parallel join and every endpoint request, so evaluation unwinds with
+  /// kTimeout within one work chunk of the token firing.
   Result<fed::FederatedResult> Execute(const std::string& sparql_text,
-                                       const Deadline& deadline) override;
+                                       const CancelToken& cancel) override;
   using fed::FederatedEngine::Execute;
-
-  /// Cancellable execution: the token (deadline and/or explicit cancel
-  /// flag) is threaded through source selection, SAPE's fetch/bound-join
-  /// loops, and every parallel join, so evaluation unwinds with kTimeout
-  /// within one work chunk of the token firing. The deadline-only
-  /// Execute above wraps its deadline in a token and calls this.
-  Result<fed::FederatedResult> Execute(const std::string& sparql_text,
-                                       const CancelToken& cancel);
 
   /// Runs source selection + LADE only (no execution); for inspection.
   Result<AnalyzedQuery> Analyze(const std::string& sparql_text);

@@ -179,8 +179,8 @@ Result<IdTable> SapeExecutor::FetchEndpoint(
   // decodes only if a cache store actually needs it.
   std::optional<sparql::ResultTable> wire;
   Result<IdTable> ids = federation_->ExecuteEncoded(
-      static_cast<size_t>(ep), text, dict, metrics, cancel.deadline(), retry,
-      trace_parent, shared != nullptr ? &wire : nullptr);
+      static_cast<size_t>(ep), text, dict, metrics, cancel, retry, trace_parent,
+      shared != nullptr ? &wire : nullptr);
   if (shared != nullptr && ids.ok()) {
     if (wire.has_value()) {
       shared->PutResult(endpoint_id, cache_key, *wire);
@@ -576,8 +576,8 @@ Result<IdTable> SapeExecutor::Execute(
             if (cached.has_value()) return Result<bool>(*cached);
           }
           Result<bool> answer = federation_->Ask(
-              static_cast<size_t>(ep), ask_text, metrics, cancel.deadline(),
-              retry, sq_span);
+              static_cast<size_t>(ep), ask_text, metrics, cancel, retry,
+              sq_span);
           if (shared != nullptr && answer.ok()) {
             shared->PutVerdict(key, endpoint_id, *answer);
           }

@@ -71,15 +71,14 @@ void Federation::ConfigureBreakers(const net::CircuitBreakerConfig& config) {
 
 Result<net::QueryResponse> Federation::ExecuteResponse(
     size_t i, const std::string& text, MetricsCollector* metrics,
-    const Deadline& deadline, const net::RetryPolicy* retry,
+    const CancelToken& cancel, const net::RetryPolicy* retry,
     obs::SpanId trace_parent) const {
   if (i >= endpoints_.size()) {
     return Status::NotFound("no endpoint with index " + std::to_string(i));
   }
   const std::string& endpoint_id = endpoints_[i]->id();
-  if (deadline.Expired()) {
-    return Status::Timeout("query deadline expired before request to " +
-                           endpoint_id);
+  if (cancel.Cancelled()) {
+    return cancel.StatusAt(("request to " + endpoint_id).c_str());
   }
   bool is_ask = LooksLikeAskQuery(text);
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
@@ -111,11 +110,10 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
   Result<net::QueryResponse> response = Status::Internal("unreachable");
   net::RetryOutcome outcome;
   if (retry != nullptr && retry->enabled()) {
-    response = net::QueryWithRetry(endpoints_[i].get(), text, deadline,
-                                   *retry, breakers_[i].get(), &outcome,
-                                   tracer, span);
+    response = net::QueryWithRetry(endpoints_[i].get(), text, cancel, *retry,
+                                   breakers_[i].get(), &outcome, tracer, span);
   } else {
-    response = endpoints_[i]->QueryWithDeadline(text, deadline);
+    response = endpoints_[i]->QueryCancellable(text, cancel);
   }
   trace_scope.reset();
   if (metrics != nullptr) {
@@ -200,11 +198,11 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
 
 Result<sparql::ResultTable> Federation::Execute(
     size_t i, const std::string& text, MetricsCollector* metrics,
-    const Deadline& deadline, const net::RetryPolicy* retry,
+    const CancelToken& cancel, const net::RetryPolicy* retry,
     obs::SpanId trace_parent) const {
   LUSAIL_ASSIGN_OR_RETURN(
       net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
   if (response.ids != nullptr) {
     // A string-path consumer over an endpoint that parses straight to
     // ids (set_parse_dictionary): decode at the boundary so callers see
@@ -216,12 +214,12 @@ Result<sparql::ResultTable> Federation::Execute(
 
 Result<core::IdTable> Federation::ExecuteEncoded(
     size_t i, const std::string& text, core::TermDictionary* dict,
-    MetricsCollector* metrics, const Deadline& deadline,
+    MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, obs::SpanId trace_parent,
     std::optional<sparql::ResultTable>* wire_table) const {
   LUSAIL_ASSIGN_OR_RETURN(
       net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
   if (response.ids != nullptr) {
     if (response.ids_dict.get() == dict) {
       // Fast path: the transport already interned into our dictionary;
@@ -244,12 +242,12 @@ Result<core::IdTable> Federation::ExecuteEncoded(
 
 Result<bool> Federation::Ask(size_t i, const std::string& text,
                              MetricsCollector* metrics,
-                             const Deadline& deadline,
+                             const CancelToken& cancel,
                              const net::RetryPolicy* retry,
                              obs::SpanId trace_parent) const {
   LUSAIL_ASSIGN_OR_RETURN(
       net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, deadline, retry, trace_parent));
+      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
   return response.RowCount() > 0;
 }
 

@@ -87,10 +87,7 @@ obs::JsonValue ProfileToJson(const ExecutionProfile& profile);
 /// All counters live under one mutex so a reader (FillCounters, or a
 /// /metrics scrape through the collector) always sees a consistent cut:
 /// request counts can never lag the retry counts folded in by the same
-/// exchange. Record an exchange's response and retry outcome together
-/// with RecordExchange — separate RecordRetryOutcome-then-RecordRequest
-/// calls open a window where a snapshot reports retries for requests it
-/// has not counted yet.
+/// exchange, because RecordExchange records both in one update.
 class MetricsCollector {
  public:
   MetricsCollector() = default;
@@ -107,19 +104,6 @@ class MetricsCollector {
     if (response != nullptr) {
       AddResponseLocked(*response, is_ask);
     }
-    retries_ += outcome.retries;
-    breaker_rejections_ += outcome.breaker_rejections;
-    breaker_trips_ += outcome.breaker_trips;
-  }
-
-  void RecordRequest(const net::QueryResponse& response, bool is_ask) {
-    std::lock_guard<std::mutex> lock(mu_);
-    AddResponseLocked(response, is_ask);
-  }
-
-  /// Folds one retry loop's accounting into the query totals.
-  void RecordRetryOutcome(const net::RetryOutcome& outcome) {
-    std::lock_guard<std::mutex> lock(mu_);
     retries_ += outcome.retries;
     breaker_rejections_ += outcome.breaker_rejections;
     breaker_trips_ += outcome.breaker_trips;
@@ -358,12 +342,14 @@ class Federation {
   }
   cache::FederationCache* query_cache() const { return query_cache_; }
 
-  /// Issues `text` at endpoint `i`. Accounts the exchange into `metrics`
-  /// (when non-null) and fails with Timeout when `deadline` has expired
-  /// before the request is issued. With a non-null `retry` whose policy
-  /// is enabled, retryable failures are retried with backoff under the
-  /// endpoint's circuit breaker, never sleeping past `deadline`; retry
-  /// and breaker activity is accounted into `metrics`.
+  /// Issues `text` at endpoint `i` through Endpoint::QueryCancellable, so
+  /// `cancel` (its deadline and any explicit cancel) reaches the request
+  /// in flight. Accounts the exchange into `metrics` (when non-null) and
+  /// fails with Timeout when the token has fired before the request is
+  /// issued. With a non-null `retry` whose policy is enabled, retryable
+  /// failures are retried with backoff under the endpoint's circuit
+  /// breaker, never sleeping past the token's deadline; retry and breaker
+  /// activity is accounted into `metrics`.
   ///
   /// When `metrics` carries a tracer, the exchange is recorded as a
   /// "request" span — parented to `trace_parent` when non-zero, else to
@@ -371,7 +357,7 @@ class Federation {
   /// breaker rejections as child spans.
   Result<sparql::ResultTable> Execute(size_t i, const std::string& text,
                                       MetricsCollector* metrics,
-                                      const Deadline& deadline,
+                                      const CancelToken& cancel,
                                       const net::RetryPolicy* retry = nullptr,
                                       obs::SpanId trace_parent = 0) const;
 
@@ -386,13 +372,13 @@ class Federation {
   /// id path, where the caller decides whether decoding is worth it.
   Result<core::IdTable> ExecuteEncoded(
       size_t i, const std::string& text, core::TermDictionary* dict,
-      MetricsCollector* metrics, const Deadline& deadline,
+      MetricsCollector* metrics, const CancelToken& cancel,
       const net::RetryPolicy* retry = nullptr, obs::SpanId trace_parent = 0,
       std::optional<sparql::ResultTable>* wire_table = nullptr) const;
 
   /// Convenience ASK wrapper: true iff the endpoint returned a row.
   Result<bool> Ask(size_t i, const std::string& text,
-                   MetricsCollector* metrics, const Deadline& deadline,
+                   MetricsCollector* metrics, const CancelToken& cancel,
                    const net::RetryPolicy* retry = nullptr,
                    obs::SpanId trace_parent = 0) const;
 
@@ -402,7 +388,7 @@ class Federation {
   /// untouched (the response may carry a string table or an IdTable).
   Result<net::QueryResponse> ExecuteResponse(
       size_t i, const std::string& text, MetricsCollector* metrics,
-      const Deadline& deadline, const net::RetryPolicy* retry,
+      const CancelToken& cancel, const net::RetryPolicy* retry,
       obs::SpanId trace_parent) const;
 
   std::vector<std::shared_ptr<net::Endpoint>> endpoints_;
@@ -426,13 +412,21 @@ class FederatedEngine {
   /// Engine name for benchmark reports ("Lusail", "FedX", ...).
   virtual std::string name() const = 0;
 
-  /// Executes a federated SPARQL query within `deadline`.
+  /// Executes a federated SPARQL query under `cancel`: the token (its
+  /// deadline and any explicit cancel) is handed to every endpoint
+  /// request, and the query unwinds with kTimeout once it fires.
   virtual Result<FederatedResult> Execute(const std::string& sparql_text,
-                                          const Deadline& deadline) = 0;
+                                          const CancelToken& cancel) = 0;
+
+  /// Executes within `deadline`.
+  Result<FederatedResult> Execute(const std::string& sparql_text,
+                                  const Deadline& deadline) {
+    return Execute(sparql_text, CancelToken(deadline));
+  }
 
   /// Executes with no deadline.
   Result<FederatedResult> Execute(const std::string& sparql_text) {
-    return Execute(sparql_text, Deadline());
+    return Execute(sparql_text, CancelToken());
   }
 };
 

@@ -23,7 +23,7 @@ std::string AskQueryText(const sparql::TriplePattern& tp) {
 
 Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
     const std::vector<sparql::TriplePattern>& patterns,
-    MetricsCollector* metrics, const Deadline& deadline, bool use_cache,
+    MetricsCollector* metrics, const CancelToken& cancel, bool use_cache,
     const net::RetryPolicy* retry, bool tolerate_failures) {
   const size_t num_eps = federation_->size();
   std::vector<std::vector<int>> sources(patterns.size());
@@ -85,8 +85,8 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
       probe.cache_key = std::move(key);
       std::string text = AskQueryText(patterns[pi]);
       probe.result = pool_->Submit(
-          [this, ei, text = std::move(text), metrics, deadline, retry]() {
-            return federation_->Ask(ei, text, metrics, deadline, retry);
+          [this, ei, text = std::move(text), metrics, cancel, retry]() {
+            return federation_->Ask(ei, text, metrics, cancel, retry);
           });
       probes.push_back(std::move(probe));
     }

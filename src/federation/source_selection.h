@@ -7,8 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "federation/federation.h"
 #include "sparql/ast.h"
@@ -80,7 +80,7 @@ class SourceSelector {
   /// losing sources here.
   Result<std::vector<std::vector<int>>> SelectSources(
       const std::vector<sparql::TriplePattern>& patterns,
-      MetricsCollector* metrics, const Deadline& deadline, bool use_cache,
+      MetricsCollector* metrics, const CancelToken& cancel, bool use_cache,
       const net::RetryPolicy* retry = nullptr,
       bool tolerate_failures = false);
 

@@ -126,29 +126,28 @@ class Endpoint {
   /// Stable endpoint identifier (plays the role of the endpoint URL).
   virtual const std::string& id() const = 0;
 
-  /// Parses and evaluates `sparql_text`, charging simulated network cost.
-  /// ASK queries yield a zero-column table with 0 or 1 rows. Thread-safe.
-  virtual Result<QueryResponse> Query(const std::string& sparql_text) = 0;
+  /// Parses and evaluates `sparql_text` under `cancel`, charging simulated
+  /// network cost. ASK queries yield a zero-column table with 0 or 1 rows.
+  /// This is the one buffered entry point an endpoint implements:
+  /// implementations that evaluate locally check the token between work
+  /// chunks, transports watch it while waiting on the wire, and
+  /// decorators hand it to the endpoint they wrap, so an explicit cancel
+  /// and the token's deadline reach every hop. Thread-safe.
+  virtual Result<QueryResponse> QueryCancellable(const std::string& sparql_text,
+                                                 const CancelToken& cancel) = 0;
 
-  /// Deadline-aware variant used by resilient decorators: implementations
-  /// that sleep (retry backoff, injected slowness) must never sleep past
-  /// `deadline`. The default ignores the deadline (a plain endpoint does
-  /// not sleep beyond its latency model).
-  virtual Result<QueryResponse> QueryWithDeadline(
-      const std::string& sparql_text, const Deadline& deadline) {
-    (void)deadline;
-    return Query(sparql_text);
+  /// Convenience forwarders to QueryCancellable. They stay virtual only so
+  /// decorators written against the older three-method contract (the
+  /// benchmark's timing probe) still compile; new endpoints override
+  /// QueryCancellable alone. Runs with an inert token.
+  virtual Result<QueryResponse> Query(const std::string& sparql_text) {
+    return QueryCancellable(sparql_text, CancelToken());
   }
 
-  /// Cancellable variant: implementations that evaluate locally check the
-  /// token between work chunks and unwind with kTimeout once it fires;
-  /// decorators thread it through to retries/injected sleeps. The default
-  /// honors only the token's deadline (via QueryWithDeadline), which is
-  /// correct for endpoints whose Query cannot block for long.
-  virtual Result<QueryResponse> QueryCancellable(const std::string& sparql_text,
-                                                 const CancelToken& cancel) {
-    if (cancel.Cancelled()) return cancel.StatusAt("endpoint request");
-    return QueryWithDeadline(sparql_text, cancel.deadline());
+  /// Runs QueryCancellable with a deadline-only token.
+  virtual Result<QueryResponse> QueryWithDeadline(
+      const std::string& sparql_text, const Deadline& deadline) {
+    return QueryCancellable(sparql_text, CancelToken(deadline));
   }
 
   /// Streaming variant: rows reach the caller in batches through `sink`

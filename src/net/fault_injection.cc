@@ -15,11 +15,6 @@ FaultInjectingEndpoint::FaultInjectingEndpoint(std::shared_ptr<Endpoint> inner,
       id_hash_(std::hash<std::string>{}(inner_->id())),
       down_(profile.permanently_down) {}
 
-Result<QueryResponse> FaultInjectingEndpoint::QueryWithDeadline(
-    const std::string& text, const Deadline& deadline) {
-  return QueryCancellable(text, CancelToken(deadline));
-}
-
 Result<QueryResponse> FaultInjectingEndpoint::QueryCancellable(
     const std::string& text, const CancelToken& cancel) {
   const Deadline& deadline = cancel.deadline();

@@ -91,16 +91,8 @@ class FaultInjectingEndpoint : public Endpoint {
 
   const std::string& id() const override { return inner_->id(); }
 
-  Result<QueryResponse> Query(const std::string& text) override {
-    return QueryWithDeadline(text, Deadline());
-  }
-
-  Result<QueryResponse> QueryWithDeadline(const std::string& text,
-                                          const Deadline& deadline) override;
-
-  /// Faults are drawn exactly as for QueryWithDeadline; pass-through
-  /// requests forward the token so the inner endpoint stays cancellable
-  /// under injected faults.
+  /// Draws this request's faults; pass-through requests forward the token
+  /// so the inner endpoint stays cancellable under injected faults.
   Result<QueryResponse> QueryCancellable(const std::string& text,
                                          const CancelToken& cancel) override;
 

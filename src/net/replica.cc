@@ -140,12 +140,13 @@ void ReplicaGroup::MaybeProbe(const std::shared_ptr<Replica>& replica,
     replica->probed = true;
   }
   probes_.fetch_add(1, std::memory_order_relaxed);
-  double budget = std::min(options_.probe_timeout_ms,
-                           cancel.deadline().RemainingMillis());
-  if (budget <= 0.0) return;
+  // The probe shares the caller's cancel flag and deadline, capped at the
+  // probe budget.
+  CancelToken probe = cancel.CappedAt(options_.probe_timeout_ms);
+  if (probe.Cancelled()) return;
   Stopwatch sw;
-  Result<QueryResponse> result = replica->endpoint->QueryWithDeadline(
-      options_.probe_query, Deadline::AfterMillis(budget));
+  Result<QueryResponse> result =
+      replica->endpoint->QueryCancellable(options_.probe_query, probe);
   bool self_inflicted = !result.ok() &&
                         result.status().code() == StatusCode::kTimeout &&
                         cancel.Cancelled();

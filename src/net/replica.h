@@ -101,15 +101,6 @@ class ReplicaGroup : public Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<QueryResponse> Query(const std::string& text) override {
-    return QueryCancellable(text, CancelToken());
-  }
-
-  Result<QueryResponse> QueryWithDeadline(const std::string& text,
-                                          const Deadline& deadline) override {
-    return QueryCancellable(text, CancelToken(deadline));
-  }
-
   Result<QueryResponse> QueryCancellable(const std::string& text,
                                          const CancelToken& cancel) override;
 

@@ -150,13 +150,13 @@ double SleepWithin(double millis, const Deadline& deadline) {
 
 Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                                      const std::string& text,
-                                     const Deadline& deadline,
+                                     const CancelToken& cancel,
                                      const RetryPolicy& policy,
                                      CircuitBreaker* breaker,
                                      RetryOutcome* outcome,
                                      obs::Tracer* tracer,
-                                     obs::SpanId trace_parent,
-                                     const CancelToken* cancel) {
+                                     obs::SpanId trace_parent) {
+  const Deadline& deadline = cancel.deadline();
   RetryOutcome local;
   RetryOutcome* out = outcome != nullptr ? outcome : &local;
   if (!policy.use_circuit_breaker) breaker = nullptr;
@@ -168,8 +168,8 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
   Status last = Status::Unavailable("no attempt issued to " + endpoint->id());
 
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (cancel != nullptr && cancel->CancelRequested()) {
-      return cancel->StatusAt("endpoint retry loop");
+    if (cancel.CancelRequested()) {
+      return cancel.StatusAt("endpoint retry loop");
     }
     if (deadline.Expired()) {
       return Status::Timeout("query deadline expired before attempt " +
@@ -190,9 +190,7 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
     obs::ScopedSpan attempt_span(
         tracer, "attempt " + std::to_string(attempt + 1),
         attempt == 0 ? "attempt" : "retry", trace_parent);
-    Result<QueryResponse> response =
-        cancel != nullptr ? endpoint->QueryCancellable(text, *cancel)
-                          : endpoint->QueryWithDeadline(text, deadline);
+    Result<QueryResponse> response = endpoint->QueryCancellable(text, cancel);
     attempt_span.Annotate("ok", response.ok());
     if (!response.ok()) {
       attempt_span.Annotate("status", response.status().ToString());
@@ -211,8 +209,7 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
     // whenever clients send tight deadlines.
     bool self_inflicted_timeout =
         last.code() == StatusCode::kTimeout &&
-        (deadline.Expired() ||
-         (cancel != nullptr && cancel->CancelRequested()));
+        cancel.Cancelled();
     if (breaker != nullptr && !self_inflicted_timeout &&
         (last.IsRetryable() || last.code() == StatusCode::kInternal)) {
       if (breaker->RecordFailure()) ++out->breaker_trips;
@@ -259,26 +256,19 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
 // ResilientEndpoint
 // ---------------------------------------------------------------------
 
-Result<QueryResponse> ResilientEndpoint::QueryWithDeadline(
-    const std::string& text, const Deadline& deadline) {
-  return QueryCancellable(text, CancelToken(deadline));
-}
-
 Result<QueryResponse> ResilientEndpoint::QueryCancellable(
     const std::string& text, const CancelToken& cancel) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   RetryOutcome outcome;
   Result<QueryResponse> response =
-      QueryWithRetry(inner_.get(), text, cancel.deadline(), policy_, &breaker_,
-                     &outcome, /*tracer=*/nullptr, /*trace_parent=*/0,
-                     &cancel);
+      QueryWithRetry(inner_.get(), text, cancel, policy_, &breaker_, &outcome);
   attempts_.fetch_add(outcome.attempts, std::memory_order_relaxed);
   retries_.fetch_add(outcome.retries, std::memory_order_relaxed);
   breaker_rejections_.fetch_add(outcome.breaker_rejections,
                                 std::memory_order_relaxed);
   breaker_trips_.fetch_add(outcome.breaker_trips, std::memory_order_relaxed);
   // llround, not a truncating cast: sub-microsecond sleeps must not
-  // vanish from the totals (same fix as MetricsCollector::RecordRequest).
+  // vanish from the totals (same fix as MetricsCollector::RecordExchange).
   backoff_us_.fetch_add(
       static_cast<uint64_t>(std::llround(outcome.backoff_ms * 1000.0)),
       std::memory_order_relaxed);

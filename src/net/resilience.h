@@ -156,25 +156,24 @@ struct RetryOutcome {
 
 /// The shared retry loop: issues `text` at `endpoint` under `policy`,
 /// consulting `breaker` (may be null) before each attempt and recording
-/// outcomes into it. Honors `deadline`: no attempt starts and no backoff
-/// sleeps past it — a doomed attempt (deadline already past) is never
-/// issued, the loop bails with kTimeout instead. Deadline-caused
-/// kTimeout says nothing about the endpoint's health and is *not* fed to
-/// the breaker. `outcome` (may be null) receives per-call accounting.
-/// With a non-null `tracer`, every issued attempt and every breaker
-/// rejection becomes a child span of `trace_parent` (retries are thus
-/// visible in query traces as "attempt N" spans under the request span).
-/// A non-null `cancel` makes attempts cooperatively cancellable: the loop
-/// checks it before every attempt and forwards it to QueryCancellable.
+/// outcomes into it. Every attempt goes to QueryCancellable with `cancel`,
+/// and the loop checks the token before each attempt: no attempt starts
+/// and no backoff sleeps past its deadline — a doomed attempt is never
+/// issued, the loop bails with kTimeout instead. A kTimeout caused by the
+/// token (deadline or explicit cancel) says nothing about the endpoint's
+/// health and is *not* fed to the breaker. `outcome` (may be null)
+/// receives per-call accounting. With a non-null `tracer`, every issued
+/// attempt and every breaker rejection becomes a child span of
+/// `trace_parent` (retries are thus visible in query traces as
+/// "attempt N" spans under the request span).
 Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                                      const std::string& text,
-                                     const Deadline& deadline,
+                                     const CancelToken& cancel,
                                      const RetryPolicy& policy,
                                      CircuitBreaker* breaker,
                                      RetryOutcome* outcome,
                                      obs::Tracer* tracer = nullptr,
-                                     obs::SpanId trace_parent = 0,
-                                     const CancelToken* cancel = nullptr);
+                                     obs::SpanId trace_parent = 0);
 
 /// Cumulative client-side statistics of one ResilientEndpoint.
 struct ResilienceStats {
@@ -201,13 +200,6 @@ class ResilientEndpoint : public Endpoint {
       : inner_(std::move(inner)), policy_(policy), breaker_(breaker_config) {}
 
   const std::string& id() const override { return inner_->id(); }
-
-  Result<QueryResponse> Query(const std::string& text) override {
-    return QueryWithDeadline(text, Deadline());
-  }
-
-  Result<QueryResponse> QueryWithDeadline(const std::string& text,
-                                          const Deadline& deadline) override;
 
   Result<QueryResponse> QueryCancellable(const std::string& text,
                                          const CancelToken& cancel) override;

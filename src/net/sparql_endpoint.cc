@@ -15,10 +15,6 @@ SparqlEndpoint::SparqlEndpoint(std::string id,
   if (!store_->frozen()) store_->Freeze();
 }
 
-Result<QueryResponse> SparqlEndpoint::Query(const std::string& sparql_text) {
-  return QueryCancellable(sparql_text, CancelToken());
-}
-
 Result<QueryResponse> SparqlEndpoint::QueryCancellable(
     const std::string& sparql_text, const CancelToken& cancel) {
   Stopwatch server_timer;

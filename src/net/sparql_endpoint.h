@@ -34,8 +34,6 @@ class SparqlEndpoint : public Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<QueryResponse> Query(const std::string& sparql_text) override;
-
   /// Threads the token into the local evaluator, so a long-running
   /// evaluation aborts within ~1k join iterations of the token firing
   /// (deadline expiry or explicit cancel) and materializes no rows.

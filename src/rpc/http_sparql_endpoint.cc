@@ -137,6 +137,45 @@ bool ConnectionLooksAlive(int fd) {
   return errno == EAGAIN || errno == EWOULDBLOCK;      // Open and idle.
 }
 
+// Waits for the first response bytes on `fd`. With a token another
+// thread can fire, the wait runs in poll slices so an explicit cancel can
+// interrupt it: the request is then half-closed — the server's disconnect
+// watchdog sees EOF and aborts evaluation — and the read side stays open a
+// bounded while longer for the abort response (and its span subtree),
+// reported through `*half_closed`. Fails once that grace period passes
+// without an answer; deadline expiry and socket errors are left to the
+// response reader.
+Status AwaitFirstBytes(int fd, const CancelToken& cancel, bool* half_closed) {
+  *half_closed = false;
+  if (!cancel.can_cancel()) return Status::OK();
+  const Deadline& deadline = cancel.deadline();
+  Deadline cancel_wait;
+  for (;;) {
+    if (deadline.Expired()) return Status::OK();
+    if (*half_closed && cancel_wait.Expired()) {
+      return cancel.StatusAt("cancelled endpoint request");
+    }
+    if (!*half_closed && cancel.CancelRequested()) {
+      ::shutdown(fd, SHUT_WR);
+      *half_closed = true;
+      cancel_wait = Deadline::AfterMillis(
+          std::min(kCancelResponseWaitMs, deadline.RemainingMillis()));
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    int n = ::poll(&pfd, 1, kCancelPollSliceMs);
+    if (n < 0 && errno == EINTR) continue;
+    if (n != 0) return Status::OK();  // Bytes, EOF, or an error to read.
+  }
+}
+
+// The exchange accounting of a buffered response or a stream summary.
+net::QueryResponse& Accounting(net::QueryResponse& response) {
+  return response;
+}
+net::QueryResponse& Accounting(net::StreamSummary& summary) {
+  return summary.response;
+}
+
 }  // namespace
 
 HttpSparqlEndpoint::HttpSparqlEndpoint(std::string id, std::string host,
@@ -233,24 +272,19 @@ void HttpSparqlEndpoint::ReleaseConnection(int fd) {
   ::close(fd);
 }
 
-Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
-    int fd, const std::string& query, const Deadline& deadline,
-    const CancelToken* cancel, bool* got_response_bytes, bool* conn_reusable,
-    uint64_t* wire_in, uint64_t* wire_out) {
-  *got_response_bytes = false;
-  *conn_reusable = false;
-  *wire_in = 0;
-  *wire_out = 0;
-
+std::string HttpSparqlEndpoint::SerializeRequest(const std::string& query,
+                                                 const Deadline& deadline,
+                                                 bool stream) const {
   HttpRequest request;
   request.method = "POST";
   request.target = "/sparql";
   request.SetHeader("Host", host_ + ":" + std::to_string(port_));
   request.SetHeader("Content-Type", "application/sparql-query");
   request.SetHeader("Accept", "application/sparql-results+json");
+  if (stream) request.SetHeader("X-Lusail-Stream", "true");
   // Propagate the remaining budget so the server stops evaluating when
   // this client has already given up. Every request carries one: even a
-  // plain Query() runs under the default request timeout cap.
+  // call without a deadline runs under the default request timeout cap.
   if (deadline.has_deadline()) {
     request.SetHeader("X-Lusail-Deadline-Ms",
                       std::to_string(deadline.RemainingMillis()));
@@ -265,61 +299,121 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
                       std::to_string(trace_context->parent));
   }
   request.body = query;
+  return request.Serialize();
+}
 
-  std::string serialized = request.Serialize();
-  *wire_out = serialized.size();
-  LUSAIL_RETURN_NOT_OK(SendAll(fd, serialized, deadline));
-
-  // With a cancellable token, wait for the first response bytes in poll
-  // slices so cancellation can interrupt the wait. On cancellation we
-  // half-close the connection — the server's disconnect watchdog sees
-  // EOF and aborts evaluation — then keep the read side open a bounded
-  // while longer for the abort response (and its span subtree).
-  bool half_closed = false;
-  if (cancel != nullptr && cancel->can_cancel()) {
-    Deadline cancel_wait;
-    for (;;) {
-      if (deadline.Expired()) break;
-      if (half_closed && cancel_wait.Expired()) {
-        return cancel->StatusAt("cancelled endpoint request");
-      }
-      if (!half_closed && cancel->CancelRequested()) {
-        ::shutdown(fd, SHUT_WR);
-        half_closed = true;
-        cancel_wait = Deadline::AfterMillis(
-            std::min(kCancelResponseWaitMs, deadline.RemainingMillis()));
-      }
-      pollfd pfd{fd, POLLIN, 0};
-      int n = ::poll(&pfd, 1, kCancelPollSliceMs);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;  // Let ReadResponse surface the connection error.
-      }
-      if (n > 0) break;  // Bytes (or EOF) ready.
+Status HttpSparqlEndpoint::ErrorStatus(const HttpResponse& http) const {
+  // Recover the original StatusCode from the JSON error body when the
+  // server sent one, so retryability survives the wire.
+  std::string code_name;
+  std::string message = http.body;
+  auto parsed = obs::JsonValue::Parse(http.body);
+  if (parsed.ok() && parsed.value().type() == obs::JsonValue::Type::kObject) {
+    const obs::JsonValue& code = parsed.value().Get("code");
+    const obs::JsonValue& error = parsed.value().Get("error");
+    if (code.type() == obs::JsonValue::Type::kString) {
+      code_name = code.AsString();
+    }
+    if (error.type() == obs::JsonValue::Type::kString) {
+      message = error.AsString();
     }
   }
+  StatusCode code = CodeForHttpStatus(http.status, code_name);
+  return Status(code,
+                id_ + ": HTTP " + std::to_string(http.status) + ": " + message);
+}
+
+Status HttpSparqlEndpoint::Malformed(const Status& s) const {
+  // Garbage from the server is a transport problem from the federator's
+  // point of view (retryable), not a query problem.
+  if (s.code() != StatusCode::kParseError) return s;
+  return Status(StatusCode::kUnavailable,
+                "malformed HTTP response from " + id_ + ": " + s.message());
+}
+
+template <typename T, typename RoundTripFn>
+Result<T> HttpSparqlEndpoint::Exchange(const CancelToken& cancel,
+                                       RoundTripFn round_trip) {
+  if (cancel.Cancelled()) return cancel.StatusAt("endpoint request");
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  // A call without a deadline is capped so a hung remote server cannot
+  // hang the engine.
+  CancelToken effective = cancel.CappedAt(options_.default_request_timeout_ms);
+
+  Stopwatch wall;
+  // One transparent retry: a pooled connection can die between requests
+  // (keep-alive race). Retrying is safe only when no response byte
+  // arrived, so the request cannot have been executed-and-half-answered
+  // (and, when streaming, no batch reached the sink).
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    bool reused = false;
+    double connect_ms = 0.0;
+    auto acquired =
+        AcquireConnection(effective.deadline(), &reused, &connect_ms);
+    if (!acquired.ok()) {
+      transport_errors_.fetch_add(1, std::memory_order_relaxed);
+      return acquired.status();
+    }
+    int fd = acquired.value();
+
+    WireAttempt wire;
+    Result<T> result = round_trip(fd, effective, wall, &wire);
+    if (result.ok()) {
+      if (wire.conn_reusable) {
+        ReleaseConnection(fd);
+      } else {
+        ::close(fd);
+      }
+      T out = std::move(result).value();
+      net::QueryResponse& response = Accounting(out);
+      response.network_ms =
+          std::max(0.0, wall.ElapsedMillis() - response.server_ms);
+      response.transport.over_network = true;
+      response.transport.reused_connection = reused;
+      response.transport.connect_ms = connect_ms;
+      response.transport.wire_bytes_sent = wire.wire_out;
+      response.transport.wire_bytes_received = wire.wire_in;
+      return out;
+    }
+
+    ::close(fd);
+    const Status& s = result.status();
+    bool retryable_stale = reused && !wire.got_response_bytes &&
+                           s.code() == StatusCode::kUnavailable &&
+                           attempt == 0 && !effective.Cancelled();
+    if (retryable_stale) {
+      stale_retries_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (s.code() == StatusCode::kUnavailable ||
+        s.code() == StatusCode::kTimeout) {
+      transport_errors_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return s;
+  }
+  return Status(StatusCode::kInternal, "unreachable retry exit");
+}
+
+Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
+    int fd, const std::string& query, const CancelToken& cancel,
+    WireAttempt* wire) {
+  const Deadline& deadline = cancel.deadline();
+  std::string serialized = SerializeRequest(query, deadline, false);
+  wire->wire_out = serialized.size();
+  LUSAIL_RETURN_NOT_OK(SendAll(fd, serialized, deadline));
+
+  bool half_closed = false;
+  LUSAIL_RETURN_NOT_OK(AwaitFirstBytes(fd, cancel, &half_closed));
 
   HttpConnection conn(fd);
   auto response = conn.ReadResponse(options_.limits, deadline);
-  *wire_in = conn.bytes_read();
-  *got_response_bytes = conn.bytes_read() > 0;
-  if (half_closed) *conn_reusable = false;
+  wire->wire_in = conn.bytes_read();
+  wire->got_response_bytes = conn.bytes_read() > 0;
   if (!response.ok()) {
-    if (half_closed) {
-      // The server closed without answering the abort (or the response
-      // was cut short): report the cancellation, not the transport noise.
-      return cancel->StatusAt("cancelled endpoint request");
-    }
-    // Normalize parse-level failures: garbage from the server is a
-    // transport problem from the federator's point of view (retryable),
-    // not a query problem.
-    const Status& s = response.status();
-    if (s.code() == StatusCode::kParseError) {
-      return Status(StatusCode::kUnavailable,
-                    "malformed HTTP response from " + id_ + ": " +
-                        s.message());
-    }
-    return s;
+    // A server that closed without answering the abort (or a response cut
+    // short) reports the cancellation, not the transport noise.
+    if (half_closed) return cancel.StatusAt("cancelled endpoint request");
+    return Malformed(response.status());
   }
   HttpResponse& http = response.value();
   MaybeGraftServerTrace(http, id_);
@@ -327,41 +421,16 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
   if (half_closed) {
     // The evaluation was cancelled; the response exists only to carry
     // the server's subtree (grafted above).
-    return cancel->StatusAt("cancelled endpoint request");
+    return cancel.StatusAt("cancelled endpoint request");
   }
-
-  if (http.status != 200) {
-    // Recover the original StatusCode from the JSON error body when the
-    // server sent one, so retryability survives the wire.
-    std::string code_name;
-    std::string message = http.body;
-    auto parsed = obs::JsonValue::Parse(http.body);
-    if (parsed.ok() &&
-        parsed.value().type() == obs::JsonValue::Type::kObject) {
-      const obs::JsonValue& code = parsed.value().Get("code");
-      const obs::JsonValue& error = parsed.value().Get("error");
-      if (code.type() == obs::JsonValue::Type::kString) {
-        code_name = code.AsString();
-      }
-      if (error.type() == obs::JsonValue::Type::kString) {
-        message = error.AsString();
-      }
-    }
-    StatusCode code = CodeForHttpStatus(http.status, code_name);
-    return Status(code, id_ + ": HTTP " + std::to_string(http.status) + ": " +
-                            message);
-  }
+  if (http.status != 200) return ErrorStatus(http);
 
   net::QueryResponse out;
   // ID-space fast path: with a parse dictionary configured, the SRJ body
   // is decoded straight into dictionary ids — the federator never holds
   // string term rows for this response. ASK bodies (zero-column tables)
   // take the same path; consumers count rows via RowCount().
-  std::shared_ptr<core::TermDictionary> parse_dict;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    parse_dict = parse_dict_;
-  }
+  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
   if (parse_dict != nullptr) {
     LUSAIL_ASSIGN_OR_RETURN(core::IdTable ids,
                             ParseSrjToIds(http.body, parse_dict.get()));
@@ -378,8 +447,7 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
   }
 
   // Only a fully-read keep-alive response leaves the connection reusable.
-  *conn_reusable =
-      !half_closed && http.KeepAlive() && !conn.HasBufferedData();
+  wire->conn_reusable = http.KeepAlive() && !conn.HasBufferedData();
   return out;
 }
 
@@ -389,166 +457,42 @@ void HttpSparqlEndpoint::set_parse_dictionary(
   parse_dict_ = std::move(dict);
 }
 
-Result<net::QueryResponse> HttpSparqlEndpoint::Query(
-    const std::string& sparql_text) {
-  return QueryWithDeadline(sparql_text, Deadline());
-}
-
-Result<net::QueryResponse> HttpSparqlEndpoint::QueryWithDeadline(
-    const std::string& sparql_text, const Deadline& deadline) {
-  return QueryInternal(sparql_text, deadline, nullptr);
+std::shared_ptr<core::TermDictionary> HttpSparqlEndpoint::parse_dictionary() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return parse_dict_;
 }
 
 Result<net::QueryResponse> HttpSparqlEndpoint::QueryCancellable(
     const std::string& sparql_text, const CancelToken& cancel) {
-  if (cancel.Cancelled()) return cancel.StatusAt("endpoint request");
-  return QueryInternal(sparql_text, cancel.deadline(), &cancel);
-}
-
-Result<net::QueryResponse> HttpSparqlEndpoint::QueryInternal(
-    const std::string& sparql_text, const Deadline& deadline,
-    const CancelToken* cancel) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  // A plain Query() call carries no deadline; cap it so a hung remote
-  // server cannot hang the engine.
-  Deadline effective = deadline;
-  if (deadline.RemainingMillis() > options_.default_request_timeout_ms) {
-    effective = Deadline::AfterMillis(options_.default_request_timeout_ms);
-  }
-
-  Stopwatch wall;
-  // One transparent retry: a pooled connection can die between requests
-  // (keep-alive race). Retrying is safe only when no response byte
-  // arrived, so the request cannot have been executed-and-half-answered.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    bool reused = false;
-    double connect_ms = 0.0;
-    auto acquired = AcquireConnection(effective, &reused, &connect_ms);
-    if (!acquired.ok()) {
-      transport_errors_.fetch_add(1, std::memory_order_relaxed);
-      return acquired.status();
-    }
-    int fd = acquired.value();
-
-    bool got_response_bytes = false;
-    bool conn_reusable = false;
-    uint64_t wire_in = 0, wire_out = 0;
-    auto result = RoundTrip(fd, sparql_text, effective, cancel,
-                            &got_response_bytes, &conn_reusable, &wire_in,
-                            &wire_out);
-
-    if (result.ok()) {
-      if (conn_reusable) {
-        ReleaseConnection(fd);
-      } else {
-        ::close(fd);
-      }
-      net::QueryResponse response = std::move(result).value();
-      double elapsed = wall.ElapsedMillis();
-      response.network_ms =
-          std::max(0.0, elapsed - response.server_ms);
-      response.transport.over_network = true;
-      response.transport.reused_connection = reused;
-      response.transport.connect_ms = connect_ms;
-      response.transport.wire_bytes_sent = wire_out;
-      response.transport.wire_bytes_received = wire_in;
-      return response;
-    }
-
-    ::close(fd);
-    const Status& s = result.status();
-    bool retryable_stale = reused && !got_response_bytes &&
-                           s.code() == StatusCode::kUnavailable &&
-                           attempt == 0 && !effective.Expired() &&
-                           (cancel == nullptr || !cancel->CancelRequested());
-    if (retryable_stale) {
-      stale_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (s.code() == StatusCode::kUnavailable ||
-        s.code() == StatusCode::kTimeout) {
-      transport_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-  return Status(StatusCode::kInternal, "unreachable retry exit");
+  return Exchange<net::QueryResponse>(
+      cancel, [&](int fd, const CancelToken& effective, const Stopwatch&,
+                  WireAttempt* wire) {
+        return RoundTrip(fd, sparql_text, effective, wire);
+      });
 }
 
 Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
-    int fd, const std::string& query, const Deadline& deadline,
-    const CancelToken& cancel, const net::StreamOptions& options,
-    const net::StreamSink& sink, const Stopwatch& wall,
-    bool* got_response_bytes, bool* conn_reusable, uint64_t* wire_in,
-    uint64_t* wire_out) {
-  *got_response_bytes = false;
-  *conn_reusable = false;
-  *wire_in = 0;
-  *wire_out = 0;
-
-  HttpRequest request;
-  request.method = "POST";
-  request.target = "/sparql";
-  request.SetHeader("Host", host_ + ":" + std::to_string(port_));
-  request.SetHeader("Content-Type", "application/sparql-query");
-  request.SetHeader("Accept", "application/sparql-results+json");
-  request.SetHeader("X-Lusail-Stream", "true");
-  if (deadline.has_deadline()) {
-    request.SetHeader("X-Lusail-Deadline-Ms",
-                      std::to_string(deadline.RemainingMillis()));
-  }
-  const obs::TraceContext* trace_context = obs::CurrentTraceContext();
-  if (trace_context != nullptr && trace_context->tracer != nullptr) {
-    request.SetHeader("X-Lusail-Trace-Id", trace_context->trace_id);
-    request.SetHeader("X-Lusail-Parent-Span",
-                      std::to_string(trace_context->parent));
-  }
-  request.body = query;
-
-  std::string serialized = request.Serialize();
-  *wire_out = serialized.size();
+    int fd, const std::string& query, const CancelToken& cancel,
+    const net::StreamOptions& options, const net::StreamSink& sink,
+    const Stopwatch& wall, WireAttempt* wire) {
+  const Deadline& deadline = cancel.deadline();
+  std::string serialized = SerializeRequest(query, deadline, true);
+  wire->wire_out = serialized.size();
   LUSAIL_RETURN_NOT_OK(SendAll(fd, serialized, deadline));
 
   HttpConnection conn(fd);
   // Keep the wire-in counter honest on every exit path.
   auto record_wire = [&] {
-    *wire_in = conn.bytes_read();
-    *got_response_bytes = conn.bytes_read() > 0;
+    wire->wire_in = conn.bytes_read();
+    wire->got_response_bytes = conn.bytes_read() > 0;
   };
   auto normalize = [&](const Status& s) {
     record_wire();
-    if (s.code() == StatusCode::kParseError) {
-      return Status(StatusCode::kUnavailable,
-                    "malformed HTTP response from " + id_ + ": " +
-                        s.message());
-    }
-    return s;
+    return Malformed(s);
   };
 
-  // Wait for the first response bytes in poll slices so cancellation can
-  // interrupt the wait (same protocol as the buffered RoundTrip).
   bool half_closed = false;
-  if (cancel.can_cancel()) {
-    Deadline cancel_wait;
-    for (;;) {
-      if (deadline.Expired()) break;
-      if (half_closed && cancel_wait.Expired()) {
-        return cancel.StatusAt("cancelled endpoint request");
-      }
-      if (!half_closed && cancel.CancelRequested()) {
-        ::shutdown(fd, SHUT_WR);
-        half_closed = true;
-        cancel_wait = Deadline::AfterMillis(
-            std::min(kCancelResponseWaitMs, deadline.RemainingMillis()));
-      }
-      pollfd pfd{fd, POLLIN, 0};
-      int n = ::poll(&pfd, 1, kCancelPollSliceMs);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n > 0) break;
-    }
-  }
+  LUSAIL_RETURN_NOT_OK(AwaitFirstBytes(fd, cancel, &half_closed));
 
   auto head = conn.ReadResponseHead(options_.limits, deadline);
   if (!head.ok()) {
@@ -587,34 +531,14 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
     http.body = body.ok() ? std::move(body).value() : std::string();
     MaybeGraftServerTrace(http, id_);
     if (half_closed) return cancel.StatusAt("cancelled endpoint request");
-    std::string code_name;
-    std::string message = http.body;
-    auto parsed = obs::JsonValue::Parse(http.body);
-    if (parsed.ok() &&
-        parsed.value().type() == obs::JsonValue::Type::kObject) {
-      const obs::JsonValue& code = parsed.value().Get("code");
-      const obs::JsonValue& error = parsed.value().Get("error");
-      if (code.type() == obs::JsonValue::Type::kString) {
-        code_name = code.AsString();
-      }
-      if (error.type() == obs::JsonValue::Type::kString) {
-        message = error.AsString();
-      }
-    }
-    StatusCode code = CodeForHttpStatus(http.status, code_name);
-    return Status(code, id_ + ": HTTP " + std::to_string(http.status) + ": " +
-                            message);
+    return ErrorStatus(http);
   }
   if (half_closed) {
     MaybeGraftServerTrace(http, id_);
     return cancel.StatusAt("cancelled endpoint request");
   }
 
-  std::shared_ptr<core::TermDictionary> parse_dict;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    parse_dict = parse_dict_;
-  }
+  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
   SrjChunkDecoder decoder(parse_dict);
 
   net::StreamSummary summary;
@@ -743,76 +667,20 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
   if (http.FindHeader("X-Lusail-Truncated") != nullptr) {
     summary.truncated = true;
   }
-  *conn_reusable = !stream_cut && http.KeepAlive() && !conn.HasBufferedData();
+  wire->conn_reusable =
+      !stream_cut && http.KeepAlive() && !conn.HasBufferedData();
   return summary;
 }
 
 Result<net::StreamSummary> HttpSparqlEndpoint::QueryStreaming(
     const std::string& sparql_text, const CancelToken& cancel,
     const net::StreamOptions& options, const net::StreamSink& sink) {
-  if (cancel.Cancelled()) return cancel.StatusAt("endpoint request");
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Deadline effective = cancel.deadline();
-  if (effective.RemainingMillis() > options_.default_request_timeout_ms) {
-    effective = Deadline::AfterMillis(options_.default_request_timeout_ms);
-  }
-
-  Stopwatch wall;
-  // Same transparent stale-connection retry as the buffered path; safe
-  // because no response byte (and so no sink delivery) happened yet.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    bool reused = false;
-    double connect_ms = 0.0;
-    auto acquired = AcquireConnection(effective, &reused, &connect_ms);
-    if (!acquired.ok()) {
-      transport_errors_.fetch_add(1, std::memory_order_relaxed);
-      return acquired.status();
-    }
-    int fd = acquired.value();
-
-    bool got_response_bytes = false;
-    bool conn_reusable = false;
-    uint64_t wire_in = 0, wire_out = 0;
-    auto result =
-        StreamRoundTrip(fd, sparql_text, effective, cancel, options, sink,
-                        wall, &got_response_bytes, &conn_reusable, &wire_in,
-                        &wire_out);
-
-    if (result.ok()) {
-      if (conn_reusable) {
-        ReleaseConnection(fd);
-      } else {
-        ::close(fd);
-      }
-      net::StreamSummary summary = std::move(result).value();
-      double elapsed = wall.ElapsedMillis();
-      summary.response.network_ms =
-          std::max(0.0, elapsed - summary.response.server_ms);
-      summary.response.transport.over_network = true;
-      summary.response.transport.reused_connection = reused;
-      summary.response.transport.connect_ms = connect_ms;
-      summary.response.transport.wire_bytes_sent = wire_out;
-      summary.response.transport.wire_bytes_received = wire_in;
-      return summary;
-    }
-
-    ::close(fd);
-    const Status& s = result.status();
-    bool retryable_stale = reused && !got_response_bytes &&
-                           s.code() == StatusCode::kUnavailable &&
-                           attempt == 0 && !effective.Expired() &&
-                           !cancel.CancelRequested();
-    if (retryable_stale) {
-      stale_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (s.code() == StatusCode::kUnavailable ||
-        s.code() == StatusCode::kTimeout) {
-      transport_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-  return Status(StatusCode::kInternal, "unreachable retry exit");
+  return Exchange<net::StreamSummary>(
+      cancel, [&](int fd, const CancelToken& effective, const Stopwatch& wall,
+                  WireAttempt* wire) {
+        return StreamRoundTrip(fd, sparql_text, effective, options, sink,
+                               wall, wire);
+      });
 }
 
 }  // namespace lusail::rpc

@@ -43,7 +43,7 @@ struct HttpClientStats {
 /// application/sparql-query, SPARQL JSON Results back.
 ///
 /// Because this implements the same interface as the in-process
-/// endpoints — including QueryWithDeadline — the entire existing client
+/// endpoints — QueryCancellable and its CancelToken — the entire client
 /// stack (ResilientEndpoint, circuit breakers, FederationCache, tracer
 /// spans, endpoint telemetry) composes over the network unchanged:
 /// transport failures surface as kUnavailable and deadline expiry as
@@ -70,12 +70,9 @@ class HttpSparqlEndpoint : public net::Endpoint {
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }
 
-  Result<net::QueryResponse> Query(const std::string& sparql_text) override;
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string& sparql_text, const Deadline& deadline) override;
-
-  /// Cancellable variant used by hedged replica requests. While waiting
-  /// for the response, the token is polled; on cancellation the client
+  /// Buffered request. When the token can be cancelled by another thread
+  /// (an engine query, a hedged replica attempt), it is polled while the
+  /// client waits for the response; on cancellation the client
   /// half-closes the connection (shutdown(SHUT_WR)) so the server's
   /// disconnect watchdog aborts evaluation, then keeps reading briefly —
   /// a Lusail server answers the abort with a 504 that still carries its
@@ -119,32 +116,50 @@ class HttpSparqlEndpoint : public net::Endpoint {
                                 double* connect_ms);
   void ReleaseConnection(int fd);
 
-  /// Shared body of QueryWithDeadline / QueryCancellable; `cancel` may
-  /// be null.
-  Result<net::QueryResponse> QueryInternal(const std::string& sparql_text,
-                                           const Deadline& deadline,
-                                           const CancelToken* cancel);
+  /// Per-attempt wire accounting a round trip reports to Exchange.
+  struct WireAttempt {
+    bool got_response_bytes = false;  ///< A stale-connection retry is unsafe.
+    bool conn_reusable = false;       ///< The fd may go back into the pool.
+    uint64_t wire_in = 0;             ///< Bytes read incl. HTTP framing.
+    uint64_t wire_out = 0;            ///< Bytes written incl. HTTP framing.
+  };
 
-  /// One request/response exchange on `fd`. `*got_response_bytes` tells
-  /// the caller whether a stale-connection retry is still safe;
-  /// `*conn_reusable` whether the fd may go back into the pool.
+  /// The one request path of the buffered and the streaming query: caps
+  /// the token's deadline at the default request timeout, runs
+  /// `round_trip(fd, token, wall, &attempt)` on a pooled or fresh
+  /// connection with one transparent retry when a reused connection turns
+  /// out dead before any response byte, and fills the result's transport
+  /// accounting. `T` is net::QueryResponse or net::StreamSummary.
+  template <typename T, typename RoundTripFn>
+  Result<T> Exchange(const CancelToken& cancel, RoundTripFn round_trip);
+
+  /// One buffered request/response exchange on `fd`.
   Result<net::QueryResponse> RoundTrip(int fd, const std::string& query,
-                                       const Deadline& deadline,
-                                       const CancelToken* cancel,
-                                       bool* got_response_bytes,
-                                       bool* conn_reusable,
-                                       uint64_t* wire_in, uint64_t* wire_out);
+                                       const CancelToken& cancel,
+                                       WireAttempt* wire);
 
   /// Streaming exchange on `fd`: sends the request with "X-Lusail-Stream",
   /// then reads the response incrementally, feeding bytes through a
   /// SrjChunkDecoder and the sink. `wall` is the per-query clock
   /// first-row latency is measured against.
   Result<net::StreamSummary> StreamRoundTrip(
-      int fd, const std::string& query, const Deadline& deadline,
-      const CancelToken& cancel, const net::StreamOptions& options,
-      const net::StreamSink& sink, const Stopwatch& wall,
-      bool* got_response_bytes, bool* conn_reusable, uint64_t* wire_in,
-      uint64_t* wire_out);
+      int fd, const std::string& query, const CancelToken& cancel,
+      const net::StreamOptions& options, const net::StreamSink& sink,
+      const Stopwatch& wall, WireAttempt* wire);
+
+  /// The serialized POST /sparql request carrying `query`, the remaining
+  /// budget and the caller's trace identity.
+  std::string SerializeRequest(const std::string& query,
+                               const Deadline& deadline, bool stream) const;
+
+  /// The status a non-200 response stands for, recovered from its JSON
+  /// error body when there is one.
+  Status ErrorStatus(const HttpResponse& http) const;
+
+  /// Maps a parse failure of the HTTP framing to kUnavailable.
+  Status Malformed(const Status& s) const;
+
+  std::shared_ptr<core::TermDictionary> parse_dictionary();
 
   std::string id_;
   std::string host_;

@@ -109,15 +109,6 @@ class ShardedEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    return QueryCancellable(text, CancelToken());
-  }
-
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string& text, const Deadline& deadline) override {
-    return QueryCancellable(text, CancelToken(deadline));
-  }
-
   Result<net::QueryResponse> QueryCancellable(
       const std::string& text, const CancelToken& cancel) override;
 

@@ -577,7 +577,8 @@ class HugeCountEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
+  Result<net::QueryResponse> QueryCancellable(const std::string& text,
+                                              const CancelToken&) override {
     net::QueryResponse response;
     if (lusail::LooksLikeAskQuery(text)) {
       response.table.rows.push_back({});
@@ -603,7 +604,7 @@ TEST(CostModelCountTest, HugeCountSurvivesCollection) {
   ASSERT_TRUE(query.ok());
   fed::MetricsCollector metrics;
   Status status = model.CollectStatistics(query->where.triples, {{0}}, {},
-                                          &metrics, Deadline());
+                                          &metrics, CancelToken());
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(model.PatternCount(0, 0), 9007199254740993ull);
 }
@@ -680,8 +681,10 @@ class CancelAfterRequestEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return inner_->id(); }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    Result<net::QueryResponse> response = inner_->Query(text);
+  Result<net::QueryResponse> QueryCancellable(
+      const std::string& text, const CancelToken& cancel) override {
+    Result<net::QueryResponse> response =
+        inner_->QueryCancellable(text, cancel);
     requests_.fetch_add(1, std::memory_order_relaxed);
     token_.Cancel();
     return response;

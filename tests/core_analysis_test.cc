@@ -108,11 +108,11 @@ class GjvDetectorTest : public ::testing::Test {
     fed::SourceSelector selector(federation_.get(), &ask_cache_, &pool_);
     fed::MetricsCollector metrics;
     auto sources = selector.SelectSources(q->where.triples, &metrics,
-                                          Deadline(), true);
+                                          CancelToken(), true);
     EXPECT_TRUE(sources.ok());
     GjvDetector detector(federation_.get(), &check_cache_, &pool_);
     auto result = detector.Detect(q->where.triples, *sources, &metrics,
-                                  Deadline(), use_cache);
+                                  CancelToken(), use_cache);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return *result;
   }

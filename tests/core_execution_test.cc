@@ -115,7 +115,7 @@ TEST_F(CostModelTest, CountsAreExact) {
   // drugbank is endpoint 0.
   ASSERT_TRUE(model
                   .CollectStatistics(q->where.triples, {{0}}, {}, &metrics,
-                                     Deadline())
+                                     CancelToken())
                   .ok());
   workload::QFedConfig cfg = workload::QFedConfig::Small();
   EXPECT_EQ(model.PatternCount(0, 0),
@@ -133,11 +133,11 @@ TEST_F(CostModelTest, FilterPushdownTightensCounts) {
   fed::MetricsCollector metrics;
   ASSERT_TRUE(with_filter
                   .CollectStatistics(q->where.triples, {{0}},
-                                     q->where.filters, &metrics, Deadline())
+                                     q->where.filters, &metrics, CancelToken())
                   .ok());
   ASSERT_TRUE(without
                   .CollectStatistics(q->where.triples, {{0}}, {}, &metrics,
-                                     Deadline())
+                                     CancelToken())
                   .ok());
   EXPECT_LT(with_filter.PatternCount(0, 0), without.PatternCount(0, 0));
   EXPECT_GT(with_filter.PatternCount(0, 0), 0u);
@@ -155,7 +155,7 @@ TEST_F(CostModelTest, SubqueryCardinalityUsesMinOverJoin) {
   fed::MetricsCollector metrics;
   ASSERT_TRUE(model
                   .CollectStatistics(q->where.triples, {{0}, {0}}, {},
-                                     &metrics, Deadline())
+                                     &metrics, CancelToken())
                   .ok());
   Subquery sq;
   sq.triple_indices = {0, 1};

@@ -293,12 +293,9 @@ class SleepOutDeadlineEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    return QueryWithDeadline(text, Deadline());
-  }
-
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string&, const Deadline& deadline) override {
+  Result<net::QueryResponse> QueryCancellable(
+      const std::string&, const CancelToken& cancel) override {
+    const Deadline& deadline = cancel.deadline();
     attempts_.fetch_add(1, std::memory_order_relaxed);
     if (deadline.has_deadline()) {
       double remaining = deadline.RemainingMillis();
@@ -336,7 +333,7 @@ TEST(DeadlineRetryTest, SelfInflictedTimeoutDoesNotFeedTheBreaker) {
   net::CircuitBreaker breaker(HairTriggerBreaker());
   net::RetryOutcome outcome;
   Result<net::QueryResponse> r = net::QueryWithRetry(
-      &slow, "ASK { ?s ?p ?o . }", Deadline::AfterMillis(20),
+      &slow, "ASK { ?s ?p ?o . }", CancelToken(Deadline::AfterMillis(20)),
       net::RetryPolicy::Standard(3), &breaker, &outcome);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
@@ -353,7 +350,7 @@ TEST(DeadlineRetryTest, ServerTimeoutWithBudgetLeftStillFeedsTheBreaker) {
   net::CircuitBreaker breaker(HairTriggerBreaker());
   net::RetryOutcome outcome;
   Result<net::QueryResponse> r = net::QueryWithRetry(
-      &sick, "ASK { ?s ?p ?o . }", Deadline(),
+      &sick, "ASK { ?s ?p ?o . }", CancelToken(),
       net::RetryPolicy::Standard(2), &breaker, &outcome);
   ASSERT_FALSE(r.ok());
   EXPECT_GE(breaker.trips(), 1u);
@@ -367,7 +364,7 @@ TEST(DeadlineRetryTest, NoDoomedAttemptAfterDeadlineExpires) {
   SleepOutDeadlineEndpoint slow("slow", StatusCode::kUnavailable);
   net::RetryOutcome outcome;
   Result<net::QueryResponse> r = net::QueryWithRetry(
-      &slow, "ASK { ?s ?p ?o . }", Deadline::AfterMillis(20),
+      &slow, "ASK { ?s ?p ?o . }", CancelToken(Deadline::AfterMillis(20)),
       net::RetryPolicy::Standard(3), /*breaker=*/nullptr, &outcome);
   ASSERT_FALSE(r.ok());
   // The deadline ended the loop, not the endpoint: kTimeout, one attempt.
@@ -580,7 +577,7 @@ TEST(FederationBreakerTest, RepeatedFailuresTripTheSharedBreaker) {
   fed::MetricsCollector metrics;
   for (int i = 0; i < 6; ++i) {
     auto r = chaos->faulty.Execute(0, "ASK { ?s ?p ?o . }", &metrics,
-                                   Deadline(), &retry);
+                                   CancelToken(), &retry);
     EXPECT_FALSE(r.ok());
   }
   EXPECT_EQ(chaos->faulty.breaker(0)->state(),

@@ -226,11 +226,12 @@ class FlakyEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return inner_->id(); }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
+  Result<net::QueryResponse> QueryCancellable(
+      const std::string& text, const CancelToken& cancel) override {
     if (remaining_-- <= 0) {
       return Status::Internal("injected endpoint failure at " + id());
     }
-    return inner_->Query(text);
+    return inner_->QueryCancellable(text, cancel);
   }
 
  private:

@@ -191,7 +191,7 @@ TEST_F(SourceSelectionTest, FindsRelevantEndpoints) {
   MetricsCollector metrics;
   auto sources = selector.SelectSources(
       {Pattern("http://p"), Pattern("http://q"), Pattern("http://nope")},
-      &metrics, Deadline(), /*use_cache=*/true);
+      &metrics, CancelToken(), /*use_cache=*/true);
   ASSERT_TRUE(sources.ok());
   EXPECT_EQ((*sources)[0], (std::vector<int>{0, 1}));
   EXPECT_EQ((*sources)[1], (std::vector<int>{1}));
@@ -205,12 +205,12 @@ TEST_F(SourceSelectionTest, FindsRelevantEndpoints) {
 TEST_F(SourceSelectionTest, CacheSuppressesRepeatProbes) {
   SourceSelector selector(federation_.get(), &cache_, &pool_);
   MetricsCollector m1, m2;
-  ASSERT_TRUE(selector
-                  .SelectSources({Pattern("http://p")}, &m1, Deadline(), true)
-                  .ok());
-  ASSERT_TRUE(selector
-                  .SelectSources({Pattern("http://p")}, &m2, Deadline(), true)
-                  .ok());
+  ASSERT_TRUE(
+      selector.SelectSources({Pattern("http://p")}, &m1, CancelToken(), true)
+          .ok());
+  ASSERT_TRUE(
+      selector.SelectSources({Pattern("http://p")}, &m2, CancelToken(), true)
+          .ok());
   ExecutionProfile p2;
   m2.FillCounters(&p2);
   EXPECT_EQ(p2.requests, 0u) << "second run must be served from cache";
@@ -233,8 +233,9 @@ TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
   MetricsCollector metrics;
   Deadline expired = Deadline::AfterMillis(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  auto sources = selector.SelectSources({Pattern("http://p")}, &metrics,
-                                        expired, /*use_cache=*/false);
+  auto sources =
+      selector.SelectSources({Pattern("http://p")}, &metrics,
+                             CancelToken(expired), /*use_cache=*/false);
   ASSERT_FALSE(sources.ok());
   EXPECT_EQ(sources.status().code(), StatusCode::kTimeout);
 }
@@ -242,7 +243,7 @@ TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
 TEST_F(SourceSelectionTest, FederationExecuteValidatesIndex) {
   MetricsCollector metrics;
   auto result = federation_->Execute(99, "ASK { ?s ?p ?o . }", &metrics,
-                                     Deadline());
+                                     CancelToken());
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -276,7 +277,7 @@ TEST(LooksLikeAskQueryTest, TolerantOfWhitespaceCommentsAndPrefixes) {
 TEST_F(SourceSelectionTest, PrefixedAskCountsAsAskRequest) {
   MetricsCollector metrics;
   auto result = federation_->Execute(
-      0, "# source probe\nASK { ?s <http://p> ?o . }", &metrics, Deadline());
+      0, "# source probe\nASK { ?s <http://p> ?o . }", &metrics, CancelToken());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExecutionProfile profile;
   metrics.FillCounters(&profile);

@@ -110,8 +110,9 @@ TEST(RetryDeadlineTest, ExpiredDeadlineFailsBeforeAnyAttempt) {
   Deadline deadline = Deadline::AfterMillis(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   RetryOutcome outcome;
-  auto r = QueryWithRetry(&endpoint, "ASK { ?s ?p ?o . }", deadline,
-                          RetryPolicy::Standard(4), nullptr, &outcome);
+  auto r = QueryWithRetry(&endpoint, "ASK { ?s ?p ?o . }",
+                          CancelToken(deadline), RetryPolicy::Standard(4),
+                          nullptr, &outcome);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
   EXPECT_EQ(outcome.attempts, 0);
@@ -133,8 +134,8 @@ TEST(RetryDeadlineTest, BackoffNeverSleepsPastDeadline) {
   Deadline deadline = Deadline::AfterMillis(40);
   Stopwatch timer;
   RetryOutcome outcome;
-  auto r = QueryWithRetry(injector.get(), "ASK { ?s ?p ?o . }", deadline,
-                          policy, nullptr, &outcome);
+  auto r = QueryWithRetry(injector.get(), "ASK { ?s ?p ?o . }",
+                          CancelToken(deadline), policy, nullptr, &outcome);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
   EXPECT_LT(timer.ElapsedMillis(), 500.0);
@@ -153,8 +154,8 @@ TEST(RetryDeadlineTest, RetrySucceedsWithinGenerousDeadline) {
   for (int i = 0; i < 10; ++i) {
     RetryOutcome outcome;
     auto r = QueryWithRetry(injector.get(), "ASK { ?s <http://ex/p> ?o . }",
-                            Deadline::AfterMillis(5000), policy, nullptr,
-                            &outcome);
+                            CancelToken(Deadline::AfterMillis(5000)), policy,
+                            nullptr, &outcome);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GE(outcome.attempts, 1);
   }

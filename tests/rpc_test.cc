@@ -618,13 +618,15 @@ TEST_F(LoopbackFederationTest, MidQueryServerKillTerminatesCleanly) {
 /// a three-way cross product over `n` triples whose final FILTER
 /// references all three object variables (so it runs at the innermost
 /// enumeration step and rejects every candidate). n = 400 gives 6.4e7
-/// filter evaluations — multiple seconds of evaluation, zero rows.
+/// filter evaluations — multiple seconds of evaluation, zero rows. With
+/// `one_subject` every triple shares one subject, so a subject star over
+/// <http://ex/p> enumerates the same cross product.
 std::shared_ptr<net::SparqlEndpoint> CrossProductEndpoint(
-    const std::string& id, int n = 400) {
+    const std::string& id, int n = 400, bool one_subject = false) {
   auto store = std::make_unique<store::TripleStore>();
   for (int i = 0; i < n; ++i) {
     store->Add(rdf::TermTriple{
-        rdf::Term::Iri("http://ex/s" + std::to_string(i)),
+        rdf::Term::Iri("http://ex/s" + std::to_string(one_subject ? 0 : i)),
         rdf::Term::Iri("http://ex/p"), rdf::Term::Integer(i)});
   }
   store->Freeze();
@@ -674,6 +676,49 @@ TEST(HttpDeadlineTest, ClientDeadlineStopsServerEvaluation) {
   EXPECT_EQ(slow->stats().rows_out, 0u);
   EXPECT_EQ(slow->stats().requests, 0u);
   EXPECT_EQ(server.stats().failed_queries, 1u);
+  server.Stop();
+}
+
+/// An engine-level cancel must reach the request in flight: the query's
+/// token rides from LusailEngine through the Federation to the HTTP
+/// client, which half-closes the connection so the server aborts the
+/// evaluation. The star over one subject makes the slow work happen on
+/// the server (one subquery), not in the federator's join.
+TEST(HttpDeadlineTest, EngineCancelReachesInFlightRequest) {
+  HttpServer server(CrossProductEndpoint("SLOW", 400, /*one_subject=*/true));
+  ASSERT_TRUE(server.Start().ok());
+  fed::Federation federation;
+  federation.Add(
+      std::make_shared<HttpSparqlEndpoint>("SLOW", "127.0.0.1", server.port()));
+  core::LusailEngine engine(&federation);
+
+  CancelToken token = CancelToken::Cancellable(Deadline::AfterMillis(8000));
+  std::thread canceller([token]() mutable {
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    token.Cancel();
+  });
+  Stopwatch timer;
+  Result<fed::FederatedResult> result = engine.Execute(
+      "SELECT ?a WHERE { ?a <http://ex/p> ?x . ?a <http://ex/p> ?y . "
+      "?a <http://ex/p> ?z . FILTER(?x + ?y + ?z < 0) }",
+      token);
+  double elapsed = timer.ElapsedMillis();
+  canceller.join();
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
+      << result.status().ToString();
+  EXPECT_LT(elapsed, 2000.0) << "the cancel did not reach the request";
+  // The server may count the aborted query just after it answers.
+  auto settled = [&server] {
+    rpc::HttpServerStats stats = server.stats();
+    return stats.cancelled_queries + stats.timed_out_queries > 0;
+  };
+  while (!settled() && timer.ElapsedMillis() < 10000.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.stats().cancelled_queries, 1u);
+  EXPECT_EQ(server.stats().timed_out_queries, 0u);
   server.Stop();
 }
 

@@ -402,15 +402,6 @@ class RecordingMember : public net::Endpoint {
   explicit RecordingMember(std::shared_ptr<net::Endpoint> inner)
       : inner_(std::move(inner)) {}
   const std::string& id() const override { return inner_->id(); }
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    Record(text);
-    return inner_->Query(text);
-  }
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string& text, const Deadline& deadline) override {
-    Record(text);
-    return inner_->QueryWithDeadline(text, deadline);
-  }
   Result<net::QueryResponse> QueryCancellable(
       const std::string& text, const CancelToken& cancel) override {
     Record(text);

@@ -747,7 +747,8 @@ class FlakyStreamEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return id_; }
 
-  Result<net::QueryResponse> Query(const std::string&) override {
+  Result<net::QueryResponse> QueryCancellable(const std::string&,
+                                              const CancelToken&) override {
     net::QueryResponse response;
     response.table = table_;
     return response;
@@ -976,15 +977,6 @@ class RecordingEndpoint : public net::Endpoint {
 
   const std::string& id() const override { return inner_->id(); }
 
-  Result<net::QueryResponse> Query(const std::string& text) override {
-    Record(text);
-    return inner_->Query(text);
-  }
-  Result<net::QueryResponse> QueryWithDeadline(
-      const std::string& text, const Deadline& deadline) override {
-    Record(text);
-    return inner_->QueryWithDeadline(text, deadline);
-  }
   Result<net::QueryResponse> QueryCancellable(
       const std::string& text, const CancelToken& cancel) override {
     Record(text);

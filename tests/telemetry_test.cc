@@ -459,11 +459,12 @@ TEST(FlightRecorderTest, QueryHashIsStableAndHexShaped) {
 // Counter-snapshot consistency under concurrency (the scrape race)
 // ---------------------------------------------------------------------
 
-// Regression for the MetricsCollector scrape race: RecordRetryOutcome
-// followed by RecordRequest let a concurrent FillCounters observe the
-// retries of an exchange whose request it had not counted yet, reporting
-// retries > requests. RecordExchange applies both under one lock; this
-// hammer (run under TSan in CI) asserts the invariant never breaks.
+// Regression for the MetricsCollector scrape race: recording an exchange's
+// retries and its request in two separate updates let a concurrent
+// FillCounters observe the retries of an exchange whose request it had
+// not counted yet, reporting retries > requests. RecordExchange applies
+// both under one lock; this hammer (run under TSan in CI) asserts the
+// invariant never breaks.
 TEST(MetricsCollectorRaceTest, SnapshotsNeverShowRetriesAheadOfRequests) {
   fed::MetricsCollector collector;
   constexpr int kWriters = 4;
