@@ -1,6 +1,7 @@
 // Supporting micro-benchmarks for the substrates (not a paper figure):
 // triple-store lookups, dictionary interning, SPARQL parsing, endpoint
-// round-trips, the parallel hash join, and cancellation latency.
+// evaluation and round-trips, the parallel hash join, and cancellation
+// latency.
 
 #include <benchmark/benchmark.h>
 
@@ -13,9 +14,11 @@
 #include "common/cancel.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/gjv_detector.h"
 #include "core/hash_join.h"
 #include "core/id_table.h"
 #include "net/sparql_endpoint.h"
+#include "sparql/evaluator.h"
 #include "sparql/parser.h"
 #include "store/triple_store.h"
 #include "workload/lubm_generator.h"
@@ -112,6 +115,39 @@ void BM_EndpointRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndpointRoundTrip)->Unit(benchmark::kMicrosecond);
+
+/// The endpoint evaluator on a two-university store. Arg 0 runs Q1's six
+/// patterns as one local subquery; rows/s counts its answer rows. Arg 1
+/// runs the GJV check on Q1's ?X between memberOf (outer) and
+/// undergraduateDegreeFrom (inner): every graduate student has a local
+/// degree triple, so the NOT EXISTS probes every outer row and the answer
+/// is empty; rows/s counts the probed outer rows.
+void BM_EvaluateLocalJoin(benchmark::State& state) {
+  static auto store = BuildStore(2);
+  const sparql::Evaluator evaluator(store.get());
+  const std::vector<sparql::TriplePattern> q1 =
+      sparql::ParseQuery(workload::LubmGenerator::Q1())->where.triples;
+  std::string text = workload::LubmGenerator::Q1();
+  size_t rows_per_run = 0;
+  if (state.range(0) == 1) {
+    text = core::GjvDetector::CheckQueryText("X", q1[3], q1[5], {q1[0]});
+    auto outer = sparql::ParseQuery("SELECT ?X WHERE { " + q1[0].ToString() +
+                                    " . " + q1[3].ToString() + " . }");
+    rows_per_run = evaluator.Execute(*outer)->NumRows();
+  }
+  auto query = sparql::ParseQuery(text);
+  size_t answer_rows = 0;
+  for (auto _ : state) {
+    auto table = evaluator.Execute(*query);
+    answer_rows = table->NumRows();
+    benchmark::DoNotOptimize(answer_rows);
+  }
+  if (state.range(0) == 0) rows_per_run = answer_rows;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows_per_run));
+  state.counters["answer_rows"] = static_cast<double>(answer_rows);
+}
+BENCHMARK(BM_EvaluateLocalJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelHashJoin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

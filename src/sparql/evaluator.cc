@@ -1,8 +1,10 @@
 #include "sparql/evaluator.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -95,6 +97,34 @@ struct IdRowHash {
   }
 };
 
+/// One triple pattern of a BGP compiled for a bound set: each position is
+/// a store constant (slot < 0) or a variable slot, read from the partial
+/// row at enumeration time.
+struct CompiledStep {
+  TermId constant[3] = {rdf::kInvalidTermId, rdf::kInvalidTermId,
+                        rdf::kInvalidTermId};
+  int slot[3] = {-1, -1, -1};
+  /// Plain filters (indexes into the group's filters) whose variables are
+  /// all bound once this step has matched.
+  std::vector<size_t> inline_filters;
+};
+
+/// How one group runs for one set of initially bound variables, resolved
+/// once: the join order with every position compiled, and where each
+/// plain filter runs.
+struct GroupPlan {
+  std::vector<CompiledStep> steps;  ///< In join order.
+  std::vector<size_t> post_filters;  ///< Filters not bound within the BGP.
+  bool absent_constant = false;  ///< A constant is not in the store.
+};
+
+/// A group's plans, keyed by which of its plan variables (those of its
+/// triples and plain filters, as slots) are bound in every input row.
+struct GroupPlans {
+  std::vector<int> plan_slots;
+  std::map<std::vector<bool>, GroupPlan> by_bound_set;
+};
+
 class GroupEvaluator {
  public:
   GroupEvaluator(EvalContext* ctx, const CancelToken& cancel)
@@ -112,10 +142,9 @@ class GroupEvaluator {
     if (input.empty()) return input;
 
     // 2. Basic graph pattern with inline filter pushdown.
-    std::vector<size_t> post_filters;
+    const GroupPlan& plan = PlanFor(gp, input);
     std::vector<Binding> rows;
-    LUSAIL_RETURN_NOT_OK(
-        EvalBgp(gp, std::move(input), max_rows, &rows, &post_filters));
+    LUSAIL_RETURN_NOT_OK(EvalBgp(gp, plan, std::move(input), max_rows, &rows));
 
     // 3. UNION chains (each alternative seeded per partial solution).
     for (const auto& chain : gp.unions) {
@@ -149,11 +178,11 @@ class GroupEvaluator {
 
     // 5. Remaining plain filters (those whose variables were not all bound
     // within the BGP) and EXISTS / NOT EXISTS filters.
-    if (!post_filters.empty() || !gp.exists_filters.empty()) {
+    if (!plan.post_filters.empty() || !gp.exists_filters.empty()) {
       std::vector<Binding> kept;
       for (Binding& row : rows) {
         bool pass = true;
-        for (size_t fi : post_filters) {
+        for (size_t fi : plan.post_filters) {
           if (!EvalFilter(gp.filters[fi], MakeLookup(ctx_, row))) {
             pass = false;
             break;
@@ -220,125 +249,153 @@ class GroupEvaluator {
     return out;
   }
 
+  /// The plan for `gp` under the variables bound in every row of `input`
+  /// (non-empty), compiled on first use. Correlated groups (OPTIONAL,
+  /// UNION, [NOT] EXISTS) run once per outer row and reuse it.
+  const GroupPlan& PlanFor(const GraphPattern& gp,
+                           const std::vector<Binding>& input) {
+    auto [it, inserted] = plans_.try_emplace(&gp);
+    GroupPlans& group = it->second;
+    if (inserted) {
+      std::set<std::string> vars;
+      for (const TriplePattern& tp : gp.triples) {
+        for (const std::string& v : tp.VariableNames()) vars.insert(v);
+      }
+      for (const Expr& f : gp.filters) f.CollectVariables(&vars);
+      for (const std::string& v : vars) {
+        group.plan_slots.push_back(ctx_.LookupSlot(v));
+      }
+    }
+    std::vector<bool> bound_set(group.plan_slots.size());
+    for (size_t i = 0; i < group.plan_slots.size(); ++i) {
+      const int slot = group.plan_slots[i];
+      bound_set[i] = std::all_of(input.begin(), input.end(),
+                                 [slot](const Binding& row) {
+                                   return row[slot] != rdf::kInvalidTermId;
+                                 });
+    }
+    auto plan = group.by_bound_set.find(bound_set);
+    if (plan == group.by_bound_set.end()) {
+      std::vector<bool> bound(ctx_.NumSlots(), false);
+      for (size_t i = 0; i < bound_set.size(); ++i) {
+        if (bound_set[i]) bound[group.plan_slots[i]] = true;
+      }
+      plan = group.by_bound_set
+                 .emplace(std::move(bound_set), Compile(gp, std::move(bound)))
+                 .first;
+    }
+    return plan->second;
+  }
+
+  /// Compiles the BGP of `gp` with the slots in `bound` bound on entry.
   /// Greedy static join order: prefer patterns with the most bound slots,
   /// then connectivity to already-bound variables, then the smallest
   /// constant-only index count. Avoids cartesian products when possible.
-  std::vector<size_t> OrderPatterns(const std::vector<TriplePattern>& triples,
-                                    const std::set<std::string>& initial) {
-    std::vector<size_t> order;
-    std::vector<bool> used(triples.size(), false);
-    std::set<std::string> bound = initial;
-    auto const_id = [this](const TermOrVar& tv) -> std::optional<TermId> {
-      if (tv.is_variable()) return std::nullopt;
-      return ctx_.InternForeign(tv.term());
-    };
-    for (size_t n = 0; n < triples.size(); ++n) {
-      size_t best = triples.size();
+  /// Each filter runs after the earliest step that binds all of its
+  /// variables, or after the BGP when none does.
+  GroupPlan Compile(const GraphPattern& gp, std::vector<bool> bound) {
+    const size_t n = gp.triples.size();
+    // Each pattern's positions resolved once (store id, or nullopt for a
+    // variable) and its constant-only match count.
+    std::vector<std::array<std::optional<TermId>, 3>> ids(n);
+    std::vector<uint64_t> estimate(n);
+    for (size_t i = 0; i < n; ++i) {
+      const TriplePattern& tp = gp.triples[i];
+      const TermOrVar* tvs[3] = {&tp.s, &tp.p, &tp.o};
+      for (int j = 0; j < 3; ++j) {
+        if (tvs[j]->is_term()) {
+          ids[i][j] = ctx_.store().dict().Lookup(tvs[j]->term());
+        }
+      }
+      estimate[i] = ctx_.store().Count(ids[i][0], ids[i][1], ids[i][2]);
+    }
+    std::vector<std::vector<int>> filter_slots(gp.filters.size());
+    for (size_t fi = 0; fi < gp.filters.size(); ++fi) {
+      std::set<std::string> fvars;
+      gp.filters[fi].CollectVariables(&fvars);
+      for (const std::string& v : fvars) {
+        filter_slots[fi].push_back(ctx_.LookupSlot(v));
+      }
+    }
+    std::vector<bool> placed(gp.filters.size(), false);
+
+    GroupPlan plan;
+    std::vector<bool> used(n, false);
+    for (size_t k = 0; k < n; ++k) {
+      size_t best = n;
       // Order key: (disconnected, -bound_slots, estimated_count).
       std::tuple<int, int, uint64_t> best_key{2, 0, 0};
-      for (size_t i = 0; i < triples.size(); ++i) {
+      for (size_t i = 0; i < n; ++i) {
         if (used[i]) continue;
-        const TriplePattern& tp = triples[i];
+        const TriplePattern& tp = gp.triples[i];
         int bound_slots = 0;
         bool shares = false;
         for (const TermOrVar* tv : {&tp.s, &tp.p, &tp.o}) {
           if (!tv->is_variable()) {
             ++bound_slots;
-          } else if (bound.count(tv->var().name)) {
+          } else if (bound[ctx_.LookupSlot(tv->var().name)]) {
             ++bound_slots;
             shares = true;
           }
         }
-        int disconnected = (bound_slots == 0 && !bound.empty() && n > 0) ||
-                                   (n > 0 && !shares && bound_slots == 0)
-                               ? 1
-                               : 0;
-        if (n > 0 && !shares && bound_slots > 0) {
-          // Constants only, no shared variable: still a cartesian product
-          // with what is bound so far, but a cheap one.
-          disconnected = 1;
-        }
-        if (n == 0) disconnected = 0;
-        uint64_t est = ctx_.store().Count(const_id(tp.s), const_id(tp.p),
-                                          const_id(tp.o));
-        std::tuple<int, int, uint64_t> key{disconnected, -bound_slots, est};
-        if (best == triples.size() || key < best_key) {
+        // A pattern sharing no bound variable is a cartesian product with
+        // what is bound so far; one with constants is a cheap one.
+        int disconnected = k > 0 && !shares ? 1 : 0;
+        std::tuple<int, int, uint64_t> key{disconnected, -bound_slots,
+                                           estimate[i]};
+        if (best == n || key < best_key) {
           best = i;
           best_key = key;
         }
       }
-      order.push_back(best);
       used[best] = true;
-      for (const std::string& v : triples[best].VariableNames()) {
-        bound.insert(v);
+
+      const TriplePattern& tp = gp.triples[best];
+      CompiledStep step;
+      const TermOrVar* tvs[3] = {&tp.s, &tp.p, &tp.o};
+      for (int i = 0; i < 3; ++i) {
+        if (tvs[i]->is_variable()) {
+          step.slot[i] = ctx_.LookupSlot(tvs[i]->var().name);
+          bound[step.slot[i]] = true;
+        } else {
+          step.constant[i] = *ids[best][i];
+          if (step.constant[i] == rdf::kInvalidTermId) {
+            plan.absent_constant = true;
+          }
+        }
       }
+      for (size_t fi = 0; fi < gp.filters.size(); ++fi) {
+        if (!placed[fi] &&
+            std::all_of(filter_slots[fi].begin(), filter_slots[fi].end(),
+                        [&bound](int slot) { return bound[slot]; })) {
+          step.inline_filters.push_back(fi);
+          placed[fi] = true;
+        }
+      }
+      plan.steps.push_back(std::move(step));
     }
-    return order;
+    for (size_t fi = 0; fi < gp.filters.size(); ++fi) {
+      if (!placed[fi]) plan.post_filters.push_back(fi);
+    }
+    return plan;
   }
 
-  Status EvalBgp(const GraphPattern& gp, std::vector<Binding> input,
-                 size_t max_rows, std::vector<Binding>* out,
-                 std::vector<size_t>* post_filters) {
-    // Make sure every variable in this group has a slot.
-    std::set<std::string> group_vars;
-    gp.CollectVariables(&group_vars);
-    for (const std::string& v : group_vars) ctx_.SlotFor(v);
-
-    if (gp.triples.empty()) {
-      // Pure filter/optional group: all plain filters become post filters.
-      for (size_t i = 0; i < gp.filters.size(); ++i) post_filters->push_back(i);
+  Status EvalBgp(const GraphPattern& gp, const GroupPlan& plan,
+                 std::vector<Binding> input, size_t max_rows,
+                 std::vector<Binding>* out) {
+    if (plan.steps.empty()) {
       *out = std::move(input);
       return Status::OK();
     }
-
-    // Initially-bound variables: bound in every input row.
-    std::set<std::string> initial;
-    for (const std::string& v : group_vars) {
-      int slot = ctx_.LookupSlot(v);
-      bool all = !input.empty();
-      for (const Binding& row : input) {
-        if (row[slot] == rdf::kInvalidTermId) {
-          all = false;
-          break;
-        }
-      }
-      if (all) initial.insert(v);
-    }
-
-    std::vector<size_t> order = OrderPatterns(gp.triples, initial);
-
-    // Assign each filter to the earliest step after which its variables
-    // are all bound; unassignable filters run post-BGP.
-    std::vector<std::set<std::string>> bound_after(order.size());
-    std::set<std::string> running = initial;
-    for (size_t k = 0; k < order.size(); ++k) {
-      for (const std::string& v : gp.triples[order[k]].VariableNames()) {
-        running.insert(v);
-      }
-      bound_after[k] = running;
-    }
-    std::vector<std::vector<size_t>> inline_at(order.size());
-    for (size_t fi = 0; fi < gp.filters.size(); ++fi) {
-      std::set<std::string> fvars;
-      gp.filters[fi].CollectVariables(&fvars);
-      bool assigned = false;
-      for (size_t k = 0; k < order.size() && !assigned; ++k) {
-        if (std::includes(bound_after[k].begin(), bound_after[k].end(),
-                          fvars.begin(), fvars.end())) {
-          inline_at[k].push_back(fi);
-          assigned = true;
-        }
-      }
-      if (!assigned) post_filters->push_back(fi);
-    }
+    if (plan.absent_constant) return Status::OK();
 
     // The BGP may stop early only if no later stage can drop rows.
-    bool later_reduces = !post_filters->empty() || !gp.exists_filters.empty() ||
-                         !gp.unions.empty();
+    bool later_reduces = !plan.post_filters.empty() ||
+                         !gp.exists_filters.empty() || !gp.unions.empty();
     size_t bgp_max = later_reduces ? kNoLimit : max_rows;
 
     for (Binding& row : input) {
-      Enumerate(gp, order, inline_at, 0, &row, bgp_max, out);
+      Enumerate(gp, plan, 0, &row, bgp_max, out);
       if (cancelled_) return cancel_.StatusAt("endpoint evaluation");
       if (out->size() >= bgp_max) break;
     }
@@ -355,35 +412,26 @@ class GroupEvaluator {
     return cancelled_;
   }
 
-  void Enumerate(const GraphPattern& gp, const std::vector<size_t>& order,
-                 const std::vector<std::vector<size_t>>& inline_at,
-                 size_t step, Binding* row, size_t max_rows,
-                 std::vector<Binding>* out) {
+  void Enumerate(const GraphPattern& gp, const GroupPlan& plan, size_t step,
+                 Binding* row, size_t max_rows, std::vector<Binding>* out) {
     if (out->size() >= max_rows) return;
-    if (step == order.size()) {
+    if (step == plan.steps.size()) {
       out->push_back(*row);
       return;
     }
-    const TriplePattern& tp = gp.triples[order[step]];
+    const CompiledStep& cs = plan.steps[step];
 
-    // Resolve each position: a constant id, a bound variable id, or a
-    // wildcard (with its slot recorded for assignment).
+    // Each variable position is bound by the row (a lookup key) or free
+    // (its slot recorded for assignment).
     std::optional<TermId> pos[3];
     int assign_slot[3] = {-1, -1, -1};
-    const TermOrVar* tvs[3] = {&tp.s, &tp.p, &tp.o};
     for (int i = 0; i < 3; ++i) {
-      if (tvs[i]->is_variable()) {
-        int slot = ctx_.LookupSlot(tvs[i]->var().name);
-        TermId bound = (*row)[slot];
-        if (bound != rdf::kInvalidTermId) {
-          pos[i] = bound;
-        } else {
-          assign_slot[i] = slot;
-        }
+      if (cs.slot[i] < 0) {
+        pos[i] = cs.constant[i];
+      } else if ((*row)[cs.slot[i]] != rdf::kInvalidTermId) {
+        pos[i] = (*row)[cs.slot[i]];
       } else {
-        TermId id = ctx_.store().dict().Lookup(tvs[i]->term());
-        if (id == rdf::kInvalidTermId) return;  // Constant not in store.
-        pos[i] = id;
+        assign_slot[i] = cs.slot[i];
       }
     }
 
@@ -408,15 +456,13 @@ class GroupEvaluator {
       }
       if (ok) {
         bool filters_pass = true;
-        for (size_t fi : inline_at[step]) {
+        for (size_t fi : cs.inline_filters) {
           if (!EvalFilter(gp.filters[fi], MakeLookup(ctx_, *row))) {
             filters_pass = false;
             break;
           }
         }
-        if (filters_pass) {
-          Enumerate(gp, order, inline_at, step + 1, row, max_rows, out);
-        }
+        if (filters_pass) Enumerate(gp, plan, step + 1, row, max_rows, out);
       }
       for (int i = 0; i < num_assigned; ++i) {
         (*row)[assigned[i]] = rdf::kInvalidTermId;
@@ -429,6 +475,9 @@ class GroupEvaluator {
   const CancelToken& cancel_;
   uint64_t cancel_ticks_ = 0;
   bool cancelled_ = false;
+  /// Plan memo for this execution only: evaluators are shared by
+  /// concurrent server workers, so nothing here outlives Execute().
+  std::unordered_map<const GraphPattern*, GroupPlans> plans_;
 };
 
 }  // namespace

@@ -20,6 +20,12 @@ namespace lusail::sparql {
 /// UNION (seeded per partial solution), OPTIONAL (left outer join),
 /// FILTER [NOT] EXISTS (correlated emptiness probe with early exit), and
 /// remaining filters; finally DISTINCT / COUNT / LIMIT / OFFSET.
+///
+/// Each group's plan (join order, constants resolved to store ids,
+/// variables to row slots, filter placement) is built once per group and
+/// set of initially bound variables, so correlated groups that run once
+/// per outer row reuse it. Plans live only for one Execute() call; the
+/// evaluator itself holds no mutable state and may be shared by threads.
 class Evaluator {
  public:
   /// The store must outlive the evaluator and be frozen.

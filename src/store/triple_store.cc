@@ -1,9 +1,10 @@
 #include "store/triple_store.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <cassert>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <tuple>
 
 namespace lusail::store {
@@ -27,24 +28,33 @@ struct OspLess {
   }
 };
 
-// Binary-searches `index` (sorted by `Less`) for the range whose first
-// `prefix_len` key components equal those of `key`. KeyFn extracts the
-// (k1, k2, k3) tuple in index order.
-template <typename KeyFn>
-std::span<const EncodedTriple> PrefixRange(
-    const std::vector<EncodedTriple>& index, const EncodedTriple& key,
-    int prefix_len, KeyFn key_fn) {
-  auto cmp_prefix = [&](const EncodedTriple& a, const EncodedTriple& b) {
-    auto ka = key_fn(a);
-    auto kb = key_fn(b);
-    for (int i = 0; i < prefix_len; ++i) {
-      if (ka[i] != kb[i]) return ka[i] < kb[i];
-    }
-    return false;
-  };
-  auto lo = std::lower_bound(index.begin(), index.end(), key, cmp_prefix);
-  auto hi = std::upper_bound(index.begin(), index.end(), key, cmp_prefix);
-  return {index.data() + (lo - index.begin()), static_cast<size_t>(hi - lo)};
+// Builds the run directory of `index` (sorted by `key` first): the
+// entries whose leading key is id lie at [begin[id], begin[id + 1]).
+// One counting pass plus a prefix sum over `num_ids` + 1 slots.
+std::vector<uint32_t> BuildDirectory(const std::vector<EncodedTriple>& index,
+                                     rdf::TermId EncodedTriple::*key,
+                                     size_t num_ids) {
+  std::vector<uint32_t> begin(num_ids + 1, 0);
+  for (const EncodedTriple& t : index) ++begin[t.*key + 1];
+  for (size_t id = 0; id < num_ids; ++id) begin[id + 1] += begin[id];
+  return begin;
+}
+
+// The run of `index` whose leading key is `id`; empty for ids the
+// directory does not cover (foreign ids, kInvalidTermId).
+std::span<const EncodedTriple> LeadingRun(
+    const std::vector<EncodedTriple>& index,
+    const std::vector<uint32_t>& begin, rdf::TermId id) {
+  if (begin.empty() || id >= begin.size() - 1) return {};
+  return {index.data() + begin[id], index.data() + begin[id + 1]};
+}
+
+// The sub-run of `run` (sorted by `key` within it) whose `key` equals id.
+std::span<const EncodedTriple> Narrow(std::span<const EncodedTriple> run,
+                                      rdf::TermId EncodedTriple::*key,
+                                      rdf::TermId id) {
+  auto [lo, hi] = std::ranges::equal_range(run, id, {}, key);
+  return {lo, hi};
 }
 
 }  // namespace
@@ -54,11 +64,6 @@ void TripleStore::Add(const rdf::TermTriple& triple) {
   EncodedTriple et{dict_.Intern(triple.subject), dict_.Intern(triple.predicate),
                    dict_.Intern(triple.object)};
   spo_.push_back(et);
-}
-
-void TripleStore::AddEncoded(EncodedTriple triple) {
-  assert(!frozen_ && "AddEncoded() after Freeze()");
-  spo_.push_back(triple);
 }
 
 Status TripleStore::LoadNTriplesFile(const std::string& path) {
@@ -86,10 +91,14 @@ void TripleStore::Freeze() {
   std::sort(pos_.begin(), pos_.end(), PosLess());
   osp_ = spo_;
   std::sort(osp_.begin(), osp_.end(), OspLess());
+  assert(spo_.size() < std::numeric_limits<uint32_t>::max());
+  spo_begin_ = BuildDirectory(spo_, &EncodedTriple::s, dict_.size());
+  pos_begin_ = BuildDirectory(pos_, &EncodedTriple::p, dict_.size());
+  osp_begin_ = BuildDirectory(osp_, &EncodedTriple::o, dict_.size());
 
-  // Predicate statistics from a PSO-ordered pass (pos_ is POS ordered, so
-  // distinct objects are easy; distinct subjects need a set per predicate —
-  // we instead count from spo_ grouped by predicate using a small map pass).
+  // Predicate statistics from one pass over each predicate's pos_ run:
+  // objects arrive sorted, so distinct objects count on the fly; the
+  // run's subjects are collected and sorted to count them.
   predicate_stats_.clear();
   for (size_t i = 0; i < pos_.size();) {
     rdf::TermId p = pos_[i].p;
@@ -121,31 +130,21 @@ std::span<const EncodedTriple> TripleStore::Match(
     std::optional<rdf::TermId> s, std::optional<rdf::TermId> p,
     std::optional<rdf::TermId> o) const {
   assert(frozen_ && "Match() before Freeze()");
-  EncodedTriple key{s.value_or(0), p.value_or(0), o.value_or(0)};
-  auto spo_key = [](const EncodedTriple& t) {
-    return std::array<rdf::TermId, 3>{t.s, t.p, t.o};
-  };
-  auto pos_key = [](const EncodedTriple& t) {
-    return std::array<rdf::TermId, 3>{t.p, t.o, t.s};
-  };
-  auto osp_key = [](const EncodedTriple& t) {
-    return std::array<rdf::TermId, 3>{t.o, t.s, t.p};
-  };
   if (s.has_value()) {
-    if (p.has_value()) {
-      return PrefixRange(spo_, key, o.has_value() ? 3 : 2, spo_key);
+    if (o.has_value() && !p.has_value()) {
+      // (s, ?, o): the object's osp_ run, narrowed to the subject.
+      return Narrow(LeadingRun(osp_, osp_begin_, *o), &EncodedTriple::s, *s);
     }
-    if (o.has_value()) {
-      return PrefixRange(osp_, key, 2, osp_key);  // (o, s) prefix.
-    }
-    return PrefixRange(spo_, key, 1, spo_key);
+    std::span<const EncodedTriple> run = LeadingRun(spo_, spo_begin_, *s);
+    if (!p.has_value()) return run;
+    run = Narrow(run, &EncodedTriple::p, *p);
+    return o.has_value() ? Narrow(run, &EncodedTriple::o, *o) : run;
   }
   if (p.has_value()) {
-    return PrefixRange(pos_, key, o.has_value() ? 2 : 1, pos_key);
+    std::span<const EncodedTriple> run = LeadingRun(pos_, pos_begin_, *p);
+    return o.has_value() ? Narrow(run, &EncodedTriple::o, *o) : run;
   }
-  if (o.has_value()) {
-    return PrefixRange(osp_, key, 1, osp_key);
-  }
+  if (o.has_value()) return LeadingRun(osp_, osp_begin_, *o);
   return {spo_.data(), spo_.size()};
 }
 
@@ -165,6 +164,9 @@ std::vector<rdf::TermId> TripleStore::Predicates() const {
 size_t TripleStore::MemoryUsageBytes() const {
   return (spo_.capacity() + pos_.capacity() + osp_.capacity()) *
              sizeof(EncodedTriple) +
+         (spo_begin_.capacity() + pos_begin_.capacity() +
+          osp_begin_.capacity()) *
+             sizeof(uint32_t) +
          dict_.MemoryUsageBytes();
 }
 

@@ -36,10 +36,15 @@ struct PredicateStats {
 
 /// In-memory dictionary-encoded triple store with three covering sorted
 /// indexes (SPO, POS, OSP). Every bound-position combination of a triple
-/// pattern is a prefix of one of the three orders, so all lookups are
-/// binary-search range scans with no residual filtering.
+/// pattern is a prefix of one of the three orders, so every lookup is one
+/// contiguous range with no residual filtering. Each index has a run
+/// directory indexed by the dense id of its leading term, so the run of a
+/// subject, predicate or object is found in O(1); a second or third bound
+/// position is a binary search inside that run.
 ///
 /// Usage: Add() triples, then Freeze() once; Match()/Count() afterwards.
+/// A store holds fewer than 2^32 distinct triples (the directories keep
+/// 32-bit offsets).
 class TripleStore {
  public:
   TripleStore() = default;
@@ -50,16 +55,14 @@ class TripleStore {
   /// Interns the triple's terms and buffers it. Requires !frozen().
   void Add(const rdf::TermTriple& triple);
 
-  /// Adds an already-encoded triple (ids must come from dict()).
-  void AddEncoded(EncodedTriple triple);
-
   /// Bulk-loads an N-Triples document.
   Status LoadNTriples(std::string_view text);
 
   /// Bulk-loads an N-Triples file from disk.
   Status LoadNTriplesFile(const std::string& path);
 
-  /// Sorts the three indexes, deduplicates, and computes statistics.
+  /// Sorts the three indexes, deduplicates, builds the run directories
+  /// and computes statistics.
   /// Idempotent; Add() after Freeze() is a programming error.
   void Freeze();
 
@@ -69,12 +72,12 @@ class TripleStore {
   size_t size() const { return spo_.size(); }
 
   const rdf::Dictionary& dict() const { return dict_; }
-  rdf::Dictionary* mutable_dict() { return &dict_; }
 
   /// Returns all triples matching the pattern; std::nullopt positions are
-  /// wildcards. The result is a contiguous range of one of the indexes
-  /// (ordering depends on which index served the lookup). Requires
-  /// frozen().
+  /// wildcards. The result is a contiguous range of one index, in that
+  /// index's order: OSP for (s, ?, o) and (?, ?, o), POS for (?, p, ?)
+  /// and (?, p, o), SPO otherwise. Ids the store never interned match
+  /// nothing. Requires frozen().
   std::span<const EncodedTriple> Match(std::optional<rdf::TermId> s,
                                        std::optional<rdf::TermId> p,
                                        std::optional<rdf::TermId> o) const;
@@ -97,7 +100,7 @@ class TripleStore {
   /// All distinct predicates in the store.
   std::vector<rdf::TermId> Predicates() const;
 
-  /// Approximate memory footprint: indexes + dictionary.
+  /// Approximate memory footprint: indexes + directories + dictionary.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -107,6 +110,12 @@ class TripleStore {
   std::vector<EncodedTriple> spo_;
   std::vector<EncodedTriple> pos_;
   std::vector<EncodedTriple> osp_;
+  // Run directories (dict_.size() + 1 offsets each): the spo_ entries with
+  // subject id are [spo_begin_[id], spo_begin_[id + 1]); pos_begin_ and
+  // osp_begin_ do the same for predicates in pos_ and objects in osp_.
+  std::vector<uint32_t> spo_begin_;
+  std::vector<uint32_t> pos_begin_;
+  std::vector<uint32_t> osp_begin_;
   std::unordered_map<rdf::TermId, PredicateStats> predicate_stats_;
 };
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
 #include "rdf/term.h"
 
 namespace lusail::store {
@@ -84,6 +91,90 @@ TEST_F(TripleStoreTest, UnknownIdsMatchNothing) {
   EXPECT_EQ(store_.Count(bogus, std::nullopt, std::nullopt), 0u);
   EXPECT_EQ(store_.Count(std::nullopt, bogus, std::nullopt), 0u);
   EXPECT_EQ(store_.Count(std::nullopt, std::nullopt, bogus), 0u);
+}
+
+TEST_F(TripleStoreTest, DirectoryMatchEqualsBruteForce) {
+  // Random triples: subjects s0..s39, predicate-only terms p0..p7, and
+  // objects that are either subjects s0..s19 or literals, so s20..s39 are
+  // never objects. Draws repeat triples; every tenth is added twice.
+  Rng rng(20170514);
+  auto iri = [](const char* kind, uint64_t i) {
+    return Term::Iri(std::string("http://") + kind + std::to_string(i));
+  };
+  TripleStore store;
+  std::vector<TermTriple> added;
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t o = rng.NextBelow(40);
+    added.push_back(TermTriple{
+        iri("s", rng.NextBelow(40)), iri("p", rng.NextBelow(8)),
+        o < 20 ? iri("s", o) : Term::Literal("v" + std::to_string(o))});
+    if (i % 10 == 0) added.push_back(added.back());
+  }
+  for (const TermTriple& t : added) store.Add(t);
+  store.Freeze();
+
+  std::set<std::tuple<TermId, TermId, TermId>> distinct;
+  for (const TermTriple& t : added) {
+    distinct.emplace(store.dict().Lookup(t.subject),
+                     store.dict().Lookup(t.predicate),
+                     store.dict().Lookup(t.object));
+  }
+  ASSERT_LT(distinct.size(), added.size());
+  ASSERT_EQ(store.size(), distinct.size());
+
+  std::vector<TermId> ids = {rdf::kInvalidTermId};
+  for (TermId id = 0; id < store.dict().size() + 2; ++id) ids.push_back(id);
+
+  for (int mask = 0; mask < 8; ++mask) {
+    const bool bs = mask & 4, bp = mask & 2, bo = mask & 1;
+    // The index Match documents for this combination, as a sort key.
+    auto order = [&](const EncodedTriple& t) {
+      if (bs && !bp && bo) return std::array<TermId, 3>{t.o, t.s, t.p};
+      if (bs || (!bp && !bo)) return std::array<TermId, 3>{t.s, t.p, t.o};
+      if (bp) return std::array<TermId, 3>{t.p, t.o, t.s};
+      return std::array<TermId, 3>{t.o, t.s, t.p};
+    };
+    // Brute force: every distinct triple in index order, grouped by its
+    // bound components (unbound ones keyed as 0).
+    std::vector<EncodedTriple> sorted;
+    for (const auto& [s, p, o] : distinct) sorted.push_back({s, p, o});
+    std::sort(sorted.begin(), sorted.end(),
+              [&](const EncodedTriple& a, const EncodedTriple& b) {
+                return order(a) < order(b);
+              });
+    std::map<std::array<TermId, 3>, std::vector<EncodedTriple>> expected;
+    for (const EncodedTriple& t : sorted) {
+      expected[{bs ? t.s : 0, bp ? t.p : 0, bo ? t.o : 0}].push_back(t);
+    }
+    const std::vector<TermId> wildcard = {0};
+    for (TermId s : bs ? ids : wildcard) {
+      for (TermId p : bp ? ids : wildcard) {
+        for (TermId o : bo ? ids : wildcard) {
+          auto got = store.Match(bs ? std::optional(s) : std::nullopt,
+                                 bp ? std::optional(p) : std::nullopt,
+                                 bo ? std::optional(o) : std::nullopt);
+          auto it = expected.find({s, p, o});
+          std::vector<EncodedTriple> want;
+          if (it != expected.end()) want = it->second;
+          ASSERT_EQ(std::vector<EncodedTriple>(got.begin(), got.end()), want)
+              << "mask " << mask << " ids " << s << " " << p << " " << o;
+        }
+      }
+    }
+  }
+
+  // An empty frozen store matches nothing under any combination.
+  TripleStore empty;
+  empty.Freeze();
+  for (int mask = 0; mask < 8; ++mask) {
+    for (TermId id : {TermId{0}, TermId{1}, rdf::kInvalidTermId}) {
+      EXPECT_TRUE(empty
+                      .Match(mask & 4 ? std::optional(id) : std::nullopt,
+                             mask & 2 ? std::optional(id) : std::nullopt,
+                             mask & 1 ? std::optional(id) : std::nullopt)
+                      .empty());
+    }
+  }
 }
 
 TEST_F(TripleStoreTest, PredicateStats) {
