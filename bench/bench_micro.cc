@@ -7,9 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/cancel.h"
 #include "common/rng.h"
@@ -78,6 +81,9 @@ void BM_StoreFreeze(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreFreeze)->Unit(benchmark::kMillisecond);
 
+/// Interning into the store's rdf::Dictionary (one unsynchronized hash
+/// map, what TripleStore::Add pays per term), not the federator's
+/// boundary encode: BM_EncodeResultTable measures that.
 void BM_DictionaryIntern(benchmark::State& state) {
   std::vector<rdf::Term> terms;
   for (int i = 0; i < 10000; ++i) {
@@ -93,6 +99,49 @@ void BM_DictionaryIntern(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_DictionaryIntern)->Unit(benchmark::kMillisecond);
+
+/// The federator's boundary encode, core::EncodeResultTable into a
+/// core::TermDictionary: 64k cells (16k rows of 4 columns) drawn with
+/// repetition from the IRIs of a two-university store, as an endpoint
+/// response carries them. Arg 0 is warm (the dictionary already holds
+/// every term, so each cell is a hit, as on a warm engine); arg 1 is cold
+/// (a fresh dictionary per iteration). cells/s counts encoded cells.
+void BM_EncodeResultTable(benchmark::State& state) {
+  static auto store = BuildStore(2);
+  constexpr size_t kRows = 16384;
+  constexpr size_t kCols = 4;
+  std::vector<const rdf::Term*> iris;
+  for (rdf::TermId id = 0; id < store->dict().size(); ++id) {
+    const rdf::Term& term = store->dict().term(id);
+    if (term.is_iri()) iris.push_back(&term);
+  }
+  sparql::ResultTable table;
+  table.vars = {"a", "b", "c", "d"};
+  Rng rng(9);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::vector<std::optional<rdf::Term>> row;
+    for (size_t c = 0; c < kCols; ++c) {
+      row.push_back(*iris[rng.NextBelow(iris.size())]);
+    }
+    table.rows.push_back(std::move(row));
+  }
+  const bool cold = state.range(0) == 1;
+  auto dict = std::make_unique<core::TermDictionary>();
+  if (!cold) core::EncodeResultTable(table, dict.get());
+  for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      dict = std::make_unique<core::TermDictionary>();
+      state.ResumeTiming();
+    }
+    core::IdTable ids = core::EncodeResultTable(table, dict.get());
+    benchmark::DoNotOptimize(ids.Column(0).data());
+  }
+  state.counters["cells/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows * kCols),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EncodeResultTable)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_ParseQuery(benchmark::State& state) {
   std::string query = workload::LubmGenerator::QueryQa();

@@ -78,6 +78,14 @@ std::string EscapeLiteral(std::string_view s) {
   return out;
 }
 
+size_t EscapedLiteralSize(std::string_view s) {
+  size_t size = s.size();
+  for (char c : s) {
+    size += c == '\\' || c == '"' || c == '\n' || c == '\r' || c == '\t';
+  }
+  return size;
+}
+
 std::string UnescapeLiteral(std::string_view s) {
   std::string out;
   out.reserve(s.size());

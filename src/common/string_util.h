@@ -26,6 +26,9 @@ std::string_view StripWhitespace(std::string_view s);
 /// (backslash, quote, newline, carriage return, tab).
 std::string EscapeLiteral(std::string_view s);
 
+/// EscapeLiteral(s).size(), without building the string.
+size_t EscapedLiteralSize(std::string_view s);
+
 /// Reverses EscapeLiteral. Unknown escapes are passed through verbatim.
 std::string UnescapeLiteral(std::string_view s);
 

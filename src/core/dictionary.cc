@@ -1,5 +1,7 @@
 #include "core/dictionary.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,11 +19,35 @@ std::atomic<uint64_t>& EpochCounter() {
 }
 
 /// Approximate resident cost of one interned term: string payloads plus
-/// the deque slot and the hash-table entry it occupies.
+/// its deque entries (the term and its content hash). The shard's slot
+/// array is charged separately.
 size_t TermBytes(const rdf::Term& term) {
   return term.lexical().size() + term.datatype().size() +
-         term.lang().size() + 2 * sizeof(rdf::Term) +
-         sizeof(rdf::TermId) + 32;
+         term.lang().size() + sizeof(rdf::Term) + sizeof(uint64_t);
+}
+
+/// How many cells ahead InternBatch prefetches the home slot: far enough
+/// to cover a cache miss behind one probe and term compare.
+constexpr size_t kPrefetchDistance = 8;
+
+/// Counting sort of batch positions by shard: the positions whose
+/// shard_of(i) is s end up in order[begin[s], begin[s + 1]), in batch
+/// order; a shard_of(i) of kNumShards or more leaves i out.
+template <size_t kNumShards, typename ShardOf>
+void GroupByShard(size_t n, ShardOf shard_of, std::vector<uint32_t>* order,
+                  std::array<size_t, kNumShards + 1>* begin) {
+  std::array<size_t, kNumShards + 1> next{};
+  for (size_t i = 0; i < n; ++i) {
+    size_t s = shard_of(i);
+    if (s < kNumShards) ++next[s + 1];
+  }
+  for (size_t s = 0; s < kNumShards; ++s) next[s + 1] += next[s];
+  *begin = next;
+  order->resize(next[kNumShards]);
+  for (size_t i = 0; i < n; ++i) {
+    size_t s = shard_of(i);
+    if (s < kNumShards) (*order)[next[s]++] = static_cast<uint32_t>(i);
+  }
 }
 
 /// Stable FNV-1a over the term's full identity. Field separators (bytes
@@ -49,7 +75,8 @@ uint64_t HashTermContent(const rdf::Term& term) {
 // Snapshot wire format (all integers little-endian):
 //
 //   8 bytes  magic "LUSDICTS"
-//   u32      version (currently 1)
+//   u32      version (currently 2; version 1 placed terms in shards by
+//            an older rdf::Term::Hash)
 //   u64      shard count (must equal kShards)
 //   per shard:
 //     u64    number of terms, in insertion (id) order
@@ -60,7 +87,7 @@ uint64_t HashTermContent(const rdf::Term& term) {
 // ---------------------------------------------------------------------
 
 constexpr char kDictMagic[8] = {'L', 'U', 'S', 'D', 'I', 'C', 'T', 'S'};
-constexpr uint32_t kDictSnapshotVersion = 1;
+constexpr uint32_t kDictSnapshotVersion = 2;
 
 namespace {
 
@@ -266,7 +293,7 @@ Result<uint64_t> TermDictionary::LoadFromDisk(const std::string& path) {
       }
       rdf::Term term = TermFromFields(kind, std::move(lexical),
                                       std::move(datatype), std::move(lang));
-      if (ShardOf(term) != s) {
+      if ((term.Hash() & kShardMask) != s) {
         return Status::InvalidArgument(
             "dictionary snapshot term hashes to the wrong shard (stale or "
             "corrupt snapshot): " + path);
@@ -282,15 +309,10 @@ Result<uint64_t> TermDictionary::LoadFromDisk(const std::string& path) {
   for (size_t s = 0; s < kShards; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (rdf::Term& term : parsed[s]) {
-      rdf::TermId id = (static_cast<rdf::TermId>(shard.terms.size()) << 4) |
-                       static_cast<rdf::TermId>(s);
-      shard.hashes.push_back(HashTermContent(term));
-      shard.bytes += TermBytes(term);
-      shard.ids.emplace(term, id);
-      shard.terms.push_back(std::move(term));
-      ++restored;
+    for (const rdf::Term& term : parsed[s]) {
+      FindOrInsert(&shard, term, term.Hash());
     }
+    restored += shard.terms.size();
   }
   return restored;
 }
@@ -298,19 +320,86 @@ Result<uint64_t> TermDictionary::LoadFromDisk(const std::string& path) {
 TermDictionary::TermDictionary()
     : epoch_(EpochCounter().fetch_add(1, std::memory_order_relaxed)) {}
 
-rdf::TermId TermDictionary::Intern(const rdf::Term& term) {
-  size_t s = ShardOf(term);
-  Shard& shard = shards_[s];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.ids.find(term);
-  if (it != shard.ids.end()) return it->second;
-  rdf::TermId id = (static_cast<rdf::TermId>(shard.terms.size()) << 4) |
-                   static_cast<rdf::TermId>(s);
-  shard.terms.push_back(term);
-  shard.hashes.push_back(HashTermContent(term));
-  shard.ids.emplace(term, id);
-  shard.bytes += TermBytes(term);
+size_t TermDictionary::Probe(const Shard& shard, const rdf::Term& term,
+                             uint64_t hash) {
+  const size_t mask = shard.slots.size() - 1;
+  for (size_t i = hash >> shard.slot_shift;; i = (i + 1) & mask) {
+    const Slot& slot = shard.slots[i];
+    if (slot.id == rdf::kInvalidTermId ||
+        (slot.hash == hash && shard.terms[slot.id >> 4] == term)) {
+      return i;
+    }
+  }
+}
+
+rdf::TermId TermDictionary::FindOrInsert(Shard* shard, const rdf::Term& term,
+                                         uint64_t hash) {
+  const size_t slot = Probe(*shard, term, hash);
+  if (shard->slots[slot].id != rdf::kInvalidTermId) {
+    return shard->slots[slot].id;
+  }
+  rdf::TermId id = (static_cast<rdf::TermId>(shard->terms.size()) << 4) |
+                   (hash & kShardMask);
+  shard->terms.push_back(term);
+  shard->hashes.push_back(HashTermContent(term));
+  shard->bytes += TermBytes(term);
+  shard->slots[slot] = Slot{hash, id};
+  if (2 * shard->terms.size() > shard->slots.size()) {
+    // Double the index, re-placing slots by their stored hashes.
+    std::vector<Slot> grown(2 * shard->slots.size(),
+                            Slot{0, rdf::kInvalidTermId});
+    const unsigned shift = shard->slot_shift - 1;
+    const size_t mask = grown.size() - 1;
+    for (const Slot& old : shard->slots) {
+      if (old.id == rdf::kInvalidTermId) continue;
+      size_t i = old.hash >> shift;
+      while (grown[i].id != rdf::kInvalidTermId) i = (i + 1) & mask;
+      grown[i] = old;
+    }
+    shard->slots = std::move(grown);
+    shard->slot_shift = shift;
+  }
   return id;
+}
+
+rdf::TermId TermDictionary::Intern(const rdf::Term& term) {
+  const uint64_t hash = term.Hash();
+  Shard& shard = shards_[hash & kShardMask];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return FindOrInsert(&shard, term, hash);
+}
+
+void TermDictionary::InternBatch(const rdf::Term* const* terms, size_t n,
+                                 rdf::TermId* out) {
+  std::vector<uint64_t> hashes(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (terms[i] != nullptr) {
+      hashes[i] = terms[i]->Hash();
+    } else {
+      out[i] = rdf::kInvalidTermId;
+    }
+  }
+  std::vector<uint32_t> order;
+  std::array<size_t, kShards + 1> begin{};
+  GroupByShard<kShards>(
+      n,
+      [&](size_t i) {
+        return terms[i] != nullptr ? hashes[i] & kShardMask : kShards;
+      },
+      &order, &begin);
+  for (size_t s = 0; s < kShards; ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (size_t k = begin[s]; k < begin[s + 1]; ++k) {
+      if (k + kPrefetchDistance < begin[s + 1]) {
+        uint64_t ahead = hashes[order[k + kPrefetchDistance]];
+        __builtin_prefetch(&shard.slots[ahead >> shard.slot_shift]);
+      }
+      const uint32_t i = order[k];
+      out[i] = FindOrInsert(&shard, *terms[i], hashes[i]);
+    }
+  }
 }
 
 uint64_t TermDictionary::content_hash(rdf::TermId id) const {
@@ -320,10 +409,10 @@ uint64_t TermDictionary::content_hash(rdf::TermId id) const {
 }
 
 rdf::TermId TermDictionary::Lookup(const rdf::Term& term) const {
-  const Shard& shard = shards_[ShardOf(term)];
+  const uint64_t hash = term.Hash();
+  const Shard& shard = shards_[hash & kShardMask];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.ids.find(term);
-  return it != shard.ids.end() ? it->second : rdf::kInvalidTermId;
+  return shard.slots[Probe(shard, term, hash)].id;
 }
 
 const rdf::Term& TermDictionary::term(rdf::TermId id) const {
@@ -333,6 +422,27 @@ const rdf::Term& TermDictionary::term(rdf::TermId id) const {
   // elements are never moved or erased.
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.terms[id >> 4];
+}
+
+void TermDictionary::TermBatch(const rdf::TermId* ids, size_t n,
+                               const rdf::Term** out) const {
+  std::vector<uint32_t> order;
+  std::array<size_t, kShards + 1> begin{};
+  GroupByShard<kShards>(
+      n,
+      [&](size_t i) {
+        return ids[i] != rdf::kInvalidTermId ? ids[i] & kShardMask : kShards;
+      },
+      &order, &begin);
+  std::fill(out, out + n, nullptr);
+  for (size_t s = 0; s < kShards; ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    const Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (size_t k = begin[s]; k < begin[s + 1]; ++k) {
+      out[order[k]] = &shard.terms[ids[order[k]] >> 4];
+    }
+  }
 }
 
 size_t TermDictionary::size() const {
@@ -361,7 +471,7 @@ DictionaryStats TermDictionary::GetStats() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.terms += shard.terms.size();
-    stats.bytes += shard.bytes;
+    stats.bytes += shard.bytes + shard.slots.size() * sizeof(Slot);
   }
   stats.encode_terms = encode_cells_.load(std::memory_order_relaxed);
   stats.decode_terms = decode_cells_.load(std::memory_order_relaxed);

@@ -2,11 +2,12 @@
 #define LUSAIL_CORE_DICTIONARY_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "rdf/dictionary.h"
@@ -37,6 +38,13 @@ struct DictionaryStats {
 /// for the dictionary's lifetime — filter evaluation holds them across
 /// expression trees with no per-row copies.
 ///
+/// A term is hashed once (rdf::Term::Hash): the low 4 bits pick the
+/// shard and the high bits the home slot in the shard's index, a flat
+/// open-addressing array of (hash, id) slots. Probes compare the stored
+/// hash before touching the term, so a warm hit reads one slot and the
+/// one term it names. InternBatch and TermBatch group a column by shard
+/// and take each shard lock once.
+///
 /// The dictionary is owned by the engine and lives across queries (terms
 /// are never evicted; LUBM-scale federations intern a few hundred
 /// thousand distinct terms). Because ids are only meaningful relative to
@@ -57,12 +65,24 @@ class TermDictionary {
   /// Interns `term`, returning its id (existing or newly assigned).
   rdf::TermId Intern(const rdf::Term& term);
 
+  /// Interns `n` terms: out[i] gets the id of *terms[i], exactly as
+  /// Intern would assign it; a null terms[i] (an unbound cell) yields
+  /// kInvalidTermId. Cells are grouped by shard so each shard lock is
+  /// taken once per call.
+  void InternBatch(const rdf::Term* const* terms, size_t n,
+                   rdf::TermId* out);
+
   /// Returns the id of `term` if interned, otherwise kInvalidTermId.
   rdf::TermId Lookup(const rdf::Term& term) const;
 
   /// Returns the term for `id`. The reference stays valid for the
   /// dictionary's lifetime. Requires an id previously returned by Intern.
   const rdf::Term& term(rdf::TermId id) const;
+
+  /// Batch form of term(): out[i] points at the term for ids[i], or is
+  /// null for kInvalidTermId. Takes each shard lock once per call.
+  void TermBatch(const rdf::TermId* ids, size_t n,
+                 const rdf::Term** out) const;
 
   /// Number of distinct interned terms.
   size_t size() const;
@@ -112,17 +132,35 @@ class TermDictionary {
   static constexpr size_t kShards = 16;
   static constexpr uint64_t kShardMask = kShards - 1;
 
+  /// One index entry: the term's rdf::Term::Hash and its id. An empty
+  /// slot holds kInvalidTermId.
+  struct Slot {
+    uint64_t hash;
+    rdf::TermId id;
+  };
+  static constexpr size_t kMinSlots = 16;
+
   struct Shard {
     mutable std::mutex mu;
     std::deque<rdf::Term> terms;
     std::deque<uint64_t> hashes;  ///< content_hash, parallel to `terms`.
-    std::unordered_map<rdf::Term, rdf::TermId, rdf::TermHash> ids;
-    size_t bytes = 0;
+    /// Power-of-two index, at most half full; a term's home slot is the
+    /// top `64 - slot_shift` bits of its hash, probed linearly.
+    std::vector<Slot> slots =
+        std::vector<Slot>(kMinSlots, Slot{0, rdf::kInvalidTermId});
+    /// 64 - log2(slots.size()).
+    unsigned slot_shift = 64 - std::countr_zero(kMinSlots);
+    size_t bytes = 0;  ///< TermBytes of every term (slots not included).
   };
 
-  static size_t ShardOf(const rdf::Term& term) {
-    return rdf::TermHash{}(term) & kShardMask;
-  }
+  /// Index of the slot holding `term` in `shard`, or of the empty slot
+  /// where it would go. Caller holds shard.mu.
+  static size_t Probe(const Shard& shard, const rdf::Term& term,
+                      uint64_t hash);
+  /// Id of `term` (whose Hash() is `hash`) in its shard, interning it
+  /// there first when absent. Caller holds shard->mu.
+  static rdf::TermId FindOrInsert(Shard* shard, const rdf::Term& term,
+                                  uint64_t hash);
 
   Shard shards_[kShards];
   uint64_t epoch_;

@@ -369,13 +369,15 @@ IdTable EncodeResultTable(const sparql::ResultTable& table,
                           TermDictionary* dict) {
   Stopwatch timer;
   const size_t n = table.rows.size();
-  std::vector<std::vector<rdf::TermId>> cols(
-      table.vars.size(), std::vector<rdf::TermId>(n, rdf::kInvalidTermId));
-  for (size_t r = 0; r < n; ++r) {
-    const auto& row = table.rows[r];
-    for (size_t c = 0; c < cols.size() && c < row.size(); ++c) {
-      if (row[c].has_value()) cols[c][r] = dict->Intern(*row[c]);
+  std::vector<std::vector<rdf::TermId>> cols(table.vars.size());
+  std::vector<const rdf::Term*> cells(n);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    for (size_t r = 0; r < n; ++r) {
+      const auto& row = table.rows[r];
+      cells[r] = c < row.size() && row[c].has_value() ? &*row[c] : nullptr;
     }
+    cols[c].resize(n);
+    dict->InternBatch(cells.data(), n, cols[c].data());
   }
   dict->AddEncodeBatch(timer.ElapsedMillis() / 1e3,
                        static_cast<uint64_t>(n * table.vars.size()));
@@ -385,25 +387,21 @@ IdTable EncodeResultTable(const sparql::ResultTable& table,
 sparql::ResultTable DecodeIdTable(const IdTable& table,
                                   const TermDictionary& dict) {
   Stopwatch timer;
+  const size_t n = table.NumRows();
   sparql::ResultTable out;
   out.vars = table.vars;
-  out.rows.reserve(table.NumRows());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    std::vector<std::optional<rdf::Term>> cells;
-    cells.reserve(table.NumVars());
-    for (size_t c = 0; c < table.NumVars(); ++c) {
-      rdf::TermId id = table.At(r, c);
-      if (id == rdf::kInvalidTermId) {
-        cells.push_back(std::nullopt);
-      } else {
-        cells.push_back(dict.term(id));
-      }
+  out.rows.assign(n, std::vector<std::optional<rdf::Term>>(table.NumVars()));
+  std::vector<const rdf::Term*> cells(n);
+  for (size_t c = 0; c < table.NumVars(); ++c) {
+    const std::vector<rdf::TermId>& ids = table.Column(c);
+    if (ids.empty()) continue;  // All-unbound column.
+    dict.TermBatch(ids.data(), n, cells.data());
+    for (size_t r = 0; r < n; ++r) {
+      if (cells[r] != nullptr) out.rows[r][c] = *cells[r];
     }
-    out.rows.push_back(std::move(cells));
   }
-  dict.AddDecodeBatch(
-      timer.ElapsedMillis() / 1e3,
-      static_cast<uint64_t>(table.NumRows() * table.NumVars()));
+  dict.AddDecodeBatch(timer.ElapsedMillis() / 1e3,
+                      static_cast<uint64_t>(n * table.NumVars()));
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <tuple>
 
 #include "common/string_util.h"
@@ -82,6 +83,24 @@ std::string Term::ToString() const {
   return "";
 }
 
+size_t Term::SerializedSize() const {
+  switch (kind_) {
+    case TermKind::kIri:
+    case TermKind::kBlankNode:
+      return lexical_.size() + 2;  // <iri> or _:label
+    case TermKind::kLiteral: {
+      size_t size = EscapedLiteralSize(lexical_) + 2;
+      if (!lang_.empty()) {
+        size += lang_.size() + 1;  // @lang
+      } else if (!datatype_.empty()) {
+        size += datatype_.size() + 4;  // ^^<dt>
+      }
+      return size;
+    }
+  }
+  return 0;
+}
+
 Result<Term> Term::Parse(std::string_view token) {
   token = StripWhitespace(token);
   if (token.empty()) {
@@ -135,21 +154,44 @@ bool Term::operator<(const Term& other) const {
          std::tie(other.kind_, other.lexical_, other.datatype_, other.lang_);
 }
 
+namespace {
+
+/// 64x64 -> 128-bit multiply folded to 64 bits: one multiply mixes every
+/// input bit into the result.
+inline uint64_t Mum(uint64_t a, uint64_t b) {
+  unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
+}
+
+constexpr uint64_t kHashLength = 0xa0761d6478bd642fULL;
+constexpr uint64_t kHashWord = 0xe7037ed1a0b428dbULL;
+
+/// Folds `field`'s length, then its bytes 8 at a time, into `h`.
+inline uint64_t HashField(uint64_t h, const std::string& field) {
+  const char* p = field.data();
+  size_t n = field.size();
+  h = Mum(h ^ n, kHashLength);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    h = Mum(h ^ word, kHashWord);
+  }
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = Mum(h ^ word, kHashWord);
+  }
+  return h;
+}
+
+}  // namespace
+
 size_t Term::Hash() const {
-  size_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::string_view s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xff;
-    h *= 1099511628211ULL;
-  };
-  h ^= static_cast<size_t>(kind_);
-  h *= 1099511628211ULL;
-  mix(lexical_);
-  mix(datatype_);
-  mix(lang_);
+  uint64_t h = 0x8ebc6af09c88c6e3ULL ^ static_cast<uint64_t>(kind_);
+  h = HashField(h, lexical_);
+  h = HashField(h, datatype_);
+  h = HashField(h, lang_);
   return h;
 }
 

@@ -84,6 +84,9 @@ class Term {
   /// N-Triples serialization: <iri>, "lit"^^<dt>, "lit"@lang, _:label.
   std::string ToString() const;
 
+  /// ToString().size(), escapes included, without building the string.
+  size_t SerializedSize() const;
+
   /// Parses a single N-Triples-syntax token into a Term.
   static Result<Term> Parse(std::string_view token);
 
@@ -97,7 +100,10 @@ class Term {
   /// lang).
   bool operator<(const Term& other) const;
 
-  /// Hash over all fields (FNV-1a).
+  /// Hash over all fields, 8 bytes per step. Each field's length is
+  /// folded in ahead of its bytes, so ("ab","c") and ("a","bc") separate.
+  /// core::TermDictionary places terms in shards by this hash, so a change
+  /// to it must bump that dictionary's snapshot version.
   size_t Hash() const;
 
  private:

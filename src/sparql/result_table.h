@@ -27,7 +27,7 @@ struct ResultTable {
     for (const std::string& v : vars) bytes += v.size() + 2;
     for (const auto& row : rows) {
       for (const auto& cell : row) {
-        bytes += cell.has_value() ? cell->ToString().size() + 1 : 1;
+        bytes += cell.has_value() ? cell->SerializedSize() + 1 : 1;
       }
       bytes += 1;  // Row terminator.
     }

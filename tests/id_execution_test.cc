@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/dictionary.h"
 #include "core/finisher.h"
 #include "core/id_table.h"
@@ -168,6 +169,144 @@ TEST(TermDictionaryTest, ContentHashesAgreeAcrossInstances) {
   }
 }
 
+TEST(TermDictionaryTest, InternBatchMatchesPerTermIntern) {
+  // Two dictionaries with the same prior contents: one interns a seeded
+  // batch through InternBatch, the other term by term in batch order.
+  // Within a shard the batch keeps batch order, so ids must agree.
+  std::vector<rdf::Term> existing = TermZoo();
+  std::vector<rdf::Term> fresh;
+  for (int i = 0; i < 200; ++i) {
+    fresh.push_back(rdf::Term::Iri("http://example.org/batch/" +
+                                   std::to_string(i)));
+  }
+  // Field-boundary pairs: equal bytes split differently across fields.
+  fresh.push_back(rdf::Term::TypedLiteral("ab", "c"));
+  fresh.push_back(rdf::Term::TypedLiteral("a", "bc"));
+  fresh.push_back(rdf::Term::LangLiteral("ab", "c"));
+  fresh.push_back(rdf::Term::LangLiteral("a", "bc"));
+  fresh.push_back(rdf::Term::Literal("abc"));
+
+  core::TermDictionary batched, single;
+  for (const rdf::Term& term : existing) {
+    ASSERT_EQ(batched.Intern(term), single.Intern(term));
+  }
+  Rng rng(15);
+  std::vector<const rdf::Term*> batch;
+  for (int i = 0; i < 1000; ++i) {
+    uint64_t pick = rng.NextBelow(10);
+    if (pick == 0) {
+      batch.push_back(nullptr);  // Unbound cell.
+    } else if (pick < 4) {
+      batch.push_back(&existing[rng.NextBelow(existing.size())]);
+    } else {
+      // Drawn with replacement: most fresh terms recur in the batch.
+      batch.push_back(&fresh[rng.NextBelow(fresh.size())]);
+    }
+  }
+  std::vector<rdf::TermId> ids(batch.size());
+  batched.InternBatch(batch.data(), batch.size(), ids.data());
+
+  std::set<rdf::TermId> shards;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i] == nullptr) {
+      EXPECT_EQ(ids[i], rdf::kInvalidTermId);
+      continue;
+    }
+    EXPECT_EQ(ids[i], single.Intern(*batch[i])) << batch[i]->ToString();
+    EXPECT_EQ(batched.term(ids[i]), *batch[i]);
+    shards.insert(ids[i] & 15);
+  }
+  EXPECT_EQ(shards.size(), 16u);  // The batch spans every shard.
+  EXPECT_EQ(batched.size(), single.size());
+
+  // TermBatch resolves the same ids back, nulls for unbound cells.
+  std::vector<const rdf::Term*> terms(ids.size());
+  batched.TermBatch(ids.data(), ids.size(), terms.data());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i] == nullptr) {
+      EXPECT_EQ(terms[i], nullptr);
+    } else {
+      ASSERT_NE(terms[i], nullptr);
+      EXPECT_EQ(terms[i], &batched.term(ids[i]));
+    }
+  }
+}
+
+TEST(TermDictionaryTest, GrowthKeepsEveryTermFindable) {
+  // 100k terms push every shard's index through many doublings.
+  constexpr int kTerms = 100000;
+  std::vector<rdf::Term> terms;
+  terms.reserve(kTerms);
+  for (int i = 0; i < kTerms; ++i) {
+    terms.push_back(rdf::Term::Iri("http://example.org/grow/" +
+                                   std::to_string(i)));
+  }
+  std::vector<const rdf::Term*> cells;
+  for (const rdf::Term& term : terms) cells.push_back(&term);
+  core::TermDictionary dict;
+  std::vector<rdf::TermId> ids(kTerms);
+  dict.InternBatch(cells.data(), kTerms / 2, ids.data());
+  for (int i = kTerms / 2; i < kTerms; ++i) ids[i] = dict.Intern(terms[i]);
+  ASSERT_EQ(dict.size(), static_cast<size_t>(kTerms));
+  for (int i = 0; i < kTerms; ++i) {
+    ASSERT_EQ(dict.Lookup(terms[i]), ids[i]) << i;
+    ASSERT_EQ(dict.term(ids[i]), terms[i]);
+  }
+  // The bytes gauge charges each term once (payload plus one Term) and
+  // the slot arrays: a content hash and 2-4 16-byte slots per term.
+  size_t floor = 0;
+  for (const rdf::Term& term : terms) {
+    floor += term.lexical().size() + sizeof(rdf::Term);
+  }
+  const uint64_t bytes = dict.GetStats().bytes;
+  EXPECT_GE(bytes, floor);
+  EXPECT_LE(bytes, floor + kTerms * (sizeof(uint64_t) + 4 * 16));
+}
+
+TEST(TermDictionaryTest, ConcurrentInternBatchConverges) {
+  // Four threads batch-intern overlapping windows of one term universe
+  // (each window shares half its terms with the next); every term must
+  // end with exactly one id. Under TSan this is the batch path's race
+  // check.
+  core::TermDictionary dict;
+  constexpr int kThreads = 4;
+  constexpr int kWindow = 2000;
+  std::vector<rdf::Term> universe;
+  for (int i = 0; i < kWindow * (kThreads + 1) / 2; ++i) {
+    universe.push_back(rdf::Term::Iri("http://example.org/overlap/" +
+                                      std::to_string(i)));
+  }
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  std::vector<std::vector<rdf::TermId>> seen(
+      kThreads, std::vector<rdf::TermId>(kWindow));
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<const rdf::Term*> cells;
+      for (int k = 0; k < kWindow; ++k) {
+        cells.push_back(&universe[t * kWindow / 2 + k]);
+      }
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      // Small batches interleave the threads' shard locks.
+      for (int k = 0; k < kWindow; k += 100) {
+        dict.InternBatch(cells.data() + k, 100, seen[t].data() + k);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& w : workers) w.join();
+
+  EXPECT_EQ(dict.size(), universe.size());
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kWindow; ++k) {
+      const rdf::Term& term = universe[t * kWindow / 2 + k];
+      EXPECT_EQ(seen[t][k], dict.Lookup(term));
+      EXPECT_EQ(dict.term(seen[t][k]), term);
+    }
+  }
+}
+
 TEST(FingerprintTest, StableAcrossDictionariesAndSensitiveToContent) {
   core::TermDictionary first, second;
   std::vector<rdf::Term> zoo = TermZoo();
@@ -296,6 +435,15 @@ TEST(IdTableTest, EncodeDecodeRoundTripsTheTermZoo) {
         EXPECT_EQ(*decoded.rows[r][c], *wire.rows[r][c]);
       }
     }
+  }
+  // A var with no column yet decodes as an all-unbound column.
+  encoded.vars.push_back("c");
+  sparql::ResultTable widened = core::DecodeIdTable(encoded, dict);
+  ASSERT_EQ(widened.rows.size(), wire.rows.size());
+  for (size_t r = 0; r < wire.rows.size(); ++r) {
+    ASSERT_EQ(widened.rows[r].size(), 3u);
+    EXPECT_FALSE(widened.rows[r][2].has_value());
+    EXPECT_EQ(widened.rows[r][0], decoded.rows[r][0]);
   }
   core::DictionaryStats stats = dict.GetStats();
   EXPECT_GT(stats.encode_terms, 0u);
@@ -572,6 +720,50 @@ TEST(DictionarySnapshotTest, CorruptSnapshotIsRejectedWithoutMutation) {
   core::TermDictionary restored;
   ASSERT_FALSE(restored.LoadFromDisk(path).ok());
   EXPECT_EQ(restored.size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(DictionarySnapshotTest, VersionOneSnapshotIsRejectedAsUnsupported) {
+  // A well-formed version-1 snapshot (valid checksum) whose shard
+  // placement came from an older term hash: it must be refused for its
+  // version, not reported as corrupt, and the dictionary left untouched.
+  const rdf::Term term = rdf::Term::Iri("http://ex/v1");
+  const uint64_t stale_shard = ((term.Hash() & 15) + 1) & 15;
+  std::string bytes = "LUSDICTS";
+  auto append = [&bytes](uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  append(1, 4);   // version
+  append(16, 8);  // shard count
+  for (uint64_t s = 0; s < 16; ++s) {
+    append(s == stale_shard ? 1 : 0, 8);
+    if (s != stale_shard) continue;
+    bytes.push_back(static_cast<char>(term.kind()));
+    append(term.lexical().size(), 8);
+    bytes += term.lexical();
+    append(0, 8);  // datatype
+    append(0, 8);  // lang
+  }
+  uint64_t checksum = 14695981039346656037ull;  // FNV-1a 64
+  for (char c : bytes) {
+    checksum = (checksum ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  append(checksum, 8);
+  const std::string path = DictSnapshotPath("version1");
+  WriteFileBytes(path, bytes);
+
+  core::TermDictionary dict;
+  auto loaded = dict.LoadFromDisk(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported dictionary snapshot "
+                                           "version 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_EQ(dict.size(), 0u);
+  EXPECT_EQ(dict.Lookup(term), rdf::kInvalidTermId);
   std::remove(path.c_str());
 }
 

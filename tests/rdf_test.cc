@@ -1,3 +1,6 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rdf/dictionary.h"
@@ -114,6 +117,47 @@ TEST(TermTest, EqualityDistinguishesKindAndSuffixes) {
   EXPECT_NE(Term::Literal("x"), Term::LangLiteral("x", "en"));
   EXPECT_NE(Term::LangLiteral("x", "en"), Term::LangLiteral("x", "fr"));
   EXPECT_NE(Term::TypedLiteral("x", "dt1"), Term::TypedLiteral("x", "dt2"));
+}
+
+TEST(TermTest, HashSeparatesKindAndFieldBoundaries) {
+  // The hash folds in each field's length, so moving bytes across a field
+  // boundary, or changing only the kind, changes it.
+  EXPECT_NE(Term::TypedLiteral("ab", "c").Hash(),
+            Term::TypedLiteral("a", "bc").Hash());
+  EXPECT_NE(Term::LangLiteral("ab", "c").Hash(),
+            Term::LangLiteral("a", "bc").Hash());
+  EXPECT_NE(Term::Literal("xen").Hash(), Term::LangLiteral("x", "en").Hash());
+  EXPECT_NE(Term::Iri("x").Hash(), Term::Literal("x").Hash());
+  EXPECT_NE(Term::Iri("x").Hash(), Term::BlankNode("x").Hash());
+  // A trailing zero byte inside the last 8-byte word still counts.
+  EXPECT_NE(Term::Literal("a").Hash(),
+            Term::Literal(std::string("a\0", 2)).Hash());
+}
+
+TEST(TermTest, SerializedSizeMatchesToString) {
+  const std::vector<Term> terms = {
+      Term::Iri("http://example.org/x?q=1#f"),
+      Term::Iri(""),
+      Term::BlankNode("node42"),
+      Term::Literal("plain text"),
+      Term::Literal(""),
+      Term::TypedLiteral("", "http://example.org/dt"),
+      Term::LangLiteral("", "en"),
+      Term::Integer(-5),
+      Term::Double(3.25),
+      Term::LangLiteral("hallo", "de-DE"),
+      Term::Literal("back\\slash"),
+      Term::Literal("a \"quote\""),
+      Term::Literal("new\nline"),
+      Term::Literal("carriage\rreturn"),
+      Term::Literal("tab\there"),
+      Term::TypedLiteral("\\\"\n\r\t", "http://example.org/dt"),
+      Term::LangLiteral("\\\"\n\r\t", "en"),
+  };
+  for (const Term& term : terms) {
+    EXPECT_EQ(term.SerializedSize(), term.ToString().size())
+        << term.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
