@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
+#include <vector>
 
 #include "bench_util.h"
 #include "workload/lrb_generator.h"
@@ -18,7 +20,7 @@ namespace lusail::bench {
 namespace {
 
 void QErrorBenchmark(benchmark::State& state, core::LusailEngine* lusail,
-                     const fed::Federation* federation) {
+                     const fed::Federation* federation, ThreadPool* pool) {
   std::vector<double> qerrors;
   for (auto _ : state) {
     qerrors.clear();
@@ -38,11 +40,21 @@ void QErrorBenchmark(benchmark::State& state, core::LusailEngine* lusail,
         // Actual cardinality: run the subquery at its endpoints, count.
         uint64_t actual = 0;
         fed::MetricsCollector metrics;
+        fed::IssueContext ctx;
+        ctx.metrics = &metrics;
         std::string text = sq.ToSparql(triples);
+        std::vector<std::future<Result<size_t>>> counts;
         for (int ep : sq.sources) {
-          auto table = federation->Execute(static_cast<size_t>(ep), text,
-                                           &metrics, CancelToken());
-          if (table.ok()) actual += table->NumRows();
+          counts.push_back(federation->Issue(
+              pool, static_cast<size_t>(ep), text, ctx,
+              [](Result<net::QueryResponse> response) -> Result<size_t> {
+                if (!response.ok()) return response.status();
+                return response->RowCount();
+              }));
+        }
+        for (auto& count : counts) {
+          Result<size_t> rows = count.get();
+          if (rows.ok()) actual += *rows;
         }
         if (actual == 0) continue;
         double estimate = std::max(1.0, sq.estimated_cardinality);
@@ -72,10 +84,11 @@ int main(int argc, char** argv) {
   static auto federation = workload::BuildFederation(
       generator.GenerateAll(), net::LatencyModel::None());
   static core::LusailEngine lusail(federation.get());
+  static ThreadPool pool;
   benchmark::RegisterBenchmark(
       "QError/LargeRDFBench",
       [](benchmark::State& state) {
-        bench::QErrorBenchmark(state, &lusail, federation.get());
+        bench::QErrorBenchmark(state, &lusail, federation.get(), &pool);
       })
       ->Unit(benchmark::kMillisecond)
       ->Iterations(1);

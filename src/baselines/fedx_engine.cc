@@ -190,18 +190,18 @@ Result<IdTable> FedXEngine::BoundJoinStep(
     if (table.VarIndex(v) >= 0) shared.push_back(v);
   }
 
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = Retry();
+  ctx.kind = fed::RequestKind::kFetch;
   auto fetch_all = [&]() -> Result<IdTable> {
     // No bindings to ship: fetch the operand fully from all its sources.
     std::string text = OperandSparql(op.triples, op.filters, op_vars, nullptr);
     IdTable fetched;
     fetched.vars = op_vars;
-    for (int ep : op.sources) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          IdTable part,
-          federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
-                                      metrics, cancel, Retry()));
-      core::AppendUnionIds(&fetched, part);
-    }
+    LUSAIL_RETURN_NOT_OK(fed::FetchUnion(*federation_, &pool_, op.sources,
+                                         text, dict, ctx, &fetched));
     return fetched;
   };
 
@@ -266,13 +266,8 @@ Result<IdTable> FedXEngine::BoundJoinStep(
     }
     std::string text = OperandSparql(op.triples, op.filters, fetched.vars,
                                      &values);
-    for (int ep : op.sources) {
-      LUSAIL_ASSIGN_OR_RETURN(
-          IdTable part,
-          federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
-                                      metrics, cancel, Retry()));
-      core::AppendUnionIds(&fetched, part);
-    }
+    LUSAIL_RETURN_NOT_OK(fed::FetchUnion(*federation_, &pool_, op.sources,
+                                         text, dict, ctx, &fetched));
     if (result_cap.has_value()) {
       // LIMIT shortcut: stop shipping blocks once enough joined results
       // exist (FedX's first-N termination; see the paper's C4 discussion).

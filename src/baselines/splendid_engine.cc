@@ -187,6 +187,10 @@ Result<IdTable> SplendidEngine::ExecutePattern(
     }
   }
 
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.kind = fed::RequestKind::kFetch;
   IdTable table;
   bool first = true;
   for (size_t k : order) {
@@ -202,14 +206,8 @@ Result<IdTable> SplendidEngine::ExecutePattern(
     fetched.vars = tp_vars;
     // Unions one request per relevant source into `fetched`.
     auto fetch = [&](const std::string& text) -> Status {
-      for (int ep : sources[k]) {
-        LUSAIL_ASSIGN_OR_RETURN(
-            IdTable part,
-            federation_->ExecuteEncoded(static_cast<size_t>(ep), text, dict,
-                                        metrics, cancel));
-        core::AppendUnionIds(&fetched, part);
-      }
-      return Status::OK();
+      return fed::FetchUnion(*federation_, &pool_, sources[k], text, dict,
+                             ctx, &fetched);
     };
     if (!first && !shared.empty() &&
         table.NumRows() <= options_.bind_join_threshold) {

@@ -6,8 +6,8 @@ namespace lusail {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
-    // Endpoint requests are latency-bound (the network simulator sleeps),
-    // so the pool floor is higher than the core count on small machines.
+    // HTTP requests still wait on the pool thread that sent them, so the
+    // floor is higher than the core count on small machines.
     num_threads = std::max(8u, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);

@@ -14,17 +14,20 @@
 
 namespace lusail {
 
-/// Fixed-size worker pool. This is the paper's Elastic Request Handler
-/// (ERH): Lusail, the baselines, and the SAPE join phase schedule their
-/// endpoint requests and local join partitions through a pool sized by the
-/// number of physical cores (or an explicit thread count).
+/// Fixed-size worker pool. With fed::Federation::Issue it forms the
+/// paper's Elastic Request Handler (ERH): Lusail, the baselines, and the
+/// SAPE join phase run the CPU part of their endpoint requests (and their
+/// local join partitions) on it, while simulated network waits complete
+/// on the federation's timer thread instead of holding a worker.
 ///
 /// Tasks are arbitrary callables; Submit returns a std::future for the
 /// callable's result. The pool drains remaining tasks on destruction.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers; 0 means
-  /// std::thread::hardware_concurrency() (minimum 2).
+  /// max(8, std::thread::hardware_concurrency()). The floor of 8 is above
+  /// the core count on small machines because an HTTP request still waits
+  /// for its response on the pool thread that sent it.
   explicit ThreadPool(size_t num_threads = 0);
 
   /// Joins all workers after draining the queue.
@@ -61,6 +64,15 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// A future that already holds `value` (a cache hit standing in for a
+/// pool task).
+template <typename T>
+std::future<T> ReadyFuture(T value) {
+  std::promise<T> promise;
+  promise.set_value(std::move(value));
+  return promise.get_future();
+}
 
 }  // namespace lusail
 

@@ -91,7 +91,18 @@ Status CostModel::CollectStatistics(
     int ep;
     std::string cache_key;
     std::string endpoint_id;
-    std::future<Result<sparql::ResultTable>> result;
+    std::future<Result<uint64_t>> result;
+  };
+  // Runs on the pool as each probe lands: the answer's single cell.
+  auto decode_count =
+      [](Result<net::QueryResponse> response) -> Result<uint64_t> {
+    LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable table,
+                            fed::Federation::ToTable(std::move(response)));
+    if (table.rows.empty() || table.rows[0].empty() ||
+        !table.rows[0][0].has_value()) {
+      return uint64_t{0};
+    }
+    return ParseCountLiteral(*table.rows[0][0]);
   };
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
@@ -128,11 +139,12 @@ Status CostModel::CollectStatistics(
       probe.ep = ep;
       probe.cache_key = std::move(key);
       probe.endpoint_id = std::move(endpoint_id);
-      probe.result = pool_->Submit([this, ep, text, metrics, cancel,
-                                    retry]() {
-        return federation_->Execute(static_cast<size_t>(ep), text, metrics,
-                                    cancel, retry);
-      });
+      fed::IssueContext ctx;
+      ctx.metrics = metrics;
+      ctx.cancel = cancel;
+      ctx.retry = retry;
+      probe.result = federation_->Issue(pool_, static_cast<size_t>(ep), text,
+                                        std::move(ctx), decode_count);
       probes.push_back(std::move(probe));
     }
   }
@@ -140,17 +152,13 @@ Status CostModel::CollectStatistics(
   size_t failed = 0;
   Status first_error;
   for (Probe& probe : probes) {
-    Result<sparql::ResultTable> table = probe.result.get();
-    if (!table.ok()) {
+    Result<uint64_t> answer = probe.result.get();
+    if (!answer.ok()) {
       ++failed;
-      if (first_error.ok()) first_error = table.status();
+      if (first_error.ok()) first_error = answer.status();
       continue;
     }
-    uint64_t count = 0;
-    if (!table->rows.empty() && !table->rows[0].empty() &&
-        table->rows[0][0].has_value()) {
-      count = ParseCountLiteral(*table->rows[0][0]);
-    }
+    uint64_t count = *answer;
     counts_[{probe.tp, probe.ep}] = count;
     if (shared != nullptr) {
       shared->PutCount(probe.cache_key, probe.endpoint_id, count);

@@ -152,13 +152,13 @@ Result<GjvResult> GjvDetector::Detect(
       p.check_index = ci;
       p.cache_key = key;
       p.endpoint_id = federation_->id(ep);
-      std::string text = check.query_text;
-      p.nonempty =
-          pool_->Submit([this, ep, text = std::move(text), metrics, cancel,
-                         retry]() {
-            return federation_->Ask(static_cast<size_t>(ep), text, metrics,
-                                    cancel, retry);
-          });
+      fed::IssueContext ctx;
+      ctx.metrics = metrics;
+      ctx.cancel = cancel;
+      ctx.retry = retry;
+      p.nonempty = federation_->Issue(pool_, static_cast<size_t>(ep),
+                                      check.query_text, std::move(ctx),
+                                      fed::Federation::NonEmpty);
       pending.push_back(std::move(p));
       ++result.check_queries;
     }

@@ -141,15 +141,9 @@ std::vector<IdTable> JoinConnected(std::vector<IdTable> tables,
 
 }  // namespace
 
-Result<IdTable> SapeExecutor::FetchEndpoint(
+std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
     int ep, const std::string& text, const std::string& cache_key,
-    bool cacheable, TermDictionary* dict,
-    fed::MetricsCollector* metrics, const CancelToken& cancel,
-    const net::RetryPolicy* retry, obs::SpanId trace_parent) {
-  // Queued fetches whose token already fired bail before touching the
-  // wire — crucial when many (subquery, endpoint) tasks are backed up
-  // behind a cancelled query in the pool.
-  if (cancel.Cancelled()) return cancel.StatusAt("endpoint fetch");
+    bool cacheable, TermDictionary* dict, fed::IssueContext ctx) {
   cache::FederationCache* shared =
       (cacheable && options_->use_cache && options_->result_cache)
           ? federation_->query_cache()
@@ -160,35 +154,43 @@ Result<IdTable> SapeExecutor::FetchEndpoint(
     std::optional<sparql::ResultTable> hit =
         shared->GetResult(endpoint_id, cache_key);
     if (hit.has_value()) {
-      obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
+      obs::Tracer* tracer =
+          ctx.metrics != nullptr ? ctx.metrics->tracer() : nullptr;
       if (tracer != nullptr) {
         obs::SpanId span =
             tracer->StartSpan("cache hit " + endpoint_id, "cache",
-                              trace_parent);
+                              ctx.trace_parent);
         tracer->Annotate(span, "rows",
                          static_cast<uint64_t>(hit->rows.size()));
         tracer->EndSpan(span);
       }
       // The shared cache stores wire-format string rows (it outlives any
-      // one dictionary), so a hit re-interns here.
-      return EncodeResultTable(*hit, dict);
+      // one dictionary), so a hit re-interns, on the pool like a response.
+      return pool_->Submit([table = std::move(*hit), dict]() {
+        return Result<IdTable>(EncodeResultTable(table, dict));
+      });
     }
   }
   // The string form of the response rides along exactly when the wire
   // path produced one anyway; the pure id path (parse-to-ids transport)
   // decodes only if a cache store actually needs it.
-  std::optional<sparql::ResultTable> wire;
-  Result<IdTable> ids = federation_->ExecuteEncoded(
-      static_cast<size_t>(ep), text, dict, metrics, cancel, retry, trace_parent,
-      shared != nullptr ? &wire : nullptr);
-  if (shared != nullptr && ids.ok()) {
-    if (wire.has_value()) {
-      shared->PutResult(endpoint_id, cache_key, *wire);
-    } else {
-      shared->PutResult(endpoint_id, cache_key, DecodeIdTable(*ids, *dict));
-    }
-  }
-  return ids;
+  return federation_->Issue(
+      pool_, static_cast<size_t>(ep), text, std::move(ctx),
+      [shared, endpoint_id, cache_key,
+       dict](Result<net::QueryResponse> response) {
+        std::optional<sparql::ResultTable> wire;
+        Result<IdTable> ids = fed::Federation::ToIds(
+            std::move(response), dict, shared != nullptr ? &wire : nullptr);
+        if (shared != nullptr && ids.ok()) {
+          if (wire.has_value()) {
+            shared->PutResult(endpoint_id, cache_key, *wire);
+          } else {
+            shared->PutResult(endpoint_id, cache_key,
+                              DecodeIdTable(*ids, *dict));
+          }
+        }
+        return ids;
+      });
 }
 
 Result<IdTable> SapeExecutor::RunEverywhere(
@@ -202,7 +204,6 @@ Result<IdTable> SapeExecutor::RunEverywhere(
   // limited fetch separately from the unlimited one — a capped answer
   // never masquerades as the full result on a later warm run.
   if (row_limit > 0) text += "\nLIMIT " + std::to_string(row_limit);
-  const net::RetryPolicy* retry = RetryOf(options_);
   // Unbound texts key the shared result cache directly. Bound (VALUES)
   // fetches are keyed as base text + an id-space fingerprint of the
   // binding block (one precomputed 8-byte content hash mixed per binding
@@ -224,24 +225,20 @@ Result<IdTable> SapeExecutor::RunEverywhere(
     }
   }
   // Row budget: fired once the union already holds `row_limit` rows.
-  // Fetches still queued behind the satisfied point skip the wire and
-  // return empty — a budget hit is a cutoff, never a failure.
-  CancelToken budget =
-      row_limit > 0 ? CancelToken::Cancellable() : CancelToken();
+  // Fetches not yet sent behind the satisfied point skip the wire — a
+  // budget hit is a cutoff, never a failure.
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = RetryOf(options_);
+  ctx.trace_parent = trace_parent;
+  ctx.kind = fed::RequestKind::kFetch;
+  if (row_limit > 0) ctx.cutoff = CancelToken::Cancellable();
   std::vector<std::future<Result<IdTable>>> futures;
   futures.reserve(sq.sources.size());
   for (int ep : sq.sources) {
-    futures.push_back(pool_->Submit(
-        [this, ep, text, cache_key, cacheable, dict, metrics, cancel, retry,
-         trace_parent, budget, projection = sq.projection]() {
-          if (budget.CancelRequested()) {
-            IdTable skipped;
-            skipped.vars = projection;
-            return Result<IdTable>(std::move(skipped));
-          }
-          return FetchEndpoint(ep, text, cache_key, cacheable, dict, metrics,
-                               cancel, retry, trace_parent);
-        }));
+    futures.push_back(
+        FetchEndpoint(ep, text, cache_key, cacheable, dict, ctx));
   }
   IdTable merged;
   merged.vars = sq.projection;
@@ -250,12 +247,15 @@ Result<IdTable> SapeExecutor::RunEverywhere(
   for (size_t k = 0; k < futures.size(); ++k) {
     Result<IdTable> table = futures[k].get();
     if (!table.ok()) {
+      // Skipped, or failed after the union already held enough rows:
+      // either way the answer needs nothing from it.
+      if (ctx.cutoff.CancelRequested()) continue;
       failures.push_back({sq.sources[k], table.status()});
       continue;
     }
     ++successes;
     AppendUnionIds(&merged, *table);
-    if (row_limit > 0 && merged.NumRows() >= row_limit) budget.Cancel();
+    if (row_limit > 0 && merged.NumRows() >= row_limit) ctx.cutoff.Cancel();
   }
   if (!failures.empty()) {
     if (!options_->partial_results) {
@@ -343,8 +343,9 @@ Result<IdTable> SapeExecutor::Execute(
   }
 
   // ---- Phase 1: non-delayed subqueries, all concurrent. ----
-  // Every (subquery, endpoint) request is one flat pool task (no nested
-  // waits inside workers — the pool can be as small as two threads), so
+  // Every (subquery, endpoint) request is issued through the federation
+  // (no nested waits inside workers, and no worker held through a
+  // simulated network wait — the pool can be as small as two threads), so
   // all non-delayed subqueries are in flight at once, non-blocking, as in
   // Algorithm 3 lines 6-7.
   struct Fetch {
@@ -370,16 +371,18 @@ Result<IdTable> SapeExecutor::Execute(
     phase1_spans.emplace(i, span);
     phase1_pending.emplace(i, subqueries[i].sources.size());
     std::string text = subqueries[i].ToSparql(triples, nullptr);
+    fed::IssueContext ctx;
+    ctx.metrics = metrics;
+    ctx.cancel = cancel;
+    ctx.retry = retry;
+    ctx.trace_parent = span;
+    ctx.kind = fed::RequestKind::kFetch;
     for (int ep : subqueries[i].sources) {
       Fetch fetch;
       fetch.sq_index = i;
       fetch.endpoint = ep;
-      fetch.result = pool_->Submit(
-          [this, ep, text, dict, metrics, cancel, retry, span]() {
-            return FetchEndpoint(ep, text, /*cache_key=*/text,
-                                 /*cacheable=*/true, dict, metrics, cancel,
-                                 retry, span);
-          });
+      fetch.result = FetchEndpoint(ep, text, /*cache_key=*/text,
+                                   /*cacheable=*/true, dict, ctx);
       fetches.push_back(std::move(fetch));
     }
   }
@@ -560,29 +563,34 @@ Result<IdTable> SapeExecutor::Execute(
       std::string ask_text = sparql::QueryToString(ask);
       cache::FederationCache* shared =
           options_->use_cache ? federation_->query_cache() : nullptr;
+      fed::IssueContext ctx;
+      ctx.metrics = metrics;
+      ctx.cancel = cancel;
+      ctx.retry = retry;
+      ctx.trace_parent = sq_span;
       std::vector<std::future<Result<bool>>> probes;
       for (int ep : sources) {
-        probes.push_back(pool_->Submit([this, ep, ask_text, metrics,
-                                        cancel, retry, sq_span, shared]() {
-          if (cancel.Cancelled()) {
-            return Result<bool>(cancel.StatusAt("source refinement"));
+        std::string endpoint_id;
+        std::string key;
+        if (shared != nullptr) {
+          endpoint_id = federation_->id(static_cast<size_t>(ep));
+          key = cache::FederationCache::Key(endpoint_id, ask_text);
+          std::optional<bool> cached = shared->GetVerdict(key);
+          if (cached.has_value()) {
+            probes.push_back(ReadyFuture(Result<bool>(*cached)));
+            continue;
           }
-          std::string endpoint_id;
-          std::string key;
-          if (shared != nullptr) {
-            endpoint_id = federation_->id(static_cast<size_t>(ep));
-            key = cache::FederationCache::Key(endpoint_id, ask_text);
-            std::optional<bool> cached = shared->GetVerdict(key);
-            if (cached.has_value()) return Result<bool>(*cached);
-          }
-          Result<bool> answer = federation_->Ask(
-              static_cast<size_t>(ep), ask_text, metrics, cancel, retry,
-              sq_span);
-          if (shared != nullptr && answer.ok()) {
-            shared->PutVerdict(key, endpoint_id, *answer);
-          }
-          return answer;
-        }));
+        }
+        probes.push_back(federation_->Issue(
+            pool_, static_cast<size_t>(ep), ask_text, ctx,
+            [shared, endpoint_id,
+             key](const Result<net::QueryResponse>& response) {
+              Result<bool> answer = fed::Federation::NonEmpty(response);
+              if (shared != nullptr && answer.ok()) {
+                shared->PutVerdict(key, endpoint_id, *answer);
+              }
+              return answer;
+            }));
       }
       std::vector<int> kept;
       for (size_t i = 0; i < probes.size(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef LUSAIL_CORE_SAPE_H_
 #define LUSAIL_CORE_SAPE_H_
 
+#include <future>
 #include <vector>
 
 #include "common/cancel.h"
@@ -67,9 +68,10 @@ class SapeExecutor {
   /// `row_limit` > 0 appends a LIMIT clause to the generated text (any
   /// `row_limit` rows satisfy the caller) and arms a row budget: once the
   /// running union holds that many rows, a budget token fires and every
-  /// fetch still queued behind it returns an empty table instead of
-  /// touching the wire. In-flight requests are not interrupted — the
-  /// budget is a cutoff for upstream work, not a failure.
+  /// fetch not yet sent is skipped (IssueContext::cutoff). Requests
+  /// already sent are not interrupted, and one that fails after the
+  /// budget fired contributes nothing — the budget is a cutoff for
+  /// upstream work, not a failure.
   Result<IdTable> RunEverywhere(const Subquery& sq,
                                 const std::vector<sparql::TriplePattern>& triples,
                                 const sparql::ValuesClause* values,
@@ -80,25 +82,23 @@ class SapeExecutor {
                                 obs::SpanId trace_parent = 0,
                                 size_t row_limit = 0);
 
-  /// One endpoint request in id space, routed through the federation's
-  /// shared result cache when this engine opted in (options.result_cache)
-  /// and `cacheable` holds. `cache_key` identifies the fetch in the
-  /// shared cache: the query text itself for unbound subqueries, or the
-  /// base subquery text plus an id-space fingerprint of the VALUES
-  /// binding block for bound (delayed-phase) fetches — so a warm serving
-  /// process skips repeated bound joins too. A hit is recorded as a
-  /// "cache" span instead of a request span, issues no request, and is
-  /// re-encoded from the cache's string rows into `dict`. A miss goes
-  /// through Federation::ExecuteEncoded, so an endpoint parsing straight
-  /// into `dict` hands back ids untouched.
-  Result<IdTable> FetchEndpoint(int ep, const std::string& text,
-                                const std::string& cache_key,
-                                bool cacheable,
-                                TermDictionary* dict,
-                                fed::MetricsCollector* metrics,
-                                const CancelToken& cancel,
-                                const net::RetryPolicy* retry,
-                                obs::SpanId trace_parent);
+  /// One endpoint request in id space, issued through Federation::Issue
+  /// and routed through the federation's shared result cache when this
+  /// engine opted in (options.result_cache) and `cacheable` holds.
+  /// `cache_key` identifies the fetch in the shared cache: the query text
+  /// itself for unbound subqueries, or the base subquery text plus an
+  /// id-space fingerprint of the VALUES binding block for bound
+  /// (delayed-phase) fetches — so a warm serving process skips repeated
+  /// bound joins too. A hit is recorded as a "cache" span instead of a
+  /// request span, issues no request, and is re-encoded from the cache's
+  /// string rows into `dict` on the pool. A miss is decoded by
+  /// Federation::ToIds on the pool, so an endpoint parsing straight into
+  /// `dict` hands back ids untouched.
+  std::future<Result<IdTable>> FetchEndpoint(int ep, const std::string& text,
+                                             const std::string& cache_key,
+                                             bool cacheable,
+                                             TermDictionary* dict,
+                                             fed::IssueContext ctx);
 
   const fed::Federation* federation_;
   ThreadPool* pool_;

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/string_util.h"
+#include "net/latency_model.h"
 #include "obs/trace_context.h"
 
 namespace lusail::fed {
@@ -69,26 +70,58 @@ void Federation::ConfigureBreakers(const net::CircuitBreakerConfig& config) {
   }
 }
 
-Result<net::QueryResponse> Federation::ExecuteResponse(
-    size_t i, const std::string& text, MetricsCollector* metrics,
-    const CancelToken& cancel, const net::RetryPolicy* retry,
-    obs::SpanId trace_parent) const {
+struct Federation::Exchange {
+  ThreadPool* pool = nullptr;
+  size_t endpoint = 0;
+  std::string text;
+  IssueContext ctx;
+  Completion done;
+  bool is_ask = false;
+  obs::SpanId span = 0;
+  Result<net::QueryResponse> response = Status::Internal("not sent");
+  net::RetryOutcome outcome;
+};
+
+void Federation::Start(ThreadPool* pool, size_t i, std::string text,
+                       IssueContext ctx, Completion done) const {
+  auto ex = std::make_shared<Exchange>();
+  ex->pool = pool;
+  ex->endpoint = i;
+  ex->text = std::move(text);
+  ex->ctx = std::move(ctx);
+  ex->done = std::move(done);
+  if (pool == nullptr) {
+    Send(ex);
+  } else {
+    pool->Submit([this, ex] { Send(ex); });
+  }
+}
+
+void Federation::Send(const std::shared_ptr<Exchange>& ex) const {
+  const size_t i = ex->endpoint;
   if (i >= endpoints_.size()) {
-    return Status::NotFound("no endpoint with index " + std::to_string(i));
+    ex->done(Status::NotFound("no endpoint with index " + std::to_string(i)));
+    return;
   }
   const std::string& endpoint_id = endpoints_[i]->id();
-  if (cancel.Cancelled()) {
-    return cancel.StatusAt(("request to " + endpoint_id).c_str());
+  const IssueContext& ctx = ex->ctx;
+  if (ctx.cutoff.Cancelled()) {
+    ex->done(ctx.cutoff.StatusAt(("request to " + endpoint_id).c_str()));
+    return;
   }
-  bool is_ask = LooksLikeAskQuery(text);
+  if (ctx.cancel.Cancelled()) {
+    ex->done(ctx.cancel.StatusAt(("request to " + endpoint_id).c_str()));
+    return;
+  }
+  ex->is_ask = LooksLikeAskQuery(ex->text);
+  MetricsCollector* metrics = ctx.metrics;
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
-  obs::SpanId span = 0;
   if (tracer != nullptr) {
     obs::SpanId parent =
-        trace_parent != 0 ? trace_parent : metrics->trace_parent();
-    span = tracer->StartSpan("request " + endpoint_id, "request", parent);
-    tracer->Annotate(span, "endpoint", endpoint_id);
-    tracer->Annotate(span, "is_ask", is_ask);
+        ctx.trace_parent != 0 ? ctx.trace_parent : metrics->trace_parent();
+    ex->span = tracer->StartSpan("request " + endpoint_id, "request", parent);
+    tracer->Annotate(ex->span, "endpoint", endpoint_id);
+    tracer->Annotate(ex->span, "is_ask", ex->is_ask);
   }
 
   // While the endpoint call runs, downstream layers (the HTTP client,
@@ -102,23 +135,49 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
       obs::TraceContext context;
       context.tracer = std::move(shared);
       context.trace_id = tracer->trace_id();
-      context.parent = span;
+      context.parent = ex->span;
       trace_scope.emplace(std::move(context));
     }
   }
 
-  Result<net::QueryResponse> response = Status::Internal("unreachable");
-  net::RetryOutcome outcome;
-  if (retry != nullptr && retry->enabled()) {
-    response = net::QueryWithRetry(endpoints_[i].get(), text, cancel, *retry,
-                                   breakers_[i].get(), &outcome, tracer, span);
-  } else {
-    response = endpoints_[i]->QueryCancellable(text, cancel);
+  double wait_ms = 0.0;
+  {
+    net::DeferredWait wait;
+    if (ctx.retry != nullptr && ctx.retry->enabled()) {
+      ex->response = net::QueryWithRetry(
+          endpoints_[i].get(), ex->text, ctx.cancel, *ctx.retry,
+          breakers_[i].get(), &ex->outcome, tracer, ex->span);
+    } else {
+      ex->response = endpoints_[i]->QueryCancellable(ex->text, ctx.cancel);
+    }
+    wait_ms = wait.millis();
   }
   trace_scope.reset();
+  if (wait_ms <= 0.0) {
+    Complete(ex);
+    return;
+  }
+  timer_->Schedule(wait_ms, ctx.cancel, [this, ex](bool early) {
+        if (early) {
+          ex->response = ex->ctx.cancel.StatusAt(
+              ("request to " + endpoints_[ex->endpoint]->id()).c_str());
+        }
+        if (ex->pool == nullptr) {
+          Complete(ex);
+        } else {
+          ex->pool->Submit([this, ex] { Complete(ex); });
+        }
+      });
+}
+
+void Federation::Complete(const std::shared_ptr<Exchange>& ex) const {
+  const std::string& endpoint_id = endpoints_[ex->endpoint]->id();
+  const Result<net::QueryResponse>& response = ex->response;
+  const net::RetryOutcome& outcome = ex->outcome;
+  MetricsCollector* metrics = ex->ctx.metrics;
   if (metrics != nullptr) {
-    metrics->RecordExchange(response.ok() ? &*response : nullptr, is_ask,
-                            outcome);
+    metrics->RecordExchange(response.ok() ? &*response : nullptr, ex->is_ask,
+                            outcome, ex->ctx.kind);
     // A sharded endpoint answering in partial-results mode names the
     // members it dropped; fold them into the profile's failed-endpoint
     // set so the caller sees the answer is a lower bound.
@@ -155,7 +214,9 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
     stats_->RecordExchange(endpoint_id, exchange);
   }
 
-  if (span != 0) {
+  if (ex->span != 0) {
+    obs::Tracer* tracer = metrics->tracer();
+    const obs::SpanId span = ex->span;
     tracer->Annotate(span, "ok", response.ok());
     if (response.ok()) {
       tracer->Annotate(span, "rows",
@@ -192,63 +253,85 @@ Result<net::QueryResponse> Federation::ExecuteResponse(
     tracer->EndSpan(span);
   }
 
-  if (!response.ok()) return response.status();
-  return std::move(*response);
+  ex->done(std::move(ex->response));
 }
 
 Result<sparql::ResultTable> Federation::Execute(
     size_t i, const std::string& text, MetricsCollector* metrics,
     const CancelToken& cancel, const net::RetryPolicy* retry,
     obs::SpanId trace_parent) const {
-  LUSAIL_ASSIGN_OR_RETURN(
-      net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
-  if (response.ids != nullptr) {
+  IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = retry;
+  ctx.trace_parent = trace_parent;
+  return Issue(nullptr, i, text, std::move(ctx), ToTable).get();
+}
+
+Result<sparql::ResultTable> Federation::ToTable(
+    Result<net::QueryResponse> response) {
+  if (!response.ok()) return response.status();
+  if (response->ids != nullptr) {
     // A string-path consumer over an endpoint that parses straight to
     // ids (set_parse_dictionary): decode at the boundary so callers see
     // the same ResultTable they always did.
-    return core::DecodeIdTable(*response.ids, *response.ids_dict);
+    return core::DecodeIdTable(*response->ids, *response->ids_dict);
   }
-  return std::move(response.table);
+  return std::move(response->table);
 }
 
-Result<core::IdTable> Federation::ExecuteEncoded(
-    size_t i, const std::string& text, core::TermDictionary* dict,
-    MetricsCollector* metrics, const CancelToken& cancel,
-    const net::RetryPolicy* retry, obs::SpanId trace_parent,
-    std::optional<sparql::ResultTable>* wire_table) const {
-  LUSAIL_ASSIGN_OR_RETURN(
-      net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
-  if (response.ids != nullptr) {
-    if (response.ids_dict.get() == dict) {
+Result<core::IdTable> Federation::ToIds(
+    Result<net::QueryResponse> response, core::TermDictionary* dict,
+    std::optional<sparql::ResultTable>* wire_table) {
+  if (!response.ok()) return response.status();
+  if (response->ids != nullptr) {
+    if (response->ids_dict.get() == dict) {
       // Fast path: the transport already interned into our dictionary;
       // the ids are the result, no string rows ever existed.
-      return std::move(*response.ids);
+      return std::move(*response->ids);
     }
     // Ids from a foreign dictionary (endpoint shared across engines, or
     // reconfigured mid-flight): decode through the dictionary that
     // minted them, then re-encode into ours. Correct, just slower.
     sparql::ResultTable table =
-        core::DecodeIdTable(*response.ids, *response.ids_dict);
+        core::DecodeIdTable(*response->ids, *response->ids_dict);
     core::IdTable ids = core::EncodeResultTable(table, dict);
     if (wire_table != nullptr) *wire_table = std::move(table);
     return ids;
   }
-  core::IdTable ids = core::EncodeResultTable(response.table, dict);
-  if (wire_table != nullptr) *wire_table = std::move(response.table);
+  core::IdTable ids = core::EncodeResultTable(response->table, dict);
+  if (wire_table != nullptr) *wire_table = std::move(response->table);
   return ids;
 }
 
-Result<bool> Federation::Ask(size_t i, const std::string& text,
-                             MetricsCollector* metrics,
-                             const CancelToken& cancel,
-                             const net::RetryPolicy* retry,
-                             obs::SpanId trace_parent) const {
-  LUSAIL_ASSIGN_OR_RETURN(
-      net::QueryResponse response,
-      ExecuteResponse(i, text, metrics, cancel, retry, trace_parent));
-  return response.RowCount() > 0;
+Result<bool> Federation::NonEmpty(const Result<net::QueryResponse>& response) {
+  if (!response.ok()) return response.status();
+  return response->RowCount() > 0;
+}
+
+Status FetchUnion(const Federation& federation, ThreadPool* pool,
+                  const std::vector<int>& sources, const std::string& text,
+                  core::TermDictionary* dict, const IssueContext& ctx,
+                  core::IdTable* out) {
+  std::vector<std::future<Result<core::IdTable>>> parts;
+  parts.reserve(sources.size());
+  for (int ep : sources) {
+    parts.push_back(federation.Issue(
+        pool, static_cast<size_t>(ep), text, ctx,
+        [dict](Result<net::QueryResponse> response) {
+          return Federation::ToIds(std::move(response), dict);
+        }));
+  }
+  Status first_error;
+  for (auto& part : parts) {
+    Result<core::IdTable> ids = part.get();
+    if (!ids.ok()) {
+      if (first_error.ok()) first_error = ids.status();
+      continue;
+    }
+    if (first_error.ok()) core::AppendUnionIds(out, *ids);
+  }
+  return first_error;
 }
 
 }  // namespace lusail::fed

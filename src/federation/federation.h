@@ -4,14 +4,20 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/deadline_timer.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/id_table.h"
 #include "net/endpoint.h"
 #include "net/resilience.h"
@@ -37,10 +43,12 @@ struct ExecutionProfile {
   uint64_t rows_received = 0;  ///< Binding rows received.
   double network_ms = 0.0;     ///< Sum of simulated per-request network time.
 
-  /// Wall time from the collector's birth (query start) to the first
-  /// endpoint response that carried at least one binding row; 0 when no
-  /// rows ever arrived. The federated analogue of time-to-first-row: on
-  /// streamed answers it bounds how early the first batch could leave.
+  /// Wall time from the collector's birth (query start) to the completion
+  /// of the first subquery or bound-join response that carried at least
+  /// one binding row; probe responses (ASK, GJV checks, COUNT) never
+  /// count. 0 when no rows ever arrived. The federated analogue of
+  /// time-to-first-row: on streamed answers it bounds how early the first
+  /// batch could leave.
   double first_row_ms = 0.0;
 
   double source_selection_ms = 0.0;
@@ -82,6 +90,12 @@ struct ExecutionProfile {
 /// the field names). This is the record the benches dump per query.
 obs::JsonValue ProfileToJson(const ExecutionProfile& profile);
 
+/// What a federated request is for. Probes (source-selection and
+/// source-refinement ASKs, GJV checks, COUNT probes) steer the plan;
+/// fetches (subqueries and bound joins) carry answer rows, so only a
+/// fetch response stamps ExecutionProfile::first_row_ms.
+enum class RequestKind { kProbe, kFetch };
+
 /// Thread-safe accumulator for one federated query execution.
 ///
 /// All counters live under one mutex so a reader (FillCounters, or a
@@ -99,10 +113,11 @@ class MetricsCollector {
   /// single atomic update. `response` may be null for requests that
   /// failed without a response.
   void RecordExchange(const net::QueryResponse* response, bool is_ask,
-                      const net::RetryOutcome& outcome) {
+                      const net::RetryOutcome& outcome,
+                      RequestKind kind = RequestKind::kProbe) {
     std::lock_guard<std::mutex> lock(mu_);
     if (response != nullptr) {
-      AddResponseLocked(*response, is_ask);
+      AddResponseLocked(*response, is_ask, kind);
     }
     retries_ += outcome.retries;
     breaker_rejections_ += outcome.breaker_rejections;
@@ -181,13 +196,15 @@ class MetricsCollector {
   }
 
  private:
-  void AddResponseLocked(const net::QueryResponse& response, bool is_ask) {
+  void AddResponseLocked(const net::QueryResponse& response, bool is_ask,
+                         RequestKind kind) {
     ++requests_;
     if (is_ask) ++ask_requests_;
     bytes_sent_ += response.request_bytes;
     bytes_received_ += response.response_bytes;
     rows_received_ += response.RowCount();
-    if (first_row_ms_ == 0.0 && response.RowCount() > 0) {
+    if (kind == RequestKind::kFetch && first_row_ms_ == 0.0 &&
+        response.RowCount() > 0) {
       first_row_ms_ = born_.ElapsedMillis();
     }
     // Round to the nearest microsecond instead of truncating: a
@@ -299,6 +316,23 @@ class QueryTrace {
   obs::SpanId root_ = 0;
 };
 
+/// How Federation::Issue sends and accounts one request.
+struct IssueContext {
+  /// Accounting target (counters, tracer); may be null.
+  MetricsCollector* metrics = nullptr;
+  /// Reaches the request in flight and ends a pending wait early.
+  CancelToken cancel;
+  /// Retry policy; null or disabled means one attempt.
+  const net::RetryPolicy* retry = nullptr;
+  /// Parent of the "request" span; 0 means the collector's current one.
+  obs::SpanId trace_parent = 0;
+  RequestKind kind = RequestKind::kProbe;
+  /// Once fired, a request that has not been sent yet is skipped: nothing
+  /// is sent or accounted, and on_response gets cutoff.StatusAt(...).
+  /// SAPE's LIMIT row budget uses it; requests already sent still land.
+  CancelToken cutoff;
+};
+
 /// The registry of endpoints a federated query runs against, plus the
 /// request path every engine uses (with per-query accounting and
 /// cooperative deadline checks).
@@ -342,61 +376,114 @@ class Federation {
   }
   cache::FederationCache* query_cache() const { return query_cache_; }
 
-  /// Issues `text` at endpoint `i` through Endpoint::QueryCancellable, so
-  /// `cancel` (its deadline and any explicit cancel) reaches the request
-  /// in flight. Accounts the exchange into `metrics` (when non-null) and
-  /// fails with Timeout when the token has fired before the request is
-  /// issued. With a non-null `retry` whose policy is enabled, retryable
-  /// failures are retried with backoff under the endpoint's circuit
-  /// breaker, never sleeping past the token's deadline; retry and breaker
-  /// activity is accounted into `metrics`.
+  /// Issues `text` at endpoint `i` and returns a future for
+  /// `on_response(response)`. This is the one request path of every
+  /// engine. It splits the request into its CPU part and its wait:
+  /// - the endpoint chain runs on `pool` under a net::DeferredWait scope,
+  ///   so a simulated endpoint's network wait is collected, not slept;
+  /// - the response then completes on this federation's timer thread at
+  ///   its arrival time, or earlier with ctx.cancel's kTimeout status if
+  ///   the token fires first;
+  /// - accounting and `on_response` (the caller's decode, encode and
+  ///   cache puts) run back on `pool`.
+  /// A request with nothing to wait for (HTTP, sleep_scale 0, a failure)
+  /// completes on the pool thread that sent it. With a null `pool`, each
+  /// CPU step runs on the thread that reaches it: the caller, then the
+  /// timer. Every returned future must be consumed before `pool`, the
+  /// metrics collector, or anything `on_response` touches goes away.
   ///
-  /// When `metrics` carries a tracer, the exchange is recorded as a
-  /// "request" span — parented to `trace_parent` when non-zero, else to
-  /// the collector's current default parent — with retry attempts and
-  /// breaker rejections as child spans.
+  /// The endpoint sees the request through Endpoint::QueryCancellable,
+  /// so `ctx.cancel` (its deadline and any explicit cancel) reaches it in
+  /// flight; a token that has fired before the request is sent fails it
+  /// with kTimeout. With a `ctx.retry` whose policy is enabled, retryable
+  /// failures are retried with backoff under the endpoint's circuit
+  /// breaker, never sleeping past the token's deadline.
+  ///
+  /// The exchange is accounted into `ctx.metrics` (when non-null) and the
+  /// stats registry at completion, so both include the wait. When the
+  /// collector carries a tracer, the exchange is a "request" span from
+  /// send to completion, parented to `ctx.trace_parent` when non-zero,
+  /// else to the collector's current default parent, with retry attempts
+  /// and breaker rejections as child spans.
+  template <typename Fn>
+  auto Issue(ThreadPool* pool, size_t i, std::string text, IssueContext ctx,
+             Fn on_response) const
+      -> std::future<std::invoke_result_t<Fn&, Result<net::QueryResponse>>> {
+    using R = std::invoke_result_t<Fn&, Result<net::QueryResponse>>;
+    auto promise = std::make_shared<std::promise<R>>();
+    std::future<R> future = promise->get_future();
+    Start(pool, i, std::move(text), std::move(ctx),
+          [promise, fn = std::move(on_response)](
+              Result<net::QueryResponse> response) mutable {
+            promise->set_value(fn(std::move(response)));
+          });
+    return future;
+  }
+
+  /// Issue with no pool, waited on and decoded by ToTable: the calling
+  /// thread sends, the timer completes. For callers without a pool.
   Result<sparql::ResultTable> Execute(size_t i, const std::string& text,
                                       MetricsCollector* metrics,
                                       const CancelToken& cancel,
                                       const net::RetryPolicy* retry = nullptr,
                                       obs::SpanId trace_parent = 0) const;
 
-  /// ID-space variant of Execute: the response lands as a core::IdTable in
-  /// `dict`'s id space. When the endpoint parses straight into this
-  /// dictionary (HttpSparqlEndpoint::set_parse_dictionary), the ids pass
-  /// through untouched; a string response is encoded here at the
-  /// federator boundary; ids from a *different* dictionary are decoded
-  /// and re-encoded (correct, just slower). When `wire_table` is non-null
-  /// it receives the string form of the response if one existed on the
-  /// wire path (for result-cache stores); it stays nullopt on the pure
-  /// id path, where the caller decides whether decoding is worth it.
-  Result<core::IdTable> ExecuteEncoded(
-      size_t i, const std::string& text, core::TermDictionary* dict,
-      MetricsCollector* metrics, const CancelToken& cancel,
-      const net::RetryPolicy* retry = nullptr, obs::SpanId trace_parent = 0,
-      std::optional<sparql::ResultTable>* wire_table = nullptr) const;
+  // --- Response decoders for Issue's on_response ---
 
-  /// Convenience ASK wrapper: true iff the endpoint returned a row.
-  Result<bool> Ask(size_t i, const std::string& text,
-                   MetricsCollector* metrics, const CancelToken& cancel,
-                   const net::RetryPolicy* retry = nullptr,
-                   obs::SpanId trace_parent = 0) const;
+  /// The response as a string table; ids are decoded through the
+  /// dictionary that minted them.
+  static Result<sparql::ResultTable> ToTable(
+      Result<net::QueryResponse> response);
+
+  /// The response as a core::IdTable in `dict`'s id space. When the
+  /// endpoint parses straight into this dictionary
+  /// (HttpSparqlEndpoint::set_parse_dictionary), the ids pass through
+  /// untouched; a string response is encoded here at the federator
+  /// boundary; ids from a *different* dictionary are decoded and
+  /// re-encoded (correct, just slower). When `wire_table` is non-null it
+  /// receives the string form of the response if one existed on the wire
+  /// path (for result-cache stores); it stays nullopt on the pure id
+  /// path, where the caller decides whether decoding is worth it.
+  static Result<core::IdTable> ToIds(
+      Result<net::QueryResponse> response, core::TermDictionary* dict,
+      std::optional<sparql::ResultTable>* wire_table = nullptr);
+
+  /// True iff the response carries a row: an ASK verdict, or a locality
+  /// check that found a witness.
+  static Result<bool> NonEmpty(const Result<net::QueryResponse>& response);
 
  private:
-  /// Shared body of Execute/ExecuteEncoded: the full request path with
-  /// accounting, tracing, and endpoint-stats recording, representation
-  /// untouched (the response may carry a string table or an IdTable).
-  Result<net::QueryResponse> ExecuteResponse(
-      size_t i, const std::string& text, MetricsCollector* metrics,
-      const CancelToken& cancel, const net::RetryPolicy* retry,
-      obs::SpanId trace_parent) const;
+  /// One request from send to completion.
+  struct Exchange;
+  using Completion = std::function<void(Result<net::QueryResponse>)>;
+
+  /// Issue's untyped body: hands the CPU part to `pool` (or runs it).
+  void Start(ThreadPool* pool, size_t i, std::string text, IssueContext ctx,
+             Completion done) const;
+  /// The CPU part: runs the endpoint chain under a DeferredWait scope,
+  /// then completes at once or schedules the wait on the timer.
+  void Send(const std::shared_ptr<Exchange>& ex) const;
+  /// Accounting, the end of the span, then the caller's continuation.
+  void Complete(const std::shared_ptr<Exchange>& ex) const;
 
   std::vector<std::shared_ptr<net::Endpoint>> endpoints_;
   std::vector<std::unique_ptr<net::CircuitBreaker>> breakers_;
   net::CircuitBreakerConfig breaker_config_;
   obs::EndpointStatsRegistry* stats_ = nullptr;
   cache::FederationCache* query_cache_ = nullptr;
+  /// Completes deferred waits. Declared last so it drains before the
+  /// members its callbacks read are destroyed.
+  std::unique_ptr<DeadlineTimer> timer_ = std::make_unique<DeadlineTimer>();
 };
+
+/// Issues `text` at every endpoint in `sources` at once through `pool`
+/// and appends the answers to `out` in `dict`'s id space, in `sources`
+/// order (the baselines' fetch step). Waits for every response; the
+/// first failure in that order is returned.
+Status FetchUnion(const Federation& federation, ThreadPool* pool,
+                  const std::vector<int>& sources, const std::string& text,
+                  core::TermDictionary* dict, const IssueContext& ctx,
+                  core::IdTable* out);
 
 /// Result of a federated query: the final table plus the cost profile.
 struct FederatedResult {

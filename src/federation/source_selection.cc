@@ -53,7 +53,8 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
 
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
-  for (size_t pi = 0; pi < patterns.size(); ++pi) {
+  Status dead_group;
+  for (size_t pi = 0; pi < patterns.size() && dead_group.ok(); ++pi) {
     for (size_t ei = 0; ei < num_eps; ++ei) {
       std::string key = PatternCacheKey(patterns[pi], federation_->id(ei));
       if (use_cache) {
@@ -75,21 +76,29 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
           sources[pi].push_back(static_cast<int>(ei));
           continue;
         }
-        return Status::Unavailable(
+        dead_group = Status::Unavailable(
             "every replica of " + federation_->id(ei) +
             " has an open circuit breaker; source selection cannot probe it");
+        break;
       }
       Probe probe;
       probe.pattern = pi;
       probe.endpoint = ei;
       probe.cache_key = std::move(key);
-      std::string text = AskQueryText(patterns[pi]);
-      probe.result = pool_->Submit(
-          [this, ei, text = std::move(text), metrics, cancel, retry]() {
-            return federation_->Ask(ei, text, metrics, cancel, retry);
-          });
+      IssueContext ctx;
+      ctx.metrics = metrics;
+      ctx.cancel = cancel;
+      ctx.retry = retry;
+      probe.result = federation_->Issue(pool_, ei, AskQueryText(patterns[pi]),
+                                        std::move(ctx), Federation::NonEmpty);
       probes.push_back(std::move(probe));
     }
+  }
+
+  if (!dead_group.ok()) {
+    // Probes already issued account into `metrics`: let them land first.
+    for (Probe& probe : probes) probe.result.wait();
+    return dead_group;
   }
 
   std::vector<std::pair<size_t, Status>> failures;

@@ -10,9 +10,14 @@ namespace lusail::net {
 /// Every request is charged `request_latency_ms` (round-trip setup) plus
 /// transfer time for the query text and the serialized result at
 /// `bandwidth_bytes_per_ms`. The charged time is always *accounted* in the
-/// metrics; it is additionally *imposed* on the calling thread (via sleep)
-/// scaled by `sleep_scale`, so wall-clock measurements reflect network
-/// behaviour. sleep_scale = 0 turns the simulation into pure accounting.
+/// metrics; `sleep_scale` times it is additionally *imposed*, so
+/// wall-clock measurements reflect network behaviour. Where the wait is
+/// imposed depends on the calling thread: under a DeferredWait scope
+/// (fed::Federation's request path) it is added to the scope and the
+/// federation completes the response on its timer after that long; with
+/// no scope (direct callers, server backends, shard-scatter and hedge
+/// workers) the calling thread sleeps. sleep_scale = 0 turns the
+/// simulation into pure accounting.
 ///
 /// Presets mirror the paper's two deployments: a local cluster (1-10 Gbps
 /// Ethernet, sub-millisecond RTT) and a geo-distributed Azure federation
@@ -46,8 +51,47 @@ struct LatencyModel {
     return ms;
   }
 
-  /// Blocks the calling thread for sleep_scale * CostMillis(...).
+  /// Imposes sleep_scale * CostMillis(...): adds it to the thread's
+  /// DeferredWait scope when one is installed, else sleeps.
   void Impose(size_t request_bytes, size_t response_bytes) const;
+};
+
+/// RAII per-thread collector of simulated network waits. While installed,
+/// LatencyModel::Impose on this thread adds its wait here instead of
+/// sleeping, so the installer (fed::Federation) can release the thread at
+/// once and complete the exchange after millis() on a timer. Scopes nest:
+/// destruction restores whatever was installed before.
+class DeferredWait {
+ public:
+  DeferredWait();
+  ~DeferredWait();
+
+  DeferredWait(const DeferredWait&) = delete;
+  DeferredWait& operator=(const DeferredWait&) = delete;
+
+  /// The wait collected so far, in milliseconds.
+  double millis() const { return millis_; }
+
+  /// RAII: hides this thread's scope, so waits imposed while alive are
+  /// slept for real. Decorators that time their inner endpoints (replica
+  /// health ranking, hedge delays) suspend around them.
+  class Suspend {
+   public:
+    Suspend();
+    ~Suspend();
+
+    Suspend(const Suspend&) = delete;
+    Suspend& operator=(const Suspend&) = delete;
+
+   private:
+    DeferredWait* hidden_;
+  };
+
+ private:
+  friend struct LatencyModel;
+
+  double millis_ = 0.0;
+  DeferredWait* previous_;
 };
 
 }  // namespace lusail::net

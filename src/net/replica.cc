@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "net/latency_model.h"
 #include "obs/trace_context.h"
 
 namespace lusail::net {
@@ -180,6 +181,9 @@ double ReplicaGroup::HedgeDelayMs(
 
 Result<QueryResponse> ReplicaGroup::QueryCancellable(
     const std::string& text, const CancelToken& cancel) {
+  // Members are timed for health ranking and hedge delays, so their
+  // simulated waits must pass on this thread, not in a caller's scope.
+  DeferredWait::Suspend real_waits;
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (replicas_.empty()) {
     return Status::NotFound("replica group " + id_ + " has no replicas");

@@ -99,7 +99,7 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Enables the ID-space fast path: responses are parsed straight into
   /// `dict` (SRJ -> IdTable, no federator-side string rows) and returned
   /// via QueryResponse::ids with ids_dict set. Pass the engine's
-  /// dictionary so Federation::ExecuteEncoded consumes the ids with zero
+  /// dictionary so Federation::ToIds consumes the ids with zero
   /// re-encoding; pass nullptr to return to string-table responses.
   /// Thread-safe; takes effect for requests issued after the call.
   void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict);

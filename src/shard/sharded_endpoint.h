@@ -126,7 +126,7 @@ class ShardedEndpoint : public net::Endpoint {
 
   /// Dictionary gather results are encoded into (and responses returned
   /// in). Defaults to a private dictionary; engines share theirs so the
-  /// ExecuteEncoded fast path applies. Call before issuing queries.
+  /// Federation::ToIds fast path applies. Call before issuing queries.
   void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict) {
     dict_ = std::move(dict);
   }
