@@ -20,6 +20,7 @@
 #include "core/gjv_detector.h"
 #include "core/hash_join.h"
 #include "core/id_table.h"
+#include "federation/federation.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/evaluator.h"
 #include "sparql/parser.h"
@@ -165,9 +166,10 @@ void BM_EndpointRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_EndpointRoundTrip)->Unit(benchmark::kMicrosecond);
 
-/// The endpoint evaluator on a two-university store. Arg 0 runs Q1's six
-/// patterns as one local subquery; rows/s counts its answer rows. Arg 1
-/// runs the GJV check on Q1's ?X between memberOf (outer) and
+/// The endpoint evaluator on a two-university store, producing the
+/// store-id answer a SparqlEndpoint ships (Evaluator::ExecuteIds). Arg 0
+/// runs Q1's six patterns as one local subquery; rows/s counts its answer
+/// rows. Arg 1 runs the GJV check on Q1's ?X between memberOf (outer) and
 /// undergraduateDegreeFrom (inner): every graduate student has a local
 /// degree triple, so the NOT EXISTS probes every outer row and the answer
 /// is empty; rows/s counts the probed outer rows.
@@ -182,13 +184,13 @@ void BM_EvaluateLocalJoin(benchmark::State& state) {
     text = core::GjvDetector::CheckQueryText("X", q1[3], q1[5], {q1[0]});
     auto outer = sparql::ParseQuery("SELECT ?X WHERE { " + q1[0].ToString() +
                                     " . " + q1[3].ToString() + " . }");
-    rows_per_run = evaluator.Execute(*outer)->NumRows();
+    rows_per_run = evaluator.ExecuteIds(*outer)->num_rows;
   }
   auto query = sparql::ParseQuery(text);
   size_t answer_rows = 0;
   for (auto _ : state) {
-    auto table = evaluator.Execute(*query);
-    answer_rows = table->NumRows();
+    auto answer = evaluator.ExecuteIds(*query);
+    answer_rows = answer->num_rows;
     benchmark::DoNotOptimize(answer_rows);
   }
   if (state.range(0) == 0) rows_per_run = answer_rows;
@@ -197,6 +199,36 @@ void BM_EvaluateLocalJoin(benchmark::State& state) {
   state.counters["answer_rows"] = static_cast<double>(answer_rows);
 }
 BENCHMARK(BM_EvaluateLocalJoin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// One in-process request end to end on the federator's side: a
+/// SparqlEndpoint evaluating Q1 on a two-university store, then
+/// Federation::ToIds translating its store-id answer into the engine's
+/// dictionary. Arg 0 keeps one engine dictionary across iterations (a
+/// warm engine: every id is already translated); arg 1 starts each
+/// iteration with a fresh one. cells/s counts answer cells.
+void BM_EndpointIdResponse(benchmark::State& state) {
+  static net::SparqlEndpoint endpoint("bench", BuildStore(2),
+                                      net::LatencyModel::None());
+  const std::string query = workload::LubmGenerator::Q1();
+  const bool cold = state.range(0) == 1;
+  auto dict = std::make_unique<core::TermDictionary>();
+  size_t cells = 0;
+  for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      dict = std::make_unique<core::TermDictionary>();
+      state.ResumeTiming();
+    }
+    Result<core::IdTable> ids =
+        fed::Federation::ToIds(endpoint.Query(query), dict.get());
+    cells = ids->NumRows() * ids->NumVars();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["cells/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * cells),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EndpointIdResponse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ParallelHashJoin(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -466,12 +466,34 @@ void TermDictionary::AddDecodeBatch(double seconds, uint64_t cells) const {
   decode_cells_.fetch_add(cells, std::memory_order_relaxed);
 }
 
+std::atomic<rdf::TermId>* TermDictionary::TranslationMemo(uint64_t space,
+                                                          size_t size,
+                                                          size_t* slots) {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  SpaceMemo& memo = space_memos_[space];
+  if (memo.ids == nullptr) {
+    memo.ids = std::make_unique<std::atomic<rdf::TermId>[]>(size);
+    for (size_t i = 0; i < size; ++i) {
+      memo.ids[i].store(rdf::kInvalidTermId, std::memory_order_relaxed);
+    }
+    memo.size = size;
+  }
+  *slots = memo.size;
+  return memo.ids.get();
+}
+
 DictionaryStats TermDictionary::GetStats() const {
   DictionaryStats stats;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.terms += shard.terms.size();
     stats.bytes += shard.bytes + shard.slots.size() * sizeof(Slot);
+  }
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    for (const auto& [space, memo] : space_memos_) {
+      stats.bytes += memo.size * sizeof(rdf::TermId);
+    }
   }
   stats.encode_terms = encode_cells_.load(std::memory_order_relaxed);
   stats.decode_terms = decode_cells_.load(std::memory_order_relaxed);

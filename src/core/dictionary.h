@@ -5,8 +5,10 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -56,7 +58,7 @@ struct DictionaryStats {
 /// interned term also gets a 64-bit `content_hash` computed once from
 /// its kind/lexical/datatype/lang; it is equal across dictionaries for
 /// equal terms and O(1) to look up by id.
-class TermDictionary {
+class TermDictionary final : public rdf::TermSource {
  public:
   TermDictionary();
   TermDictionary(const TermDictionary&) = delete;
@@ -77,12 +79,12 @@ class TermDictionary {
 
   /// Returns the term for `id`. The reference stays valid for the
   /// dictionary's lifetime. Requires an id previously returned by Intern.
-  const rdf::Term& term(rdf::TermId id) const;
+  const rdf::Term& term(rdf::TermId id) const override;
 
   /// Batch form of term(): out[i] points at the term for ids[i], or is
   /// null for kInvalidTermId. Takes each shard lock once per call.
   void TermBatch(const rdf::TermId* ids, size_t n,
-                 const rdf::Term** out) const;
+                 const rdf::Term** out) const override;
 
   /// Number of distinct interned terms.
   size_t size() const;
@@ -102,9 +104,19 @@ class TermDictionary {
   /// Const because decode runs against a const dictionary (stats are
   /// bookkeeping, not term-space state).
   void AddEncodeBatch(double seconds, uint64_t cells) const;
-  void AddDecodeBatch(double seconds, uint64_t cells) const;
+  void AddDecodeBatch(double seconds, uint64_t cells) const override;
 
   DictionaryStats GetStats() const;
+
+  /// The translation memo of a stable foreign id space (see
+  /// rdf::TermSource::stable_space), created on first use with `size`
+  /// slots: slot i holds this dictionary's id for the space's id i, or
+  /// kInvalidTermId until TranslateIds first resolves it. Kept for the
+  /// dictionary's lifetime (ids are never evicted, so entries never go
+  /// stale); slots are read and written concurrently with relaxed
+  /// atomics. `*slots` receives the memo's size.
+  std::atomic<rdf::TermId>* TranslationMemo(uint64_t space, size_t size,
+                                            size_t* slots);
 
   /// Emits lusail_<subsystem>_dictionary_{terms,bytes} gauges and
   /// encode/decode {seconds,cells}_total counters.
@@ -164,6 +176,13 @@ class TermDictionary {
 
   Shard shards_[kShards];
   uint64_t epoch_;
+
+  struct SpaceMemo {
+    std::unique_ptr<std::atomic<rdf::TermId>[]> ids;
+    size_t size = 0;
+  };
+  mutable std::mutex memo_mu_;
+  std::unordered_map<uint64_t, SpaceMemo> space_memos_;
   mutable std::atomic<uint64_t> encode_cells_{0};
   mutable std::atomic<uint64_t> decode_cells_{0};
   mutable std::atomic<uint64_t> encode_ns_{0};

@@ -1,7 +1,9 @@
 #include "core/id_table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -385,7 +387,7 @@ IdTable EncodeResultTable(const sparql::ResultTable& table,
 }
 
 sparql::ResultTable DecodeIdTable(const IdTable& table,
-                                  const TermDictionary& dict) {
+                                  const rdf::TermSource& terms) {
   Stopwatch timer;
   const size_t n = table.NumRows();
   sparql::ResultTable out;
@@ -395,14 +397,118 @@ sparql::ResultTable DecodeIdTable(const IdTable& table,
   for (size_t c = 0; c < table.NumVars(); ++c) {
     const std::vector<rdf::TermId>& ids = table.Column(c);
     if (ids.empty()) continue;  // All-unbound column.
-    dict.TermBatch(ids.data(), n, cells.data());
+    terms.TermBatch(ids.data(), n, cells.data());
     for (size_t r = 0; r < n; ++r) {
       if (cells[r] != nullptr) out.rows[r][c] = *cells[r];
     }
   }
-  dict.AddDecodeBatch(timer.ElapsedMillis() / 1e3,
-                      static_cast<uint64_t>(n * table.NumVars()));
+  terms.AddDecodeBatch(timer.ElapsedMillis() / 1e3,
+                       static_cast<uint64_t>(n * table.NumVars()));
   return out;
+}
+
+IdTable TranslateIds(const IdTable& table, const rdf::TermSource& terms,
+                     TermDictionary* dict) {
+  Stopwatch timer;
+  const size_t n = table.NumRows();
+  // Ids of a stable space are translated once per dictionary: the memo
+  // answers every id some earlier response already brought in.
+  size_t memo_size = 0;
+  std::atomic<rdf::TermId>* memo =
+      terms.stable_space() != 0
+          ? dict->TranslationMemo(terms.stable_space(), terms.stable_ids(),
+                                  &memo_size)
+          : nullptr;
+  // Pass 1: translated cells take their id; the others are numbered in
+  // first-occurrence order, column by column, through a per-table map
+  // (open addressing over source ids, at most half full), and hold
+  // kPending | number until pass 2.
+  constexpr rdf::TermId kPending = rdf::TermId{1} << 63;
+  struct Slot {
+    rdf::TermId id;
+    uint32_t index;
+  };
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  std::vector<Slot> local(64, Slot{0, kEmpty});
+  std::vector<rdf::TermId> distinct;
+  auto number = [&](rdf::TermId id) {
+    size_t mask = local.size() - 1;
+    size_t i = (id * 0x9e3779b97f4a7c15ULL) >> 32 & mask;
+    for (; local[i].index != kEmpty; i = (i + 1) & mask) {
+      if (local[i].id == id) return local[i].index;
+    }
+    const uint32_t index = static_cast<uint32_t>(distinct.size());
+    local[i] = Slot{id, index};
+    distinct.push_back(id);
+    if (2 * distinct.size() > local.size()) {
+      std::vector<Slot> old(2 * local.size(), Slot{0, kEmpty});
+      old.swap(local);
+      mask = local.size() - 1;
+      for (const Slot& slot : old) {
+        if (slot.index == kEmpty) continue;
+        size_t j = (slot.id * 0x9e3779b97f4a7c15ULL) >> 32 & mask;
+        while (local[j].index != kEmpty) j = (j + 1) & mask;
+        local[j] = slot;
+      }
+    }
+    return index;
+  };
+  std::vector<std::vector<rdf::TermId>> cols(table.NumVars());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const std::vector<rdf::TermId>& ids = table.Column(c);
+    if (ids.empty()) continue;  // All-unbound column.
+    cols[c].resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      const rdf::TermId id = ids[r];
+      rdf::TermId out = rdf::kInvalidTermId;
+      if (id != rdf::kInvalidTermId) {
+        if (id < memo_size) out = memo[id].load(std::memory_order_relaxed);
+        if (out == rdf::kInvalidTermId) out = kPending | number(id);
+      }
+      cols[c][r] = out;
+    }
+  }
+  // Pass 2: resolve and intern each new term once, remember stable ids,
+  // then fill in the pending cells.
+  if (!distinct.empty()) {
+    std::vector<const rdf::Term*> cells(distinct.size());
+    terms.TermBatch(distinct.data(), distinct.size(), cells.data());
+    std::vector<rdf::TermId> mapped(distinct.size());
+    dict->InternBatch(cells.data(), cells.size(), mapped.data());
+    for (size_t k = 0; k < distinct.size(); ++k) {
+      if (distinct[k] < memo_size) {
+        memo[distinct[k]].store(mapped[k], std::memory_order_relaxed);
+      }
+    }
+    for (std::vector<rdf::TermId>& col : cols) {
+      for (rdf::TermId& cell : col) {
+        if (cell != rdf::kInvalidTermId && (cell & kPending) != 0) {
+          cell = mapped[cell & ~kPending];
+        }
+      }
+    }
+  }
+  dict->AddEncodeBatch(timer.ElapsedMillis() / 1e3,
+                       static_cast<uint64_t>(n * table.NumVars()));
+  return IdTable::FromColumns(table.vars, std::move(cols), n);
+}
+
+size_t SerializedBytes(const IdTable& table, const rdf::TermSource& terms) {
+  const size_t n = table.NumRows();
+  size_t bytes = n;  // Row terminators.
+  for (const std::string& v : table.vars) bytes += v.size() + 2;
+  for (size_t c = 0; c < table.NumVars(); ++c) {
+    const std::vector<rdf::TermId>& ids = table.Column(c);
+    if (ids.empty()) {
+      bytes += n;  // All-unbound column.
+      continue;
+    }
+    for (rdf::TermId id : ids) {
+      bytes += 1;  // Separator.
+      if (id != rdf::kInvalidTermId) bytes += terms.term(id).SerializedSize();
+    }
+  }
+  return bytes;
 }
 
 std::string FingerprintIdBindings(const std::string& var,

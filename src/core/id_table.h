@@ -131,10 +131,27 @@ void FilterIds(IdTable* table, const sparql::Expr& filter,
 IdTable EncodeResultTable(const sparql::ResultTable& table,
                           TermDictionary* dict);
 
-/// Decodes back to the wire format (late materialization; batch-timed
-/// into the dictionary's decode counters).
+/// Decodes back to the wire format through the source that minted the
+/// ids (late materialization; batch-timed into the source's decode
+/// counters, if it keeps any).
 sparql::ResultTable DecodeIdTable(const IdTable& table,
-                                  const TermDictionary& dict);
+                                  const rdf::TermSource& terms);
+
+/// Re-keys `table`, whose ids belong to `terms`, into `dict`, with no
+/// term copied or hashed per cell. Ids of a stable space
+/// (TermSource::stable_space) are looked up in the dictionary's
+/// translation memo for that space first; each other distinct id is
+/// resolved and interned once per table (a flat per-table map, then one
+/// InternBatch over term pointers) and, when stable, memoized. New terms
+/// are interned in the order EncodeResultTable of the decoded table would
+/// intern them. Batch-timed into `dict`'s encode counters, every cell
+/// counted, as EncodeResultTable counts them.
+IdTable TranslateIds(const IdTable& table, const rdf::TermSource& terms,
+                     TermDictionary* dict);
+
+/// Wire size of `table` decoded through `terms`: equal to
+/// DecodeIdTable(table, terms).SerializedBytes(), without decoding.
+size_t SerializedBytes(const IdTable& table, const rdf::TermSource& terms);
 
 /// 128 bits of FNV-1a over a VALUES binding block in id space — the
 /// bind variable plus each binding's dictionary content hash — rendered

@@ -272,9 +272,9 @@ Result<sparql::ResultTable> Federation::ToTable(
     Result<net::QueryResponse> response) {
   if (!response.ok()) return response.status();
   if (response->ids != nullptr) {
-    // A string-path consumer over an endpoint that parses straight to
-    // ids (set_parse_dictionary): decode at the boundary so callers see
-    // the same ResultTable they always did.
+    // A string-path consumer over an id-space answer (store ids, or a
+    // transport parsing into a dictionary): decode at the boundary so
+    // callers see the same ResultTable they always did.
     return core::DecodeIdTable(*response->ids, *response->ids_dict);
   }
   return std::move(response->table);
@@ -290,14 +290,13 @@ Result<core::IdTable> Federation::ToIds(
       // the ids are the result, no string rows ever existed.
       return std::move(*response->ids);
     }
-    // Ids from a foreign dictionary (endpoint shared across engines, or
-    // reconfigured mid-flight): decode through the dictionary that
-    // minted them, then re-encode into ours. Correct, just slower.
-    sparql::ResultTable table =
-        core::DecodeIdTable(*response->ids, *response->ids_dict);
-    core::IdTable ids = core::EncodeResultTable(table, dict);
-    if (wire_table != nullptr) *wire_table = std::move(table);
-    return ids;
+    // Ids of another space (an in-process endpoint's store, or a
+    // transport parsing into another engine's dictionary): translate
+    // each distinct id once. A cache store gets the string form too.
+    if (wire_table != nullptr) {
+      *wire_table = core::DecodeIdTable(*response->ids, *response->ids_dict);
+    }
+    return core::TranslateIds(*response->ids, *response->ids_dict, dict);
   }
   core::IdTable ids = core::EncodeResultTable(response->table, dict);
   if (wire_table != nullptr) *wire_table = std::move(response->table);

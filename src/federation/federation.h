@@ -438,12 +438,13 @@ class Federation {
   /// The response as a core::IdTable in `dict`'s id space. When the
   /// endpoint parses straight into this dictionary
   /// (HttpSparqlEndpoint::set_parse_dictionary), the ids pass through
-  /// untouched; a string response is encoded here at the federator
-  /// boundary; ids from a *different* dictionary are decoded and
-  /// re-encoded (correct, just slower). When `wire_table` is non-null it
-  /// receives the string form of the response if one existed on the wire
-  /// path (for result-cache stores); it stays nullopt on the pure id
-  /// path, where the caller decides whether decoding is worth it.
+  /// untouched; ids of any other space (an in-process endpoint's store
+  /// ids, another engine's dictionary) go through core::TranslateIds,
+  /// each distinct id interned once; a string response is encoded here
+  /// at the federator boundary. When `wire_table` is non-null it
+  /// receives the string form of a string or translated response (for
+  /// result-cache stores); it stays nullopt on the same-dictionary path,
+  /// where the caller decides whether decoding is worth it.
   static Result<core::IdTable> ToIds(
       Result<net::QueryResponse> response, core::TermDictionary* dict,
       std::optional<sparql::ResultTable>* wire_table = nullptr);

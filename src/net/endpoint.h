@@ -36,15 +36,15 @@ struct QueryResponse {
   double server_ms = 0.0;     ///< Endpoint-side evaluation time.
   TransportInfo transport;    ///< Physical transport details, if any.
 
-  /// ID-space fast path: a transport configured with a parse dictionary
-  /// (rpc::HttpSparqlEndpoint::set_parse_dictionary) decodes the wire
-  /// response straight into an IdTable and leaves `table` empty —
-  /// `ids_dict` records which dictionary the ids belong to, so a consumer
-  /// holding a different dictionary can still decode and re-encode
-  /// instead of silently comparing incomparable ids. Decorators pass both
-  /// through untouched.
+  /// ID-space payload, `table` left empty: an in-process SparqlEndpoint
+  /// answers in its store's ids, and a transport configured with a parse
+  /// dictionary (rpc::HttpSparqlEndpoint::set_parse_dictionary) decodes
+  /// the wire response straight into the engine's. `ids_dict` resolves
+  /// the ids to terms, so a consumer holding a different dictionary
+  /// translates them (Federation::ToIds) instead of silently comparing
+  /// incomparable ids. Decorators pass both through untouched.
   std::shared_ptr<core::IdTable> ids;
-  std::shared_ptr<core::TermDictionary> ids_dict;
+  std::shared_ptr<const rdf::TermSource> ids_dict;
 
   /// Row count regardless of representation (accounting, annotations).
   size_t RowCount() const {
@@ -78,7 +78,7 @@ struct QueryResponse {
 struct StreamBatch {
   sparql::ResultTable table;
   std::shared_ptr<core::IdTable> ids;
-  std::shared_ptr<core::TermDictionary> ids_dict;
+  std::shared_ptr<const rdf::TermSource> ids_dict;
 
   size_t NumRows() const {
     return ids != nullptr ? ids->NumRows() : table.NumRows();
@@ -127,7 +127,7 @@ class Endpoint {
   virtual const std::string& id() const = 0;
 
   /// Parses and evaluates `sparql_text` under `cancel`, charging simulated
-  /// network cost. ASK queries yield a zero-column table with 0 or 1 rows.
+  /// network cost. ASK answers have zero columns and 0 or 1 rows.
   /// This is the one buffered entry point an endpoint implements:
   /// implementations that evaluate locally check the token between work
   /// chunks, transports watch it while waiting on the wire, and

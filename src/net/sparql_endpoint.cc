@@ -13,6 +13,13 @@ SparqlEndpoint::SparqlEndpoint(std::string id,
       evaluator_(store_.get()),
       latency_(latency) {
   if (!store_->frozen()) store_->Freeze();
+  store_terms_ = std::make_shared<const sparql::AnswerTerms>(
+      StoreDictionary(), std::vector<rdf::Term>());
+}
+
+std::shared_ptr<const rdf::Dictionary> SparqlEndpoint::StoreDictionary()
+    const {
+  return std::shared_ptr<const rdf::Dictionary>(store_, &store_->dict());
 }
 
 Result<QueryResponse> SparqlEndpoint::QueryCancellable(
@@ -20,12 +27,20 @@ Result<QueryResponse> SparqlEndpoint::QueryCancellable(
   Stopwatch server_timer;
   LUSAIL_ASSIGN_OR_RETURN(sparql::Query query,
                           sparql::ParseQuery(sparql_text));
+  LUSAIL_ASSIGN_OR_RETURN(sparql::IdAnswer answer,
+                          evaluator_.ExecuteIds(query, cancel));
   QueryResponse response;
-  LUSAIL_ASSIGN_OR_RETURN(response.table, evaluator_.Execute(query, cancel));
+  response.ids_dict = answer.foreign.empty()
+                          ? store_terms_
+                          : std::make_shared<const sparql::AnswerTerms>(
+                                StoreDictionary(), std::move(answer.foreign));
+  response.ids = std::make_shared<core::IdTable>(core::IdTable::FromColumns(
+      std::move(answer.vars), std::move(answer.columns), answer.num_rows));
   response.server_ms = server_timer.ElapsedMillis();
 
   response.request_bytes = sparql_text.size();
-  response.response_bytes = response.table.SerializedBytes();
+  response.response_bytes =
+      core::SerializedBytes(*response.ids, *response.ids_dict);
   response.network_ms =
       latency_.CostMillis(response.request_bytes, response.response_bytes);
 
@@ -35,7 +50,7 @@ Result<QueryResponse> SparqlEndpoint::QueryCancellable(
   }
   bytes_in_.fetch_add(response.request_bytes, std::memory_order_relaxed);
   bytes_out_.fetch_add(response.response_bytes, std::memory_order_relaxed);
-  rows_out_.fetch_add(response.table.NumRows(), std::memory_order_relaxed);
+  rows_out_.fetch_add(response.RowCount(), std::memory_order_relaxed);
 
   latency_.Impose(response.request_bytes, response.response_bytes);
   return response;

@@ -25,6 +25,12 @@ struct EndpointStats {
 /// A simulated SPARQL endpoint: a frozen TripleStore plus the local query
 /// engine, fronted by the text-query interface and a latency model. This
 /// plays the role of a Fuseki/Virtuoso server in the paper's setup.
+///
+/// Answers leave in store ids: QueryResponse::ids holds the evaluator's
+/// columns and ids_dict a sparql::AnswerTerms over the store dictionary
+/// (shared, so a response may outlive the endpoint) plus the answer's
+/// foreign terms. response_bytes is what the answer's wire form would
+/// weigh, exactly as for a string table.
 class SparqlEndpoint : public Endpoint {
  public:
   /// Takes ownership of `store`; the store must already be frozen (or it
@@ -35,8 +41,8 @@ class SparqlEndpoint : public Endpoint {
   const std::string& id() const override { return id_; }
 
   /// Threads the token into the local evaluator, so a long-running
-  /// evaluation aborts within ~1k join iterations of the token firing
-  /// (deadline expiry or explicit cancel) and materializes no rows.
+  /// evaluation aborts within one batch or ~1k index probes of the token
+  /// firing (deadline expiry or explicit cancel) and returns no rows.
   Result<QueryResponse> QueryCancellable(const std::string& sparql_text,
                                          const CancelToken& cancel) override;
 
@@ -51,8 +57,14 @@ class SparqlEndpoint : public Endpoint {
   void ResetStats();
 
  private:
+  /// The store's dictionary, sharing ownership of the store.
+  std::shared_ptr<const rdf::Dictionary> StoreDictionary() const;
+
   std::string id_;
-  std::unique_ptr<store::TripleStore> store_;
+  std::shared_ptr<store::TripleStore> store_;
+  /// The store dictionary as a TermSource, for answers with no foreign
+  /// terms (most of them): one shared instance, no per-response copy.
+  std::shared_ptr<const sparql::AnswerTerms> store_terms_;
   sparql::Evaluator evaluator_;
   LatencyModel latency_;
 

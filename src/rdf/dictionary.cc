@@ -1,6 +1,13 @@
 #include "rdf/dictionary.h"
 
+#include <atomic>
+
 namespace lusail::rdf {
+
+Dictionary::Dictionary() {
+  static std::atomic<uint64_t> next_space{1};
+  space_ = next_space.fetch_add(1, std::memory_order_relaxed);
+}
 
 TermId Dictionary::Intern(const Term& term) {
   auto it = ids_.find(term);

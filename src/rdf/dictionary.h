@@ -15,6 +15,36 @@ namespace lusail::rdf {
 using TermId = uint64_t;
 inline constexpr TermId kInvalidTermId = ~0ULL;
 
+/// Read-only id -> term resolution over one id space: what a consumer
+/// needs to decode an id-space payload it did not mint. The engine's
+/// core::TermDictionary is one; an endpoint answer in store ids
+/// (sparql::AnswerTerms) is another. Implementations are safe for
+/// concurrent readers.
+class TermSource {
+ public:
+  virtual ~TermSource() = default;
+
+  /// The term for `id`. Requires an id of this space (not
+  /// kInvalidTermId); the reference lives as long as the source.
+  virtual const Term& term(TermId id) const = 0;
+
+  /// Batch form of term(): out[i] points at the term for ids[i], or is
+  /// null for kInvalidTermId.
+  virtual void TermBatch(const TermId* ids, size_t n,
+                         const Term** out) const = 0;
+
+  /// Decode accounting: a decoder that timed a whole pass over this
+  /// source reports it here. Sources that keep no counters ignore it.
+  virtual void AddDecodeBatch(double /*seconds*/, uint64_t /*cells*/) const {}
+
+  /// Caching hook for consumers that translate this source's ids into
+  /// their own space (core::TranslateIds): a process-unique tag of an id
+  /// space in which every id below stable_ids() names the same term for
+  /// as long as the process runs, or 0 when no id is stable.
+  virtual uint64_t stable_space() const { return 0; }
+  virtual size_t stable_ids() const { return 0; }
+};
+
 /// Bidirectional Term <-> TermId map. Every triple store (one per endpoint)
 /// owns a private Dictionary; the federated query processor owns another
 /// one for join keys, re-interning endpoint results as they arrive.
@@ -23,7 +53,7 @@ inline constexpr TermId kInvalidTermId = ~0ULL;
 /// ids are safe once loading is complete.
 class Dictionary {
  public:
-  Dictionary() = default;
+  Dictionary();
 
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
@@ -43,7 +73,13 @@ class Dictionary {
   /// Approximate memory usage in bytes (term payloads + table overhead).
   size_t MemoryUsageBytes() const;
 
+  /// Process-unique tag of this dictionary's id space, never reused.
+  /// Ids are only ever appended, so id i names the same term for the
+  /// dictionary's whole life (see TermSource::stable_space).
+  uint64_t space() const { return space_; }
+
  private:
+  uint64_t space_;
   std::vector<Term> terms_;
   std::unordered_map<Term, TermId, TermHash> ids_;
 };

@@ -817,7 +817,7 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
       tracer->Annotate(eval_span, "ok", evaluated.ok());
       if (evaluated.ok()) {
         tracer->Annotate(eval_span, "rows",
-                         static_cast<uint64_t>(evaluated->table.NumRows()));
+                         static_cast<uint64_t>(evaluated->RowCount()));
       }
       tracer->EndSpan(eval_span);
     }
@@ -847,15 +847,14 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
         cancelled_flag);
   }
 
-  // An ID-space response (a fronted ShardedEndpoint in encoded mode keeps
-  // its rows in ids, table empty) must be decoded before serialization —
-  // serializing evaluated->table unconditionally would ship zero rows.
-  sparql::ResultTable decoded;
+  // An ID-space response (a SparqlEndpoint's store ids, a ShardedEndpoint
+  // in encoded mode) keeps its rows in ids, table empty: decode it
+  // through its own id space before serialization.
   sparql::ResultTable* table = &evaluated->table;
-  if (evaluated->ids != nullptr && evaluated->ids_dict != nullptr &&
-      evaluated->table.NumRows() == 0 && evaluated->ids->NumRows() > 0) {
-    decoded = core::DecodeIdTable(*evaluated->ids, *evaluated->ids_dict);
-    table = &decoded;
+  if (evaluated->ids != nullptr && evaluated->ids_dict != nullptr) {
+    evaluated->table =
+        core::DecodeIdTable(*evaluated->ids, *evaluated->ids_dict);
+    evaluated->ids.reset();
   }
   bool truncated = false;
   if (options_.max_result_rows > 0 &&

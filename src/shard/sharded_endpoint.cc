@@ -521,9 +521,8 @@ IdTable ShardedEndpoint::EncodeResponse(const QueryResponse& response) const {
   if (response.ids != nullptr) {
     if (response.ids_dict.get() == dict_.get()) return *response.ids;
     if (response.ids_dict != nullptr) {
-      return core::EncodeResultTable(
-          core::DecodeIdTable(*response.ids, *response.ids_dict),
-          dict_.get());
+      return core::TranslateIds(*response.ids, *response.ids_dict,
+                                dict_.get());
     }
   }
   return core::EncodeResultTable(response.table, dict_.get());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -20,10 +21,89 @@ using rdf::TermId;
 using store::EncodedTriple;
 
 constexpr size_t kNoLimit = std::numeric_limits<size_t>::max();
+constexpr TermId kUnbound = rdf::kInvalidTermId;
 
-/// A partial solution: one TermId per variable slot; kInvalidTermId is
-/// unbound.
-using Binding = std::vector<TermId>;
+/// Rows per batch handed from one BGP step to the next (and from the BGP
+/// to the correlated groups): large enough to amortize a step's setup
+/// and share probes, small enough that LIMIT and EXISTS stop early.
+constexpr size_t kBatchRows = 1024;
+
+/// A batch of partial solutions: fixed-width rows (one TermId per
+/// variable slot, kUnbound when unbound) in one flat buffer. Each row is
+/// tagged with the seed row it descends from, so a group evaluated for
+/// many outer rows at once can hand each outer row its own answer.
+class Rows {
+ public:
+  explicit Rows(size_t width) : width_(width) {}
+
+  size_t width() const { return width_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  const TermId* row(size_t i) const { return cells_.data() + i * width_; }
+  uint32_t tag(size_t i) const { return tags_[i]; }
+
+  /// Appends a copy of `row` under `tag`; returns the new row's cells.
+  TermId* Append(const TermId* row, uint32_t tag) {
+    if (size_ == tags_.size()) Grow();
+    TermId* dst = cells_.data() + size_ * width_;
+    for (size_t i = 0; i < width_; ++i) dst[i] = row[i];
+    tags_[size_++] = tag;
+    return dst;
+  }
+  TermId* Append(const Rows& other, size_t i, uint32_t tag) {
+    return Append(other.row(i), tag);
+  }
+  void PopBack() { --size_; }
+  void Clear() { size_ = 0; }
+  /// Empties the batch and changes its width, keeping the storage.
+  void Reset(size_t width) {
+    width_ = width;
+    size_ = 0;
+    if (width_ > 0) tags_.resize(cells_.size() / width_);
+    cells_.resize(tags_.size() * width_);
+  }
+  void Reserve(size_t rows) {
+    if (rows <= tags_.size()) return;
+    cells_.resize(rows * width_);
+    tags_.resize(rows);
+  }
+
+ private:
+  [[gnu::noinline]] void Grow() { Reserve(std::max<size_t>(16, 2 * size_)); }
+
+  size_t width_;
+  size_t size_ = 0;
+  /// Storage for tags_.size() rows, of which the first size_ are live.
+  std::vector<TermId> cells_;
+  std::vector<uint32_t> tags_;
+};
+
+/// Per-tag output caps of one group evaluation: a tag whose answer has
+/// `cap` rows is full, and its partial rows are dropped wherever they
+/// are met. kNoLimit disables the bookkeeping.
+class TagCaps {
+ public:
+  TagCaps(size_t num_tags, size_t cap)
+      : cap_(cap),
+        counts_(cap == kNoLimit ? 0 : num_tags, 0),
+        open_(num_tags) {}
+
+  bool limited() const { return cap_ != kNoLimit; }
+  bool Full(uint32_t tag) const {
+    return limited() && counts_[tag] >= cap_;
+  }
+  /// Counts one emitted row of `tag` (which must not be full).
+  void Add(uint32_t tag) {
+    if (limited() && ++counts_[tag] == cap_) --open_;
+  }
+  bool AllFull() const { return limited() && open_ == 0; }
+
+ private:
+  size_t cap_;
+  std::vector<size_t> counts_;
+  size_t open_;
+};
 
 /// Per-execution state: variable slot map and the auxiliary dictionary for
 /// terms that appear in the query (or seeded VALUES) but not in the store.
@@ -53,7 +133,7 @@ class EvalContext {
   /// ids are reused; foreign terms get ids past the store dictionary.
   TermId InternForeign(const Term& t) {
     TermId id = store_.dict().Lookup(t);
-    if (id != rdf::kInvalidTermId) return id;
+    if (id != kUnbound) return id;
     auto it = aux_ids_.find(t);
     if (it != aux_ids_.end()) return it->second;
     TermId aux = store_.dict().size() + aux_terms_.size();
@@ -67,6 +147,9 @@ class EvalContext {
     return aux_terms_[id - store_.dict().size()];
   }
 
+  /// The foreign terms, in id order (for IdAnswer::foreign).
+  std::vector<Term> TakeForeign() { return std::move(aux_terms_); }
+
  private:
   const store::TripleStore& store_;
   std::unordered_map<std::string, int> slots_;
@@ -75,34 +158,22 @@ class EvalContext {
   std::unordered_map<Term, TermId, rdf::TermHash> aux_ids_;
 };
 
-/// Makes a VarLookup over (ctx, binding) for filter evaluation.
-VarLookup MakeLookup(const EvalContext& ctx, const Binding& binding) {
-  return [&ctx, &binding](const std::string& name) -> const Term* {
+/// Makes a VarLookup over (ctx, row) for filter evaluation.
+VarLookup MakeLookup(const EvalContext& ctx, const TermId* row) {
+  return [&ctx, row](const std::string& name) -> const Term* {
     int slot = ctx.LookupSlot(name);
     if (slot < 0) return nullptr;
-    TermId id = binding[slot];
-    if (id == rdf::kInvalidTermId) return nullptr;
+    TermId id = row[slot];
+    if (id == kUnbound) return nullptr;
     return &ctx.TermFor(id);
   };
 }
-
-/// Hash for deduplicating projected id-rows.
-struct IdRowHash {
-  size_t operator()(const std::vector<TermId>& row) const {
-    size_t h = 1469598103934665603ULL;
-    for (TermId id : row) {
-      h ^= id + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
 
 /// One triple pattern of a BGP compiled for a bound set: each position is
 /// a store constant (slot < 0) or a variable slot, read from the partial
 /// row at enumeration time.
 struct CompiledStep {
-  TermId constant[3] = {rdf::kInvalidTermId, rdf::kInvalidTermId,
-                        rdf::kInvalidTermId};
+  TermId constant[3] = {kUnbound, kUnbound, kUnbound};
   int slot[3] = {-1, -1, -1};
   /// Plain filters (indexes into the group's filters) whose variables are
   /// all bound once this step has matched.
@@ -119,141 +190,145 @@ struct GroupPlan {
 };
 
 /// A group's plans, keyed by which of its plan variables (those of its
-/// triples and plain filters, as slots) are bound in every input row.
+/// triples and plain filters, as slots) are bound in every input row of
+/// one tag.
 struct GroupPlans {
   std::vector<int> plan_slots;
-  std::map<std::vector<bool>, GroupPlan> by_bound_set;
+  std::map<std::vector<uint64_t>, GroupPlan> by_bound_set;  ///< Bitsets.
 };
+
+/// A run of consecutive input rows (whole tags) that share a plan.
+struct PlanRun {
+  size_t begin;
+  size_t end;
+  const GroupPlan* plan;
+};
+
+/// Idle batch buffers of this thread, reused across steps and
+/// executions: a step's output buffer is grown once per thread, not
+/// allocated per step.
+std::vector<std::unique_ptr<Rows>>& BufferPool() {
+  thread_local std::vector<std::unique_ptr<Rows>> pool;
+  return pool;
+}
 
 class GroupEvaluator {
  public:
   GroupEvaluator(EvalContext* ctx, const CancelToken& cancel)
       : ctx_(*ctx), cancel_(cancel) {}
 
-  /// Evaluates `gp` seeded with `input`, producing at most `max_rows`
-  /// solutions (the cap applies to the group's final output).
-  Result<std::vector<Binding>> Eval(const GraphPattern& gp,
-                                    std::vector<Binding> input,
-                                    size_t max_rows) {
+  /// Evaluates `gp` over `input`, whose rows carry nondecreasing tags in
+  /// [0, num_tags). For every tag, the output holds exactly what
+  /// evaluating `gp` seeded with that tag's rows alone yields, in that
+  /// order and cut at `max_rows` rows; tags stay grouped, in tag order.
+  /// A correlated group (OPTIONAL, [NOT] EXISTS) thus runs once per
+  /// batch of outer rows, each outer row its own tag.
+  Result<Rows> Eval(const GraphPattern& gp, Rows input, size_t num_tags,
+                    size_t max_rows) {
     // 1. VALUES data blocks join with the input seed first.
-    for (const ValuesClause& vc : gp.values) {
-      LUSAIL_ASSIGN_OR_RETURN(input, JoinValues(std::move(input), vc));
+    for (const ValuesClause& vc : gp.values) input = JoinValues(input, vc);
+    Rows out(input.width());
+    if (input.empty() || max_rows == 0) return out;
+
+    // 2. Each tag's plan, from the variables bound in all of its rows.
+    std::vector<const GroupPlan*> tag_plan(num_tags, nullptr);
+    std::vector<PlanRun> runs = PlanRuns(gp, input, &tag_plan);
+
+    // 3. Basic graph pattern; then UNION chains, OPTIONALs, remaining
+    // filters and EXISTS; finally the per-tag cap. Everything after
+    // UNION keeps row order, so without UNION the whole group streams
+    // batch by batch and stops once every tag is full.
+    TagCaps caps(num_tags, max_rows);
+    auto finish = [&](const Rows& chunk) {
+      return Finish(gp, tag_plan, chunk, &caps, &out);
+    };
+    if (gp.unions.empty()) {
+      for (const PlanRun& run : runs) {
+        if (!RunBgp(gp, *run.plan, input, run.begin, run.end, &caps,
+                    finish)) {
+          break;
+        }
+      }
+      if (cancelled_) return cancel_.StatusAt("endpoint evaluation");
+      return out;
     }
-    if (input.empty()) return input;
 
-    // 2. Basic graph pattern with inline filter pushdown.
-    const GroupPlan& plan = PlanFor(gp, input);
-    std::vector<Binding> rows;
-    LUSAIL_RETURN_NOT_OK(EvalBgp(gp, plan, std::move(input), max_rows, &rows));
-
-    // 3. UNION chains (each alternative seeded per partial solution).
+    Rows rows(input.width());
+    for (const PlanRun& run : runs) {
+      RunBgp(gp, *run.plan, input, run.begin, run.end, nullptr,
+             [&rows](const Rows& chunk) {
+               for (size_t i = 0; i < chunk.size(); ++i) {
+                 rows.Append(chunk, i, chunk.tag(i));
+               }
+               return true;
+             });
+    }
+    if (cancelled_) return cancel_.StatusAt("endpoint evaluation");
+    // Each alternative is seeded with all rows; per tag, the answer is
+    // the first alternative's rows, then the second's, and so on.
     for (const auto& chain : gp.unions) {
-      std::vector<Binding> unioned;
+      std::vector<Rows> branches;
+      branches.reserve(chain.size());
       for (const GraphPattern& alt : chain) {
-        LUSAIL_ASSIGN_OR_RETURN(std::vector<Binding> branch,
-                                Eval(alt, rows, kNoLimit));
-        unioned.insert(unioned.end(),
-                       std::make_move_iterator(branch.begin()),
-                       std::make_move_iterator(branch.end()));
+        LUSAIL_ASSIGN_OR_RETURN(Rows branch,
+                                Eval(alt, rows, num_tags, kNoLimit));
+        branches.push_back(std::move(branch));
       }
-      rows = std::move(unioned);
+      rows = MergeByTag(branches, rows.width());
     }
-
-    // 4. OPTIONAL blocks: left outer join, one row at a time.
-    for (const GraphPattern& opt : gp.optionals) {
-      std::vector<Binding> joined;
-      for (Binding& row : rows) {
-        LUSAIL_ASSIGN_OR_RETURN(std::vector<Binding> extended,
-                                Eval(opt, {row}, kNoLimit));
-        if (extended.empty()) {
-          joined.push_back(std::move(row));
-        } else {
-          joined.insert(joined.end(),
-                        std::make_move_iterator(extended.begin()),
-                        std::make_move_iterator(extended.end()));
-        }
-      }
-      rows = std::move(joined);
+    Rows chunk(rows.width());
+    for (size_t begin = 0; begin < rows.size(); begin += kBatchRows) {
+      chunk.Clear();
+      const size_t end = std::min(rows.size(), begin + kBatchRows);
+      for (size_t i = begin; i < end; ++i) chunk.Append(rows, i, rows.tag(i));
+      if (!finish(chunk)) break;
     }
-
-    // 5. Remaining plain filters (those whose variables were not all bound
-    // within the BGP) and EXISTS / NOT EXISTS filters.
-    if (!plan.post_filters.empty() || !gp.exists_filters.empty()) {
-      std::vector<Binding> kept;
-      for (Binding& row : rows) {
-        bool pass = true;
-        for (size_t fi : plan.post_filters) {
-          if (!EvalFilter(gp.filters[fi], MakeLookup(ctx_, row))) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) {
-          for (const auto& ef : gp.exists_filters) {
-            LUSAIL_ASSIGN_OR_RETURN(std::vector<Binding> probe,
-                                    Eval(ef.pattern, {row}, 1));
-            bool exists = !probe.empty();
-            if (exists == ef.negated) {
-              pass = false;
-              break;
-            }
-          }
-        }
-        if (pass) kept.push_back(std::move(row));
-        if (kept.size() >= max_rows) break;
-      }
-      rows = std::move(kept);
-    }
-
-    if (rows.size() > max_rows) rows.resize(max_rows);
-    return rows;
+    if (cancelled_) return cancel_.StatusAt("endpoint evaluation");
+    return out;
   }
 
  private:
-  /// Joins the current rows with a VALUES data block on shared variables.
-  Result<std::vector<Binding>> JoinValues(std::vector<Binding> input,
-                                          const ValuesClause& vc) {
+  /// Joins the rows with a VALUES data block on shared variables.
+  Rows JoinValues(const Rows& input, const ValuesClause& vc) {
     std::vector<int> slots;
     slots.reserve(vc.vars.size());
     for (const Variable& v : vc.vars) slots.push_back(ctx_.SlotFor(v.name));
-    // Pre-intern the data block once.
-    std::vector<std::vector<TermId>> data;
-    data.reserve(vc.rows.size());
-    for (const auto& row : vc.rows) {
-      std::vector<TermId> ids;
-      ids.reserve(row.size());
-      for (const auto& cell : row) {
-        ids.push_back(cell.has_value() ? ctx_.InternForeign(*cell)
-                                       : rdf::kInvalidTermId);
-      }
-      data.push_back(std::move(ids));
-    }
-    std::vector<Binding> out;
-    for (const Binding& base : input) {
-      for (const auto& ids : data) {
-        Binding merged = base;
-        bool compatible = true;
+    // The data block interned once per execution, row-major.
+    auto [it, inserted] = values_ids_.try_emplace(&vc);
+    std::vector<TermId>& data = it->second;
+    if (inserted) {
+      for (const auto& row : vc.rows) {
         for (size_t i = 0; i < slots.size(); ++i) {
-          if (ids[i] == rdf::kInvalidTermId) continue;  // UNDEF matches all.
-          TermId existing = merged[slots[i]];
-          if (existing == rdf::kInvalidTermId) {
-            merged[slots[i]] = ids[i];
-          } else if (existing != ids[i]) {
-            compatible = false;
+          data.push_back(i < row.size() && row[i].has_value()
+                             ? ctx_.InternForeign(*row[i])
+                             : kUnbound);
+        }
+      }
+    }
+    Rows out(input.width());
+    for (size_t r = 0; r < input.size(); ++r) {
+      for (size_t d = 0; d < vc.rows.size(); ++d) {
+        TermId* merged = out.Append(input, r, input.tag(r));
+        for (size_t i = 0; i < slots.size(); ++i) {
+          const TermId id = data[d * slots.size() + i];
+          if (id == kUnbound) continue;  // UNDEF matches all.
+          TermId& existing = merged[slots[i]];
+          if (existing == kUnbound) {
+            existing = id;
+          } else if (existing != id) {
+            out.PopBack();
             break;
           }
         }
-        if (compatible) out.push_back(std::move(merged));
       }
     }
     return out;
   }
 
-  /// The plan for `gp` under the variables bound in every row of `input`
-  /// (non-empty), compiled on first use. Correlated groups (OPTIONAL,
-  /// UNION, [NOT] EXISTS) run once per outer row and reuse it.
-  const GroupPlan& PlanFor(const GraphPattern& gp,
-                           const std::vector<Binding>& input) {
+  /// Splits `input` into runs of whole tags that share a plan, compiling
+  /// each plan on first use, and records every tag's plan.
+  std::vector<PlanRun> PlanRuns(const GraphPattern& gp, const Rows& input,
+                                std::vector<const GroupPlan*>* tag_plan) {
     auto [it, inserted] = plans_.try_emplace(&gp);
     GroupPlans& group = it->second;
     if (inserted) {
@@ -266,25 +341,50 @@ class GroupEvaluator {
         group.plan_slots.push_back(ctx_.LookupSlot(v));
       }
     }
-    std::vector<bool> bound_set(group.plan_slots.size());
-    for (size_t i = 0; i < group.plan_slots.size(); ++i) {
-      const int slot = group.plan_slots[i];
-      bound_set[i] = std::all_of(input.begin(), input.end(),
-                                 [slot](const Binding& row) {
-                                   return row[slot] != rdf::kInvalidTermId;
-                                 });
-    }
-    auto plan = group.by_bound_set.find(bound_set);
-    if (plan == group.by_bound_set.end()) {
-      std::vector<bool> bound(ctx_.NumSlots(), false);
-      for (size_t i = 0; i < bound_set.size(); ++i) {
-        if (bound_set[i]) bound[group.plan_slots[i]] = true;
+    // Bit i of the bound set: plan slot i is bound in every row of the
+    // tag. Bits past the plan slots stay set.
+    const size_t num_slots = group.plan_slots.size();
+    std::vector<PlanRun> runs;
+    std::vector<uint64_t> bound_set((num_slots + 63) / 64);
+    std::vector<uint64_t> last_set;
+    const GroupPlan* plan = nullptr;
+    for (size_t begin = 0; begin < input.size();) {
+      const uint32_t tag = input.tag(begin);
+      size_t end = begin;
+      std::fill(bound_set.begin(), bound_set.end(), ~uint64_t{0});
+      for (; end < input.size() && input.tag(end) == tag; ++end) {
+        const TermId* row = input.row(end);
+        for (size_t i = 0; i < num_slots; ++i) {
+          if (row[group.plan_slots[i]] == kUnbound) {
+            bound_set[i / 64] &= ~(uint64_t{1} << (i % 64));
+          }
+        }
       }
-      plan = group.by_bound_set
-                 .emplace(std::move(bound_set), Compile(gp, std::move(bound)))
-                 .first;
+      if (plan == nullptr || bound_set != last_set) {
+        last_set = bound_set;
+        auto found = group.by_bound_set.find(bound_set);
+        if (found == group.by_bound_set.end()) {
+          std::vector<bool> bound(ctx_.NumSlots(), false);
+          for (size_t i = 0; i < num_slots; ++i) {
+            if ((bound_set[i / 64] >> (i % 64)) & 1) {
+              bound[group.plan_slots[i]] = true;
+            }
+          }
+          found = group.by_bound_set
+                      .emplace(bound_set, Compile(gp, std::move(bound)))
+                      .first;
+        }
+        plan = &found->second;
+      }
+      (*tag_plan)[tag] = plan;
+      if (!runs.empty() && runs.back().plan == plan) {
+        runs.back().end = end;
+      } else {
+        runs.push_back({begin, end, plan});
+      }
+      begin = end;
     }
-    return plan->second;
+    return runs;
   }
 
   /// Compiles the BGP of `gp` with the slots in `bound` bound on entry.
@@ -359,9 +459,7 @@ class GroupEvaluator {
           bound[step.slot[i]] = true;
         } else {
           step.constant[i] = *ids[best][i];
-          if (step.constant[i] == rdf::kInvalidTermId) {
-            plan.absent_constant = true;
-          }
+          if (step.constant[i] == kUnbound) plan.absent_constant = true;
         }
       }
       for (size_t fi = 0; fi < gp.filters.size(); ++fi) {
@@ -380,30 +478,32 @@ class GroupEvaluator {
     return plan;
   }
 
-  Status EvalBgp(const GraphPattern& gp, const GroupPlan& plan,
-                 std::vector<Binding> input, size_t max_rows,
-                 std::vector<Binding>* out) {
-    if (plan.steps.empty()) {
-      *out = std::move(input);
-      return Status::OK();
-    }
-    if (plan.absent_constant) return Status::OK();
+  using Sink = std::function<bool(const Rows&)>;
 
-    // The BGP may stop early only if no later stage can drop rows.
-    bool later_reduces = !plan.post_filters.empty() ||
-                         !gp.exists_filters.empty() || !gp.unions.empty();
-    size_t bgp_max = later_reduces ? kNoLimit : max_rows;
-
-    for (Binding& row : input) {
-      Enumerate(gp, plan, 0, &row, bgp_max, out);
-      if (cancelled_) return cancel_.StatusAt("endpoint evaluation");
-      if (out->size() >= bgp_max) break;
+  /// Runs the BGP of `plan` over input rows [begin, end) in batches of up
+  /// to kBatchRows, handing complete rows to `sink` in order. Rows of
+  /// tags `caps` reports full are dropped. False once the sink or a
+  /// cancellation stopped the run.
+  bool RunBgp(const GraphPattern& gp, const GroupPlan& plan,
+              const Rows& input, size_t begin, size_t end,
+              const TagCaps* caps, const Sink& sink) {
+    if (plan.absent_constant) return true;
+    if (caps != nullptr && !caps->limited()) caps = nullptr;
+    for (size_t lo = begin; lo < end; lo += kBatchRows) {
+      const size_t hi = std::min(end, lo + kBatchRows);
+      if (plan.steps.empty()) {
+        Rows batch(input.width());
+        for (size_t i = lo; i < hi; ++i) batch.Append(input, i, input.tag(i));
+        if (!sink(batch)) return false;
+      } else if (!Step(gp, plan, 0, input, lo, hi, caps, sink)) {
+        return false;
+      }
     }
-    return Status::OK();
+    return true;
   }
 
-  /// Amortized cancellation probe for the enumeration hot loop: the
-  /// token's clock read happens once per 1024 calls. Sticky once fired.
+  /// Amortized cancellation probe: the token's clock read happens once
+  /// per 1024 calls. Sticky once fired.
   bool CheckCancelled() {
     if (cancelled_) return true;
     if ((++cancel_ticks_ & 1023u) == 0 && cancel_.Cancelled()) {
@@ -412,62 +512,213 @@ class GroupEvaluator {
     return cancelled_;
   }
 
-  void Enumerate(const GraphPattern& gp, const GroupPlan& plan, size_t step,
-                 Binding* row, size_t max_rows, std::vector<Binding>* out) {
-    if (out->size() >= max_rows) return;
-    if (step == plan.steps.size()) {
-      out->push_back(*row);
-      return;
-    }
-    const CompiledStep& cs = plan.steps[step];
-
-    // Each variable position is bound by the row (a lookup key) or free
-    // (its slot recorded for assignment).
-    std::optional<TermId> pos[3];
-    int assign_slot[3] = {-1, -1, -1};
-    for (int i = 0; i < 3; ++i) {
-      if (cs.slot[i] < 0) {
-        pos[i] = cs.constant[i];
-      } else if ((*row)[cs.slot[i]] != rdf::kInvalidTermId) {
-        pos[i] = (*row)[cs.slot[i]];
-      } else {
-        assign_slot[i] = cs.slot[i];
+  /// Extends rows [begin, end) of `in` by step `k` of `plan`: one store
+  /// probe per run of rows sharing a probe key, each row's matches in
+  /// index order.
+  /// Output batches go to step k + 1 (or the sink after the last step)
+  /// as they fill, so evaluation runs depth-first across steps.
+  bool Step(const GraphPattern& gp, const GroupPlan& plan, size_t k,
+            const Rows& in, size_t begin, size_t end, const TagCaps* caps,
+            const Sink& sink) {
+    const CompiledStep& cs = plan.steps[k];
+    std::unique_ptr<Rows> buffer = AcquireBuffer(in.width());
+    Rows& out = *buffer;
+    auto next = [&]() {
+      if (cancel_.Cancelled()) cancelled_ = true;
+      if (cancelled_) return false;
+      bool more = k + 1 == plan.steps.size()
+                      ? sink(out)
+                      : Step(gp, plan, k + 1, out, 0, out.size(), caps, sink);
+      out.Clear();
+      return more;
+    };
+    TermId last_key[3];
+    bool have_last = false;
+    std::span<const EncodedTriple> matches;
+    bool more = true;
+    for (size_t i = begin; i < end && more; ++i) {
+      const uint32_t tag = in.tag(i);
+      if (caps != nullptr && caps->Full(tag)) continue;
+      if (CheckCancelled()) {
+        more = false;
+        break;
       }
-    }
-
-    auto matches = ctx_.store().Match(pos[0], pos[1], pos[2]);
-    for (const EncodedTriple& t : matches) {
-      if (CheckCancelled()) return;
-      TermId values[3] = {t.s, t.p, t.o};
-      // Assign unbound slots, honoring repeated variables in the pattern.
-      int assigned[3];
-      int num_assigned = 0;
-      bool ok = true;
-      for (int i = 0; i < 3 && ok; ++i) {
-        int slot = assign_slot[i];
-        if (slot < 0) continue;
-        TermId current = (*row)[slot];
-        if (current == rdf::kInvalidTermId) {
-          (*row)[slot] = values[i];
-          assigned[num_assigned++] = slot;
-        } else if (current != values[i]) {
-          ok = false;  // Repeated variable mismatch, e.g. (?x p ?x).
+      const TermId* row = in.row(i);
+      // Each position is a constant, a value the row binds (both part of
+      // the probe key) or free (kUnbound, assigned from each match).
+      TermId key[3];
+      for (int j = 0; j < 3; ++j) {
+        key[j] = cs.slot[j] < 0 ? cs.constant[j] : row[cs.slot[j]];
+      }
+      // Consecutive rows sharing a key share its range: rows that differ
+      // only in variables the key does not read (the common case when the
+      // key reads earlier steps' bindings) reuse one probe.
+      if (!have_last || !std::equal(key, key + 3, last_key)) {
+        auto pos = [](TermId id) {
+          return id == kUnbound ? std::nullopt : std::optional<TermId>(id);
+        };
+        matches = ctx_.store().Match(pos(key[0]), pos(key[1]), pos(key[2]));
+        std::copy(key, key + 3, last_key);
+        have_last = true;
+      }
+      for (const EncodedTriple& t : matches) {
+        if (CheckCancelled()) {
+          more = false;
+          break;
         }
-      }
-      if (ok) {
-        bool filters_pass = true;
-        for (size_t fi : cs.inline_filters) {
-          if (!EvalFilter(gp.filters[fi], MakeLookup(ctx_, *row))) {
-            filters_pass = false;
-            break;
+        const TermId values[3] = {t.s, t.p, t.o};
+        TermId* dst = out.Append(row, tag);
+        // Assign free slots, honoring repeated variables, e.g. (?x p ?x).
+        bool ok = true;
+        for (int j = 0; j < 3 && ok; ++j) {
+          if (key[j] != kUnbound) continue;
+          TermId& cell = dst[cs.slot[j]];
+          if (cell == kUnbound) {
+            cell = values[j];
+          } else if (cell != values[j]) {
+            ok = false;
           }
         }
-        if (filters_pass) Enumerate(gp, plan, step + 1, row, max_rows, out);
+        for (size_t fi : cs.inline_filters) {
+          if (!ok) break;
+          ok = EvalFilter(gp.filters[fi], MakeLookup(ctx_, dst));
+        }
+        if (!ok) {
+          out.PopBack();
+          continue;
+        }
+        if (out.size() == kBatchRows) {
+          more = next();
+          if (!more || (caps != nullptr && caps->Full(tag))) break;
+        }
       }
-      for (int i = 0; i < num_assigned; ++i) {
-        (*row)[assigned[i]] = rdf::kInvalidTermId;
+    }
+    if (more && !out.empty()) more = next();
+    if (cancelled_) more = false;
+    BufferPool().push_back(std::move(buffer));
+    return more;
+  }
+
+  /// An empty batch buffer of `width`. Pooled buffers keep the capacity
+  /// earlier steps grew them to, so they are only as large as the
+  /// batches this thread has needed.
+  static std::unique_ptr<Rows> AcquireBuffer(size_t width) {
+    std::vector<std::unique_ptr<Rows>>& pool = BufferPool();
+    if (pool.empty()) return std::make_unique<Rows>(width);
+    std::unique_ptr<Rows> buffer = std::move(pool.back());
+    pool.pop_back();
+    buffer->Reset(width);
+    return buffer;
+  }
+
+  /// Runs the order-preserving tail of `gp` on one batch of BGP (or
+  /// UNION) output — OPTIONALs, remaining filters, [NOT] EXISTS — and
+  /// appends the surviving rows of tags not yet full to `out`. False once
+  /// every tag is full or evaluation was cancelled.
+  bool Finish(const GraphPattern& gp,
+              const std::vector<const GroupPlan*>& tag_plan,
+              const Rows& chunk, TagCaps* caps, Rows* out) {
+    const Rows* rows = &chunk;
+    Rows current(chunk.width());
+    if (caps->limited() &&
+        (!gp.optionals.empty() || !gp.exists_filters.empty())) {
+      // Outer rows of full tags need no correlated work.
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        if (!caps->Full(chunk.tag(i))) current.Append(chunk, i, chunk.tag(i));
       }
-      if (out->size() >= max_rows) return;
+      rows = &current;
+    }
+
+    // OPTIONAL blocks: left outer join, each row's extensions (or the
+    // row itself) in place.
+    for (const GraphPattern& opt : gp.optionals) {
+      Result<Rows> extended = Eval(opt, Retag(*rows), rows->size(), kNoLimit);
+      if (!extended.ok()) return false;
+      Rows joined(rows->width());
+      size_t e = 0;
+      for (size_t i = 0; i < rows->size(); ++i) {
+        if (e < extended->size() && extended->tag(e) == i) {
+          for (; e < extended->size() && extended->tag(e) == i; ++e) {
+            joined.Append(*extended, e, rows->tag(i));
+          }
+        } else {
+          joined.Append(*rows, i, rows->tag(i));
+        }
+      }
+      current = std::move(joined);
+      rows = &current;
+    }
+
+    // Plain filters not bound within the BGP, then EXISTS / NOT EXISTS,
+    // each probe group seeded with every row still standing.
+    std::vector<char> keep(rows->size(), 1);
+    for (size_t i = 0; i < rows->size(); ++i) {
+      for (size_t fi : tag_plan[rows->tag(i)]->post_filters) {
+        if (!EvalFilter(gp.filters[fi], MakeLookup(ctx_, rows->row(i)))) {
+          keep[i] = 0;
+          break;
+        }
+      }
+    }
+    for (const auto& ef : gp.exists_filters) {
+      Rows probe_input(rows->width());
+      std::vector<size_t> probed;
+      for (size_t i = 0; i < rows->size(); ++i) {
+        if (!keep[i]) continue;
+        probe_input.Append(*rows, i, static_cast<uint32_t>(probed.size()));
+        probed.push_back(i);
+      }
+      if (probed.empty()) break;
+      Result<Rows> found =
+          Eval(ef.pattern, std::move(probe_input), probed.size(), 1);
+      if (!found.ok()) return false;
+      std::vector<char> exists(probed.size(), 0);
+      for (size_t f = 0; f < found->size(); ++f) exists[found->tag(f)] = 1;
+      for (size_t p = 0; p < probed.size(); ++p) {
+        if (static_cast<bool>(exists[p]) == ef.negated) keep[probed[p]] = 0;
+      }
+    }
+
+    for (size_t i = 0; i < rows->size(); ++i) {
+      const uint32_t tag = rows->tag(i);
+      if (!keep[i] || caps->Full(tag)) continue;
+      out->Append(*rows, i, tag);
+      caps->Add(tag);
+    }
+    return !caps->AllFull() && !cancelled_;
+  }
+
+  /// A copy of `rows` with row i tagged i (seeding a correlated group).
+  static Rows Retag(const Rows& rows) {
+    Rows out(rows.width());
+    out.Reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out.Append(rows, i, static_cast<uint32_t>(i));
+    }
+    return out;
+  }
+
+  /// Interleaves tag-grouped branches: per tag, every branch's rows in
+  /// branch order.
+  static Rows MergeByTag(const std::vector<Rows>& branches, size_t width) {
+    Rows out(width);
+    std::vector<size_t> pos(branches.size(), 0);
+    while (true) {
+      uint32_t tag = std::numeric_limits<uint32_t>::max();
+      bool any = false;
+      for (size_t b = 0; b < branches.size(); ++b) {
+        if (pos[b] < branches[b].size()) {
+          tag = std::min(tag, branches[b].tag(pos[b]));
+          any = true;
+        }
+      }
+      if (!any) return out;
+      for (size_t b = 0; b < branches.size(); ++b) {
+        const Rows& branch = branches[b];
+        for (; pos[b] < branch.size() && branch.tag(pos[b]) == tag; ++pos[b]) {
+          out.Append(branch, pos[b], tag);
+        }
+      }
     }
   }
 
@@ -476,13 +727,11 @@ class GroupEvaluator {
   uint64_t cancel_ticks_ = 0;
   bool cancelled_ = false;
   /// Plan memo for this execution only: evaluators are shared by
-  /// concurrent server workers, so nothing here outlives Execute().
+  /// concurrent server workers, so nothing here outlives ExecuteIds().
   std::unordered_map<const GraphPattern*, GroupPlans> plans_;
+  /// VALUES blocks interned to ids, row-major, once per execution.
+  std::unordered_map<const ValuesClause*, std::vector<TermId>> values_ids_;
 };
-
-}  // namespace
-
-namespace {
 
 /// True when the query is a single-triple-pattern group with no other
 /// operators and no repeated variables — eligible for index fast paths.
@@ -499,17 +748,35 @@ bool IsSinglePatternGroup(const Query& query) {
 
 /// Resolves a pattern slot to a term id; nullopt = wildcard; sets
 /// `*missing` when a constant is absent from the store (zero matches).
-std::optional<rdf::TermId> ResolveSlot(const store::TripleStore& store,
-                                       const TermOrVar& tv, bool* missing) {
+std::optional<TermId> ResolveSlot(const store::TripleStore& store,
+                                  const TermOrVar& tv, bool* missing) {
   if (tv.is_variable()) return std::nullopt;
-  rdf::TermId id = store.dict().Lookup(tv.term());
-  if (id == rdf::kInvalidTermId) *missing = true;
+  TermId id = store.dict().Lookup(tv.term());
+  if (id == kUnbound) *missing = true;
   return id;
+}
+
+/// A one-row, one-column COUNT answer; the count is its one foreign term
+/// (even when the store happens to hold the same literal).
+IdAnswer CountAnswer(const std::string& alias, uint64_t count,
+                     const store::TripleStore& store) {
+  IdAnswer answer;
+  answer.vars.push_back(alias);
+  answer.columns.push_back({store.dict().size()});
+  answer.num_rows = 1;
+  answer.foreign.push_back(Term::Integer(static_cast<int64_t>(count)));
+  return answer;
+}
+
+IdAnswer AskAnswer(bool verdict) {
+  IdAnswer answer;
+  answer.num_rows = verdict ? 1 : 0;
+  return answer;
 }
 
 }  // namespace
 
-Result<ResultTable> Evaluator::Execute(const Query& query,
+Result<IdAnswer> Evaluator::ExecuteIds(const Query& query,
                                        const CancelToken& cancel) const {
   if (!store_->frozen()) {
     return Status::Internal("evaluator requires a frozen store");
@@ -522,28 +789,22 @@ Result<ResultTable> Evaluator::Execute(const Query& query,
   if (IsSinglePatternGroup(query)) {
     const TriplePattern& tp = query.where.triples[0];
     bool missing = false;
-    std::optional<rdf::TermId> s = ResolveSlot(*store_, tp.s, &missing);
-    std::optional<rdf::TermId> p = ResolveSlot(*store_, tp.p, &missing);
-    std::optional<rdf::TermId> o = ResolveSlot(*store_, tp.o, &missing);
+    std::optional<TermId> s = ResolveSlot(*store_, tp.s, &missing);
+    std::optional<TermId> p = ResolveSlot(*store_, tp.p, &missing);
+    std::optional<TermId> o = ResolveSlot(*store_, tp.o, &missing);
     if (query.form == QueryForm::kAsk) {
-      ResultTable table;
-      if (!missing && store_->Ask(s, p, o)) table.rows.push_back({});
-      return table;
+      return AskAnswer(!missing && store_->Ask(s, p, o));
     }
     if (query.aggregate.has_value() && !query.aggregate->var.has_value() &&
         query.form == QueryForm::kSelect) {
-      uint64_t count = missing ? 0 : store_->Count(s, p, o);
-      ResultTable table;
-      table.vars.push_back(query.aggregate->alias.name);
-      table.rows.push_back(
-          {rdf::Term::Integer(static_cast<int64_t>(count))});
-      return table;
+      return CountAnswer(query.aggregate->alias.name,
+                         missing ? 0 : store_->Count(s, p, o), *store_);
     }
   }
 
-  EvalContext ctx(*store_);
   // Register every variable (pattern + projection) before evaluation so
-  // binding widths are stable.
+  // row widths are stable.
+  EvalContext ctx(*store_);
   std::set<std::string> all_vars;
   query.where.CollectVariables(&all_vars);
   for (const std::string& v : all_vars) ctx.SlotFor(v);
@@ -557,16 +818,14 @@ Result<ResultTable> Evaluator::Execute(const Query& query,
     max_rows = static_cast<size_t>(std::min<uint64_t>(*cap, kNoLimit));
   }
 
-  std::vector<Binding> seed(1, Binding(ctx.NumSlots(), rdf::kInvalidTermId));
+  Rows seed(ctx.NumSlots());
+  std::vector<TermId> unbound(ctx.NumSlots(), kUnbound);
+  seed.Append(unbound.data(), 0);
   GroupEvaluator ge(&ctx, cancel);
-  LUSAIL_ASSIGN_OR_RETURN(std::vector<Binding> rows,
-                          ge.Eval(query.where, std::move(seed), max_rows));
+  LUSAIL_ASSIGN_OR_RETURN(Rows rows,
+                          ge.Eval(query.where, std::move(seed), 1, max_rows));
 
-  ResultTable table;
-  if (query.form == QueryForm::kAsk) {
-    if (!rows.empty()) table.rows.push_back({});
-    return table;
-  }
+  if (query.form == QueryForm::kAsk) return AskAnswer(!rows.empty());
 
   if (query.aggregate.has_value()) {
     const CountAggregate& agg = *query.aggregate;
@@ -575,23 +834,19 @@ Result<ResultTable> Evaluator::Execute(const Query& query,
       count = rows.size();
     } else {
       int slot = ctx.LookupSlot(agg.var->name);
-      if (agg.distinct) {
-        std::unordered_set<TermId> seen;
-        for (const Binding& row : rows) {
-          if (slot >= 0 && row[slot] != rdf::kInvalidTermId) {
-            seen.insert(row[slot]);
-          }
-        }
-        count = seen.size();
-      } else {
-        for (const Binding& row : rows) {
-          if (slot >= 0 && row[slot] != rdf::kInvalidTermId) ++count;
+      std::unordered_set<TermId> seen;
+      for (size_t r = 0; slot >= 0 && r < rows.size(); ++r) {
+        TermId id = rows.row(r)[slot];
+        if (id == kUnbound) continue;
+        if (agg.distinct) {
+          seen.insert(id);
+        } else {
+          ++count;
         }
       }
+      if (agg.distinct) count = seen.size();
     }
-    table.vars.push_back(agg.alias.name);
-    table.rows.push_back({rdf::Term::Integer(static_cast<int64_t>(count))});
-    return table;
+    return CountAnswer(agg.alias.name, count, *store_);
   }
 
   // ORDER BY keys outside the SELECT list must survive until the sort:
@@ -611,72 +866,104 @@ Result<ResultTable> Evaluator::Execute(const Query& query,
       if (!present) projection.push_back(key.var);
     }
   }
-
   std::vector<int> slots;
   slots.reserve(projection.size());
-  for (const Variable& v : projection) {
-    table.vars.push_back(v.name);
-    slots.push_back(ctx.LookupSlot(v.name));
-  }
+  for (const Variable& v : projection) slots.push_back(ctx.LookupSlot(v.name));
+  auto cell = [&rows, &slots](uint32_t r, size_t c) {
+    return slots[c] >= 0 ? rows.row(r)[slots[c]] : kUnbound;
+  };
 
-  // Project (optionally deduplicating on the projected ids).
-  std::vector<std::vector<TermId>> projected;
-  projected.reserve(rows.size());
-  std::unordered_set<std::vector<TermId>, IdRowHash> seen;
-  for (const Binding& row : rows) {
-    std::vector<TermId> p;
-    p.reserve(slots.size());
-    for (int slot : slots) {
-      p.push_back(slot >= 0 ? row[slot] : rdf::kInvalidTermId);
+  // The answer's rows, by index (optionally deduplicating on the
+  // projected ids).
+  std::vector<uint32_t> picked;
+  picked.reserve(rows.size());
+  if (query.distinct) {
+    auto hash = [&](uint32_t r) {
+      size_t h = 1469598103934665603ULL;
+      for (size_t c = 0; c < slots.size(); ++c) {
+        h ^= cell(r, c) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      }
+      return h;
+    };
+    auto equal = [&](uint32_t a, uint32_t b) {
+      for (size_t c = 0; c < slots.size(); ++c) {
+        if (cell(a, c) != cell(b, c)) return false;
+      }
+      return true;
+    };
+    std::unordered_set<uint32_t, decltype(hash), decltype(equal)> seen(
+        rows.size(), hash, equal);
+    for (uint32_t r = 0; r < rows.size(); ++r) {
+      if (seen.insert(r).second) picked.push_back(r);
     }
-    if (query.distinct && !seen.insert(p).second) continue;
-    projected.push_back(std::move(p));
+  } else {
+    for (uint32_t r = 0; r < rows.size(); ++r) picked.push_back(r);
   }
 
-  // With ORDER BY the full result is decoded and sorted before the
-  // LIMIT/OFFSET window is cut; otherwise decode only the window.
-  size_t begin = std::min<size_t>(query.offset.value_or(0), projected.size());
-  size_t end = projected.size();
-  if (query.order_by.empty() && query.limit.has_value()) {
-    end = std::min(end, begin + *query.limit);
-  }
-  size_t decode_begin = query.order_by.empty() ? begin : 0;
-  size_t decode_end = query.order_by.empty() ? end : projected.size();
-  table.rows.reserve(decode_end - decode_begin);
-  for (size_t i = decode_begin; i < decode_end; ++i) {
-    std::vector<std::optional<Term>> out_row;
-    out_row.reserve(projected[i].size());
-    for (TermId id : projected[i]) {
-      if (id == rdf::kInvalidTermId) {
-        out_row.push_back(std::nullopt);
-      } else {
-        out_row.push_back(ctx.TermFor(id));
+  // ORDER BY sorts the whole answer before the LIMIT/OFFSET window is
+  // cut. Keys naming no projected column are ignored.
+  if (!query.order_by.empty()) {
+    std::vector<std::pair<size_t, bool>> keys;
+    for (const OrderKey& key : query.order_by) {
+      for (size_t c = 0; c < projection.size(); ++c) {
+        if (projection[c].name == key.var.name) {
+          keys.emplace_back(c, key.descending);
+          break;
+        }
       }
     }
-    table.rows.push_back(std::move(out_row));
+    auto term = [&ctx](TermId id) {
+      return id == kUnbound ? nullptr : &ctx.TermFor(id);
+    };
+    std::stable_sort(picked.begin(), picked.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       for (const auto& [c, descending] : keys) {
+                         int order = CompareForOrder(term(cell(a, c)),
+                                                     term(cell(b, c)));
+                         if (order != 0) {
+                           return descending ? order > 0 : order < 0;
+                         }
+                       }
+                       return false;
+                     });
   }
-  if (!query.order_by.empty()) {
-    SortRows(&table, query.order_by);
-    size_t window_end = table.rows.size();
-    if (query.limit.has_value()) {
-      window_end = std::min(window_end, begin + *query.limit);
-    }
-    if (begin > table.rows.size()) begin = table.rows.size();
-    table.rows.assign(table.rows.begin() + begin,
-                      table.rows.begin() + window_end);
+  const size_t begin =
+      std::min<size_t>(query.offset.value_or(0), picked.size());
+  size_t end = picked.size();
+  if (query.limit.has_value()) {
+    end = std::min<size_t>(end, begin + std::min<uint64_t>(
+                                            *query.limit, kNoLimit - begin));
   }
-  if (table.vars.size() != visible) {
-    table.vars.resize(visible);
-    for (auto& row : table.rows) row.resize(visible);
+
+  IdAnswer answer;
+  answer.num_rows = end - begin;
+  for (size_t c = 0; c < visible; ++c) {
+    answer.vars.push_back(projection[c].name);
+    std::vector<TermId> column(answer.num_rows);
+    for (size_t r = begin; r < end; ++r) column[r - begin] = cell(picked[r], c);
+    answer.columns.push_back(std::move(column));
   }
-  return table;
+  answer.foreign = ctx.TakeForeign();
+  return answer;
 }
 
-Result<bool> Evaluator::Ask(const Query& query) const {
-  Query ask = query;
-  ask.form = QueryForm::kAsk;
-  LUSAIL_ASSIGN_OR_RETURN(ResultTable table, Execute(ask));
-  return !table.rows.empty();
+Result<ResultTable> Evaluator::Execute(const Query& query,
+                                       const CancelToken& cancel) const {
+  LUSAIL_ASSIGN_OR_RETURN(IdAnswer answer, ExecuteIds(query, cancel));
+  const rdf::Dictionary& dict = store_->dict();
+  ResultTable table;
+  table.vars = std::move(answer.vars);
+  table.rows.assign(answer.num_rows, std::vector<std::optional<Term>>(
+                                         table.vars.size()));
+  for (size_t c = 0; c < answer.columns.size(); ++c) {
+    for (size_t r = 0; r < answer.num_rows; ++r) {
+      const TermId id = answer.columns[c][r];
+      if (id == kUnbound) continue;
+      table.rows[r][c] = id < dict.size() ? dict.term(id)
+                                          : answer.foreign[id - dict.size()];
+    }
+  }
+  return table;
 }
 
 }  // namespace lusail::sparql

@@ -50,9 +50,19 @@ std::span<const EncodedTriple> LeadingRun(
 }
 
 // The sub-run of `run` (sorted by `key` within it) whose `key` equals id.
-std::span<const EncodedTriple> Narrow(std::span<const EncodedTriple> run,
-                                      rdf::TermId EncodedTriple::*key,
-                                      rdf::TermId id) {
+// Short runs (a subject's or an object's triples, typically) are scanned:
+// predictable sequential reads beat a mispredicted binary search there.
+template <rdf::TermId EncodedTriple::*key>
+inline std::span<const EncodedTriple> Narrow(
+    std::span<const EncodedTriple> run, rdf::TermId id) {
+  constexpr size_t kScanRun = 16;
+  if (run.size() <= kScanRun) {
+    size_t lo = 0;
+    while (lo < run.size() && run[lo].*key < id) ++lo;
+    size_t hi = lo;
+    while (hi < run.size() && run[hi].*key == id) ++hi;
+    return run.subspan(lo, hi - lo);
+  }
   auto [lo, hi] = std::ranges::equal_range(run, id, {}, key);
   return {lo, hi};
 }
@@ -133,16 +143,16 @@ std::span<const EncodedTriple> TripleStore::Match(
   if (s.has_value()) {
     if (o.has_value() && !p.has_value()) {
       // (s, ?, o): the object's osp_ run, narrowed to the subject.
-      return Narrow(LeadingRun(osp_, osp_begin_, *o), &EncodedTriple::s, *s);
+      return Narrow<&EncodedTriple::s>(LeadingRun(osp_, osp_begin_, *o), *s);
     }
     std::span<const EncodedTriple> run = LeadingRun(spo_, spo_begin_, *s);
     if (!p.has_value()) return run;
-    run = Narrow(run, &EncodedTriple::p, *p);
-    return o.has_value() ? Narrow(run, &EncodedTriple::o, *o) : run;
+    run = Narrow<&EncodedTriple::p>(run, *p);
+    return o.has_value() ? Narrow<&EncodedTriple::o>(run, *o) : run;
   }
   if (p.has_value()) {
     std::span<const EncodedTriple> run = LeadingRun(pos_, pos_begin_, *p);
-    return o.has_value() ? Narrow(run, &EncodedTriple::o, *o) : run;
+    return o.has_value() ? Narrow<&EncodedTriple::o>(run, *o) : run;
   }
   if (o.has_value()) return LeadingRun(osp_, osp_begin_, *o);
   return {spo_.data(), spo_.size()};

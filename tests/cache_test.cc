@@ -966,11 +966,11 @@ TEST(CacheSnapshotTest, CachedAskEndpointWarmLoadsToZeroColdProbes) {
         &verdicts);
     auto cold = endpoint.Query(ask);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    EXPECT_EQ(cold->table.rows.size(), 1u);
+    EXPECT_EQ(cold->RowCount(), 1u);
     EXPECT_EQ(endpoint.misses(), 1u);
     auto warm = endpoint.Query(ask);
     ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(warm->table.rows.size(), 1u);
+    EXPECT_EQ(warm->RowCount(), 1u);
     EXPECT_EQ(endpoint.hits(), 1u);
     // Non-ASK traffic bypasses the verdict tier entirely.
     ASSERT_TRUE(
@@ -990,7 +990,7 @@ TEST(CacheSnapshotTest, CachedAskEndpointWarmLoadsToZeroColdProbes) {
         &verdicts);
     auto warm = endpoint.Query(ask);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(warm->table.rows.size(), 1u);
+    EXPECT_EQ(warm->RowCount(), 1u);
     EXPECT_EQ(endpoint.hits(), 1u);
     EXPECT_EQ(endpoint.misses(), 0u);
     EXPECT_GT(verdicts.VerdictStats().hits, 0u);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "common/cancel.h"
+#include "common/stopwatch.h"
 #include "sparql/expr_eval.h"
 #include "sparql/parser.h"
 #include "store/triple_store.h"
@@ -188,8 +193,8 @@ TEST_F(EvaluatorTest, Ask) {
   Evaluator evaluator(&store_);
   auto yes = ParseQuery("ASK { <http://ex/alice> <http://ex/knows> ?x . }");
   auto no = ParseQuery("ASK { <http://ex/carol> <http://ex/knows> ?x . }");
-  EXPECT_TRUE(*evaluator.Ask(*yes));
-  EXPECT_FALSE(*evaluator.Ask(*no));
+  EXPECT_EQ(evaluator.Execute(*yes)->NumRows(), 1u);
+  EXPECT_EQ(evaluator.Execute(*no)->NumRows(), 0u);
 }
 
 TEST_F(EvaluatorTest, ProjectionOfNeverBoundVariable) {
@@ -376,6 +381,87 @@ TEST_F(OrderByEvalTest, OffsetAppliesAfterSort) {
   ASSERT_EQ(result->NumRows(), 2u);
   EXPECT_DOUBLE_EQ(result->rows[0][0]->AsDouble(), 1.0);
   EXPECT_DOUBLE_EQ(result->rows[1][0]->AsDouble(), 2.0);
+}
+
+/// Three predicates of 500 triples each (a disconnected 3-pattern BGP
+/// over them has 500^3 = 1.25e8 solutions) plus 100 <q> triples.
+class EarlyExitEvaluatorTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 500; ++i) {
+      for (const char* p : {"p1", "p2", "p3"}) {
+        store_.Add(TermTriple{Term::Iri("http://ex/s" + std::to_string(i)),
+                              Term::Iri(std::string("http://ex/") + p),
+                              Term::Integer(i)});
+      }
+    }
+    for (int i = 0; i < 100; ++i) {
+      store_.Add(TermTriple{Term::Iri("http://ex/x" + std::to_string(i)),
+                            Term::Iri("http://ex/q"), Term::Integer(i)});
+    }
+    store_.Freeze();
+  }
+
+  static constexpr const char* kHuge =
+      "?a <http://ex/p1> ?b . ?c <http://ex/p2> ?d . ?e <http://ex/p3> ?f .";
+
+  store::TripleStore store_;
+};
+
+// Each of these would enumerate 1.25e8 rows (minutes) without early exit.
+TEST_F(EarlyExitEvaluatorTest, LimitOneStopsAtTheFirstRow) {
+  Evaluator evaluator(&store_);
+  auto query = ParseQuery(std::string("SELECT * WHERE { ") + kHuge +
+                          " } LIMIT 1");
+  Stopwatch watch;
+  auto result = evaluator.Execute(*query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->NumRows(), 1u);
+  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+}
+
+TEST_F(EarlyExitEvaluatorTest, AskStopsAtTheFirstRow) {
+  Evaluator evaluator(&store_);
+  auto query = ParseQuery(std::string("ASK { ") + kHuge + " }");
+  Stopwatch watch;
+  auto result = evaluator.Execute(*query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->NumRows(), 1u);
+  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+}
+
+TEST_F(EarlyExitEvaluatorTest, ExistsStopsAtTheFirstRowPerOuterRow) {
+  Evaluator evaluator(&store_);
+  auto query = ParseQuery(
+      std::string("SELECT ?x WHERE { ?x <http://ex/q> ?y . FILTER EXISTS { ") +
+      kHuge + " } }");
+  Stopwatch watch;
+  auto result = evaluator.Execute(*query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->NumRows(), 100u);
+  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+}
+
+TEST_F(EarlyExitEvaluatorTest, CancelEndsALongEvaluation) {
+  Evaluator evaluator(&store_);
+  // COUNT(*) has to enumerate every solution: no early exit applies.
+  auto query = ParseQuery(std::string("SELECT (COUNT(*) AS ?n) WHERE { ") +
+                          kHuge + " }");
+  CancelToken token = CancelToken::Cancellable();
+  Stopwatch watch;
+  std::atomic<double> cancelled_at{0.0};
+  std::thread canceller([token, &watch, &cancelled_at]() mutable {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancelled_at = watch.ElapsedMillis();
+    token.Cancel();
+  });
+  auto result = evaluator.Execute(*query, token);
+  const double returned_at = watch.ElapsedMillis();
+  canceller.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
+      << result.status().ToString();
+  EXPECT_LT(returned_at - cancelled_at.load(), 50.0);
 }
 
 TEST(CompareForOrderTest, TotalOrderSemantics) {

@@ -44,7 +44,7 @@ TEST(SparqlEndpointTest, AnswersSelect) {
   auto response =
       endpoint.Query("SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . }");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->table.NumRows(), 10u);
+  EXPECT_EQ(response->RowCount(), 10u);
   EXPECT_GT(response->response_bytes, 0u);
   EXPECT_GT(response->request_bytes, 0u);
 }
@@ -53,10 +53,10 @@ TEST(SparqlEndpointTest, AnswersAsk) {
   SparqlEndpoint endpoint("ep0", MakeStore(), LatencyModel::None());
   auto yes = endpoint.Query("ASK { ?s <http://ex/p> 3 . }");
   ASSERT_TRUE(yes.ok());
-  EXPECT_EQ(yes->table.NumRows(), 1u);
+  EXPECT_EQ(yes->RowCount(), 1u);
   auto no = endpoint.Query("ASK { ?s <http://ex/p> 99 . }");
   ASSERT_TRUE(no.ok());
-  EXPECT_EQ(no->table.NumRows(), 0u);
+  EXPECT_EQ(no->RowCount(), 0u);
 }
 
 TEST(SparqlEndpointTest, RejectsBadQueryText) {

@@ -86,7 +86,7 @@ TEST(ReplicaGroupTest, SingleReplicaServesAndStampsServedBy) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->served_by, "ep#0");
   EXPECT_FALSE(response->hedged);
-  EXPECT_EQ(response->table.rows.size(), 5u);
+  EXPECT_EQ(response->RowCount(), 5u);
   EXPECT_EQ(group.stats().requests, 1u);
   EXPECT_EQ(group.stats().failovers, 0u);
 }
@@ -114,7 +114,8 @@ TEST(ReplicaGroupTest, FailsOverWhenTheServingReplicaCrashes) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->served_by, "ep#1");
   EXPECT_GE(group.stats().failovers, 1u);
-  EXPECT_EQ(CanonicalRows(first->table), CanonicalRows(second->table));
+  EXPECT_EQ(CanonicalRows(*fed::Federation::ToTable(first)),
+            CanonicalRows(*fed::Federation::ToTable(second)));
 }
 
 TEST(ReplicaGroupTest, FreshUnhealthyReplicaIsDeprioritized) {
@@ -219,7 +220,7 @@ TEST(ReplicaGroupTest, HedgeWinsOverSlowPrimary) {
   EXPECT_TRUE(response->hedged);
   EXPECT_GE(group.stats().hedges_launched, 1u);
   EXPECT_GE(group.stats().hedge_wins, 1u);
-  EXPECT_EQ(response->table.rows.size(), 5u);
+  EXPECT_EQ(response->RowCount(), 5u);
 }
 
 TEST(ReplicaGroupTest, PrimaryWinStillCountsTheLostHedge) {
@@ -264,7 +265,7 @@ TEST(ReplicaGroupTest, HedgedPathFailsOverWhenThePrimaryCrashes) {
       group.QueryWithDeadline(kQuery, Deadline::AfterMillis(5000));
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->served_by, "ep#1");
-  EXPECT_EQ(response->table.rows.size(), 5u);
+  EXPECT_EQ(response->RowCount(), 5u);
 }
 
 // ---------------------------------------------------------------------

@@ -377,8 +377,9 @@ TEST_F(HttpEndpointTest, SelectMatchesDirectEndpoint) {
   Result<net::QueryResponse> remote = remote_->Query(query);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_EQ(remote->table.vars, direct->table.vars);
-  EXPECT_EQ(CanonicalRows(remote->table), CanonicalRows(direct->table));
+  sparql::ResultTable direct_table = *fed::Federation::ToTable(direct);
+  EXPECT_EQ(remote->table.vars, direct_table.vars);
+  EXPECT_EQ(CanonicalRows(remote->table), CanonicalRows(direct_table));
   EXPECT_EQ(remote->table.rows.size(), 5u);
   EXPECT_TRUE(remote->transport.over_network);
   EXPECT_GT(remote->transport.wire_bytes_sent, 0u);
@@ -880,6 +881,37 @@ TEST(TracePropagationTest, ServerAdoptsTraceIdAndReturnsItsSubtree) {
   ASSERT_FALSE(parsed->processes.empty());
   EXPECT_NE(parsed->processes[0].second.find("endpointd/"),
             std::string::npos);
+  server.Stop();
+}
+
+TEST(TracePropagationTest, EvaluateSpanCountsTheAnswerRows) {
+  // A SparqlEndpoint answers in store ids, so the span must count rows in
+  // whichever representation the response carries.
+  HttpServer server(TinyEndpoint("EP"));
+  ASSERT_TRUE(server.Start().ok());
+  std::string body = "SELECT ?s WHERE { ?s <http://ex/p> ?o }";
+  std::string response = RawExchange(
+      server.port(),
+      "POST /sparql HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+      "X-Lusail-Trace-Id: " + obs::GenerateTraceId() + "\r\n"
+      "Content-Type: application/sparql-query\r\nContent-Length: " +
+          std::to_string(body.size()) + "\r\n\r\n" + body);
+  ASSERT_NE(response.find("200"), std::string::npos) << response;
+  auto parsed =
+      obs::Trace::FromWireString(HeaderValue(response, "X-Lusail-Trace"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::string rows;
+  for (const auto& span : parsed->spans) {
+    if (span.name != "evaluate") continue;
+    for (const auto& annotation : span.annotations) {
+      if (annotation.key == "rows") rows = annotation.value;
+    }
+  }
+  EXPECT_EQ(rows, "5");
+  Result<sparql::ResultTable> answer =
+      fed::Federation::ToTable(TinyEndpoint("EP")->Query(body));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(std::to_string(answer->NumRows()), rows);
   server.Stop();
 }
 

@@ -720,7 +720,7 @@ TEST(DefaultStreamingTest, EmptyResultDeliversOneAnnouncingBatch) {
       "SELECT ?s WHERE { ?s <http://ex/none> ?s . }", CancelToken(),
       net::StreamOptions{}, [&](net::StreamBatch&& batch) {
         ++batches;
-        vars = batch.table.vars;
+        vars = batch.ids != nullptr ? batch.ids->vars : batch.table.vars;
         EXPECT_EQ(batch.NumRows(), 0u);
         return Status::OK();
       });
