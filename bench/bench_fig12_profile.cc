@@ -6,6 +6,10 @@
 //       (2..64 by default; set LUSAIL_BENCH_MAX_ENDPOINTS=256 for the
 //       paper's full sweep), with cold and warm ASK/check caches.
 // The phase timings are the srcSelMs / analysisMs / execMs counters.
+// probePairs counts the logical (pattern, endpoint) ASK and COUNT probes
+// the paper's per-pair probing sends; requests and askReq count the
+// physical requests, with one batched probe request per endpoint and
+// phase.
 
 #include <benchmark/benchmark.h>
 
@@ -39,6 +43,8 @@ void RunLusailProfiled(benchmark::State& state, core::LusailEngine* engine,
   state.counters["analysisMs"] = last.analysis_ms;
   state.counters["execMs"] = last.execution_ms;
   state.counters["requests"] = static_cast<double>(last.requests);
+  state.counters["askReq"] = static_cast<double>(last.ask_requests);
+  state.counters["probePairs"] = static_cast<double>(last.probe_pairs);
 }
 
 }  // namespace

@@ -151,8 +151,9 @@ inline void DumpBenchMetrics(const std::string& label,
 
 /// Runs one (engine, query) pair per benchmark iteration, reporting the
 /// paper's measured quantities as counters:
-///   requests, askRequests, bytesSent, bytesRecv, rows, netMs and the
-///   phase timings. Timeouts and unsupported shapes surface as the
+///   requests, askReq, probePairs (the logical (pattern, endpoint)
+///   probes those requests carried), bytesSent, bytesRecv, rows, netMs
+///   and the phase timings. Timeouts and unsupported shapes surface as the
 ///   "timeout" / "error" counters (the paper's TO / RE markers), not as
 ///   benchmark failures. When `label` is non-empty the last iteration's
 ///   profile is dumped to BENCH_<label>.json (see DumpBenchMetrics).
@@ -184,6 +185,7 @@ inline void RunFederatedQuery(benchmark::State& state,
   }
   state.counters["requests"] = static_cast<double>(last.requests);
   state.counters["askReq"] = static_cast<double>(last.ask_requests);
+  state.counters["probePairs"] = static_cast<double>(last.probe_pairs);
   state.counters["bytesSent"] = static_cast<double>(last.bytes_sent);
   state.counters["bytesRecv"] = static_cast<double>(last.bytes_received);
   state.counters["rows"] = rows;

@@ -180,6 +180,17 @@ std::string FederationCache::Key(const std::string& endpoint_id,
   return endpoint_id + "|" + query_text;
 }
 
+std::string FederationCache::PatternKey(const std::string& endpoint_id,
+                                        const sparql::TriplePattern& tp) {
+  std::vector<std::string> vars = tp.VariableNames();
+  auto slot = [&vars](const sparql::TermOrVar& tv) {
+    if (tv.is_term()) return tv.term().ToString();
+    auto it = std::find(vars.begin(), vars.end(), tv.var().name);
+    return "?" + std::to_string(it - vars.begin());
+  };
+  return Key(endpoint_id, slot(tp.s) + " " + slot(tp.p) + " " + slot(tp.o));
+}
+
 uint64_t FederationCache::ApproxTableBytes(const sparql::ResultTable& table) {
   // Heap footprint estimate: per-cell Term strings plus vector/optional
   // overhead. The exact constant matters less than being monotone in the

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "sparql/ast.h"
 #include "sparql/result_table.h"
 
 namespace lusail::cache {
@@ -335,6 +336,14 @@ class FederationCache {
   /// Canonical "<endpoint id>|<query text>" key.
   static std::string Key(const std::string& endpoint_id,
                          const std::string& query_text);
+
+  /// Verdict key of a one-pattern ASK probe at an endpoint or a shard
+  /// member: "<endpoint id>|" plus the pattern with its variables
+  /// renamed by first appearance, since only which slots are variables,
+  /// and which of them repeat, decides the verdict. Source selection
+  /// and the shard router both key verdicts this way.
+  static std::string PatternKey(const std::string& endpoint_id,
+                                const sparql::TriplePattern& tp);
 
   /// Approximate in-memory footprint of a result table (terms + row
   /// vectors), used against the tier-3 byte budget.

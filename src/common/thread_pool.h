@@ -44,10 +44,11 @@ class ThreadPool {
     auto task = std::make_shared<std::packaged_task<R()>>(
         std::bind(std::forward<Fn>(fn), std::forward<Args>(args)...));
     std::future<R> result = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.emplace_back([task] { (*task)(); });
-    }
+    // Notify under the lock: once it is released a worker may run the
+    // task, and the task's completion may let its waiter destroy the
+    // pool, so nothing of the pool is touched after the unlock.
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.emplace_back([task] { (*task)(); });
     cv_.notify_one();
     return result;
   }

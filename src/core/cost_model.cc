@@ -1,13 +1,11 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <future>
 #include <set>
 
 #include "cache/federation_cache.h"
+#include "sparql/probe.h"
 
 namespace lusail::core {
 
@@ -41,43 +39,11 @@ MeanStd ComputeMeanStd(const std::vector<double>& xs,
 
 }  // namespace
 
-uint64_t ParseCountLiteral(const rdf::Term& term) {
-  const std::string& lex = term.lexical();
-  // Fast path: a plain decimal integer (optionally '+'-signed), which is
-  // what COUNT(*) yields everywhere. strtoull keeps all 64 bits where a
-  // double round-trip would round above 2^53.
-  size_t start = (!lex.empty() && lex[0] == '+') ? 1 : 0;
-  bool all_digits = lex.size() > start;
-  for (size_t i = start; i < lex.size(); ++i) {
-    if (lex[i] < '0' || lex[i] > '9') {
-      all_digits = false;
-      break;
-    }
-  }
-  if (all_digits) {
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(lex.c_str() + start, &end, 10);
-    if (errno == ERANGE) return std::numeric_limits<uint64_t>::max();
-    if (end == lex.c_str() + lex.size()) return static_cast<uint64_t>(value);
-  }
-  // Fallback: scientific/decimal forms ("1.2e3") via double, saturating
-  // instead of invoking the undefined negative/overflow casts.
-  double d = term.AsDouble();
-  if (!(d > 0.0)) return 0;  // NaN and negatives count as zero rows.
-  if (d >= 18446744073709551615.0) return std::numeric_limits<uint64_t>::max();
-  return static_cast<uint64_t>(d);
-}
-
 std::string CostModel::CountQueryText(
     const sparql::TriplePattern& tp,
     const std::vector<const sparql::Expr*>& pushed_filters) {
-  std::string text = "SELECT (COUNT(*) AS ?c) WHERE { " + tp.ToString() + " . ";
-  for (const sparql::Expr* f : pushed_filters) {
-    text += "FILTER (" + sparql::ExprToString(*f) + ") ";
-  }
-  text += "}";
-  return text;
+  return sparql::ProbeText(sparql::ProbeKind::kCount,
+                           {sparql::ProbeBody(tp, pushed_filters)});
 }
 
 Status CostModel::CollectStatistics(
@@ -86,27 +52,14 @@ Status CostModel::CollectStatistics(
     const std::vector<sparql::Expr>& filters,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, bool tolerate_failures, bool use_cache) {
-  struct Probe {
-    int tp;
-    int ep;
-    std::string cache_key;
-    std::string endpoint_id;
-    std::future<Result<uint64_t>> result;
-  };
-  // Runs on the pool as each probe lands: the answer's single cell.
-  auto decode_count =
-      [](Result<net::QueryResponse> response) -> Result<uint64_t> {
-    LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable table,
-                            fed::Federation::ToTable(std::move(response)));
-    if (table.rows.empty() || table.rows[0].empty() ||
-        !table.rows[0][0].has_value()) {
-      return uint64_t{0};
-    }
-    return ParseCountLiteral(*table.rows[0][0]);
-  };
+  // Cached counts first; every other (pattern, endpoint) pair becomes a
+  // probe, and each endpoint's probes go out as one request. Cache keys
+  // stay the single-probe text, so they do not depend on the batching.
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
-  std::vector<Probe> probes;
+  std::vector<fed::Probe> probes;
+  std::vector<int> probe_tp;
+  std::vector<std::string> probe_key;
   for (size_t ti = 0; ti < triples.size(); ++ti) {
     // Push filters whose variables all appear in this single pattern.
     std::vector<const sparql::Expr*> pushed;
@@ -123,10 +76,11 @@ Status CostModel::CollectStatistics(
       }
       if (covered) pushed.push_back(&f);
     }
-    std::string text = CountQueryText(triples[ti], pushed);
+    std::string body = sparql::ProbeBody(triples[ti], pushed);
+    std::string text = sparql::ProbeText(sparql::ProbeKind::kCount, {body});
     for (int ep : sources[ti]) {
-      std::string endpoint_id = federation_->id(static_cast<size_t>(ep));
-      std::string key = cache::FederationCache::Key(endpoint_id, text);
+      std::string key = cache::FederationCache::Key(
+          federation_->id(static_cast<size_t>(ep)), text);
       if (shared != nullptr) {
         std::optional<uint64_t> cached = shared->GetCount(key);
         if (cached.has_value()) {
@@ -134,34 +88,31 @@ Status CostModel::CollectStatistics(
           continue;
         }
       }
-      Probe probe;
-      probe.tp = static_cast<int>(ti);
-      probe.ep = ep;
-      probe.cache_key = std::move(key);
-      probe.endpoint_id = std::move(endpoint_id);
-      fed::IssueContext ctx;
-      ctx.metrics = metrics;
-      ctx.cancel = cancel;
-      ctx.retry = retry;
-      probe.result = federation_->Issue(pool_, static_cast<size_t>(ep), text,
-                                        std::move(ctx), decode_count);
-      probes.push_back(std::move(probe));
+      probes.push_back({static_cast<size_t>(ep), body});
+      probe_tp.push_back(static_cast<int>(ti));
+      probe_key.push_back(std::move(key));
     }
   }
 
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = retry;
+  std::vector<Result<uint64_t>> answers = federation_->RunProbes(
+      pool_, sparql::ProbeKind::kCount, probes, ctx);
   size_t failed = 0;
   Status first_error;
-  for (Probe& probe : probes) {
-    Result<uint64_t> answer = probe.result.get();
-    if (!answer.ok()) {
+  for (size_t i = 0; i < probes.size(); ++i) {
+    if (!answers[i].ok()) {
       ++failed;
-      if (first_error.ok()) first_error = answer.status();
+      if (first_error.ok()) first_error = answers[i].status();
       continue;
     }
-    uint64_t count = *answer;
-    counts_[{probe.tp, probe.ep}] = count;
+    const int ep = static_cast<int>(probes[i].endpoint);
+    counts_[{probe_tp[i], ep}] = *answers[i];
     if (shared != nullptr) {
-      shared->PutCount(probe.cache_key, probe.endpoint_id, count);
+      shared->PutCount(probe_key[i], federation_->id(probes[i].endpoint),
+                       *answers[i]);
     }
   }
   if (failed > 0 && !tolerate_failures) {

@@ -30,7 +30,9 @@ class CostModel {
   CostModel(const fed::Federation* federation, ThreadPool* pool)
       : federation_(federation), pool_(pool) {}
 
-  /// Issues the COUNT probes (in parallel) and stores the statistics.
+  /// Issues the COUNT probes and stores the statistics: each endpoint's
+  /// uncached probes travel as one batched request (sparql/probe.h), all
+  /// endpoints in parallel.
   /// Probes go through `retry` when given. A failed probe normally fails
   /// collection; with `tolerate_failures` it is skipped instead — its
   /// (pattern, endpoint) count stays 0, biasing that subquery toward the
@@ -74,14 +76,6 @@ class CostModel {
   ThreadPool* pool_;
   std::map<std::pair<int, int>, uint64_t> counts_;  ///< (tp, ep) -> count.
 };
-
-/// Parses a COUNT-probe literal as an exact unsigned integer. Plain
-/// decimal digit strings (the form every real endpoint returns) are
-/// parsed directly so counts above 2^53 keep full 64-bit precision —
-/// going through double would silently round them. Non-integral numeric
-/// literals fall back to AsDouble with saturation at uint64 max;
-/// non-numeric literals parse as 0.
-uint64_t ParseCountLiteral(const rdf::Term& term);
 
 /// Chauvenet's criterion: flags values whose expected number of
 /// occurrences in a normal sample of this size is below 0.5. Applied

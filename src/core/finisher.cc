@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "sparql/expr_eval.h"
@@ -92,12 +93,57 @@ std::vector<uint32_t> OrderedRows(const IdTable& table,
   return rows;
 }
 
-IdTable FinishSelect(const sparql::Query& query, const IdTable& table,
-                     const TermDictionary& dict) {
-  std::vector<std::string> visible;
-  for (const sparql::Variable& v : query.EffectiveProjection()) {
-    visible.push_back(v.name);
+/// GROUP BY `key` with a COUNT aggregate: one row per group, in order
+/// of first appearance, holding the key and the count. An unbound key
+/// (or a key naming no column) forms its own group.
+IdTable GroupCounts(const sparql::CountAggregate& agg,
+                    const sparql::Variable& key, const IdTable& table,
+                    TermDictionary* dict) {
+  const int key_idx = table.VarIndex(key.name);
+  const int var_idx = agg.var.has_value() ? table.VarIndex(agg.var->name) : -1;
+  std::unordered_map<rdf::TermId, size_t> group_of;
+  std::vector<rdf::TermId> keys;
+  std::vector<uint64_t> counts;
+  std::vector<std::unordered_set<rdf::TermId>> seen;
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const rdf::TermId k = key_idx >= 0
+                              ? table.At(r, static_cast<size_t>(key_idx))
+                              : rdf::kInvalidTermId;
+    auto [it, inserted] = group_of.try_emplace(k, keys.size());
+    if (inserted) {
+      keys.push_back(k);
+      counts.push_back(0);
+      if (agg.distinct) seen.emplace_back();
+    }
+    const size_t g = it->second;
+    if (!agg.var.has_value()) {
+      ++counts[g];
+      continue;
+    }
+    const rdf::TermId v = var_idx >= 0
+                              ? table.At(r, static_cast<size_t>(var_idx))
+                              : rdf::kInvalidTermId;
+    if (v == rdf::kInvalidTermId) continue;
+    if (agg.distinct) {
+      seen[g].insert(v);
+    } else {
+      ++counts[g];
+    }
   }
+  IdTable out({key.name, agg.alias.name});
+  for (size_t g = 0; g < keys.size(); ++g) {
+    const uint64_t count = agg.distinct ? seen[g].size() : counts[g];
+    out.AppendRow({keys[g], dict->Intern(rdf::Term::Integer(
+                                static_cast<int64_t>(count)))});
+  }
+  return out;
+}
+
+/// Projection to `visible`, DISTINCT, ORDER BY and the OFFSET/LIMIT
+/// window.
+IdTable FinishSelect(const sparql::Query& query, const IdTable& table,
+                     const std::vector<std::string>& visible,
+                     const TermDictionary& dict) {
   // Under DISTINCT the rows are the deduped visible tuples, so a sort key
   // outside the projection finds no column; otherwise the rows are the
   // pattern's own, and every sort key is there to read.
@@ -135,10 +181,21 @@ IdTable FinishQuery(const sparql::Query& query, const IdTable& table,
     if (table.NumRows() > 0) out.AddEmptyRows(1);
     return out;
   }
+  std::vector<std::string> visible;
+  for (const sparql::Variable& v : query.EffectiveProjection()) {
+    visible.push_back(v.name);
+  }
+  if (query.group_by.has_value()) {
+    // The groups are the rows the modifiers run on.
+    visible.push_back(query.aggregate->alias.name);
+    return FinishSelect(
+        query, GroupCounts(*query.aggregate, *query.group_by, table, dict),
+        visible, *dict);
+  }
   if (query.aggregate.has_value()) {
     return FinishCount(*query.aggregate, table, dict);
   }
-  return FinishSelect(query, table, *dict);
+  return FinishSelect(query, table, visible, *dict);
 }
 
 }  // namespace lusail::core

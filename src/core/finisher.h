@@ -13,7 +13,9 @@ namespace lusail::core {
 ///
 ///   - ASK: no columns; one row when the pattern matched, else none.
 ///   - COUNT(*) / COUNT(?v) / COUNT(DISTINCT ?v): one row holding the
-///     count, interned into `dict`.
+///     count, interned into `dict`; with GROUP BY ?g, one row per value
+///     of ?g (holding ?g and the count), which ORDER BY and the window
+///     then apply to.
 ///   - SELECT: projection, DISTINCT, ORDER BY, then the OFFSET/LIMIT
 ///     window.
 ///

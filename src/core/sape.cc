@@ -568,6 +568,8 @@ Result<IdTable> SapeExecutor::Execute(
       ctx.cancel = cancel;
       ctx.retry = retry;
       ctx.trace_parent = sq_span;
+      ctx.kind = fed::RequestKind::kAsk;
+      ctx.probe_pairs = 1;
       std::vector<std::future<Result<bool>>> probes;
       for (int ep : sources) {
         std::string endpoint_id;

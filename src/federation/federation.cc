@@ -5,7 +5,6 @@
 #include <cctype>
 #include <optional>
 
-#include "common/string_util.h"
 #include "net/latency_model.h"
 #include "obs/trace_context.h"
 
@@ -31,6 +30,7 @@ obs::JsonValue ProfileToJson(const ExecutionProfile& profile) {
   obs::JsonValue out = obs::JsonValue::Object();
   out.Set("requests", profile.requests);
   out.Set("ask_requests", profile.ask_requests);
+  out.Set("probe_pairs", profile.probe_pairs);
   out.Set("bytes_sent", profile.bytes_sent);
   out.Set("bytes_received", profile.bytes_received);
   out.Set("rows_received", profile.rows_received);
@@ -76,7 +76,6 @@ struct Federation::Exchange {
   std::string text;
   IssueContext ctx;
   Completion done;
-  bool is_ask = false;
   obs::SpanId span = 0;
   Result<net::QueryResponse> response = Status::Internal("not sent");
   net::RetryOutcome outcome;
@@ -113,7 +112,6 @@ void Federation::Send(const std::shared_ptr<Exchange>& ex) const {
     ex->done(ctx.cancel.StatusAt(("request to " + endpoint_id).c_str()));
     return;
   }
-  ex->is_ask = LooksLikeAskQuery(ex->text);
   MetricsCollector* metrics = ctx.metrics;
   obs::Tracer* tracer = metrics != nullptr ? metrics->tracer() : nullptr;
   if (tracer != nullptr) {
@@ -121,7 +119,7 @@ void Federation::Send(const std::shared_ptr<Exchange>& ex) const {
         ctx.trace_parent != 0 ? ctx.trace_parent : metrics->trace_parent();
     ex->span = tracer->StartSpan("request " + endpoint_id, "request", parent);
     tracer->Annotate(ex->span, "endpoint", endpoint_id);
-    tracer->Annotate(ex->span, "is_ask", ex->is_ask);
+    tracer->Annotate(ex->span, "is_ask", ctx.kind == RequestKind::kAsk);
   }
 
   // While the endpoint call runs, downstream layers (the HTTP client,
@@ -176,8 +174,9 @@ void Federation::Complete(const std::shared_ptr<Exchange>& ex) const {
   const net::RetryOutcome& outcome = ex->outcome;
   MetricsCollector* metrics = ex->ctx.metrics;
   if (metrics != nullptr) {
-    metrics->RecordExchange(response.ok() ? &*response : nullptr, ex->is_ask,
-                            outcome, ex->ctx.kind);
+    metrics->RecordExchange(response.ok() ? &*response : nullptr,
+                            ex->ctx.kind == RequestKind::kAsk, outcome,
+                            ex->ctx.kind, ex->ctx.probe_pairs);
     // A sharded endpoint answering in partial-results mode names the
     // members it dropped; fold them into the profile's failed-endpoint
     // set so the caller sees the answer is a lower bound.
@@ -306,6 +305,50 @@ Result<core::IdTable> Federation::ToIds(
 Result<bool> Federation::NonEmpty(const Result<net::QueryResponse>& response) {
   if (!response.ok()) return response.status();
   return response->RowCount() > 0;
+}
+
+std::vector<Result<uint64_t>> Federation::RunProbes(
+    ThreadPool* pool, sparql::ProbeKind kind,
+    const std::vector<Probe>& probes, const IssueContext& ctx) const {
+  std::vector<std::vector<size_t>> by_endpoint(size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    by_endpoint[probes[i].endpoint].push_back(i);
+  }
+  std::vector<std::pair<size_t, std::future<Result<std::vector<uint64_t>>>>>
+      requests;
+  for (size_t ep = 0; ep < by_endpoint.size(); ++ep) {
+    const size_t n = by_endpoint[ep].size();
+    if (n == 0) continue;
+    std::vector<std::string> bodies;
+    bodies.reserve(n);
+    for (size_t i : by_endpoint[ep]) bodies.push_back(probes[i].body);
+    IssueContext probe_ctx = ctx;
+    probe_ctx.kind = kind == sparql::ProbeKind::kAsk ? RequestKind::kAsk
+                                                     : RequestKind::kProbe;
+    probe_ctx.probe_pairs = n;
+    requests.emplace_back(
+        ep, Issue(pool, ep, sparql::ProbeText(kind, bodies),
+                  std::move(probe_ctx),
+                  [kind, n](Result<net::QueryResponse> response)
+                      -> Result<std::vector<uint64_t>> {
+                    LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable table,
+                                            ToTable(std::move(response)));
+                    return sparql::DecodeProbeAnswer(kind, table, n);
+                  }));
+  }
+  std::vector<Result<uint64_t>> values(probes.size(), uint64_t{0});
+  for (auto& [ep, future] : requests) {
+    Result<std::vector<uint64_t>> answer = future.get();
+    const std::vector<size_t>& members = by_endpoint[ep];
+    for (size_t k = 0; k < members.size(); ++k) {
+      if (answer.ok()) {
+        values[members[k]] = (*answer)[k];
+      } else {
+        values[members[k]] = answer.status();
+      }
+    }
+  }
+  return values;
 }
 
 Status FetchUnion(const Federation& federation, ThreadPool* pool,

@@ -24,6 +24,7 @@
 #include "obs/endpoint_stats.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "sparql/probe.h"
 #include "sparql/result_table.h"
 
 namespace lusail::cache {
@@ -38,6 +39,10 @@ namespace lusail::fed {
 struct ExecutionProfile {
   uint64_t requests = 0;       ///< Total endpoint requests issued.
   uint64_t ask_requests = 0;   ///< Subset that were ASK probes.
+  /// (pattern, endpoint) pairs answered by ASK and COUNT probes. One
+  /// request carries all of an endpoint's source-selection or COUNT
+  /// probes, so this logical count is what per-pair probing would send.
+  uint64_t probe_pairs = 0;
   uint64_t bytes_sent = 0;     ///< Query text shipped to endpoints.
   uint64_t bytes_received = 0; ///< Serialized results received.
   uint64_t rows_received = 0;  ///< Binding rows received.
@@ -90,11 +95,14 @@ struct ExecutionProfile {
 /// the field names). This is the record the benches dump per query.
 obs::JsonValue ProfileToJson(const ExecutionProfile& profile);
 
-/// What a federated request is for. Probes (source-selection and
-/// source-refinement ASKs, GJV checks, COUNT probes) steer the plan;
-/// fetches (subqueries and bound joins) carry answer rows, so only a
-/// fetch response stamps ExecutionProfile::first_row_ms.
-enum class RequestKind { kProbe, kFetch };
+/// What a federated request is for, as its caller declares it. Probes
+/// steer the plan: kAsk is an ASK probe (source selection, single or
+/// batched, and SAPE's source refinement), counted in
+/// ExecutionProfile::ask_requests; kProbe is any other (GJV checks,
+/// COUNT probes). Fetches (subqueries and bound
+/// joins) carry answer rows, so only a fetch response stamps
+/// ExecutionProfile::first_row_ms.
+enum class RequestKind { kAsk, kProbe, kFetch };
 
 /// Thread-safe accumulator for one federated query execution.
 ///
@@ -111,13 +119,15 @@ class MetricsCollector {
   /// Folds one endpoint exchange — the response (when the request
   /// produced one) and its retry-loop accounting — into the totals as a
   /// single atomic update. `response` may be null for requests that
-  /// failed without a response.
+  /// failed without a response; `probe_pairs` counts only with one.
   void RecordExchange(const net::QueryResponse* response, bool is_ask,
                       const net::RetryOutcome& outcome,
-                      RequestKind kind = RequestKind::kProbe) {
+                      RequestKind kind = RequestKind::kProbe,
+                      uint64_t probe_pairs = 0) {
     std::lock_guard<std::mutex> lock(mu_);
     if (response != nullptr) {
       AddResponseLocked(*response, is_ask, kind);
+      probe_pairs_ += probe_pairs;
     }
     retries_ += outcome.retries;
     breaker_rejections_ += outcome.breaker_rejections;
@@ -178,6 +188,7 @@ class MetricsCollector {
     std::lock_guard<std::mutex> lock(mu_);
     profile->requests = requests_;
     profile->ask_requests = ask_requests_;
+    profile->probe_pairs = probe_pairs_;
     profile->bytes_sent = bytes_sent_;
     profile->bytes_received = bytes_received_;
     profile->rows_received = rows_received_;
@@ -218,6 +229,7 @@ class MetricsCollector {
   mutable std::mutex mu_;
   uint64_t requests_ = 0;
   uint64_t ask_requests_ = 0;
+  uint64_t probe_pairs_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
   uint64_t rows_received_ = 0;
@@ -327,10 +339,19 @@ struct IssueContext {
   /// Parent of the "request" span; 0 means the collector's current one.
   obs::SpanId trace_parent = 0;
   RequestKind kind = RequestKind::kProbe;
+  /// (pattern, endpoint) pairs an ASK or COUNT probe request answers.
+  uint64_t probe_pairs = 0;
   /// Once fired, a request that has not been sent yet is skipped: nothing
   /// is sent or accounted, and on_response gets cutoff.StatusAt(...).
   /// SAPE's LIMIT row budget uses it; requests already sent still land.
   CancelToken cutoff;
+};
+
+/// One (pattern, endpoint) probe: its group body (sparql::ProbeBody) and
+/// the endpoint index it asks.
+struct Probe {
+  size_t endpoint = 0;
+  std::string body;
 };
 
 /// The registry of endpoints a federated query runs against, plus the
@@ -452,6 +473,17 @@ class Federation {
   /// True iff the response carries a row: an ASK verdict, or a locality
   /// check that found a witness.
   static Result<bool> NonEmpty(const Result<net::QueryResponse>& response);
+
+  /// Sends `probes` as one request per endpoint: that endpoint's bodies,
+  /// in `probes` order, as sparql::ProbeText(kind, ...). Each request goes
+  /// through Issue under `ctx`, declared as an ASK (kAsk) or other probe
+  /// with its pair count. Waits for every request and returns each
+  /// probe's value (see sparql::DecodeProbeAnswer), or the status of its
+  /// endpoint's failed request.
+  std::vector<Result<uint64_t>> RunProbes(ThreadPool* pool,
+                                          sparql::ProbeKind kind,
+                                          const std::vector<Probe>& probes,
+                                          const IssueContext& ctx) const;
 
  private:
   /// One request from send to completion.

@@ -1,7 +1,6 @@
 #include "federation/source_selection.h"
 
 #include <algorithm>
-#include <future>
 
 #include "cache/federation_cache.h"
 #include "net/replica.h"
@@ -9,32 +8,12 @@
 
 namespace lusail::fed {
 
-std::string PatternCacheKey(const sparql::TriplePattern& tp,
-                            const std::string& endpoint_id) {
-  auto slot = [](const sparql::TermOrVar& tv) {
-    return tv.is_variable() ? std::string("?") : tv.term().ToString();
-  };
-  return endpoint_id + "|" + slot(tp.s) + " " + slot(tp.p) + " " + slot(tp.o);
-}
-
-std::string AskQueryText(const sparql::TriplePattern& tp) {
-  return "ASK { " + tp.ToString() + " . }";
-}
-
 Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
     const std::vector<sparql::TriplePattern>& patterns,
     MetricsCollector* metrics, const CancelToken& cancel, bool use_cache,
     const net::RetryPolicy* retry, bool tolerate_failures) {
   const size_t num_eps = federation_->size();
   std::vector<std::vector<int>> sources(patterns.size());
-
-  struct Probe {
-    size_t pattern;
-    size_t endpoint;
-    std::string cache_key;
-    std::future<Result<bool>> result;
-  };
-  std::vector<Probe> probes;
 
   // Replica-group / shard health consult: a group whose every replica
   // has an open breaker — or a sharded endpoint whose every shard is
@@ -51,12 +30,17 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
     }
   }
 
+  // Cached verdicts first; every other (pattern, endpoint) pair becomes
+  // a probe, and each endpoint's probes go out as one request.
   cache::FederationCache* shared =
       use_cache ? federation_->query_cache() : nullptr;
-  Status dead_group;
-  for (size_t pi = 0; pi < patterns.size() && dead_group.ok(); ++pi) {
+  std::vector<Probe> probes;
+  std::vector<size_t> probe_pattern;
+  std::vector<std::string> probe_key;
+  for (size_t pi = 0; pi < patterns.size(); ++pi) {
     for (size_t ei = 0; ei < num_eps; ++ei) {
-      std::string key = PatternCacheKey(patterns[pi], federation_->id(ei));
+      std::string key = cache::FederationCache::PatternKey(
+          federation_->id(ei), patterns[pi]);
       if (use_cache) {
         std::optional<bool> cached = cache_->Get(key);
         if (!cached.has_value() && shared != nullptr) {
@@ -76,50 +60,41 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
           sources[pi].push_back(static_cast<int>(ei));
           continue;
         }
-        dead_group = Status::Unavailable(
+        return Status::Unavailable(
             "every replica of " + federation_->id(ei) +
             " has an open circuit breaker; source selection cannot probe it");
-        break;
       }
-      Probe probe;
-      probe.pattern = pi;
-      probe.endpoint = ei;
-      probe.cache_key = std::move(key);
-      IssueContext ctx;
-      ctx.metrics = metrics;
-      ctx.cancel = cancel;
-      ctx.retry = retry;
-      probe.result = federation_->Issue(pool_, ei, AskQueryText(patterns[pi]),
-                                        std::move(ctx), Federation::NonEmpty);
-      probes.push_back(std::move(probe));
+      probes.push_back({ei, sparql::ProbeBody(patterns[pi])});
+      probe_pattern.push_back(pi);
+      probe_key.push_back(std::move(key));
     }
   }
 
-  if (!dead_group.ok()) {
-    // Probes already issued account into `metrics`: let them land first.
-    for (Probe& probe : probes) probe.result.wait();
-    return dead_group;
-  }
-
+  IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = retry;
+  std::vector<Result<uint64_t>> answers = federation_->RunProbes(
+      pool_, sparql::ProbeKind::kAsk, probes, ctx);
   std::vector<std::pair<size_t, Status>> failures;
-  for (Probe& probe : probes) {
-    Result<bool> answer = probe.result.get();
-    if (!answer.ok()) {
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const size_t ei = probes[i].endpoint;
+    if (!answers[i].ok()) {
       if (tolerate_failures) {
         // Unreachable endpoint: conservatively assume it is relevant (and
         // leave it uncached) so it is retried/dropped at execution time.
-        sources[probe.pattern].push_back(static_cast<int>(probe.endpoint));
+        sources[probe_pattern[i]].push_back(static_cast<int>(ei));
       } else {
-        failures.emplace_back(probe.endpoint, answer.status());
+        failures.emplace_back(ei, answers[i].status());
       }
       continue;
     }
-    cache_->Put(probe.cache_key, *answer);
+    const bool verdict = *answers[i] > 0;
+    cache_->Put(probe_key[i], verdict);
     if (shared != nullptr) {
-      shared->PutVerdict(probe.cache_key, federation_->id(probe.endpoint),
-                         *answer);
+      shared->PutVerdict(probe_key[i], federation_->id(ei), verdict);
     }
-    if (*answer) sources[probe.pattern].push_back(static_cast<int>(probe.endpoint));
+    if (verdict) sources[probe_pattern[i]].push_back(static_cast<int>(ei));
   }
   if (!failures.empty()) {
     std::string msg = std::to_string(failures.size()) + " of " +

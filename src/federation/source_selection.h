@@ -53,17 +53,12 @@ class AskCache {
   std::unordered_map<std::string, bool> entries_;
 };
 
-/// Cache key for a triple pattern at an endpoint; variable *names* are
-/// erased (only the variable positions matter for an ASK probe).
-std::string PatternCacheKey(const sparql::TriplePattern& tp,
-                            const std::string& endpoint_id);
-
-/// Renders `ASK { s p o . }` for one triple pattern.
-std::string AskQueryText(const sparql::TriplePattern& tp);
-
 /// ASK-based source selection shared by Lusail and the FedX baseline:
-/// every triple pattern is probed at every endpoint (in parallel through
-/// the pool), except where the cache already knows the answer.
+/// every triple pattern is probed at every endpoint, except where the
+/// cache already knows the answer. Verdicts are cached per (pattern,
+/// endpoint) under cache::FederationCache::PatternKey; each endpoint's
+/// uncached patterns travel as one batched probe request
+/// (sparql/probe.h), all endpoints in parallel through the pool.
 class SourceSelector {
  public:
   SourceSelector(const Federation* federation, AskCache* cache,

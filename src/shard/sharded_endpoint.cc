@@ -1,7 +1,6 @@
 #include "shard/sharded_endpoint.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -14,6 +13,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "sparql/parser.h"
+#include "sparql/probe.h"
 #include "sparql/serializer.h"
 
 namespace lusail::shard {
@@ -53,25 +53,9 @@ obs::JsonValue ShardedEndpointStats::ToJson() const {
 
 namespace {
 
-/// The exact probe text source selection caches verdicts under (keep in
-/// sync with AskQueryText in federation/source_selection.cc).
-std::string AskTextFor(const sparql::TriplePattern& tp) {
-  return "ASK { " + tp.ToString() + " . }";
-}
-
 /// Subject slot rendered as a grouping key: "?name" or the term text.
 std::string SubjectKey(const sparql::TriplePattern& tp) {
   return tp.s.ToString();
-}
-
-std::optional<uint64_t> ParseCount(const rdf::Term& term) {
-  if (!term.is_literal()) return std::nullopt;
-  const std::string& lex = term.lexical();
-  if (lex.empty()) return std::nullopt;
-  char* end = nullptr;
-  uint64_t value = std::strtoull(lex.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return value;
 }
 
 /// The COUNT value in a one-row aggregate response, whichever
@@ -85,7 +69,7 @@ std::optional<uint64_t> CountFromResponse(const QueryResponse& response,
     if (idx < 0 || response.ids_dict == nullptr) return std::nullopt;
     rdf::TermId id = response.ids->At(0, static_cast<size_t>(idx));
     if (id == rdf::kInvalidTermId) return std::nullopt;
-    return ParseCount(response.ids_dict->term(id));
+    return sparql::ParseCountLiteral(response.ids_dict->term(id));
   }
   if (response.table.rows.empty()) return 0;
   int idx = -1;
@@ -96,7 +80,7 @@ std::optional<uint64_t> CountFromResponse(const QueryResponse& response,
   if (idx < 0) return std::nullopt;
   const auto& cell = response.table.rows[0][static_cast<size_t>(idx)];
   if (!cell.has_value()) return std::nullopt;
-  return ParseCount(*cell);
+  return sparql::ParseCountLiteral(*cell);
 }
 
 /// SPARQL compatibility on a shared-var tuple: unbound matches anything.
@@ -439,7 +423,7 @@ void ShardedEndpoint::RoutePlan(Plan* plan) {
         bool dead = false;
         for (const sparql::TriplePattern& tp : star.triples) {
           auto verdict = options_.cache->GetVerdict(
-              cache::FederationCache::Key(member_ids_[shard], AskTextFor(tp)));
+              cache::FederationCache::PatternKey(member_ids_[shard], tp));
           if (verdict.has_value() && !*verdict) {
             dead = true;
             break;
@@ -653,6 +637,10 @@ Result<QueryResponse> ShardedEndpoint::QueryCancellable(
     ctx.have_trace = true;
     ctx.trace = *tc;
   }
+  if (std::optional<sparql::ProbeBatch> batch =
+          sparql::MatchProbeBatch(query)) {
+    return ExecuteProbeBatch(*batch, cancel, &ctx);
+  }
   if (query.form == sparql::QueryForm::kAsk) {
     return ExecuteAsk(query, cancel, &ctx);
   }
@@ -674,7 +662,8 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
   // Single-star COUNT(*): scatter the count itself and sum per-shard
   // cardinalities through the COUNT cache tier instead of shipping rows.
   if (query.aggregate.has_value() && !query.aggregate->var.has_value() &&
-      !query.aggregate->distinct && plan.stars.size() == 1 &&
+      !query.aggregate->distinct && !query.group_by.has_value() &&
+      plan.stars.size() == 1 &&
       plan.residual_filters.empty() && plan.gather_values.empty() &&
       plan.optionals.empty() && plan.unions.empty() && plan.exists.empty()) {
     return ScatterCount(query, plan.stars.front(), cancel, ctx);
@@ -697,6 +686,159 @@ Result<QueryResponse> ShardedEndpoint::ExecuteDecomposed(
   return FinishSelect(query, acc, ctx);
 }
 
+std::string ShardedEndpoint::StarBody(const StarGroup& star) {
+  sparql::GraphPattern group;
+  group.triples = star.triples;
+  group.filters = star.filters;
+  group.values = star.values;
+  return sparql::ProbeBody(group);
+}
+
+std::string ShardedEndpoint::VerdictKey(size_t shard,
+                                        const StarGroup& star) const {
+  if (star.triples.size() == 1 && star.filters.empty() &&
+      star.values.empty()) {
+    return cache::FederationCache::PatternKey(member_ids_[shard],
+                                              star.triples.front());
+  }
+  return cache::FederationCache::Key(
+      member_ids_[shard],
+      sparql::ProbeText(sparql::ProbeKind::kAsk, {StarBody(star)}));
+}
+
+Result<QueryResponse> ShardedEndpoint::ExecuteProbeBatch(
+    const sparql::ProbeBatch& batch, const CancelToken& cancel,
+    ScatterContext* ctx) {
+  const sparql::ProbeKind kind = batch.kind;
+  const bool ask = kind == sparql::ProbeKind::kAsk;
+  const size_t n = batch.branches.size();
+  std::vector<uint64_t> values(n, 0);
+  std::vector<Plan> plans(n);
+  std::vector<std::string> bodies(n);
+  auto count_key = [&](size_t shard, size_t b) {
+    return cache::FederationCache::Key(member_ids_[shard],
+                                       sparql::ProbeText(kind, {bodies[b]}));
+  };
+  // Per shard, the branches it still has to answer.
+  std::vector<std::vector<size_t>> by_shard(NumShards());
+  for (size_t b = 0; b < n; ++b) {
+    sparql::GraphPattern body = *batch.branches[b].group;
+    body.values.clear();  // The tag binding; the body does not use it.
+    Plan& plan = plans[b];
+    const bool one_star =
+        BuildPlan(body, /*top_level=*/true, &plan) && plan.stars.size() == 1 &&
+        plan.residual_filters.empty() && plan.gather_values.empty() &&
+        plan.optionals.empty() && plan.unions.empty() && plan.exists.empty();
+    if (!one_star) {
+      sparql::Query single;
+      single.where = std::move(body);
+      if (ask) {
+        single.form = sparql::QueryForm::kAsk;
+      } else {
+        single.aggregate = sparql::CountAggregate{false, std::nullopt,
+                                                  sparql::Variable{"c"}};
+      }
+      LUSAIL_ASSIGN_OR_RETURN(QueryResponse r,
+                              ask ? ExecuteAsk(single, cancel, ctx)
+                                  : ExecuteDecomposed(single, cancel, ctx));
+      values[b] = ask ? r.RowCount() > 0 : CountFromResponse(r, "c").value_or(0);
+      continue;
+    }
+    RoutePlan(&plan);
+    const StarGroup& star = plan.stars.front();
+    bodies[b] = StarBody(star);
+    std::vector<size_t> shards;
+    for (size_t shard : star.shards) {
+      if (options_.cache != nullptr) {
+        if (ask) {
+          auto cached = options_.cache->GetVerdict(VerdictKey(shard, star));
+          if (cached.has_value()) {
+            values[b] |= *cached ? 1 : 0;
+            continue;
+          }
+        } else if (auto cached = options_.cache->GetCount(count_key(shard, b))) {
+          values[b] = sparql::AddCounts(values[b], *cached);
+          continue;
+        }
+      }
+      shards.push_back(shard);
+    }
+    if (ask && (values[b] > 0 || shards.empty())) {
+      ask_short_circuits_.fetch_add(1);
+      continue;
+    }
+    for (size_t shard : shards) by_shard[shard].push_back(b);
+  }
+
+  std::vector<std::pair<size_t, std::string>> jobs;
+  for (size_t shard = 0; shard < by_shard.size(); ++shard) {
+    if (by_shard[shard].empty()) continue;
+    std::vector<std::string> shard_bodies;
+    for (size_t b : by_shard[shard]) shard_bodies.push_back(bodies[b]);
+    jobs.emplace_back(shard, sparql::ProbeText(kind, shard_bodies));
+  }
+  std::vector<Result<QueryResponse>> results = RunScatter(jobs, cancel, ctx);
+  for (size_t j = 0; j < results.size(); ++j) {
+    const size_t shard = jobs[j].first;
+    const std::vector<size_t>& branches = by_shard[shard];
+    Result<QueryResponse>& r = results[j];
+    if (!r.ok()) {
+      if (!options_.partial_results) return r.status();
+      std::lock_guard<std::mutex> lock(ctx->mu);
+      ctx->degraded.insert(member_ids_[shard]);
+      continue;
+    }
+    LUSAIL_ASSIGN_OR_RETURN(
+        std::vector<uint64_t> member_values,
+        sparql::DecodeProbeAnswer(
+            kind,
+            r->ids != nullptr ? core::DecodeIdTable(*r->ids, *r->ids_dict)
+                              : r->table,
+            branches.size()));
+    for (size_t k = 0; k < branches.size(); ++k) {
+      const size_t b = branches[k];
+      const uint64_t v = member_values[k];
+      if (options_.cache != nullptr) {
+        if (ask) {
+          options_.cache->PutVerdict(VerdictKey(shard, plans[b].stars.front()),
+                                     member_ids_[shard], v > 0);
+        } else {
+          options_.cache->PutCount(count_key(shard, b), member_ids_[shard], v);
+        }
+      }
+      values[b] = ask ? (values[b] | v) : sparql::AddCounts(values[b], v);
+    }
+  }
+
+  // One row per tag with a true verdict or a nonzero count.
+  IdTable out({batch.tag_var});
+  if (!ask) out.vars.push_back(batch.count_alias);
+  std::vector<rdf::TermId> tags;
+  std::vector<uint64_t> totals;
+  for (size_t b = 0; b < n; ++b) {
+    if (values[b] == 0) continue;
+    const rdf::TermId tag = dict_->Intern(*batch.branches[b].tag);
+    size_t t = std::find(tags.begin(), tags.end(), tag) - tags.begin();
+    if (t == tags.size()) {
+      tags.push_back(tag);
+      totals.push_back(0);
+    }
+    totals[t] = ask ? 1 : sparql::AddCounts(totals[t], values[b]);
+  }
+  for (size_t t = 0; t < tags.size(); ++t) {
+    if (ask) {
+      out.AppendRow({tags[t]});
+    } else {
+      out.AppendRow({tags[t], dict_->Intern(sparql::CountTerm(totals[t]))});
+    }
+  }
+  QueryResponse response = MakeResponse(ctx);
+  if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
+  response.ids = std::make_shared<IdTable>(std::move(out));
+  response.ids_dict = dict_;
+  return response;
+}
+
 Result<QueryResponse> ShardedEndpoint::ScatterCount(
     const sparql::Query& query, const StarGroup& star,
     const CancelToken& cancel, ScatterContext* ctx) {
@@ -716,7 +858,7 @@ Result<QueryResponse> ShardedEndpoint::ScatterCount(
       auto cached = options_.cache->GetCount(
           cache::FederationCache::Key(member_ids_[shard], text));
       if (cached.has_value()) {
-        total += *cached;
+        total = sparql::AddCounts(total, *cached);
         continue;
       }
     }
@@ -736,7 +878,7 @@ Result<QueryResponse> ShardedEndpoint::ScatterCount(
       return Status::Internal("shard " + member_ids_[jobs[i].first] +
                               " returned a malformed COUNT response");
     }
-    total += *count;
+    total = sparql::AddCounts(total, *count);
     if (options_.cache != nullptr) {
       options_.cache->PutCount(
           cache::FederationCache::Key(member_ids_[jobs[i].first], text),
@@ -745,8 +887,7 @@ Result<QueryResponse> ShardedEndpoint::ScatterCount(
   }
   IdTable out;
   out.vars.push_back(alias);
-  out.AppendRow({dict_->Intern(rdf::Term::Integer(
-      static_cast<int64_t>(total)))});
+  out.AppendRow({dict_->Intern(sparql::CountTerm(total))});
   QueryResponse response = MakeResponse(ctx);
   if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
   response.ids = std::make_shared<IdTable>(std::move(out));
@@ -769,25 +910,12 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
                 plan.unions.empty() && plan.exists.empty();
   if (simple) {
     const StarGroup& star = plan.stars.front();
-    // Canonical probe text: single clean patterns use the exact form
-    // source selection caches under, so verdicts flow both ways.
-    std::string ask_text;
-    if (star.triples.size() == 1 && star.filters.empty() &&
-        star.values.empty()) {
-      ask_text = AskTextFor(star.triples.front());
-    } else {
-      sparql::Query ask;
-      ask.form = sparql::QueryForm::kAsk;
-      ask.where.triples = star.triples;
-      ask.where.filters = star.filters;
-      ask.where.values = star.values;
-      ask_text = sparql::QueryToString(ask);
-    }
+    const std::string ask_text =
+        sparql::ProbeText(sparql::ProbeKind::kAsk, {StarBody(star)});
     std::vector<size_t> remaining;
     for (size_t shard : star.shards) {
       if (options_.cache != nullptr) {
-        auto cached = options_.cache->GetVerdict(
-            cache::FederationCache::Key(member_ids_[shard], ask_text));
+        auto cached = options_.cache->GetVerdict(VerdictKey(shard, star));
         if (cached.has_value()) {
           if (*cached) verdict = true;
           continue;  // Either way, no request for this shard.
@@ -814,10 +942,9 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
         bool member_verdict = r->RowCount() > 0;
         verdict = verdict || member_verdict;
         if (options_.cache != nullptr) {
-          options_.cache->PutVerdict(
-              cache::FederationCache::Key(member_ids_[jobs[i].first],
-                                          ask_text),
-              member_ids_[jobs[i].first], member_verdict);
+          options_.cache->PutVerdict(VerdictKey(jobs[i].first, star),
+                                     member_ids_[jobs[i].first],
+                                     member_verdict);
         }
       }
     }
@@ -867,6 +994,7 @@ Result<QueryResponse> ShardedEndpoint::Broadcast(const sparql::Query& query,
   shard_query.offset.reset();
   if (shard_query.aggregate.has_value()) {
     shard_query.aggregate.reset();
+    shard_query.group_by.reset();
     shard_query.projection.clear();
     shard_query.select_all = true;
     shard_query.distinct = false;

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "shard/shard_map.h"
 #include "sparql/ast.h"
+#include "sparql/probe.h"
 
 namespace lusail::shard {
 
@@ -85,7 +86,8 @@ struct ShardedEndpointStats {
 /// of the star's patterns is skipped. ASK queries consult per-member
 /// verdicts first (a cached true answers with zero requests) and store
 /// the scattered verdicts back per member; single-star COUNT(*) probes
-/// scatter the count itself and sum, through the COUNT tier.
+/// scatter the count itself and sum, through the COUNT tier. A batched
+/// probe does both per branch, with one request per shard.
 ///
 /// Queries whose body the decomposer does not cover (nested OPTIONAL,
 /// UNION alternatives beyond flat BGPs, unparseable text) are broadcast
@@ -202,6 +204,21 @@ class ShardedEndpoint : public net::Endpoint {
   Result<net::QueryResponse> Broadcast(const sparql::Query& query,
                                        const CancelToken& cancel,
                                        ScatterContext* ctx);
+  /// A batched probe (sparql/probe.h). Each branch that is one star is
+  /// routed, pruned and answered from the cache tiers exactly as its
+  /// single probe would be; then every shard gets one batched request
+  /// for the branches it still has to answer, so the fan-out never
+  /// exceeds the single probes'. Other branches run alone through
+  /// ExecuteAsk / ExecuteDecomposed.
+  Result<net::QueryResponse> ExecuteProbeBatch(const sparql::ProbeBatch& batch,
+                                               const CancelToken& cancel,
+                                               ScatterContext* ctx);
+  /// A star's triples, pushed filters and VALUES as a probe body.
+  static std::string StarBody(const StarGroup& star);
+  /// Cache key of member `shard`'s ASK verdict for `star`: the shared
+  /// FederationCache::PatternKey for one clean pattern, else the key of
+  /// the star's ASK text.
+  std::string VerdictKey(size_t shard, const StarGroup& star) const;
   Result<net::QueryResponse> ScatterCount(const sparql::Query& query,
                                           const StarGroup& star,
                                           const CancelToken& cancel,

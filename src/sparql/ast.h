@@ -38,6 +38,8 @@ class TermOrVar {
 
   const Variable& var() const { return std::get<Variable>(value_); }
   const rdf::Term& term() const { return std::get<rdf::Term>(value_); }
+  /// The term, moved out of a slot that holds one.
+  rdf::Term TakeTerm() && { return std::get<rdf::Term>(std::move(value_)); }
 
   bool operator==(const TermOrVar& other) const {
     return value_ == other.value_;
@@ -215,6 +217,12 @@ struct Query {
   std::vector<Variable> projection;
   std::optional<CountAggregate> aggregate;
   GraphPattern where;
+  /// GROUP BY on one variable: the aggregate is computed per value of
+  /// this variable (unbound forms its own group), one answer row per
+  /// group that has a solution, holding the variable and the aggregate.
+  /// The parser admits it only with a COUNT aggregate and a projection
+  /// of exactly this variable.
+  std::optional<Variable> group_by;
   std::vector<OrderKey> order_by;
   std::optional<uint64_t> limit;
   std::optional<uint64_t> offset;

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "sparql/expr_eval.h"
+#include "sparql/probe.h"
 
 namespace lusail::sparql {
 
@@ -733,17 +734,25 @@ class GroupEvaluator {
   std::unordered_map<const ValuesClause*, std::vector<TermId>> values_ids_;
 };
 
-/// True when the query is a single-triple-pattern group with no other
-/// operators and no repeated variables — eligible for index fast paths.
-bool IsSinglePatternGroup(const Query& query) {
-  const GraphPattern& gp = query.where;
+/// True when the group is one triple pattern with no repeated variable
+/// and no operators besides VALUES blocks — with none of those, eligible
+/// for the index fast paths.
+bool IsCleanPattern(const GraphPattern& gp) {
   if (gp.triples.size() != 1 || !gp.filters.empty() ||
       !gp.exists_filters.empty() || !gp.optionals.empty() ||
-      !gp.unions.empty() || !gp.values.empty()) {
+      !gp.unions.empty()) {
     return false;
   }
-  return gp.triples[0].VariableNames().size() ==
-         static_cast<size_t>(gp.triples[0].VariableCount());
+  const TriplePattern& tp = gp.triples[0];
+  auto same_var = [](const TermOrVar& a, const TermOrVar& b) {
+    return a.is_variable() && b.is_variable() && a.var() == b.var();
+  };
+  return !same_var(tp.s, tp.p) && !same_var(tp.s, tp.o) &&
+         !same_var(tp.p, tp.o);
+}
+
+bool IsSinglePatternGroup(const GraphPattern& gp) {
+  return gp.values.empty() && IsCleanPattern(gp);
 }
 
 /// Resolves a pattern slot to a term id; nullopt = wildcard; sets
@@ -774,6 +783,128 @@ IdAnswer AskAnswer(bool verdict) {
   return answer;
 }
 
+/// Whether a single-pattern group has a match (kAsk) or how many
+/// (kCount), by one index lookup.
+uint64_t IndexProbe(const store::TripleStore& store, const TriplePattern& tp,
+                    ProbeKind kind) {
+  bool missing = false;
+  std::optional<TermId> s = ResolveSlot(store, tp.s, &missing);
+  std::optional<TermId> p = ResolveSlot(store, tp.p, &missing);
+  std::optional<TermId> o = ResolveSlot(store, tp.o, &missing);
+  if (missing) return 0;
+  return kind == ProbeKind::kAsk ? store.Ask(s, p, o) : store.Count(s, p, o);
+}
+
+/// One probe branch's value: 1 or 0 for ASK, the solution count for
+/// COUNT. A branch whose body is one clean pattern is one index lookup;
+/// any other is evaluated (its tagging VALUES block binds a variable the
+/// body does not use), an ASK branch only up to its first solution.
+Result<uint64_t> ProbeBranchValue(const store::TripleStore& store,
+                                  const GraphPattern& group, ProbeKind kind,
+                                  const CancelToken& cancel) {
+  if (IsCleanPattern(group)) {
+    return IndexProbe(store, group.triples[0], kind);
+  }
+  EvalContext ctx(store);
+  std::set<std::string> vars;
+  group.CollectVariables(&vars);
+  for (const std::string& v : vars) ctx.SlotFor(v);
+  Rows seed(ctx.NumSlots());
+  std::vector<TermId> unbound(ctx.NumSlots(), kUnbound);
+  seed.Append(unbound.data(), 0);
+  GroupEvaluator ge(&ctx, cancel);
+  LUSAIL_ASSIGN_OR_RETURN(
+      Rows rows,
+      ge.Eval(group, std::move(seed), 1,
+              kind == ProbeKind::kAsk ? size_t{1} : kNoLimit));
+  return static_cast<uint64_t>(rows.size());
+}
+
+/// A batched probe answered branch by branch (see sparql/probe.h): one
+/// row per tag with a true verdict or a nonzero count, in first-appearance
+/// order. Tags and counts are the answer's foreign terms.
+Result<IdAnswer> ExecuteProbeBatch(const store::TripleStore& store,
+                                   const ProbeBatch& batch,
+                                   const CancelToken& cancel) {
+  const bool ask = batch.kind == ProbeKind::kAsk;
+  std::vector<const Term*> tags;
+  std::vector<uint64_t> values;
+  for (const ProbeBranch& branch : batch.branches) {
+    if (cancel.Cancelled()) return cancel.StatusAt("endpoint evaluation");
+    LUSAIL_ASSIGN_OR_RETURN(
+        uint64_t value,
+        ProbeBranchValue(store, *branch.group, batch.kind, cancel));
+    if (value == 0) continue;
+    size_t t = 0;
+    while (t < tags.size() && !(*tags[t] == *branch.tag)) ++t;
+    if (t == tags.size()) {
+      tags.push_back(branch.tag);
+      values.push_back(0);
+    }
+    values[t] = ask ? 1 : AddCounts(values[t], value);
+  }
+  IdAnswer answer;
+  answer.num_rows = tags.size();
+  answer.vars.push_back(batch.tag_var);
+  if (!ask) answer.vars.push_back(batch.count_alias);
+  answer.columns.resize(answer.vars.size());
+  const TermId base = store.dict().size();
+  for (size_t t = 0; t < tags.size(); ++t) {
+    answer.columns[0].push_back(base + answer.foreign.size());
+    answer.foreign.push_back(*tags[t]);
+    if (ask) continue;
+    answer.columns[1].push_back(base + answer.foreign.size());
+    answer.foreign.push_back(CountTerm(values[t]));
+  }
+  return answer;
+}
+
+/// GROUP BY `key` with a COUNT aggregate: one row per group, in order
+/// of first appearance, binding the key slot and the alias slot (the
+/// count, interned in `ctx`). An unbound key forms its own group.
+Rows GroupCounts(const CountAggregate& agg, const Variable& key,
+                 EvalContext* ctx, const Rows& rows) {
+  const int key_slot = ctx->LookupSlot(key.name);
+  const int var_slot = agg.var.has_value() ? ctx->LookupSlot(agg.var->name)
+                                           : -1;
+  std::unordered_map<TermId, size_t> group_of;
+  std::vector<TermId> keys;
+  std::vector<uint64_t> counts;
+  std::vector<std::unordered_set<TermId>> seen;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const TermId* row = rows.row(r);
+    const TermId k = key_slot >= 0 ? row[key_slot] : kUnbound;
+    auto [it, inserted] = group_of.try_emplace(k, keys.size());
+    if (inserted) {
+      keys.push_back(k);
+      counts.push_back(0);
+      if (agg.distinct) seen.emplace_back();
+    }
+    const size_t g = it->second;
+    if (!agg.var.has_value()) {
+      ++counts[g];
+    } else if (var_slot >= 0 && row[var_slot] != kUnbound) {
+      if (agg.distinct) {
+        seen[g].insert(row[var_slot]);
+      } else {
+        ++counts[g];
+      }
+    }
+  }
+  const int alias_slot = ctx->SlotFor(agg.alias.name);
+  const int out_key_slot = ctx->SlotFor(key.name);
+  Rows out(ctx->NumSlots());
+  std::vector<TermId> cells(ctx->NumSlots(), kUnbound);
+  for (size_t g = 0; g < keys.size(); ++g) {
+    const uint64_t count = agg.distinct ? seen[g].size() : counts[g];
+    cells[out_key_slot] = keys[g];
+    cells[alias_slot] =
+        ctx->InternForeign(Term::Integer(static_cast<int64_t>(count)));
+    out.Append(cells.data(), 0);
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<IdAnswer> Evaluator::ExecuteIds(const Query& query,
@@ -784,21 +915,21 @@ Result<IdAnswer> Evaluator::ExecuteIds(const Query& query,
   if (cancel.Cancelled()) return cancel.StatusAt("endpoint evaluation");
 
   // Fast paths for the probe queries federated engines hammer endpoints
-  // with: single-pattern COUNT(*) and single-pattern ASK resolve directly
-  // against the covering indexes, no binding materialization.
-  if (IsSinglePatternGroup(query)) {
+  // with: a batched probe runs branch by branch, and single-pattern
+  // COUNT(*) and ASK (alone or as a branch) resolve directly against the
+  // covering indexes, no binding materialization.
+  if (std::optional<ProbeBatch> batch = MatchProbeBatch(query)) {
+    return ExecuteProbeBatch(*store_, *batch, cancel);
+  }
+  if (IsSinglePatternGroup(query.where)) {
     const TriplePattern& tp = query.where.triples[0];
-    bool missing = false;
-    std::optional<TermId> s = ResolveSlot(*store_, tp.s, &missing);
-    std::optional<TermId> p = ResolveSlot(*store_, tp.p, &missing);
-    std::optional<TermId> o = ResolveSlot(*store_, tp.o, &missing);
     if (query.form == QueryForm::kAsk) {
-      return AskAnswer(!missing && store_->Ask(s, p, o));
+      return AskAnswer(IndexProbe(*store_, tp, ProbeKind::kAsk) > 0);
     }
     if (query.aggregate.has_value() && !query.aggregate->var.has_value() &&
-        query.form == QueryForm::kSelect) {
+        !query.group_by.has_value()) {
       return CountAnswer(query.aggregate->alias.name,
-                         missing ? 0 : store_->Count(s, p, o), *store_);
+                         IndexProbe(*store_, tp, ProbeKind::kCount), *store_);
     }
   }
 
@@ -827,7 +958,11 @@ Result<IdAnswer> Evaluator::ExecuteIds(const Query& query,
 
   if (query.form == QueryForm::kAsk) return AskAnswer(!rows.empty());
 
-  if (query.aggregate.has_value()) {
+  if (query.group_by.has_value()) {
+    // The groups become the rows the modifiers below run on.
+    rows = GroupCounts(*query.aggregate, *query.group_by, &ctx, rows);
+    projection.push_back(query.aggregate->alias);
+  } else if (query.aggregate.has_value()) {
     const CountAggregate& agg = *query.aggregate;
     uint64_t count = 0;
     if (!agg.var.has_value()) {

@@ -74,7 +74,10 @@ class AnswerTerms final : public rdf::TermSource {
 /// seeded with all partial solutions; OPTIONAL (left outer join) and
 /// FILTER [NOT] EXISTS (emptiness probe) are evaluated once per batch of
 /// outer rows, each row tagged so its matches stay grouped with it.
-/// DISTINCT / COUNT / ORDER BY / LIMIT / OFFSET finish on ids.
+/// COUNT (optionally GROUP BY one variable) / DISTINCT / ORDER BY /
+/// LIMIT / OFFSET finish on ids. A batched probe (sparql/probe.h) runs
+/// branch by branch: an ASK branch stops at its first solution, and a
+/// branch that is one clean triple pattern is one index lookup.
 ///
 /// A group's plan (join order, constants resolved to store ids,
 /// variables to row slots, filter placement) is built once per group and

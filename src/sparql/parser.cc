@@ -1,6 +1,5 @@
 #include "sparql/parser.h"
 
-#include <cctype>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,21 +22,38 @@ enum class TokenKind {
   kPunct,    // Operators and delimiters.
 };
 
+/// One token; `text` views the query text. A string literal's text is
+/// its raw source, and `literal` indexes its unescaped lexical form.
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
+  std::string_view text;
   size_t offset = 0;  // For error messages.
+  size_t literal = 0;
 };
+
+// ASCII character classes (what <cctype> gives in the "C" locale),
+// inlined: the tokenizer tests every character of every request.
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool IsAlnum(char c) { return IsAlpha(c) || IsDigit(c); }
 
 class Tokenizer {
  public:
   explicit Tokenizer(std::string_view text) : text_(text) {}
 
-  Status Tokenize(std::vector<Token>* out) {
+  /// Appends the tokens to `out` and string literals' lexical forms to
+  /// `literals`.
+  Status Tokenize(std::vector<Token>* out, std::vector<std::string>* literals) {
+    out->reserve(text_.size() / 6 + 2);
     size_t i = 0;
     while (i < text_.size()) {
       char c = text_[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
+      if (IsSpace(c)) {
         ++i;
         continue;
       }
@@ -56,27 +72,22 @@ class Tokenizer {
             is_iri = true;
             break;
           }
-          if (std::isspace(static_cast<unsigned char>(text_[j]))) break;
+          if (IsSpace(text_[j])) break;
           ++j;
         }
         if (is_iri) {
           tok.kind = TokenKind::kIri;
-          tok.text = std::string(text_.substr(i + 1, j - i - 1));
+          tok.text = text_.substr(i + 1, j - i - 1);
           i = j + 1;
         } else {
           tok.kind = TokenKind::kPunct;
-          if (i + 1 < text_.size() && text_[i + 1] == '=') {
-            tok.text = "<=";
-            i += 2;
-          } else {
-            tok.text = "<";
-            ++i;
-          }
+          const size_t n = i + 1 < text_.size() && text_[i + 1] == '=' ? 2 : 1;
+          tok.text = text_.substr(i, n);
+          i += n;
         }
       } else if (c == '?' || c == '$') {
         size_t j = i + 1;
-        while (j < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                        text_[j])) ||
+        while (j < text_.size() && (IsAlnum(text_[j]) ||
                                     text_[j] == '_')) {
           ++j;
         }
@@ -85,7 +96,7 @@ class Tokenizer {
                                     std::to_string(i));
         }
         tok.kind = TokenKind::kVar;
-        tok.text = std::string(text_.substr(i + 1, j - i - 1));
+        tok.text = text_.substr(i + 1, j - i - 1);
         i = j;
       } else if (c == '"') {
         size_t j = i + 1;
@@ -110,24 +121,25 @@ class Tokenizer {
                                     std::to_string(i));
         }
         tok.kind = TokenKind::kString;
-        tok.text = UnescapeLiteral(lexical);
+        tok.text = text_.substr(i, j + 1 - i);
+        tok.literal = literals->size();
+        literals->push_back(UnescapeLiteral(lexical));
         i = j + 1;
       } else if (c == '@') {
         size_t j = i + 1;
-        while (j < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                        text_[j])) ||
+        while (j < text_.size() && (IsAlnum(text_[j]) ||
                                     text_[j] == '-')) {
           ++j;
         }
         tok.kind = TokenKind::kLangTag;
-        tok.text = std::string(text_.substr(i + 1, j - i - 1));
+        tok.text = text_.substr(i + 1, j - i - 1);
         i = j;
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
+      } else if (IsDigit(c)) {
         size_t j = i + 1;
         bool seen_dot = false, seen_exp = false;
         while (j < text_.size()) {
           char d = text_[j];
-          if (std::isdigit(static_cast<unsigned char>(d))) {
+          if (IsDigit(d)) {
             ++j;
           } else if (d == '.' && !seen_dot && !seen_exp) {
             seen_dot = true;
@@ -143,49 +155,45 @@ class Tokenizer {
         // A trailing '.' is a statement terminator, not a decimal point.
         if (text_[j - 1] == '.') --j;
         tok.kind = TokenKind::kNumber;
-        tok.text = std::string(text_.substr(i, j - i));
+        tok.text = text_.substr(i, j - i);
         i = j;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      } else if (IsAlpha(c) || c == '_') {
         size_t j = i;
-        while (j < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                        text_[j])) ||
+        while (j < text_.size() && (IsAlnum(text_[j]) ||
                                     text_[j] == '_' || text_[j] == '-' ||
                                     text_[j] == '.')) {
           ++j;
         }
         // Trailing '.' belongs to the statement, not the name.
         while (j > i && text_[j - 1] == '.') --j;
-        std::string word(text_.substr(i, j - i));
         if (j < text_.size() && text_[j] == ':') {
           // prefixed name "pfx:local".
           size_t k = j + 1;
-          while (k < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                          text_[k])) ||
+          while (k < text_.size() && (IsAlnum(text_[k]) ||
                                       text_[k] == '_' || text_[k] == '-' ||
                                       text_[k] == '.')) {
             ++k;
           }
           while (k > j + 1 && text_[k - 1] == '.') --k;
           tok.kind = TokenKind::kPname;
-          tok.text = std::string(text_.substr(i, k - i));
+          tok.text = text_.substr(i, k - i);
           i = k;
         } else {
           tok.kind = TokenKind::kIdent;
-          tok.text = word;
+          tok.text = text_.substr(i, j - i);
           i = j;
         }
       } else if (c == ':') {
         // Default-prefix pname ":local".
         size_t k = i + 1;
-        while (k < text_.size() && (std::isalnum(static_cast<unsigned char>(
-                                        text_[k])) ||
+        while (k < text_.size() && (IsAlnum(text_[k]) ||
                                     text_[k] == '_' || text_[k] == '-' ||
                                     text_[k] == '.')) {
           ++k;
         }
         while (k > i + 1 && text_[k - 1] == '.') --k;
         tok.kind = TokenKind::kPname;
-        tok.text = std::string(text_.substr(i, k - i));
+        tok.text = text_.substr(i, k - i);
         i = k;
       } else {
         // Punctuation, including multi-character operators.
@@ -193,10 +201,10 @@ class Tokenizer {
         auto two = text_.substr(i, 2);
         if (two == "!=" || two == ">=" || two == "&&" || two == "||" ||
             two == "^^") {
-          tok.text = std::string(two);
+          tok.text = two;
           i += 2;
         } else {
-          tok.text = std::string(1, c);
+          tok.text = text_.substr(i, 1);
           ++i;
         }
       }
@@ -215,7 +223,8 @@ class Tokenizer {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, std::vector<std::string> literals)
+      : tokens_(std::move(tokens)), literals_(std::move(literals)) {}
 
   Result<Query> Parse() {
     LUSAIL_RETURN_NOT_OK(ParsePrologue());
@@ -239,6 +248,13 @@ class Parser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
   const Token& Advance() { return tokens_[pos_++]; }
+  /// Consumes the current token and returns its text (a string
+  /// literal's unescaped lexical form).
+  std::string Take() {
+    const Token& t = tokens_[pos_++];
+    return t.kind == TokenKind::kString ? std::move(literals_[t.literal])
+                                        : std::string(t.text);
+  }
 
   bool IsKeyword(std::string_view kw, size_t ahead = 0) const {
     const Token& t = Peek(ahead);
@@ -268,7 +284,7 @@ class Parser {
   Status Error(const std::string& msg) const {
     return Status::ParseError(msg + " (near offset " +
                               std::to_string(Peek().offset) + ", token '" +
-                              Peek().text + "')");
+                              std::string(Peek().text) + "')");
   }
 
   Status ParsePrologue() {
@@ -282,14 +298,14 @@ class Parser {
       std::string prefix;
       if (Peek().kind == TokenKind::kPname) {
         // Tokenizer lexed "pfx:" (possibly with empty local part).
-        std::string raw = Advance().text;
+        std::string raw = Take();
         size_t colon = raw.find(':');
         prefix = raw.substr(0, colon);
         if (colon + 1 != raw.size()) {
           return Error("malformed PREFIX declaration");
         }
       } else if (Peek().kind == TokenKind::kIdent && IsPunct(":", 1)) {
-        prefix = Advance().text;
+        prefix = Take();
         Advance();  // ':'
       } else if (IsPunct(":")) {
         Advance();
@@ -299,7 +315,7 @@ class Parser {
       if (Peek().kind != TokenKind::kIri) {
         return Error("expected IRI in PREFIX declaration");
       }
-      prefixes_[prefix] = Advance().text;
+      prefixes_[prefix] = Take();
     }
     return Status::OK();
   }
@@ -324,7 +340,7 @@ class Parser {
     } else {
       while (true) {
         if (Peek().kind == TokenKind::kVar) {
-          query->projection.push_back(Variable{Advance().text});
+          query->projection.push_back(Variable{Take()});
         } else if (IsPunct("(")) {
           Advance();
           if (!ConsumeKeyword("COUNT")) {
@@ -339,14 +355,14 @@ class Parser {
             if (Peek().kind != TokenKind::kVar) {
               return Error("expected variable in COUNT");
             }
-            agg.var = Variable{Advance().text};
+            agg.var = Variable{Take()};
           }
           LUSAIL_RETURN_NOT_OK(ExpectPunct(")"));
           if (!ConsumeKeyword("AS")) return Error("expected AS");
           if (Peek().kind != TokenKind::kVar) {
             return Error("expected alias variable");
           }
-          agg.alias = Variable{Advance().text};
+          agg.alias = Variable{Take()};
           LUSAIL_RETURN_NOT_OK(ExpectPunct(")"));
           query->aggregate = std::move(agg);
         } else {
@@ -358,19 +374,44 @@ class Parser {
       }
     }
     ConsumeKeyword("WHERE");
-    LUSAIL_ASSIGN_OR_RETURN(query->where, ParseGroupGraphPattern());
-    return ParseSolutionModifiers(query);
+    LUSAIL_RETURN_NOT_OK(ParseGroupGraphPattern(&query->where));
+    LUSAIL_RETURN_NOT_OK(ParseSolutionModifiers(query));
+    // With an aggregate, a projected variable must be the group key.
+    if (query->group_by.has_value() && !query->aggregate.has_value()) {
+      return Error("GROUP BY needs a COUNT aggregate");
+    }
+    if (query->aggregate.has_value()) {
+      if (query->select_all) return Error("SELECT * with an aggregate");
+      for (const Variable& v : query->projection) {
+        if (!query->group_by.has_value() || v != *query->group_by) {
+          return Error("projected variable " + v.ToString() +
+                       " is neither grouped nor aggregated");
+        }
+      }
+    }
+    return Status::OK();
   }
 
   Status ParseAsk(Query* query) {
     Advance();  // ASK
     query->form = QueryForm::kAsk;
     ConsumeKeyword("WHERE");
-    LUSAIL_ASSIGN_OR_RETURN(query->where, ParseGroupGraphPattern());
-    return ParseSolutionModifiers(query);
+    LUSAIL_RETURN_NOT_OK(ParseGroupGraphPattern(&query->where));
+    LUSAIL_RETURN_NOT_OK(ParseSolutionModifiers(query));
+    if (query->group_by.has_value()) return Error("GROUP BY in an ASK query");
+    return Status::OK();
   }
 
   Status ParseSolutionModifiers(Query* query) {
+    // GROUP BY on one variable comes first, as in SPARQL 1.1.
+    if (IsKeyword("GROUP") && IsKeyword("BY", 1)) {
+      Advance();
+      Advance();
+      if (Peek().kind != TokenKind::kVar) {
+        return Error("expected one variable in GROUP BY");
+      }
+      query->group_by = Variable{Take()};
+    }
     while (true) {
       if (IsKeyword("ORDER") && IsKeyword("BY", 1)) {
         Advance();
@@ -384,10 +425,10 @@ class Parser {
             if (Peek().kind != TokenKind::kVar) {
               return Error("expected variable in ORDER BY");
             }
-            key.var = Variable{Advance().text};
+            key.var = Variable{Take()};
             LUSAIL_RETURN_NOT_OK(ExpectPunct(")"));
           } else if (Peek().kind == TokenKind::kVar) {
-            key.var = Variable{Advance().text};
+            key.var = Variable{Take()};
           } else {
             break;
           }
@@ -401,12 +442,12 @@ class Parser {
         if (Peek().kind != TokenKind::kNumber) {
           return Error("expected number after LIMIT");
         }
-        query->limit = std::stoull(Advance().text);
+        query->limit = std::stoull(Take());
       } else if (ConsumeKeyword("OFFSET")) {
         if (Peek().kind != TokenKind::kNumber) {
           return Error("expected number after OFFSET");
         }
-        query->offset = std::stoull(Advance().text);
+        query->offset = std::stoull(Take());
       } else {
         break;
       }
@@ -414,9 +455,11 @@ class Parser {
     return Status::OK();
   }
 
-  Result<GraphPattern> ParseGroupGraphPattern() {
+  /// Parses `{ ... }` into `*out` (in place: nested groups are parsed
+  /// straight into their slot of the enclosing pattern).
+  Status ParseGroupGraphPattern(GraphPattern* out) {
     LUSAIL_RETURN_NOT_OK(ExpectPunct("{"));
-    GraphPattern group;
+    GraphPattern& group = *out;
     while (!IsPunct("}")) {
       if (Peek().kind == TokenKind::kEnd) {
         return Error("unterminated group graph pattern");
@@ -425,12 +468,11 @@ class Parser {
         Advance();
         if (IsKeyword("EXISTS") ||
             (IsKeyword("NOT") && IsKeyword("EXISTS", 1))) {
-          ExistsFilter ef;
+          ExistsFilter& ef = group.exists_filters.emplace_back();
           if (ConsumeKeyword("NOT")) ef.negated = true;
           Advance();  // EXISTS
           // The braces may wrap a nested SELECT (Figure 5 check queries).
-          LUSAIL_ASSIGN_OR_RETURN(ef.pattern, ParseNestedGroup());
-          group.exists_filters.push_back(std::move(ef));
+          LUSAIL_RETURN_NOT_OK(ParseNestedGroup(&ef.pattern));
         } else {
           LUSAIL_RETURN_NOT_OK(ExpectPunct("("));
           LUSAIL_ASSIGN_OR_RETURN(Expr e, ParseExpression());
@@ -442,27 +484,24 @@ class Parser {
       }
       if (IsKeyword("OPTIONAL")) {
         Advance();
-        LUSAIL_ASSIGN_OR_RETURN(GraphPattern opt, ParseGroupGraphPattern());
-        group.optionals.push_back(std::move(opt));
+        LUSAIL_RETURN_NOT_OK(
+            ParseGroupGraphPattern(&group.optionals.emplace_back()));
         ConsumePunct(".");
         continue;
       }
       if (IsKeyword("VALUES")) {
         Advance();
-        LUSAIL_ASSIGN_OR_RETURN(ValuesClause vc, ParseValues());
-        group.values.push_back(std::move(vc));
+        LUSAIL_RETURN_NOT_OK(ParseValues(&group.values.emplace_back()));
         ConsumePunct(".");
         continue;
       }
       if (IsPunct("{")) {
         // A nested group, possibly the head of a UNION chain.
         std::vector<GraphPattern> alternatives;
-        LUSAIL_ASSIGN_OR_RETURN(GraphPattern first, ParseNestedGroup());
-        alternatives.push_back(std::move(first));
+        LUSAIL_RETURN_NOT_OK(ParseNestedGroup(&alternatives.emplace_back()));
         while (IsKeyword("UNION")) {
           Advance();
-          LUSAIL_ASSIGN_OR_RETURN(GraphPattern alt, ParseNestedGroup());
-          alternatives.push_back(std::move(alt));
+          LUSAIL_RETURN_NOT_OK(ParseNestedGroup(&alternatives.emplace_back()));
         }
         if (alternatives.size() == 1) {
           MergeInto(&group, std::move(alternatives[0]));
@@ -477,21 +516,22 @@ class Parser {
       ConsumePunct(".");
     }
     Advance();  // '}'
-    return group;
+    return Status::OK();
   }
 
   /// Parses `{ ... }` where the content may be a nested SELECT (whose WHERE
   /// pattern is flattened; projection only matters for emptiness checks in
   /// EXISTS filters, which is all we use nested SELECTs for).
-  Result<GraphPattern> ParseNestedGroup() {
+  Status ParseNestedGroup(GraphPattern* out) {
     if (IsPunct("{") && IsKeyword("SELECT", 1)) {
       Advance();  // '{'
       Query sub;
       LUSAIL_RETURN_NOT_OK(ParseSelect(&sub));
       LUSAIL_RETURN_NOT_OK(ExpectPunct("}"));
-      return std::move(sub.where);
+      *out = std::move(sub.where);
+      return Status::OK();
     }
-    return ParseGroupGraphPattern();
+    return ParseGroupGraphPattern(out);
   }
 
   static void MergeInto(GraphPattern* dst, GraphPattern src) {
@@ -511,11 +551,17 @@ class Parser {
       LUSAIL_ASSIGN_OR_RETURN(TermOrVar predicate, ParseVerb());
       while (true) {
         LUSAIL_ASSIGN_OR_RETURN(TermOrVar object, ParseTermOrVar());
-        group->triples.push_back(TriplePattern{subject, predicate, object});
+        // The slots move into the triple; an object or predicate list
+        // copies them back from it.
+        group->triples.push_back(TriplePattern{
+            std::move(subject), std::move(predicate), std::move(object)});
         if (!ConsumePunct(",")) break;
+        subject = group->triples.back().s;
+        predicate = group->triples.back().p;
       }
       if (!ConsumePunct(";")) break;
       if (IsPunct(".") || IsPunct("}")) break;  // Trailing ';' is legal.
+      subject = group->triples.back().s;
     }
     return Status::OK();
   }
@@ -532,31 +578,26 @@ class Parser {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kVar:
-        Advance();
-        return TermOrVar(Variable{t.text});
+        return TermOrVar(Variable{Take()});
       case TokenKind::kIri:
-        Advance();
-        return TermOrVar(rdf::Term::Iri(t.text));
+        return TermOrVar(rdf::Term::Iri(Take()));
       case TokenKind::kPname: {
-        Advance();
-        LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(t.text));
+        LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(Take()));
         return TermOrVar(std::move(term));
       }
       case TokenKind::kString: {
         LUSAIL_ASSIGN_OR_RETURN(rdf::Term lit, ParseLiteralTail());
         return TermOrVar(std::move(lit));
       }
-      case TokenKind::kNumber: {
-        Advance();
-        return TermOrVar(NumberToTerm(t.text));
-      }
+      case TokenKind::kNumber:
+        return TermOrVar(NumberToTerm(Take()));
       case TokenKind::kIdent:
         if (t.text == "true" || t.text == "false") {
-          Advance();
           return TermOrVar(rdf::Term::TypedLiteral(
-              t.text, std::string(rdf::kXsdBoolean)));
+              Take(), std::string(rdf::kXsdBoolean)));
         }
-        return Error("unexpected identifier '" + t.text + "' in pattern");
+        return Error("unexpected identifier '" + std::string(t.text) +
+                     "' in pattern");
       default:
         return Error("expected term or variable");
     }
@@ -564,16 +605,16 @@ class Parser {
 
   /// Consumes a kString token plus optional @lang / ^^<dt> suffix.
   Result<rdf::Term> ParseLiteralTail() {
-    std::string lexical = Advance().text;
+    std::string lexical = Take();
     if (Peek().kind == TokenKind::kLangTag) {
-      return rdf::Term::LangLiteral(std::move(lexical), Advance().text);
+      return rdf::Term::LangLiteral(std::move(lexical), Take());
     }
     if (ConsumePunct("^^")) {
       if (Peek().kind == TokenKind::kIri) {
-        return rdf::Term::TypedLiteral(std::move(lexical), Advance().text);
+        return rdf::Term::TypedLiteral(std::move(lexical), Take());
       }
       if (Peek().kind == TokenKind::kPname) {
-        LUSAIL_ASSIGN_OR_RETURN(rdf::Term dt, ResolvePname(Advance().text));
+        LUSAIL_ASSIGN_OR_RETURN(rdf::Term dt, ResolvePname(Take()));
         return rdf::Term::TypedLiteral(std::move(lexical), dt.lexical());
       }
       return Error("expected datatype IRI after ^^");
@@ -581,65 +622,60 @@ class Parser {
     return rdf::Term::Literal(std::move(lexical));
   }
 
-  static rdf::Term NumberToTerm(const std::string& text) {
-    if (text.find('.') != std::string::npos ||
-        text.find('e') != std::string::npos ||
-        text.find('E') != std::string::npos) {
-      return rdf::Term::TypedLiteral(text, std::string(rdf::kXsdDouble));
-    }
-    return rdf::Term::TypedLiteral(text, std::string(rdf::kXsdInteger));
+  static rdf::Term NumberToTerm(std::string text) {
+    const bool is_double = text.find_first_of(".eE") != std::string::npos;
+    return rdf::Term::TypedLiteral(
+        std::move(text),
+        std::string(is_double ? rdf::kXsdDouble : rdf::kXsdInteger));
   }
 
-  Result<ValuesClause> ParseValues() {
-    ValuesClause vc;
+  /// Parses a VALUES data block (after the keyword) into `*vc`.
+  Status ParseValues(ValuesClause* vc) {
     bool tuple_form = false;
     if (ConsumePunct("(")) {
       tuple_form = true;
       while (Peek().kind == TokenKind::kVar) {
-        vc.vars.push_back(Variable{Advance().text});
+        vc->vars.push_back(Variable{Take()});
       }
       LUSAIL_RETURN_NOT_OK(ExpectPunct(")"));
     } else if (Peek().kind == TokenKind::kVar) {
-      vc.vars.push_back(Variable{Advance().text});
+      vc->vars.push_back(Variable{Take()});
     } else {
       return Error("expected variable(s) after VALUES");
     }
     LUSAIL_RETURN_NOT_OK(ExpectPunct("{"));
     while (!IsPunct("}")) {
-      std::vector<std::optional<rdf::Term>> row;
+      std::vector<std::optional<rdf::Term>>& row = vc->rows.emplace_back();
       if (tuple_form) {
         LUSAIL_RETURN_NOT_OK(ExpectPunct("("));
         while (!IsPunct(")")) {
-          LUSAIL_ASSIGN_OR_RETURN(std::optional<rdf::Term> cell,
-                                  ParseValuesCell());
-          row.push_back(std::move(cell));
+          LUSAIL_RETURN_NOT_OK(ParseValuesCell(&row.emplace_back()));
         }
         Advance();  // ')'
-        if (row.size() != vc.vars.size()) {
+        if (row.size() != vc->vars.size()) {
           return Error("VALUES row arity mismatch");
         }
       } else {
-        LUSAIL_ASSIGN_OR_RETURN(std::optional<rdf::Term> cell,
-                                ParseValuesCell());
-        row.push_back(std::move(cell));
+        LUSAIL_RETURN_NOT_OK(ParseValuesCell(&row.emplace_back()));
       }
-      vc.rows.push_back(std::move(row));
     }
     Advance();  // '}'
-    return vc;
+    return Status::OK();
   }
 
-  Result<std::optional<rdf::Term>> ParseValuesCell() {
+  /// Parses one VALUES cell into `*cell` (left empty for UNDEF).
+  Status ParseValuesCell(std::optional<rdf::Term>* cell) {
     const Token& t = Peek();
     if (t.kind == TokenKind::kIdent && EqualsIgnoreCase(t.text, "UNDEF")) {
       Advance();
-      return std::optional<rdf::Term>();
+      return Status::OK();
     }
     LUSAIL_ASSIGN_OR_RETURN(TermOrVar tv, ParseTermOrVar());
     if (tv.is_variable()) {
       return Error("variables are not allowed inside VALUES data");
     }
-    return std::optional<rdf::Term>(tv.term());
+    *cell = std::move(tv).TakeTerm();
+    return Status::OK();
   }
 
   // ---- Expression parsing (precedence climbing) ----
@@ -732,32 +768,21 @@ class Parser {
       LUSAIL_RETURN_NOT_OK(ExpectPunct(")"));
       return inner;
     }
-    if (t.kind == TokenKind::kVar) {
-      Advance();
-      return Expr::Var(t.text);
-    }
-    if (t.kind == TokenKind::kIri) {
-      Advance();
-      return Expr::Const(rdf::Term::Iri(t.text));
-    }
+    if (t.kind == TokenKind::kVar) return Expr::Var(Take());
+    if (t.kind == TokenKind::kIri) return Expr::Const(rdf::Term::Iri(Take()));
     if (t.kind == TokenKind::kPname) {
-      Advance();
-      LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(t.text));
+      LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(Take()));
       return Expr::Const(std::move(term));
     }
     if (t.kind == TokenKind::kString) {
       LUSAIL_ASSIGN_OR_RETURN(rdf::Term lit, ParseLiteralTail());
       return Expr::Const(std::move(lit));
     }
-    if (t.kind == TokenKind::kNumber) {
-      Advance();
-      return Expr::Const(NumberToTerm(t.text));
-    }
+    if (t.kind == TokenKind::kNumber) return Expr::Const(NumberToTerm(Take()));
     if (t.kind == TokenKind::kIdent) {
       if (t.text == "true" || t.text == "false") {
-        Advance();
         return Expr::Const(
-            rdf::Term::TypedLiteral(t.text, std::string(rdf::kXsdBoolean)));
+            rdf::Term::TypedLiteral(Take(), std::string(rdf::kXsdBoolean)));
       }
       static const std::pair<const char*, ExprOp> kFuncs[] = {
           {"BOUND", ExprOp::kBound},         {"STR", ExprOp::kStr},
@@ -782,12 +807,13 @@ class Parser {
           return call;
         }
       }
-      return Error("unknown function '" + t.text + "'");
+      return Error("unknown function '" + std::string(t.text) + "'");
     }
     return Error("expected expression");
   }
 
   std::vector<Token> tokens_;
+  std::vector<std::string> literals_;
   size_t pos_ = 0;
   std::map<std::string, std::string> prefixes_;
 };
@@ -796,9 +822,10 @@ class Parser {
 
 Result<Query> ParseQuery(std::string_view text) {
   std::vector<Token> tokens;
+  std::vector<std::string> literals;
   Tokenizer tokenizer(text);
-  LUSAIL_RETURN_NOT_OK(tokenizer.Tokenize(&tokens));
-  Parser parser(std::move(tokens));
+  LUSAIL_RETURN_NOT_OK(tokenizer.Tokenize(&tokens, &literals));
+  Parser parser(std::move(tokens), std::move(literals));
   return parser.Parse();
 }
 

@@ -190,6 +190,9 @@ std::string QueryToString(const Query& query) {
     out += "WHERE ";
   }
   out += GraphPatternToString(query.where);
+  if (query.group_by.has_value()) {
+    out += " GROUP BY " + query.group_by->ToString();
+  }
   if (!query.order_by.empty()) {
     out += " ORDER BY";
     for (const OrderKey& key : query.order_by) {

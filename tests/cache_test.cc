@@ -29,6 +29,7 @@
 #include "core/sape.h"
 #include "net/sparql_endpoint.h"
 #include "sparql/parser.h"
+#include "sparql/probe.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
 
@@ -541,12 +542,12 @@ TEST(QueryServiceTest, CancelAbortsSubmittedQuery) {
 
 TEST(ParseCountLiteralTest, KeepsFullPrecisionAboveDoubleRange) {
   // 2^53 + 1 is the first integer a double cannot represent.
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("9007199254740993")),
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("9007199254740993")),
             9007199254740993ull);
-  EXPECT_EQ(core::ParseCountLiteral(
+  EXPECT_EQ(sparql::ParseCountLiteral(
                 rdf::Term::Literal("18446744073709551615")),
             18446744073709551615ull);
-  EXPECT_EQ(core::ParseCountLiteral(
+  EXPECT_EQ(sparql::ParseCountLiteral(
                 rdf::Term::TypedLiteral(
                     "9007199254740993",
                     "http://www.w3.org/2001/XMLSchema#integer")),
@@ -554,19 +555,19 @@ TEST(ParseCountLiteralTest, KeepsFullPrecisionAboveDoubleRange) {
 }
 
 TEST(ParseCountLiteralTest, FallbacksAreExplicit) {
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("+42")), 42ull);
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("+42")), 42ull);
   // Scientific notation goes through the double path.
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("1e3")), 1000ull);
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("12.0")), 12ull);
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("1e3")), 1000ull);
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("12.0")), 12ull);
   // Overflow saturates instead of wrapping.
-  EXPECT_EQ(core::ParseCountLiteral(
+  EXPECT_EQ(sparql::ParseCountLiteral(
                 rdf::Term::Literal("99999999999999999999999999")),
             std::numeric_limits<uint64_t>::max());
   // Non-numeric and negative map to zero.
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("not-a-number")),
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("not-a-number")),
             0ull);
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("-5")), 0ull);
-  EXPECT_EQ(core::ParseCountLiteral(rdf::Term::Literal("")), 0ull);
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("-5")), 0ull);
+  EXPECT_EQ(sparql::ParseCountLiteral(rdf::Term::Literal("")), 0ull);
 }
 
 /// An endpoint whose every SELECT answers with one huge COUNT literal.

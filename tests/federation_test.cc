@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/federation_cache.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/id_table.h"
@@ -198,8 +199,11 @@ TEST_F(SourceSelectionTest, FindsRelevantEndpoints) {
   EXPECT_TRUE((*sources)[2].empty());
   ExecutionProfile profile;
   metrics.FillCounters(&profile);
-  EXPECT_EQ(profile.requests, 6u);  // 3 patterns x 2 endpoints.
-  EXPECT_EQ(profile.ask_requests, 6u);
+  // 3 patterns x 2 endpoints = 6 (pattern, endpoint) probes, sent as one
+  // batched request per endpoint.
+  EXPECT_EQ(profile.probe_pairs, 6u);
+  EXPECT_EQ(profile.requests, 2u);
+  EXPECT_EQ(profile.ask_requests, 2u);
 }
 
 TEST_F(SourceSelectionTest, CacheSuppressesRepeatProbes) {
@@ -222,10 +226,17 @@ TEST_F(SourceSelectionTest, CacheKeyErasesVariableNames) {
                           sparql::Variable{"y"}};
   sparql::TriplePattern b{sparql::Variable{"s"}, rdf::Term::Iri("http://p"),
                           sparql::Variable{"o"}};
-  EXPECT_EQ(PatternCacheKey(a, "ep"), PatternCacheKey(b, "ep"));
+  EXPECT_EQ(cache::FederationCache::PatternKey("ep", a),
+            cache::FederationCache::PatternKey("ep", b));
   sparql::TriplePattern c{rdf::Term::Iri("http://subj"),
                           rdf::Term::Iri("http://p"), sparql::Variable{"o"}};
-  EXPECT_NE(PatternCacheKey(a, "ep"), PatternCacheKey(c, "ep"));
+  EXPECT_NE(cache::FederationCache::PatternKey("ep", a),
+            cache::FederationCache::PatternKey("ep", c));
+  // A repeated variable is a different probe: (?x p ?x) is not (?x p ?y).
+  sparql::TriplePattern d{sparql::Variable{"x"}, rdf::Term::Iri("http://p"),
+                          sparql::Variable{"x"}};
+  EXPECT_NE(cache::FederationCache::PatternKey("ep", a),
+            cache::FederationCache::PatternKey("ep", d));
 }
 
 TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
@@ -274,14 +285,25 @@ TEST(LooksLikeAskQueryTest, TolerantOfWhitespaceCommentsAndPrefixes) {
   EXPECT_FALSE(LooksLikeAskQuery("{ ?s ?p ?o }"));
 }
 
-TEST_F(SourceSelectionTest, PrefixedAskCountsAsAskRequest) {
+TEST_F(SourceSelectionTest, DeclaredAskKindCountsAsAskRequest) {
+  // ask_requests counts what the caller declares, not what the text looks
+  // like: the same prefixed ASK counts when sent as RequestKind::kAsk and
+  // does not when sent as another probe.
+  const std::string text = "# source probe\nASK { ?s <http://p> ?o . }";
   MetricsCollector metrics;
-  auto result = federation_->Execute(
-      0, "# source probe\nASK { ?s <http://p> ?o . }", &metrics, CancelToken());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  IssueContext ask;
+  ask.metrics = &metrics;
+  ask.kind = RequestKind::kAsk;
+  IssueContext other;
+  other.metrics = &metrics;
+  ASSERT_TRUE(
+      federation_->Issue(&pool_, 0, text, ask, Federation::NonEmpty).get().ok());
+  ASSERT_TRUE(federation_->Issue(&pool_, 0, text, other, Federation::NonEmpty)
+                  .get()
+                  .ok());
   ExecutionProfile profile;
   metrics.FillCounters(&profile);
-  EXPECT_EQ(profile.requests, 1u);
+  EXPECT_EQ(profile.requests, 2u);
   EXPECT_EQ(profile.ask_requests, 1u);
 }
 

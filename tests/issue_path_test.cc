@@ -135,9 +135,9 @@ constexpr char kStarQuery[] =
     "?s <http://ex/p2> ?c . }";
 
 TEST(FederationIssueTest, SourceSelectionGoesOutInOneWave) {
-  // 3 patterns x 8 endpoints = 24 ASKs at 20 ms each on two pool threads.
-  // Sleeping on the threads would take 12 waves (~240 ms) on top of the
-  // CPU work; one wave adds ~20 ms. The same run at sleep_scale 0 gives
+  // 3 patterns x 8 endpoints = 24 ASK probes, batched into 8 requests at
+  // 20 ms each on two pool threads. Sleeping on the threads would take 4
+  // waves (~80 ms) on top of the CPU work; one wave adds ~20 ms. The same run at sleep_scale 0 gives
   // the CPU part, so sanitizer builds and loaded hosts keep the margin.
   auto run = [](double sleep_scale) {
     auto federation =
@@ -152,7 +152,10 @@ TEST(FederationIssueTest, SourceSelectionGoesOutInOneWave) {
   ASSERT_TRUE(cpu_only.ok()) << cpu_only.status().ToString();
   ASSERT_TRUE(waited.ok()) << waited.status().ToString();
   EXPECT_EQ(waited->table.rows.size(), 8u);
-  EXPECT_EQ(waited->profile.ask_requests, 24u);
+  // The 24 (pattern, endpoint) ASK probes go out as one batched request
+  // per endpoint; the logical count adds the 24 COUNT probes.
+  EXPECT_EQ(waited->profile.ask_requests, 8u);
+  EXPECT_EQ(waited->profile.probe_pairs, 48u);
   EXPECT_GE(waited->profile.source_selection_ms, 20.0);
   EXPECT_LT(waited->profile.source_selection_ms,
             cpu_only->profile.source_selection_ms + 60.0);
@@ -185,6 +188,7 @@ TEST(FederationIssueTest, AccountingLandsAtCompletion) {
   fed::MetricsCollector metrics;
   fed::IssueContext ctx;
   ctx.metrics = &metrics;
+  ctx.kind = fed::RequestKind::kAsk;
   std::future<Result<bool>> answer =
       federation->Issue(&pool, 0, "ASK { ?s ?p ?o . }", ctx,
                         fed::Federation::NonEmpty);

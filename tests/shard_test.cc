@@ -537,10 +537,12 @@ TEST_F(ShardedEndpointTest, CachedFalseVerdictsPruneSelectScatter) {
   shard::ShardedEndpointOptions options;
   options.cache = &cache;
   Rebuild(options);
-  const char kAskText[] = "ASK { ?s <http://ex/p> ?o . }";
+  const sparql::TriplePattern probe{sparql::Variable{"s"},
+                                    rdf::Term::Iri("http://ex/p"),
+                                    sparql::Variable{"o"}};
   for (size_t i = 1; i < sharded_->NumShards(); ++i) {
     cache.PutVerdict(
-        cache::FederationCache::Key(sharded_->member_id(i), kAskText),
+        cache::FederationCache::PatternKey(sharded_->member_id(i), probe),
         sharded_->member_id(i), false);
   }
   uint64_t pruned_before = sharded_->stats().pruned_shards;
@@ -549,6 +551,23 @@ TEST_F(ShardedEndpointTest, CachedFalseVerdictsPruneSelectScatter) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(sharded_->stats().fanout_requests, 1u);
   EXPECT_GE(sharded_->stats().pruned_shards - pruned_before, 3u);
+}
+
+TEST_F(ShardedEndpointTest, FalseVerdictPrunesThePatternUnderOtherNames) {
+  cache::FederationCache cache;
+  shard::ShardedEndpointOptions options;
+  options.cache = &cache;
+  Rebuild(options);
+  // Only s3 has <p> 3, so the other three members answer false, and their
+  // verdicts are keyed by the pattern's shape, not its variable names.
+  auto ask = sharded_->Query("ASK { ?s <http://ex/p> 3 . }");
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  EXPECT_GT(ask->RowCount(), 0u);
+  const uint64_t pruned_before = sharded_->stats().pruned_shards;
+  const uint64_t fanout_before = sharded_->stats().fanout_requests;
+  ExpectRowIdentical("SELECT ?x WHERE { ?x <http://ex/p> 3 . }");
+  EXPECT_EQ(sharded_->stats().pruned_shards - pruned_before, 3u);
+  EXPECT_EQ(sharded_->stats().fanout_requests - fanout_before, 1u);
 }
 
 TEST_F(ShardedEndpointTest, CountProbesReuseTheCountTier) {
