@@ -485,12 +485,8 @@ int RunStream(const CliOptions& options, fed::Federation* federation,
     auto summary = federation->endpoint(i)->QueryStreaming(
         text, cancel, stream_options,
         [&](net::StreamBatch&& batch) -> Status {
-          sparql::ResultTable table;
-          if (batch.ids != nullptr && batch.ids_dict != nullptr) {
-            table = core::DecodeIdTable(*batch.ids, *batch.ids_dict);
-          } else {
-            table = std::move(batch.table);
-          }
+          sparql::ResultTable table =
+              core::DecodeIdTable(*batch.ids, *batch.ids_dict);
           received += table.NumRows();
           emit(std::move(table));
           return Status::OK();

@@ -13,27 +13,18 @@ Result<net::QueryResponse> CachedAskEndpoint::QueryCancellable(
   if (std::optional<bool> verdict = cache_->GetVerdict(key)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     net::QueryResponse response;
-    // ASK wire shape: zero columns, one row for true, none for false.
-    if (*verdict) response.table.rows.emplace_back();
+    response.SetAskVerdict(*verdict);
     response.request_bytes = text.size();
-    response.response_bytes = response.table.SerializedBytes();
+    response.response_bytes =
+        core::SerializedBytes(*response.ids, *response.ids_dict);
     return response;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   Result<net::QueryResponse> response = inner_->QueryCancellable(text, cancel);
   if (response.ok()) {
-    // RowCount, not table.rows: an inner endpoint on the parse-to-ids
-    // path reports its ASK row via QueryResponse::ids.
     cache_->PutVerdict(key, id(), response->RowCount() > 0);
   }
   return response;
-}
-
-obs::JsonValue CachedAskEndpoint::StatsJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("ask_hits", hits());
-  out.Set("ask_misses", misses());
-  return out;
 }
 
 }  // namespace lusail::cache

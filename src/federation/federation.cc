@@ -270,36 +270,25 @@ Result<sparql::ResultTable> Federation::Execute(
 Result<sparql::ResultTable> Federation::ToTable(
     Result<net::QueryResponse> response) {
   if (!response.ok()) return response.status();
-  if (response->ids != nullptr) {
-    // A string-path consumer over an id-space answer (store ids, or a
-    // transport parsing into a dictionary): decode at the boundary so
-    // callers see the same ResultTable they always did.
-    return core::DecodeIdTable(*response->ids, *response->ids_dict);
-  }
-  return std::move(response->table);
+  return core::DecodeIdTable(*response->ids, *response->ids_dict);
 }
 
 Result<core::IdTable> Federation::ToIds(
     Result<net::QueryResponse> response, core::TermDictionary* dict,
     std::optional<sparql::ResultTable>* wire_table) {
   if (!response.ok()) return response.status();
-  if (response->ids != nullptr) {
-    if (response->ids_dict.get() == dict) {
-      // Fast path: the transport already interned into our dictionary;
-      // the ids are the result, no string rows ever existed.
-      return std::move(*response->ids);
-    }
-    // Ids of another space (an in-process endpoint's store, or a
-    // transport parsing into another engine's dictionary): translate
-    // each distinct id once. A cache store gets the string form too.
-    if (wire_table != nullptr) {
-      *wire_table = core::DecodeIdTable(*response->ids, *response->ids_dict);
-    }
-    return core::TranslateIds(*response->ids, *response->ids_dict, dict);
+  if (response->ids_dict.get() == dict) {
+    // Fast path: the transport already interned into our dictionary;
+    // the ids are the result, no string rows ever existed.
+    return std::move(*response->ids);
   }
-  core::IdTable ids = core::EncodeResultTable(response->table, dict);
-  if (wire_table != nullptr) *wire_table = std::move(response->table);
-  return ids;
+  // Ids of another space (an in-process endpoint's store, a response-local
+  // dictionary, or another engine's): translate each distinct id once. A
+  // cache store gets the string form too.
+  if (wire_table != nullptr) {
+    *wire_table = core::DecodeIdTable(*response->ids, *response->ids_dict);
+  }
+  return core::TranslateIds(*response->ids, *response->ids_dict, dict);
 }
 
 Result<bool> Federation::NonEmpty(const Result<net::QueryResponse>& response) {

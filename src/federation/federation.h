@@ -460,12 +460,12 @@ class Federation {
   /// endpoint parses straight into this dictionary
   /// (HttpSparqlEndpoint::set_parse_dictionary), the ids pass through
   /// untouched; ids of any other space (an in-process endpoint's store
-  /// ids, another engine's dictionary) go through core::TranslateIds,
-  /// each distinct id interned once; a string response is encoded here
-  /// at the federator boundary. When `wire_table` is non-null it
-  /// receives the string form of a string or translated response (for
-  /// result-cache stores); it stays nullopt on the same-dictionary path,
-  /// where the caller decides whether decoding is worth it.
+  /// ids, a response-local or another engine's dictionary) go through
+  /// core::TranslateIds, each distinct id interned once. When
+  /// `wire_table` is non-null it receives the string form of a
+  /// translated response (for result-cache stores); it stays nullopt on
+  /// the same-dictionary path, where the caller decides whether decoding
+  /// is worth it.
   static Result<core::IdTable> ToIds(
       Result<net::QueryResponse> response, core::TermDictionary* dict,
       std::optional<sparql::ResultTable>* wire_table = nullptr);

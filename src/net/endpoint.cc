@@ -5,12 +5,20 @@
 
 namespace lusail::net {
 
-// Default streaming: evaluate buffered, then hand the rows to the sink in
+void QueryResponse::SetAskVerdict(bool holds) {
+  // A zero-column table has no ids to resolve; every verdict shares one
+  // empty id space.
+  static const std::shared_ptr<const rdf::TermSource> kNoTerms =
+      std::make_shared<const core::TermDictionary>();
+  ids = std::make_shared<core::IdTable>();
+  ids->AddEmptyRows(holds ? 1 : 0);
+  ids_dict = kNoTerms;
+}
+
+// Default streaming: evaluate buffered, then hand the ids to the sink in
 // batch_rows slices. The whole table exists once (inside this endpoint),
-// but the consumer never holds more than one batch, and each delivered
-// slice is *moved* out of the source table so the peak here decays as the
-// stream drains. Wire transports override this with true incremental
-// decoding.
+// but the consumer never holds more than one batch. Wire transports
+// override this with true incremental decoding.
 Result<StreamSummary> Endpoint::QueryStreaming(const std::string& sparql_text,
                                                const CancelToken& cancel,
                                                const StreamOptions& options,
@@ -19,14 +27,13 @@ Result<StreamSummary> Endpoint::QueryStreaming(const std::string& sparql_text,
   auto evaluated = QueryCancellable(sparql_text, cancel);
   if (!evaluated.ok()) return evaluated.status();
 
+  std::shared_ptr<core::IdTable> ids = std::move(evaluated->ids);
   StreamSummary summary;
-  summary.response = *evaluated;
-  summary.response.table = sparql::ResultTable();
-  summary.response.ids.reset();
-  summary.response.ids_dict.reset();
+  summary.response = std::move(*evaluated);
+  summary.response.ids = std::make_shared<core::IdTable>(ids->vars);
 
   const size_t batch_rows = std::max<size_t>(1, options.batch_rows);
-  const size_t total = evaluated->RowCount();
+  const size_t total = ids->NumRows();
   size_t limit = total;
   if (options.max_rows > 0 && options.max_rows < total) {
     limit = static_cast<size_t>(options.max_rows);
@@ -36,56 +43,21 @@ Result<StreamSummary> Endpoint::QueryStreaming(const std::string& sparql_text,
     summary.response.first_row_ms = timer.ElapsedMillis();
   }
 
-  if (evaluated->ids != nullptr) {
-    // ID-space rows pass through in id-space batches; the consumer decodes
-    // per batch (or not at all) through ids_dict.
-    if (limit == 0) {
-      // Even an empty result delivers one empty batch: the sink learns the
-      // vars (the streaming serializer needs them for the head).
-      if (cancel.Cancelled()) return cancel.StatusAt("stream delivery");
-      StreamBatch batch;
-      batch.ids =
-          std::make_shared<core::IdTable>(core::IdTable(evaluated->ids->vars));
-      batch.ids_dict = evaluated->ids_dict;
-      Status delivered = sink(std::move(batch));
-      if (!delivered.ok()) return delivered;
-      return summary;
-    }
-    for (size_t begin = 0; begin < limit; begin += batch_rows) {
-      if (cancel.Cancelled()) return cancel.StatusAt("stream delivery");
-      size_t end = std::min(limit, begin + batch_rows);
-      StreamBatch batch;
-      batch.ids =
-          std::make_shared<core::IdTable>(evaluated->ids->Slice(begin, end));
-      batch.ids_dict = evaluated->ids_dict;
-      summary.rows_delivered += batch.NumRows();
-      Status delivered = sink(std::move(batch));
-      if (!delivered.ok()) return delivered;
-    }
-    return summary;
-  }
-
-  if (limit == 0) {
+  // At least one batch: an empty result still tells the sink the vars
+  // (the streaming serializer needs them for the head).
+  size_t begin = 0;
+  do {
     if (cancel.Cancelled()) return cancel.StatusAt("stream delivery");
+    const size_t end = std::min(limit, begin + batch_rows);
     StreamBatch batch;
-    batch.table.vars = evaluated->table.vars;
-    Status delivered = sink(std::move(batch));
-    if (!delivered.ok()) return delivered;
-    return summary;
-  }
-  for (size_t begin = 0; begin < limit; begin += batch_rows) {
-    if (cancel.Cancelled()) return cancel.StatusAt("stream delivery");
-    size_t end = std::min(limit, begin + batch_rows);
-    StreamBatch batch;
-    batch.table.vars = evaluated->table.vars;
-    batch.table.rows.reserve(end - begin);
-    for (size_t r = begin; r < end; ++r) {
-      batch.table.rows.push_back(std::move(evaluated->table.rows[r]));
-    }
-    summary.rows_delivered += batch.table.rows.size();
-    Status delivered = sink(std::move(batch));
-    if (!delivered.ok()) return delivered;
-  }
+    batch.ids = end - begin == total
+                    ? ids
+                    : std::make_shared<core::IdTable>(ids->Slice(begin, end));
+    batch.ids_dict = summary.response.ids_dict;
+    summary.rows_delivered += batch.NumRows();
+    LUSAIL_RETURN_NOT_OK(sink(std::move(batch)));
+    begin = end;
+  } while (begin < limit);
   return summary;
 }
 

@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "core/dictionary.h"
 #include "core/id_table.h"
-#include "sparql/result_table.h"
 
 namespace lusail::net {
 
@@ -29,27 +28,29 @@ struct TransportInfo {
 /// One request/response exchange with an endpoint, with the cost
 /// accounting a federated engine needs.
 struct QueryResponse {
-  sparql::ResultTable table;
+  /// The answer in ID space; a successful response always carries both.
+  /// `ids_dict` resolves the ids to terms: an in-process SparqlEndpoint
+  /// answers in its store's ids, a transport parses into its parse
+  /// dictionary (rpc::HttpSparqlEndpoint::set_parse_dictionary) or a
+  /// response-local one, and a consumer holding a different dictionary
+  /// translates the ids (Federation::ToIds) instead of comparing
+  /// incomparable ids. Strings exist only where a consumer decodes them
+  /// (core::DecodeIdTable). ASK answers have zero columns and 0 or 1
+  /// rows. Decorators pass both through untouched.
+  std::shared_ptr<core::IdTable> ids;
+  std::shared_ptr<const rdf::TermSource> ids_dict;
+
   size_t request_bytes = 0;   ///< Serialized query size.
   size_t response_bytes = 0;  ///< Serialized result size.
   double network_ms = 0.0;    ///< Network time (simulated or measured).
   double server_ms = 0.0;     ///< Endpoint-side evaluation time.
   TransportInfo transport;    ///< Physical transport details, if any.
 
-  /// ID-space payload, `table` left empty: an in-process SparqlEndpoint
-  /// answers in its store's ids, and a transport configured with a parse
-  /// dictionary (rpc::HttpSparqlEndpoint::set_parse_dictionary) decodes
-  /// the wire response straight into the engine's. `ids_dict` resolves
-  /// the ids to terms, so a consumer holding a different dictionary
-  /// translates them (Federation::ToIds) instead of silently comparing
-  /// incomparable ids. Decorators pass both through untouched.
-  std::shared_ptr<core::IdTable> ids;
-  std::shared_ptr<const rdf::TermSource> ids_dict;
+  size_t RowCount() const { return ids->NumRows(); }
 
-  /// Row count regardless of representation (accounting, annotations).
-  size_t RowCount() const {
-    return ids != nullptr ? ids->NumRows() : table.NumRows();
-  }
+  /// Sets the payload to an ASK verdict: zero columns, one row when
+  /// `holds`, none otherwise.
+  void SetAskVerdict(bool holds);
 
   /// Replica bookkeeping, filled by ReplicaGroup: the id of the replica
   /// that produced this response (empty for plain endpoints) and whether
@@ -70,19 +71,14 @@ struct QueryResponse {
   double first_row_ms = 0.0;
 };
 
-/// One batch of rows delivered through a streaming query. Exactly one
-/// representation is filled: `table` (wire-format rows) or `ids` +
-/// `ids_dict` (ID-space rows, the fast path when the producer parses into
-/// a dictionary). Batches of one response always use the same
-/// representation and carry the same variable set.
+/// One batch of rows delivered through a streaming query, in ID space
+/// like QueryResponse: `ids_dict` resolves `ids`. Batches of one response
+/// carry the same variable set.
 struct StreamBatch {
-  sparql::ResultTable table;
   std::shared_ptr<core::IdTable> ids;
   std::shared_ptr<const rdf::TermSource> ids_dict;
 
-  size_t NumRows() const {
-    return ids != nullptr ? ids->NumRows() : table.NumRows();
-  }
+  size_t NumRows() const { return ids->NumRows(); }
 };
 
 /// Row-batch consumer for QueryStreaming. Returning a non-OK status stops
@@ -108,10 +104,11 @@ struct StreamOptions {
 };
 
 /// Summary of a completed stream: the per-exchange accounting of
-/// QueryResponse (table/ids left empty — the rows went through the sink)
-/// plus how many rows were delivered and whether a budget cut them short.
+/// QueryResponse, whose `ids` is a zero-row table naming the variables
+/// (the rows went through the sink), plus how many rows were delivered
+/// and whether a budget cut them short.
 struct StreamSummary {
-  QueryResponse response;   ///< Accounting only; row payloads are empty.
+  QueryResponse response;   ///< Accounting; `ids` holds no rows.
   uint64_t rows_delivered = 0;
   bool truncated = false;   ///< StreamOptions::max_rows cut the stream.
 };
@@ -153,7 +150,7 @@ class Endpoint {
   /// Streaming variant: rows reach the caller in batches through `sink`
   /// while the query runs, so no hop has to hold the whole answer. The
   /// default evaluates via QueryCancellable and then delivers the
-  /// materialized table in `options.batch_rows` slices — wire transports
+  /// answer's ids in `options.batch_rows` slices — wire transports
   /// (rpc::HttpSparqlEndpoint) override this with true incremental
   /// decoding, and decorators pass it through. Batches stop early when
   /// the sink errors, the token fires, or `options.max_rows` is met.

@@ -662,12 +662,8 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
     // blocks here, the sink fails, and QueryStreaming unwinds — the slow
     // client back-pressures the evaluator instead of growing a buffer.
     auto sink = [&](net::StreamBatch&& batch) -> Status {
-      sparql::ResultTable batch_table;
-      if (batch.ids != nullptr) {
-        batch_table = core::DecodeIdTable(*batch.ids, *batch.ids_dict);
-      } else {
-        batch_table = std::move(batch.table);
-      }
+      sparql::ResultTable batch_table =
+          core::DecodeIdTable(*batch.ids, *batch.ids_dict);
       std::string wire;
       if (!head_sent) {
         wire = send_head(batch_table.vars);
@@ -752,7 +748,7 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
       if (!head_sent) {
         // A QueryStreaming override that skipped the sink on an empty
         // result; emit the (empty) document head now.
-        tail = send_head(summary->response.table.vars);
+        tail = send_head(summary->response.ids->vars);
       }
       std::vector<std::pair<std::string, std::string>> trailers;
       trailers.emplace_back("X-Lusail-Server-Ms",
@@ -847,22 +843,20 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
         cancelled_flag);
   }
 
-  // An ID-space response (a SparqlEndpoint's store ids, a ShardedEndpoint
-  // in encoded mode) keeps its rows in ids, table empty: decode it
-  // through its own id space before serialization.
-  sparql::ResultTable* table = &evaluated->table;
-  if (evaluated->ids != nullptr && evaluated->ids_dict != nullptr) {
-    evaluated->table =
-        core::DecodeIdTable(*evaluated->ids, *evaluated->ids_dict);
-    evaluated->ids.reset();
-  }
+  // Cut to max_result_rows in ID space, so only the rows shipped are
+  // decoded.
+  const core::IdTable* ids = evaluated->ids.get();
+  core::IdTable cut;
   bool truncated = false;
   if (options_.max_result_rows > 0 &&
-      table->rows.size() > options_.max_result_rows) {
-    table->rows.resize(options_.max_result_rows);
+      ids->NumRows() > options_.max_result_rows) {
+    cut = ids->Slice(0, options_.max_result_rows);
+    ids = &cut;
     truncated = true;
     truncated_results_.fetch_add(1, std::memory_order_relaxed);
   }
+  const sparql::ResultTable table =
+      core::DecodeIdTable(*ids, *evaluated->ids_dict);
 
   HttpResponse response;
   response.status = 200;
@@ -873,9 +867,9 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
   response.SetHeader("X-Lusail-Server-Ms",
                      std::to_string(server_timer.ElapsedMillis()));
   if (truncated) response.SetHeader("X-Lusail-Truncated", "true");
-  response.body = ResultTableToSrj(*table);
+  response.body = ResultTableToSrj(table);
   return finish(std::move(response), "ok",
-                static_cast<uint64_t>(table->rows.size()), truncated, false);
+                static_cast<uint64_t>(table.rows.size()), truncated, false);
 }
 
 }  // namespace lusail::rpc

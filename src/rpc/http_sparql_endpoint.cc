@@ -426,20 +426,13 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
   if (http.status != 200) return ErrorStatus(http);
 
   net::QueryResponse out;
-  // ID-space fast path: with a parse dictionary configured, the SRJ body
-  // is decoded straight into dictionary ids — the federator never holds
-  // string term rows for this response. ASK bodies (zero-column tables)
-  // take the same path; consumers count rows via RowCount().
-  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
-  if (parse_dict != nullptr) {
-    LUSAIL_ASSIGN_OR_RETURN(core::IdTable ids,
-                            ParseSrjToIds(http.body, parse_dict.get()));
-    out.ids = std::make_shared<core::IdTable>(std::move(ids));
-    out.ids_dict = std::move(parse_dict);
-  } else {
-    LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable table, ParseSrj(http.body));
-    out.table = std::move(table);
-  }
+  // The SRJ body is decoded straight into dictionary ids: no string term
+  // rows exist for this response.
+  std::shared_ptr<core::TermDictionary> parse_dict = ResponseDictionary();
+  LUSAIL_ASSIGN_OR_RETURN(core::IdTable ids,
+                          ParseSrjToIds(http.body, parse_dict.get()));
+  out.ids = std::make_shared<core::IdTable>(std::move(ids));
+  out.ids_dict = std::move(parse_dict);
   out.request_bytes = query.size();
   out.response_bytes = http.body.size();
   if (const std::string* server_ms = http.FindHeader("X-Lusail-Server-Ms")) {
@@ -457,9 +450,13 @@ void HttpSparqlEndpoint::set_parse_dictionary(
   parse_dict_ = std::move(dict);
 }
 
-std::shared_ptr<core::TermDictionary> HttpSparqlEndpoint::parse_dictionary() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  return parse_dict_;
+std::shared_ptr<core::TermDictionary>
+HttpSparqlEndpoint::ResponseDictionary() {
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (parse_dict_ != nullptr) return parse_dict_;
+  }
+  return std::make_shared<core::TermDictionary>();
 }
 
 Result<net::QueryResponse> HttpSparqlEndpoint::QueryCancellable(
@@ -538,7 +535,7 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
     return cancel.StatusAt("cancelled endpoint request");
   }
 
-  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
+  std::shared_ptr<core::TermDictionary> parse_dict = ResponseDictionary();
   SrjChunkDecoder decoder(parse_dict);
 
   net::StreamSummary summary;
@@ -567,15 +564,10 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
       summary.response.first_row_ms = wall.ElapsedMillis();
     }
     net::StreamBatch batch;
-    if (parse_dict != nullptr) {
-      core::IdTable ids = decoder.TakeIds();
-      if (take < ids.NumRows()) ids = ids.Slice(0, take);
-      batch.ids = std::make_shared<core::IdTable>(std::move(ids));
-      batch.ids_dict = parse_dict;
-    } else {
-      batch.table = decoder.TakeTable();
-      if (take < batch.table.rows.size()) batch.table.rows.resize(take);
-    }
+    core::IdTable ids = decoder.TakeIds();
+    if (take < ids.NumRows()) ids = ids.Slice(0, take);
+    batch.ids = std::make_shared<core::IdTable>(std::move(ids));
+    batch.ids_dict = parse_dict;
     summary.rows_delivered += take;
     delivered_any_batch = true;
     return sink(std::move(batch));
@@ -649,17 +641,14 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
     // Empty result: the sink still learns the vars (at-least-once
     // contract of StreamSink).
     net::StreamBatch batch;
-    if (parse_dict != nullptr) {
-      batch.ids = std::make_shared<core::IdTable>(
-          core::IdTable(decoder.vars()));
-      batch.ids_dict = parse_dict;
-    } else {
-      batch.table.vars = decoder.vars();
-    }
+    batch.ids = std::make_shared<core::IdTable>(decoder.vars());
+    batch.ids_dict = parse_dict;
     Status delivered = sink(std::move(batch));
     if (!delivered.ok()) return delivered;
   }
 
+  summary.response.ids = std::make_shared<core::IdTable>(decoder.vars());
+  summary.response.ids_dict = parse_dict;
   summary.response.response_bytes = body_bytes;
   if (const std::string* server_ms = http.FindHeader("X-Lusail-Server-Ms")) {
     summary.response.server_ms = std::strtod(server_ms->c_str(), nullptr);

@@ -85,23 +85,24 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Streaming variant: the request carries "X-Lusail-Stream", and a
   /// chunked response is decoded incrementally — each wire chunk's rows
   /// are delivered through `sink` the moment they parse (into the parse
-  /// dictionary when one is configured), so neither the response body nor
-  /// the result table is ever held whole on this side. A Content-Length
-  /// response from a server that ignores the header degrades to
-  /// read-fully-then-deliver. `options.max_rows` cuts the stream early
-  /// (half-closing the connection so a Lusail server stops evaluating).
+  /// dictionary, or one local to the response), so neither the response
+  /// body nor the result table is ever held whole on this side. A
+  /// Content-Length response from a server that ignores the header
+  /// degrades to read-fully-then-deliver. `options.max_rows` cuts the
+  /// stream early (half-closing the connection so a Lusail server stops
+  /// evaluating).
   Result<net::StreamSummary> QueryStreaming(
       const std::string& sparql_text, const CancelToken& cancel,
       const net::StreamOptions& options, const net::StreamSink& sink) override;
 
   HttpClientStats stats() const;
 
-  /// Enables the ID-space fast path: responses are parsed straight into
-  /// `dict` (SRJ -> IdTable, no federator-side string rows) and returned
-  /// via QueryResponse::ids with ids_dict set. Pass the engine's
-  /// dictionary so Federation::ToIds consumes the ids with zero
-  /// re-encoding; pass nullptr to return to string-table responses.
-  /// Thread-safe; takes effect for requests issued after the call.
+  /// Responses are parsed straight into ids (SRJ -> IdTable, no string
+  /// rows): into `dict` when set, so an engine passing its own dictionary
+  /// lets Federation::ToIds consume the ids with zero re-encoding, and
+  /// otherwise (nullptr, the default) into a dictionary local to each
+  /// response. Thread-safe; takes effect for requests issued after the
+  /// call.
   void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict);
 
   /// Emits lusail_http_client_* counters labelled {endpoint=id}.
@@ -159,7 +160,8 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Maps a parse failure of the HTTP framing to kUnavailable.
   Status Malformed(const Status& s) const;
 
-  std::shared_ptr<core::TermDictionary> parse_dictionary();
+  /// The parse dictionary, or a fresh one for a single response.
+  std::shared_ptr<core::TermDictionary> ResponseDictionary();
 
   std::string id_;
   std::string host_;

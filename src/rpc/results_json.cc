@@ -70,6 +70,29 @@ Result<rdf::Term> TermFromJson(const obs::JsonValue& value) {
                                  type.AsString() + "\"");
 }
 
+/// Appends one SRJ binding object to `table` as a row in `table->vars`
+/// order, interning each bound term into `dict`; `row` is scratch space.
+Status AppendBinding(const obs::JsonValue& binding, core::TermDictionary* dict,
+                     core::IdTable* table, std::vector<rdf::TermId>* row,
+                     uint64_t* cells) {
+  if (binding.type() != obs::JsonValue::Type::kObject) {
+    return Status::InvalidArgument("SRJ binding is not an object");
+  }
+  row->assign(table->vars.size(), rdf::kInvalidTermId);
+  for (const auto& [var, value] : binding.members()) {
+    const int col = table->VarIndex(var);
+    if (col < 0) {
+      return Status::InvalidArgument("SRJ binding references variable \"" +
+                                     var + "\" absent from head");
+    }
+    LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, TermFromJson(value));
+    (*row)[static_cast<size_t>(col)] = dict->Intern(term);
+    ++*cells;
+  }
+  table->AppendRow(*row);
+  return Status::OK();
+}
+
 }  // namespace
 
 obs::JsonValue ResultTableToSrjJson(const sparql::ResultTable& table) {
@@ -106,60 +129,9 @@ std::string ResultTableToSrj(const sparql::ResultTable& table) {
 }
 
 Result<sparql::ResultTable> ParseSrj(const std::string& text) {
-  LUSAIL_ASSIGN_OR_RETURN(obs::JsonValue doc, obs::JsonValue::Parse(text));
-  if (doc.type() != obs::JsonValue::Type::kObject) {
-    return Status::InvalidArgument("SRJ document is not a JSON object");
-  }
-  const obs::JsonValue& head = doc.Get("head");
-  if (head.type() != obs::JsonValue::Type::kObject) {
-    return Status::InvalidArgument("SRJ document has no \"head\" object");
-  }
-
-  sparql::ResultTable table;
-  const obs::JsonValue& boolean = doc.Get("boolean");
-  if (boolean.type() == obs::JsonValue::Type::kBool) {
-    // ASK form: zero-column table with 0 or 1 rows.
-    if (boolean.AsBool()) table.rows.emplace_back();
-    return table;
-  }
-
-  const obs::JsonValue& vars = head.Get("vars");
-  if (vars.type() != obs::JsonValue::Type::kArray) {
-    return Status::InvalidArgument(
-        "SRJ head has neither \"vars\" nor a boolean result");
-  }
-  for (const obs::JsonValue& v : vars.items()) {
-    if (v.type() != obs::JsonValue::Type::kString) {
-      return Status::InvalidArgument("SRJ head var is not a string");
-    }
-    table.vars.push_back(v.AsString());
-  }
-
-  const obs::JsonValue& results = doc.Get("results");
-  if (results.type() != obs::JsonValue::Type::kObject) {
-    return Status::InvalidArgument("SRJ document has no \"results\" object");
-  }
-  const obs::JsonValue& bindings = results.Get("bindings");
-  if (bindings.type() != obs::JsonValue::Type::kArray) {
-    return Status::InvalidArgument("SRJ results have no \"bindings\" array");
-  }
-  for (const obs::JsonValue& binding : bindings.items()) {
-    if (binding.type() != obs::JsonValue::Type::kObject) {
-      return Status::InvalidArgument("SRJ binding is not an object");
-    }
-    std::vector<std::optional<rdf::Term>> row(table.vars.size(), std::nullopt);
-    for (const auto& [var, value] : binding.members()) {
-      size_t col = 0;
-      while (col < table.vars.size() && table.vars[col] != var) ++col;
-      if (col == table.vars.size()) {
-        return Status::InvalidArgument("SRJ binding references variable \"" +
-                                       var + "\" absent from head");
-      }
-      LUSAIL_ASSIGN_OR_RETURN(row[col], TermFromJson(value));
-    }
-    table.rows.push_back(std::move(row));
-  }
-  return table;
+  core::TermDictionary terms;
+  LUSAIL_ASSIGN_OR_RETURN(core::IdTable ids, ParseSrjToIds(text, &terms));
+  return core::DecodeIdTable(ids, terms);
 }
 
 Result<core::IdTable> ParseSrjToIds(const std::string& text,
@@ -205,22 +177,7 @@ Result<core::IdTable> ParseSrjToIds(const std::string& text,
   std::vector<rdf::TermId> row;
   uint64_t cells = 0;
   for (const obs::JsonValue& binding : bindings.items()) {
-    if (binding.type() != obs::JsonValue::Type::kObject) {
-      return Status::InvalidArgument("SRJ binding is not an object");
-    }
-    row.assign(table.vars.size(), rdf::kInvalidTermId);
-    for (const auto& [var, value] : binding.members()) {
-      size_t col = 0;
-      while (col < table.vars.size() && table.vars[col] != var) ++col;
-      if (col == table.vars.size()) {
-        return Status::InvalidArgument("SRJ binding references variable \"" +
-                                       var + "\" absent from head");
-      }
-      LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, TermFromJson(value));
-      row[col] = dict->Intern(term);
-      ++cells;
-    }
-    table.AppendRow(row);
+    LUSAIL_RETURN_NOT_OK(AppendBinding(binding, dict, &table, &row, &cells));
   }
   // The whole parse is the boundary encode: terms go from wire JSON to
   // ids without a federator-side string row ever existing.
@@ -263,9 +220,7 @@ std::string SrjStreamSuffix() { return "]}}"; }
 SrjChunkDecoder::SrjChunkDecoder(std::shared_ptr<core::TermDictionary> dict)
     : dict_(std::move(dict)) {}
 
-size_t SrjChunkDecoder::PendingRows() const {
-  return dict_ != nullptr ? pending_ids_.NumRows() : pending_table_.rows.size();
-}
+size_t SrjChunkDecoder::PendingRows() const { return pending_ids_.NumRows(); }
 
 Status SrjChunkDecoder::Feed(std::string_view bytes) {
   if (state_ == State::kError) return error_;
@@ -446,15 +401,15 @@ Status SrjChunkDecoder::ScanBindings() {
 
 Status SrjChunkDecoder::DecodeHeadPrefix(size_t bindings_open) {
   // The bytes up to and including the '[' plus a synthesized empty tail
-  // form a complete SRJ document; ParseSrj validates the head and yields
-  // the vars. (This requires head to precede results, which every
+  // form a complete SRJ document; ParseSrjToIds validates the head and
+  // yields the vars. (This requires head to precede results, which every
   // serializer this repo talks to — including its own — does.)
   std::string doc = buffer_.substr(0, bindings_open + 1);
   doc.append("]}}");
-  LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable parsed, ParseSrj(doc));
+  LUSAIL_ASSIGN_OR_RETURN(core::IdTable parsed,
+                          ParseSrjToIds(doc, dict_.get()));
   vars_ = parsed.vars;
   head_done_ = true;
-  pending_table_.vars = vars_;
   pending_ids_.vars = vars_;
   return Status::OK();
 }
@@ -463,36 +418,9 @@ Status SrjChunkDecoder::DecodeBinding(std::string_view object_text) {
   Stopwatch timer;
   LUSAIL_ASSIGN_OR_RETURN(obs::JsonValue binding,
                           obs::JsonValue::Parse(std::string(object_text)));
-  if (binding.type() != obs::JsonValue::Type::kObject) {
-    return Status::InvalidArgument("SRJ binding is not an object");
-  }
-  if (dict_ != nullptr) {
-    std::vector<rdf::TermId> row(vars_.size(), rdf::kInvalidTermId);
-    for (const auto& [var, value] : binding.members()) {
-      size_t col = 0;
-      while (col < vars_.size() && vars_[col] != var) ++col;
-      if (col == vars_.size()) {
-        return Status::InvalidArgument("SRJ binding references variable \"" +
-                                       var + "\" absent from head");
-      }
-      LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, TermFromJson(value));
-      row[col] = dict_->Intern(term);
-      ++cells_since_take_;
-    }
-    pending_ids_.AppendRow(row);
-  } else {
-    std::vector<std::optional<rdf::Term>> row(vars_.size(), std::nullopt);
-    for (const auto& [var, value] : binding.members()) {
-      size_t col = 0;
-      while (col < vars_.size() && vars_[col] != var) ++col;
-      if (col == vars_.size()) {
-        return Status::InvalidArgument("SRJ binding references variable \"" +
-                                       var + "\" absent from head");
-      }
-      LUSAIL_ASSIGN_OR_RETURN(row[col], TermFromJson(value));
-    }
-    pending_table_.rows.push_back(std::move(row));
-  }
+  std::vector<rdf::TermId> row;
+  LUSAIL_RETURN_NOT_OK(AppendBinding(binding, dict_.get(), &pending_ids_,
+                                     &row, &cells_since_take_));
   ++total_rows_;
   decode_seconds_since_take_ += timer.ElapsedMillis() / 1e3;
   return Status::OK();
@@ -500,29 +428,15 @@ Status SrjChunkDecoder::DecodeBinding(std::string_view object_text) {
 
 Status SrjChunkDecoder::DecodeCompleteDoc() {
   std::string doc = buffer_.substr(0, scan_pos_ + 1);
-  LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable parsed, ParseSrj(doc));
-  vars_ = parsed.vars;
+  LUSAIL_ASSIGN_OR_RETURN(pending_ids_, ParseSrjToIds(doc, dict_.get()));
+  vars_ = pending_ids_.vars;
   head_done_ = true;
-  pending_table_.vars = vars_;
-  pending_ids_.vars = vars_;
-  total_rows_ += parsed.rows.size();
-  if (dict_ != nullptr) {
-    pending_ids_ = core::EncodeResultTable(parsed, dict_.get());
-  } else {
-    pending_table_ = std::move(parsed);
-  }
+  total_rows_ += pending_ids_.NumRows();
   return Status::OK();
 }
 
-sparql::ResultTable SrjChunkDecoder::TakeTable() {
-  sparql::ResultTable out = std::move(pending_table_);
-  pending_table_ = sparql::ResultTable();
-  pending_table_.vars = vars_;
-  return out;
-}
-
 core::IdTable SrjChunkDecoder::TakeIds() {
-  if (dict_ != nullptr && cells_since_take_ > 0) {
+  if (cells_since_take_ > 0) {
     // Streamed decoding is the boundary encode, batch-timed like
     // ParseSrjToIds.
     dict_->AddEncodeBatch(decode_seconds_since_take_, cells_since_take_);

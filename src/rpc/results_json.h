@@ -45,17 +45,18 @@ obs::JsonValue ResultTableToSrjJson(const sparql::ResultTable& table);
 /// The table as a compact SRJ string.
 std::string ResultTableToSrj(const sparql::ResultTable& table);
 
-/// Parses an SRJ document back into a table. Fails with kParseError on
-/// malformed JSON and with kInvalidArgument on well-formed JSON that is
-/// not a valid SRJ document (missing head, unknown term type, ...).
-Result<sparql::ResultTable> ParseSrj(const std::string& text);
-
 /// Parses an SRJ document straight into dictionary id space: every bound
-/// term is interned into `dict` as it is parsed, so the federator-side
-/// string Term rows are never materialized (the transport-level half of
-/// late materialization). Same validation behavior as ParseSrj.
+/// term is interned into `dict` as it is parsed, so string Term rows are
+/// never materialized (the transport-level half of late
+/// materialization). Fails with kParseError on malformed JSON and with
+/// kInvalidArgument on well-formed JSON that is not a valid SRJ document
+/// (missing head, unknown term type, ...).
 Result<core::IdTable> ParseSrjToIds(const std::string& text,
                                     core::TermDictionary* dict);
+
+/// ParseSrjToIds into a local dictionary, decoded back to a table (for
+/// callers that want strings, such as tests and tools).
+Result<sparql::ResultTable> ParseSrj(const std::string& text);
 
 // --- Streaming SRJ (chunked transfer) ------------------------------------
 //
@@ -80,9 +81,9 @@ std::string SrjStreamSuffix();
 
 /// Incremental SRJ parser: feed response bytes in arbitrary slices (wire
 /// chunks cut anywhere — mid-escape, mid-UTF-8 sequence, mid-binding) and
-/// drain complete rows in batches as they decode. With a dictionary, rows
-/// land directly in ID space through it (the streaming half of
-/// ParseSrjToIds); without one they land in a wire-format ResultTable.
+/// drain complete rows in batches as they decode. Rows land directly in
+/// ID space through the decoder's dictionary (the streaming half of
+/// ParseSrjToIds).
 ///
 /// The head must precede the results section (both this repo's serializer
 /// and the spec's examples do this). ASK responses — no bindings array —
@@ -90,9 +91,8 @@ std::string SrjStreamSuffix();
 /// zero-variable table with 0 or 1 rows, matching ParseSrj.
 class SrjChunkDecoder {
  public:
-  /// `dict` null = decode to ResultTable batches; non-null = intern every
-  /// bound term into it and decode to IdTable batches.
-  explicit SrjChunkDecoder(std::shared_ptr<core::TermDictionary> dict = {});
+  /// Every bound term is interned into `dict`, which must be non-null.
+  explicit SrjChunkDecoder(std::shared_ptr<core::TermDictionary> dict);
 
   /// Consumes `bytes`; every binding object completed by them is decoded
   /// into the pending batch. Errors are sticky.
@@ -111,9 +111,7 @@ class SrjChunkDecoder {
   /// Rows decoded in total (taken + pending).
   uint64_t TotalRows() const { return total_rows_; }
 
-  /// Drains the pending rows. Use the variant matching the construction
-  /// mode; the other representation stays empty.
-  sparql::ResultTable TakeTable();
+  /// Drains the pending rows, in the dictionary's ids.
   core::IdTable TakeIds();
 
  private:
@@ -150,9 +148,7 @@ class SrjChunkDecoder {
   bool head_done_ = false;
   std::vector<std::string> vars_;
 
-  // Pending rows, one representation per construction mode.
-  sparql::ResultTable pending_table_;
-  core::IdTable pending_ids_;
+  core::IdTable pending_ids_;  ///< Rows decoded but not yet taken.
   uint64_t total_rows_ = 0;
   uint64_t cells_since_take_ = 0;
   double decode_seconds_since_take_ = 0.0;

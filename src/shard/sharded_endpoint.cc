@@ -38,19 +38,6 @@ struct ShardedEndpoint::ScatterContext {
   obs::TraceContext trace;
 };
 
-obs::JsonValue ShardedEndpointStats::ToJson() const {
-  obs::JsonValue v = obs::JsonValue::Object();
-  v.Set("queries", obs::JsonValue(queries));
-  v.Set("fanoutRequests", obs::JsonValue(fanout_requests));
-  v.Set("prunedShards", obs::JsonValue(pruned_shards));
-  v.Set("singleShardQueries", obs::JsonValue(single_shard_queries));
-  v.Set("askShortCircuits", obs::JsonValue(ask_short_circuits));
-  v.Set("broadcastFallbacks", obs::JsonValue(broadcast_fallbacks));
-  v.Set("partialQueries", obs::JsonValue(partial_queries));
-  v.Set("shardFailures", obs::JsonValue(shard_failures));
-  return v;
-}
-
 namespace {
 
 /// Subject slot rendered as a grouping key: "?name" or the term text.
@@ -58,29 +45,16 @@ std::string SubjectKey(const sparql::TriplePattern& tp) {
   return tp.s.ToString();
 }
 
-/// The COUNT value in a one-row aggregate response, whichever
-/// representation it arrived in.
+/// The COUNT value in a one-row aggregate response.
 std::optional<uint64_t> CountFromResponse(const QueryResponse& response,
                                           const std::string& alias) {
-  if (response.ids != nullptr) {
-    if (response.ids->NumRows() == 0) return 0;
-    int idx = response.ids->VarIndex(alias);
-    if (idx < 0 && response.ids->NumVars() == 1) idx = 0;
-    if (idx < 0 || response.ids_dict == nullptr) return std::nullopt;
-    rdf::TermId id = response.ids->At(0, static_cast<size_t>(idx));
-    if (id == rdf::kInvalidTermId) return std::nullopt;
-    return sparql::ParseCountLiteral(response.ids_dict->term(id));
-  }
-  if (response.table.rows.empty()) return 0;
-  int idx = -1;
-  for (size_t i = 0; i < response.table.vars.size(); ++i) {
-    if (response.table.vars[i] == alias) idx = static_cast<int>(i);
-  }
-  if (idx < 0 && response.table.vars.size() == 1) idx = 0;
+  if (response.ids->NumRows() == 0) return 0;
+  int idx = response.ids->VarIndex(alias);
+  if (idx < 0 && response.ids->NumVars() == 1) idx = 0;
   if (idx < 0) return std::nullopt;
-  const auto& cell = response.table.rows[0][static_cast<size_t>(idx)];
-  if (!cell.has_value()) return std::nullopt;
-  return sparql::ParseCountLiteral(*cell);
+  rdf::TermId id = response.ids->At(0, static_cast<size_t>(idx));
+  if (id == rdf::kInvalidTermId) return std::nullopt;
+  return sparql::ParseCountLiteral(response.ids_dict->term(id));
 }
 
 /// SPARQL compatibility on a shared-var tuple: unbound matches anything.
@@ -198,8 +172,6 @@ ShardedEndpoint::ShardedEndpoint(
     member_ids_.push_back(members_[i] != nullptr ? members_[i]->id()
                                                  : id_ + "#" +
                                                        std::to_string(i));
-    member_requests_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
-    member_failures_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
   }
   if (options_.pool != nullptr) {
     pool_ = options_.pool;
@@ -244,21 +216,6 @@ ShardedEndpointStats ShardedEndpoint::stats() const {
   s.partial_queries = partial_queries_.load();
   s.shard_failures = shard_failures_.load();
   return s;
-}
-
-obs::JsonValue ShardedEndpoint::StatsJson() const {
-  obs::JsonValue v = stats().ToJson();
-  v.Set("numShards", obs::JsonValue(static_cast<uint64_t>(members_.size())));
-  obs::JsonValue member_list = obs::JsonValue::Array();
-  for (size_t i = 0; i < members_.size(); ++i) {
-    obs::JsonValue m = obs::JsonValue::Object();
-    m.Set("id", obs::JsonValue(member_ids_[i]));
-    m.Set("requests", obs::JsonValue(member_requests_[i]->load()));
-    m.Set("failures", obs::JsonValue(member_failures_[i]->load()));
-    member_list.Append(std::move(m));
-  }
-  v.Set("members", std::move(member_list));
-  return v;
 }
 
 void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
@@ -449,7 +406,6 @@ Result<QueryResponse> ShardedEndpoint::IssueShardRequest(
     size_t shard, const std::string& text, const CancelToken& cancel,
     ScatterContext* ctx) {
   fanout_requests_.fetch_add(1);
-  member_requests_[shard]->fetch_add(1);
   obs::SpanId span = 0;
   std::optional<obs::TraceContextScope> scope;
   if (ctx->have_trace && ctx->trace.tracer != nullptr) {
@@ -479,7 +435,6 @@ Result<QueryResponse> ShardedEndpoint::IssueShardRequest(
     ctx->over_network = ctx->over_network || result->transport.over_network;
   } else {
     shard_failures_.fetch_add(1);
-    member_failures_[shard]->fetch_add(1);
   }
   return result;
 }
@@ -502,14 +457,8 @@ std::vector<Result<QueryResponse>> ShardedEndpoint::RunScatter(
 }
 
 IdTable ShardedEndpoint::EncodeResponse(const QueryResponse& response) const {
-  if (response.ids != nullptr) {
-    if (response.ids_dict.get() == dict_.get()) return *response.ids;
-    if (response.ids_dict != nullptr) {
-      return core::TranslateIds(*response.ids, *response.ids_dict,
-                                dict_.get());
-    }
-  }
-  return core::EncodeResultTable(response.table, dict_.get());
+  if (response.ids_dict.get() == dict_.get()) return *response.ids;
+  return core::TranslateIds(*response.ids, *response.ids_dict, dict_.get());
 }
 
 QueryResponse ShardedEndpoint::MakeResponse(ScatterContext* ctx) {
@@ -791,9 +740,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteProbeBatch(
     LUSAIL_ASSIGN_OR_RETURN(
         std::vector<uint64_t> member_values,
         sparql::DecodeProbeAnswer(
-            kind,
-            r->ids != nullptr ? core::DecodeIdTable(*r->ids, *r->ids_dict)
-                              : r->table,
+            kind, core::DecodeIdTable(*r->ids, *r->ids_dict),
             branches.size()));
     for (size_t k = 0; k < branches.size(); ++k) {
       const size_t b = branches[k];
@@ -955,7 +902,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteAsk(const sparql::Query& query,
 
   QueryResponse response = MakeResponse(ctx);
   if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
-  if (verdict) response.table.rows.push_back({});
+  response.SetAskVerdict(verdict);
   return response;
 }
 
@@ -983,7 +930,7 @@ Result<QueryResponse> ShardedEndpoint::Broadcast(const sparql::Query& query,
     }
     QueryResponse response = MakeResponse(ctx);
     if (!response.degraded_members.empty()) partial_queries_.fetch_add(1);
-    if (verdict) response.table.rows.push_back({});
+    response.SetAskVerdict(verdict);
     return response;
   }
 

@@ -15,7 +15,6 @@
 #include "core/dictionary.h"
 #include "core/id_table.h"
 #include "net/endpoint.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "shard/shard_map.h"
 #include "sparql/ast.h"
@@ -62,8 +61,6 @@ struct ShardedEndpointStats {
                                       ///< broadcast wholesale to all shards.
   uint64_t partial_queries = 0;       ///< Queries that dropped >= 1 member.
   uint64_t shard_failures = 0;        ///< Member requests that failed.
-
-  obs::JsonValue ToJson() const;
 };
 
 /// N shards of one logical endpoint behind a single net::Endpoint facade
@@ -134,10 +131,6 @@ class ShardedEndpoint : public net::Endpoint {
   }
 
   ShardedEndpointStats stats() const;
-
-  /// Endpoint counters plus a per-member section (id, addresses implied
-  /// by the inner endpoint, request/failure counts).
-  obs::JsonValue StatsJson() const;
 
   /// Emits lusail_shard_* counters labelled {endpoint=<logical id>}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
@@ -263,8 +256,6 @@ class ShardedEndpoint : public net::Endpoint {
   std::atomic<uint64_t> broadcast_fallbacks_{0};
   std::atomic<uint64_t> partial_queries_{0};
   std::atomic<uint64_t> shard_failures_{0};
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> member_requests_;
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> member_failures_;
 };
 
 }  // namespace lusail::shard

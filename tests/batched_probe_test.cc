@@ -37,6 +37,7 @@
 #include "workload/federation_builder.h"
 #include "workload/lrb_generator.h"
 #include "workload/lubm_generator.h"
+#include "test_payload.h"
 
 namespace lusail {
 namespace {
@@ -122,10 +123,7 @@ std::vector<std::string> ProbeBodies(const QueryList& queries) {
 }
 
 sparql::ResultTable TableOf(const net::QueryResponse& response) {
-  if (response.ids != nullptr) {
-    return core::DecodeIdTable(*response.ids, *response.ids_dict);
-  }
-  return response.table;
+  return core::DecodeIdTable(*response.ids, *response.ids_dict);
 }
 
 /// One value per body, each probed in its own request.
@@ -428,17 +426,19 @@ class LiteralCountEndpoint : public net::Endpoint {
     if (!query.aggregate.has_value()) {
       return Status::Unsupported("COUNT queries only");
     }
-    net::QueryResponse response;
+    sparql::ResultTable table;
     if (std::optional<sparql::ProbeBatch> batch =
             sparql::MatchProbeBatch(query)) {
-      response.table.vars = {batch->tag_var, batch->count_alias};
+      table.vars = {batch->tag_var, batch->count_alias};
       for (const sparql::ProbeBranch& branch : batch->branches) {
-        response.table.rows.push_back({*branch.tag, count_});
+        table.rows.push_back({*branch.tag, count_});
       }
     } else {
-      response.table.vars = {query.aggregate->alias.name};
-      response.table.rows.push_back({count_});
+      table.vars = {query.aggregate->alias.name};
+      table.rows.push_back({count_});
     }
+    net::QueryResponse response;
+    SetPayload(&response, table);
     return response;
   }
 

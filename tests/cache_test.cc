@@ -32,6 +32,7 @@
 #include "sparql/probe.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
+#include "test_payload.h"
 
 namespace lusail {
 namespace {
@@ -582,12 +583,14 @@ class HugeCountEndpoint : public net::Endpoint {
                                               const CancelToken&) override {
     net::QueryResponse response;
     if (lusail::LooksLikeAskQuery(text)) {
-      response.table.rows.push_back({});
+      response.SetAskVerdict(true);
       return response;
     }
-    response.table.vars = {"c"};
-    response.table.rows.push_back({rdf::Term::TypedLiteral(
+    sparql::ResultTable table;
+    table.vars = {"c"};
+    table.rows.push_back({rdf::Term::TypedLiteral(
         count_, "http://www.w3.org/2001/XMLSchema#integer")});
+    SetPayload(&response, table);
     return response;
   }
 

@@ -219,6 +219,7 @@ TEST(MetricsCollectorTest, SubMillisecondNetworkTimeAccumulates) {
   // request to whole microseconds, so 0.6 us requests summed to zero.
   fed::MetricsCollector metrics;
   net::QueryResponse response;
+  response.SetAskVerdict(false);
   response.network_ms = 0.0006;  // 0.6 us -> rounds to 1 us.
   for (int i = 0; i < 1000; ++i) {
     metrics.RecordExchange(&response, false, net::RetryOutcome());
@@ -236,6 +237,7 @@ TEST(MetricsCollectorTest, ConcurrentRecordingIsExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&metrics, t] {
       net::QueryResponse response;
+      response.SetAskVerdict(false);
       response.request_bytes = 10;
       response.response_bytes = 100;
       response.network_ms = 0.25;

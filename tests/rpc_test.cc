@@ -378,9 +378,10 @@ TEST_F(HttpEndpointTest, SelectMatchesDirectEndpoint) {
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   sparql::ResultTable direct_table = *fed::Federation::ToTable(direct);
-  EXPECT_EQ(remote->table.vars, direct_table.vars);
-  EXPECT_EQ(CanonicalRows(remote->table), CanonicalRows(direct_table));
-  EXPECT_EQ(remote->table.rows.size(), 5u);
+  sparql::ResultTable remote_table = *fed::Federation::ToTable(remote);
+  EXPECT_EQ(remote_table.vars, direct_table.vars);
+  EXPECT_EQ(CanonicalRows(remote_table), CanonicalRows(direct_table));
+  EXPECT_EQ(remote_table.rows.size(), 5u);
   EXPECT_TRUE(remote->transport.over_network);
   EXPECT_GT(remote->transport.wire_bytes_sent, 0u);
   EXPECT_GT(remote->transport.wire_bytes_received, 0u);
@@ -391,14 +392,16 @@ TEST_F(HttpEndpointTest, AskTravelsAsBooleanForm) {
   Result<net::QueryResponse> yes =
       remote_->Query("ASK { <http://ex/s0> <http://ex/p> ?o }");
   ASSERT_TRUE(yes.ok()) << yes.status().ToString();
-  EXPECT_TRUE(yes->table.vars.empty());
-  EXPECT_EQ(yes->table.rows.size(), 1u);
+  sparql::ResultTable yes_table = *fed::Federation::ToTable(yes);
+  EXPECT_TRUE(yes_table.vars.empty());
+  EXPECT_EQ(yes_table.rows.size(), 1u);
 
   Result<net::QueryResponse> no =
       remote_->Query("ASK { <http://ex/absent> <http://ex/p> ?o }");
   ASSERT_TRUE(no.ok()) << no.status().ToString();
-  EXPECT_TRUE(no->table.vars.empty());
-  EXPECT_EQ(no->table.rows.size(), 0u);
+  sparql::ResultTable no_table = *fed::Federation::ToTable(no);
+  EXPECT_TRUE(no_table.vars.empty());
+  EXPECT_EQ(no_table.rows.size(), 0u);
 }
 
 TEST_F(HttpEndpointTest, KeepAliveReusesTheConnection) {
@@ -462,7 +465,7 @@ TEST_F(HttpEndpointTest, TruncationCapAppliesRemoteRowLimit) {
   Result<net::QueryResponse> response =
       client.Query("SELECT ?s WHERE { ?s <http://ex/p> ?o }");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->table.rows.size(), 2u);
+  EXPECT_EQ(fed::Federation::ToTable(response)->rows.size(), 2u);
   EXPECT_EQ(capped.stats().truncated_results, 1u);
   capped.Stop();
 }
@@ -826,7 +829,7 @@ TEST(HttpServerConcurrencyTest, MoreConnectionsThanWorkersMakeProgress) {
         Result<net::QueryResponse> response = client.QueryWithDeadline(
             "SELECT ?s WHERE { ?s <http://ex/p> ?o }",
             Deadline::AfterMillis(10000));
-        if (!response.ok() || response->table.rows.size() != 5) {
+        if (!response.ok() || response->RowCount() != 5) {
           failures.fetch_add(1);
         }
       }

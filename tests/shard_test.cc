@@ -79,12 +79,9 @@ std::vector<std::shared_ptr<net::Endpoint>> ShardMembers(
   return members;
 }
 
-/// The response rows regardless of representation (id-space or table).
+/// The response rows, decoded through the response's own id space.
 sparql::ResultTable ResponseTable(const net::QueryResponse& response) {
-  if (response.ids != nullptr) {
-    return core::DecodeIdTable(*response.ids, *response.ids_dict);
-  }
-  return response.table;
+  return core::DecodeIdTable(*response.ids, *response.ids_dict);
 }
 
 /// Order-independent row fingerprints for result comparison.

@@ -3,7 +3,9 @@
 // the server's chunked-transfer path with end-of-stream trailers, the
 // truncation-cap vs explicit LIMIT/OFFSET regression, the streaming
 // client (row identity with the buffered path across query shapes,
-// budgets, ID-space decode), decorator semantics (retry/failover only
+// budgets, ID-space decode), the one-payload contract (every endpoint
+// kind answers buffered and streamed requests in ID space, equal to the
+// evaluator), decorator semantics (retry/failover only
 // before the first delivered batch, no hedging for streams), slow-
 // consumer back-pressure and mid-stream disconnects, and the engine's
 // LIMIT pushdown into generated subqueries.
@@ -25,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cached_endpoint.h"
+#include "cache/federation_cache.h"
 #include "core/dictionary.h"
 #include "core/id_table.h"
 #include "core/lusail_engine.h"
@@ -37,9 +41,13 @@
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
 #include "rpc/results_json.h"
+#include "shard/sharded_endpoint.h"
+#include "sparql/evaluator.h"
+#include "sparql/parser.h"
 #include "store/triple_store.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
+#include "test_payload.h"
 
 namespace lusail {
 namespace {
@@ -109,20 +117,31 @@ void ExpectTablesEqual(const sparql::ResultTable& want,
 /// Store with two predicates so OPTIONAL / UNION / ORDER BY shapes all
 /// have interesting answers: <sN> <p> N for N in [0,n), <sN> <q> catN%3
 /// for even N only.
-std::unique_ptr<store::TripleStore> ShapeStore(int n = 10) {
-  auto store = std::make_unique<store::TripleStore>();
+std::vector<rdf::TermTriple> ShapeTriples(int n = 10) {
+  std::vector<rdf::TermTriple> triples;
   for (int i = 0; i < n; ++i) {
     rdf::Term subject = rdf::Term::Iri("http://ex/s" + std::to_string(i));
-    store->Add(rdf::TermTriple{subject, rdf::Term::Iri("http://ex/p"),
-                               rdf::Term::Integer(i)});
+    triples.push_back(rdf::TermTriple{subject, rdf::Term::Iri("http://ex/p"),
+                                      rdf::Term::Integer(i)});
     if (i % 2 == 0) {
-      store->Add(rdf::TermTriple{
+      triples.push_back(rdf::TermTriple{
           subject, rdf::Term::Iri("http://ex/q"),
           rdf::Term::Iri("http://ex/cat" + std::to_string(i % 3))});
     }
   }
+  return triples;
+}
+
+std::unique_ptr<store::TripleStore> StoreOf(
+    const std::vector<rdf::TermTriple>& triples) {
+  auto store = std::make_unique<store::TripleStore>();
+  for (const rdf::TermTriple& triple : triples) store->Add(triple);
   store->Freeze();
   return store;
+}
+
+std::unique_ptr<store::TripleStore> ShapeStore(int n = 10) {
+  return StoreOf(ShapeTriples(n));
 }
 
 /// Store whose full scan serializes well past the kernel's socket
@@ -272,18 +291,19 @@ TEST(SrjChunkDecoderTest, OneByteFeedRoundTripsTermZoo) {
   // between a key and its colon. The decode must be byte-exact anyway.
   sparql::ResultTable table = ZooTable();
   std::string doc = ResultTableToSrj(table);
-  SrjChunkDecoder decoder;
+  auto dict = std::make_shared<core::TermDictionary>();
+  SrjChunkDecoder decoder(dict);
   sparql::ResultTable got;
   for (char byte : doc) {
     ASSERT_TRUE(decoder.Feed(std::string_view(&byte, 1)).ok());
     if (decoder.PendingRows() > 0) {
-      sparql::ResultTable batch = decoder.TakeTable();
+      sparql::ResultTable batch = core::DecodeIdTable(decoder.TakeIds(), *dict);
       if (got.vars.empty()) got.vars = batch.vars;
       for (auto& row : batch.rows) got.rows.push_back(std::move(row));
     }
   }
   ASSERT_TRUE(decoder.Finish().ok());
-  sparql::ResultTable tail = decoder.TakeTable();
+  sparql::ResultTable tail = core::DecodeIdTable(decoder.TakeIds(), *dict);
   if (got.vars.empty()) got.vars = tail.vars;
   for (auto& row : tail.rows) got.rows.push_back(std::move(row));
   ExpectTablesEqual(table, got);
@@ -298,11 +318,12 @@ TEST(SrjChunkDecoderTest, EmptyStringBindingStaysBoundAtEverySplit) {
   table.rows.push_back({rdf::Term::Literal(""), std::nullopt});
   std::string doc = ResultTableToSrj(table);
   for (size_t split = 0; split <= doc.size(); ++split) {
-    SrjChunkDecoder decoder;
+    auto dict = std::make_shared<core::TermDictionary>();
+    SrjChunkDecoder decoder(dict);
     ASSERT_TRUE(decoder.Feed(std::string_view(doc).substr(0, split)).ok());
     ASSERT_TRUE(decoder.Feed(std::string_view(doc).substr(split)).ok());
     ASSERT_TRUE(decoder.Finish().ok()) << "split at " << split;
-    sparql::ResultTable got = decoder.TakeTable();
+    sparql::ResultTable got = core::DecodeIdTable(decoder.TakeIds(), *dict);
     ASSERT_EQ(got.rows.size(), 1u) << "split at " << split;
     ASSERT_TRUE(got.rows[0][0].has_value()) << "split at " << split;
     EXPECT_TRUE(got.rows[0][0]->is_literal());
@@ -320,11 +341,12 @@ TEST(SrjChunkDecoderTest, LanguageTagBeatsDatatypeAtEverySplit) {
       "\"xml:lang\":\"fr\","
       "\"datatype\":\"http://www.w3.org/2001/XMLSchema#string\"}}]}}";
   for (size_t split = 0; split <= doc.size(); ++split) {
-    SrjChunkDecoder decoder;
+    auto dict = std::make_shared<core::TermDictionary>();
+    SrjChunkDecoder decoder(dict);
     ASSERT_TRUE(decoder.Feed(std::string_view(doc).substr(0, split)).ok());
     ASSERT_TRUE(decoder.Feed(std::string_view(doc).substr(split)).ok());
     ASSERT_TRUE(decoder.Finish().ok()) << "split at " << split;
-    sparql::ResultTable got = decoder.TakeTable();
+    sparql::ResultTable got = core::DecodeIdTable(decoder.TakeIds(), *dict);
     ASSERT_EQ(got.rows.size(), 1u);
     ASSERT_TRUE(got.rows[0][0].has_value());
     EXPECT_EQ(got.rows[0][0]->lang(), "fr") << "split at " << split;
@@ -337,12 +359,13 @@ TEST(SrjChunkDecoderTest, EmptyLanguageTagHonorsDatatype) {
       "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":"
       "[{\"x\":{\"type\":\"literal\",\"value\":\"42\",\"xml:lang\":\"\","
       "\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}}]}}";
-  SrjChunkDecoder decoder;
+  auto dict = std::make_shared<core::TermDictionary>();
+  SrjChunkDecoder decoder(dict);
   for (char byte : doc) {
     ASSERT_TRUE(decoder.Feed(std::string_view(&byte, 1)).ok());
   }
   ASSERT_TRUE(decoder.Finish().ok());
-  sparql::ResultTable got = decoder.TakeTable();
+  sparql::ResultTable got = core::DecodeIdTable(decoder.TakeIds(), *dict);
   ASSERT_EQ(got.rows.size(), 1u);
   ASSERT_TRUE(got.rows[0][0].has_value());
   EXPECT_TRUE(got.rows[0][0]->lang().empty());
@@ -376,12 +399,13 @@ TEST(SrjChunkDecoderTest, AskFormsDecodeByteWise) {
   for (const sparql::ResultTable& table :
        {yes, sparql::ResultTable{}}) {
     std::string doc = ResultTableToSrj(table);
-    SrjChunkDecoder decoder;
+    auto dict = std::make_shared<core::TermDictionary>();
+    SrjChunkDecoder decoder(dict);
     for (char byte : doc) {
       ASSERT_TRUE(decoder.Feed(std::string_view(&byte, 1)).ok()) << doc;
     }
     ASSERT_TRUE(decoder.Finish().ok()) << doc;
-    sparql::ResultTable got = decoder.TakeTable();
+    sparql::ResultTable got = core::DecodeIdTable(decoder.TakeIds(), *dict);
     EXPECT_TRUE(got.vars.empty());
     EXPECT_EQ(got.rows.size(), table.rows.size()) << doc;
   }
@@ -392,7 +416,8 @@ TEST(SrjChunkDecoderTest, TruncatedStreamFailsOnFinish) {
   // must fail loudly at Finish, never pass as a short-but-valid answer.
   sparql::ResultTable table = ZooTable();
   std::string doc = ResultTableToSrj(table);
-  SrjChunkDecoder decoder;
+  auto dict = std::make_shared<core::TermDictionary>();
+  SrjChunkDecoder decoder(dict);
   ASSERT_TRUE(
       decoder.Feed(std::string_view(doc).substr(0, doc.size() - 3)).ok());
   EXPECT_FALSE(decoder.Finish().ok());
@@ -402,7 +427,8 @@ TEST(SrjChunkDecoderTest, MalformedBindingIsAStickyError) {
   const std::string doc =
       "{\"head\":{\"vars\":[\"x\"]},\"results\":{\"bindings\":"
       "[{\"x\":{\"type\":\"warp\",\"value\":\"v\"}}]}}";
-  SrjChunkDecoder decoder;
+  auto dict = std::make_shared<core::TermDictionary>();
+  SrjChunkDecoder decoder(dict);
   Status status = Status::OK();
   for (char byte : doc) {
     status = decoder.Feed(std::string_view(&byte, 1));
@@ -553,12 +579,8 @@ class StreamClientTest : public ::testing::Test {
     auto summary = client_->QueryStreaming(
         query, CancelToken(), options, [&](net::StreamBatch&& batch) {
           ++*batches;
-          sparql::ResultTable rows;
-          if (batch.ids != nullptr) {
-            rows = core::DecodeIdTable(*batch.ids, *batch.ids_dict);
-          } else {
-            rows = std::move(batch.table);
-          }
+          sparql::ResultTable rows =
+              core::DecodeIdTable(*batch.ids, *batch.ids_dict);
           if (all.vars.empty()) all.vars = rows.vars;
           for (auto& row : rows.rows) all.rows.push_back(std::move(row));
           return Status::OK();
@@ -593,8 +615,9 @@ TEST_F(StreamClientTest, StreamingIsRowIdenticalToBufferedAcrossShapes) {
     size_t batches = 0;
     net::StreamSummary summary;
     sparql::ResultTable streamed = Collect(query, &batches, &summary);
-    ExpectTablesEqual(buffered->table, streamed);
-    EXPECT_EQ(summary.rows_delivered, buffered->table.rows.size()) << query;
+    sparql::ResultTable buffered_table = *fed::Federation::ToTable(buffered);
+    ExpectTablesEqual(buffered_table, streamed);
+    EXPECT_EQ(summary.rows_delivered, buffered_table.rows.size()) << query;
     EXPECT_FALSE(summary.truncated) << query;
   }
 }
@@ -630,7 +653,7 @@ TEST_F(StreamClientTest, RowBudgetHalfClosesAndMarksTruncated) {
   // query must still work.
   Result<net::QueryResponse> after = client_->Query(kScan);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(after->table.rows.size(), 10u);
+  EXPECT_EQ(fed::Federation::ToTable(after)->rows.size(), 10u);
 }
 
 TEST_F(StreamClientTest, ParseDictionaryDecodesBatchesIntoIdSpace) {
@@ -654,9 +677,7 @@ TEST_F(StreamClientTest, ParseDictionaryDecodesBatchesIntoIdSpace) {
       });
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_GE(id_batches, 3u);
-  sparql::ResultTable reference = buffered->ids != nullptr
-      ? core::DecodeIdTable(*buffered->ids, *buffered->ids_dict)
-      : buffered->table;
+  sparql::ResultTable reference = *fed::Federation::ToTable(buffered);
   ExpectTablesEqual(reference, all);
 }
 
@@ -720,7 +741,7 @@ TEST(DefaultStreamingTest, EmptyResultDeliversOneAnnouncingBatch) {
       "SELECT ?s WHERE { ?s <http://ex/none> ?s . }", CancelToken(),
       net::StreamOptions{}, [&](net::StreamBatch&& batch) {
         ++batches;
-        vars = batch.ids != nullptr ? batch.ids->vars : batch.table.vars;
+        vars = batch.ids->vars;
         EXPECT_EQ(batch.NumRows(), 0u);
         return Status::OK();
       });
@@ -728,6 +749,217 @@ TEST(DefaultStreamingTest, EmptyResultDeliversOneAnnouncingBatch) {
   EXPECT_EQ(batches, 1u);
   EXPECT_EQ(vars, (std::vector<std::string>{"s"}));
 }
+
+// ---------------------------------------------------------------------
+// One payload contract: every endpoint kind answers in ID space
+// ---------------------------------------------------------------------
+
+/// Each endpoint kind of the library, built over ShapeTriples().
+enum class EndpointKind {
+  kSparql,
+  kHttp,
+  kHttpParseDictionary,
+  kCachedAsk,
+  kSharded,
+  kReplicaGroup,
+  kResilient,
+  kFaultInjecting,
+};
+
+std::string KindName(const ::testing::TestParamInfo<EndpointKind>& info) {
+  switch (info.param) {
+    case EndpointKind::kSparql: return "Sparql";
+    case EndpointKind::kHttp: return "Http";
+    case EndpointKind::kHttpParseDictionary: return "HttpParseDictionary";
+    case EndpointKind::kCachedAsk: return "CachedAsk";
+    case EndpointKind::kSharded: return "Sharded";
+    case EndpointKind::kReplicaGroup: return "ReplicaGroup";
+    case EndpointKind::kResilient: return "Resilient";
+    case EndpointKind::kFaultInjecting: return "FaultInjecting";
+  }
+  return "Unknown";
+}
+
+/// SELECT, ASK and empty answers. The correlated filter inside OPTIONAL
+/// cannot be star-decomposed, so a ShardedEndpoint broadcasts those two
+/// queries; it plans the others.
+const char* const kContractQueries[] = {
+    kScan,
+    "SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
+    "OPTIONAL { ?s <http://ex/q> ?c . } }",
+    "SELECT ?s ?o ?c WHERE { ?s <http://ex/p> ?o . "
+    "OPTIONAL { ?s <http://ex/q> ?c . FILTER (?o > 3) } }",
+    "SELECT ?s WHERE { ?s <http://ex/none> ?o . }",
+    "ASK { ?s <http://ex/q> <http://ex/cat0> . }",
+    "ASK { ?s <http://ex/q> <http://ex/none> . }",
+    "ASK { ?s <http://ex/p> ?o . "
+    "OPTIONAL { ?s <http://ex/q> ?c . FILTER (?o > 3) } }",
+};
+
+class EndpointContractTest : public ::testing::TestWithParam<EndpointKind> {
+ protected:
+  void SetUp() override {
+    const std::vector<rdf::TermTriple> triples = ShapeTriples();
+    oracle_store_ = StoreOf(triples);
+    auto local = [&](const std::string& id) {
+      return std::make_shared<net::SparqlEndpoint>(id, StoreOf(triples),
+                                                   net::LatencyModel::None());
+    };
+    switch (GetParam()) {
+      case EndpointKind::kSparql:
+        endpoint_ = local("EP");
+        break;
+      case EndpointKind::kHttp:
+      case EndpointKind::kHttpParseDictionary: {
+        server_ = std::make_unique<HttpServer>(local("EP"));
+        ASSERT_TRUE(server_->Start().ok());
+        auto client = std::make_shared<HttpSparqlEndpoint>(
+            "EP", "127.0.0.1", server_->port());
+        if (GetParam() == EndpointKind::kHttpParseDictionary) {
+          client->set_parse_dictionary(
+              std::make_shared<core::TermDictionary>());
+        }
+        endpoint_ = client;
+        break;
+      }
+      case EndpointKind::kCachedAsk:
+        cached_ = std::make_shared<cache::CachedAskEndpoint>(local("EP"),
+                                                             &verdicts_);
+        endpoint_ = cached_;
+        break;
+      case EndpointKind::kSharded: {
+        shard::ShardMap map = shard::ShardMap::HashRing(3);
+        std::vector<std::vector<rdf::TermTriple>> slices(map.NumShards());
+        for (const rdf::TermTriple& triple : triples) {
+          slices[map.ShardOfSubject(triple.subject)].push_back(triple);
+        }
+        std::vector<std::shared_ptr<net::Endpoint>> members;
+        for (size_t i = 0; i < slices.size(); ++i) {
+          members.push_back(std::make_shared<net::SparqlEndpoint>(
+              "EP#" + std::to_string(i), StoreOf(slices[i]),
+              net::LatencyModel::None()));
+        }
+        shard::ShardedEndpointOptions options;
+        options.own_pool_threads = 2;
+        sharded_ = std::make_shared<shard::ShardedEndpoint>(
+            "EP", std::move(map), std::move(members), options);
+        endpoint_ = sharded_;
+        break;
+      }
+      case EndpointKind::kReplicaGroup:
+        endpoint_ = std::make_shared<net::ReplicaGroup>(
+            "EP", std::vector<std::shared_ptr<net::Endpoint>>{
+                      local("EP@a"), local("EP@b")});
+        break;
+      case EndpointKind::kResilient:
+        endpoint_ = std::make_shared<net::ResilientEndpoint>(
+            local("EP"), net::RetryPolicy());
+        break;
+      case EndpointKind::kFaultInjecting:
+        endpoint_ = std::make_shared<net::FaultInjectingEndpoint>(
+            local("EP"), net::FaultProfile());
+        break;
+    }
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  /// The answer of sparql::Evaluator over the union of the endpoint's data.
+  sparql::ResultTable Expected(const std::string& text) {
+    Result<sparql::Query> query = sparql::ParseQuery(text);
+    EXPECT_TRUE(query.ok()) << text;
+    Result<sparql::ResultTable> table =
+        sparql::Evaluator(oracle_store_.get()).Execute(*query);
+    EXPECT_TRUE(table.ok()) << text << ": " << table.status().ToString();
+    return table.ok() ? *table : sparql::ResultTable();
+  }
+
+  /// Checks the kind-specific paths the queries were meant to reach.
+  void ExpectPathsCovered() {
+    if (cached_ != nullptr) {
+      EXPECT_GT(cached_->hits(), 0u);
+      EXPECT_GT(cached_->misses(), 0u);
+    }
+    if (sharded_ != nullptr) {
+      EXPECT_GT(sharded_->stats().broadcast_fallbacks, 0u);
+      EXPECT_GT(sharded_->stats().fanout_requests, 0u);
+    }
+  }
+
+  std::unique_ptr<store::TripleStore> oracle_store_;
+  std::unique_ptr<HttpServer> server_;
+  cache::FederationCache verdicts_;
+  std::shared_ptr<cache::CachedAskEndpoint> cached_;
+  std::shared_ptr<shard::ShardedEndpoint> sharded_;
+  std::shared_ptr<net::Endpoint> endpoint_;
+};
+
+TEST_P(EndpointContractTest, BufferedAnswersAreIdsMatchingTheEvaluator) {
+  // Twice each, so a CachedAskEndpoint answers a repeated ASK from its
+  // verdict tier.
+  for (int round = 0; round < 2; ++round) {
+    for (const char* text : kContractQueries) {
+      Result<net::QueryResponse> response = endpoint_->Query(text);
+      ASSERT_TRUE(response.ok()) << text << ": "
+                                 << response.status().ToString();
+      ASSERT_NE(response->ids, nullptr) << text;
+      ASSERT_NE(response->ids_dict, nullptr) << text;
+      sparql::ResultTable want = Expected(text);
+      sparql::ResultTable got =
+          core::DecodeIdTable(*response->ids, *response->ids_dict);
+      EXPECT_EQ(got.vars, want.vars) << text;
+      EXPECT_EQ(CanonicalRows(got), CanonicalRows(want)) << text;
+    }
+  }
+  ExpectPathsCovered();
+}
+
+TEST_P(EndpointContractTest, StreamedBatchesAreIdsMatchingTheEvaluator) {
+  net::StreamOptions options;
+  options.batch_rows = 3;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* text : kContractQueries) {
+      sparql::ResultTable got;
+      size_t batches = 0;
+      auto summary = endpoint_->QueryStreaming(
+          text, CancelToken(), options, [&](net::StreamBatch&& batch) {
+            EXPECT_NE(batch.ids, nullptr) << text;
+            EXPECT_NE(batch.ids_dict, nullptr) << text;
+            if (batch.ids == nullptr || batch.ids_dict == nullptr) {
+              return Status::Internal("batch without an id payload");
+            }
+            sparql::ResultTable rows =
+                core::DecodeIdTable(*batch.ids, *batch.ids_dict);
+            if (batches++ == 0) got.vars = rows.vars;
+            for (auto& row : rows.rows) got.rows.push_back(std::move(row));
+            return Status::OK();
+          });
+      ASSERT_TRUE(summary.ok()) << text << ": "
+                                << summary.status().ToString();
+      EXPECT_GE(batches, 1u) << text;
+      ASSERT_NE(summary->response.ids, nullptr) << text;
+      ASSERT_NE(summary->response.ids_dict, nullptr) << text;
+      EXPECT_EQ(summary->response.RowCount(), 0u) << text;
+      sparql::ResultTable want = Expected(text);
+      EXPECT_EQ(summary->response.ids->vars, want.vars) << text;
+      EXPECT_EQ(summary->rows_delivered, want.rows.size()) << text;
+      EXPECT_EQ(got.vars, want.vars) << text;
+      EXPECT_EQ(CanonicalRows(got), CanonicalRows(want)) << text;
+    }
+  }
+  ExpectPathsCovered();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, EndpointContractTest,
+    ::testing::Values(EndpointKind::kSparql, EndpointKind::kHttp,
+                      EndpointKind::kHttpParseDictionary,
+                      EndpointKind::kCachedAsk, EndpointKind::kSharded,
+                      EndpointKind::kReplicaGroup, EndpointKind::kResilient,
+                      EndpointKind::kFaultInjecting),
+    KindName);
 
 // ---------------------------------------------------------------------
 // Decorator semantics: retry/failover only before the first batch
@@ -750,7 +982,7 @@ class FlakyStreamEndpoint : public net::Endpoint {
   Result<net::QueryResponse> QueryCancellable(const std::string&,
                                               const CancelToken&) override {
     net::QueryResponse response;
-    response.table = table_;
+    SetPayload(&response, table_);
     return response;
   }
 
@@ -763,13 +995,16 @@ class FlakyStreamEndpoint : public net::Endpoint {
       return Status::Unavailable("injected pre-stream failure");
     }
     size_t batch_rows = options.batch_rows == 0 ? 256 : options.batch_rows;
+    net::QueryResponse all;
+    SetPayload(&all, table_);
     net::StreamSummary summary;
+    summary.response.ids = std::make_shared<core::IdTable>(table_.vars);
+    summary.response.ids_dict = all.ids_dict;
     for (size_t begin = 0; begin < table_.rows.size(); begin += batch_rows) {
       net::StreamBatch batch;
-      batch.table.vars = table_.vars;
       size_t end = std::min(begin + batch_rows, table_.rows.size());
-      batch.table.rows.assign(table_.rows.begin() + begin,
-                              table_.rows.begin() + end);
+      batch.ids = std::make_shared<core::IdTable>(all.ids->Slice(begin, end));
+      batch.ids_dict = all.ids_dict;
       summary.rows_delivered += batch.NumRows();
       Status delivered = sink(std::move(batch));
       if (!delivered.ok()) return delivered;

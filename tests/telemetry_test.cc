@@ -489,6 +489,7 @@ TEST(MetricsCollectorRaceTest, SnapshotsNeverShowRetriesAheadOfRequests) {
     writers.emplace_back([&] {
       for (int i = 0; i < kExchangesPerWriter; ++i) {
         net::QueryResponse response;
+        response.SetAskVerdict(false);
         response.request_bytes = 10;
         response.response_bytes = 20;
         net::RetryOutcome outcome;

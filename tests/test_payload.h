@@ -1,0 +1,25 @@
+#ifndef LUSAIL_TESTS_TEST_PAYLOAD_H_
+#define LUSAIL_TESTS_TEST_PAYLOAD_H_
+
+#include <memory>
+
+#include "core/dictionary.h"
+#include "core/id_table.h"
+#include "net/endpoint.h"
+#include "sparql/result_table.h"
+
+namespace lusail {
+
+/// Sets `response`'s ID-space payload to `table`, interned into a
+/// dictionary of its own (how test endpoints answer with fixed rows).
+inline void SetPayload(net::QueryResponse* response,
+                       const sparql::ResultTable& table) {
+  auto dict = std::make_shared<core::TermDictionary>();
+  response->ids = std::make_shared<core::IdTable>(
+      core::EncodeResultTable(table, dict.get()));
+  response->ids_dict = std::move(dict);
+}
+
+}  // namespace lusail
+
+#endif  // LUSAIL_TESTS_TEST_PAYLOAD_H_
