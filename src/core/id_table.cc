@@ -407,6 +407,19 @@ sparql::ResultTable DecodeIdTable(const IdTable& table,
   return out;
 }
 
+Result<std::vector<uint64_t>> DecodeProbeIds(sparql::ProbeKind kind,
+                                             const IdTable& table,
+                                             const rdf::TermSource& terms,
+                                             size_t n) {
+  return sparql::DecodeProbeAnswer(
+      kind, table.vars, table.NumRows(),
+      [&table, &terms](size_t row, size_t col) -> const rdf::Term* {
+        const rdf::TermId id = table.At(row, col);
+        return id == rdf::kInvalidTermId ? nullptr : &terms.term(id);
+      },
+      n);
+}
+
 IdTable TranslateIds(const IdTable& table, const rdf::TermSource& terms,
                      TermDictionary* dict) {
   Stopwatch timer;

@@ -5,9 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/dictionary.h"
 #include "rdf/dictionary.h"
 #include "sparql/ast.h"
+#include "sparql/probe.h"
 #include "sparql/result_table.h"
 
 namespace lusail::core {
@@ -136,6 +138,13 @@ IdTable EncodeResultTable(const sparql::ResultTable& table,
 /// counters, if it keeps any).
 sparql::ResultTable DecodeIdTable(const IdTable& table,
                                   const rdf::TermSource& terms);
+
+/// sparql::DecodeProbeAnswer over an id answer: resolves only the tag
+/// and count cells through `terms`, with no string table built.
+Result<std::vector<uint64_t>> DecodeProbeIds(sparql::ProbeKind kind,
+                                             const IdTable& table,
+                                             const rdf::TermSource& terms,
+                                             size_t n);
 
 /// Re-keys `table`, whose ids belong to `terms`, into `dict`, with no
 /// term copied or hashed per cell. Ids of a stable space

@@ -193,7 +193,7 @@ std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
       });
 }
 
-Result<IdTable> SapeExecutor::RunEverywhere(
+SapeExecutor::Issued SapeExecutor::IssueEverywhere(
     const Subquery& sq, const std::vector<TriplePattern>& triples,
     const sparql::ValuesClause* values,
     const std::vector<rdf::TermId>* bound_ids, TermDictionary* dict,
@@ -227,53 +227,58 @@ Result<IdTable> SapeExecutor::RunEverywhere(
   // Row budget: fired once the union already holds `row_limit` rows.
   // Fetches not yet sent behind the satisfied point skip the wire — a
   // budget hit is a cutoff, never a failure.
-  fed::IssueContext ctx;
-  ctx.metrics = metrics;
-  ctx.cancel = cancel;
-  ctx.retry = RetryOf(options_);
-  ctx.trace_parent = trace_parent;
-  ctx.kind = fed::RequestKind::kFetch;
-  if (row_limit > 0) ctx.cutoff = CancelToken::Cancellable();
-  std::vector<std::future<Result<IdTable>>> futures;
-  futures.reserve(sq.sources.size());
+  Issued issued;
+  issued.sources = sq.sources;
+  issued.row_limit = row_limit;
+  issued.ctx.metrics = metrics;
+  issued.ctx.cancel = cancel;
+  issued.ctx.retry = RetryOf(options_);
+  issued.ctx.trace_parent = trace_parent;
+  issued.ctx.kind = fed::RequestKind::kFetch;
+  if (row_limit > 0) issued.ctx.cutoff = CancelToken::Cancellable();
+  issued.futures.reserve(sq.sources.size());
   for (int ep : sq.sources) {
-    futures.push_back(
-        FetchEndpoint(ep, text, cache_key, cacheable, dict, ctx));
+    issued.futures.push_back(
+        FetchEndpoint(ep, text, cache_key, cacheable, dict, issued.ctx));
   }
-  IdTable merged;
-  merged.vars = sq.projection;
+  return issued;
+}
+
+Status SapeExecutor::CollectEverywhere(Issued issued, IdTable* merged) {
+  fed::MetricsCollector* metrics = issued.ctx.metrics;
   std::vector<EndpointFailure> failures;
   size_t successes = 0;
-  for (size_t k = 0; k < futures.size(); ++k) {
-    Result<IdTable> table = futures[k].get();
+  for (size_t k = 0; k < issued.futures.size(); ++k) {
+    Result<IdTable> table = issued.futures[k].get();
     if (!table.ok()) {
       // Skipped, or failed after the union already held enough rows:
       // either way the answer needs nothing from it.
-      if (ctx.cutoff.CancelRequested()) continue;
-      failures.push_back({sq.sources[k], table.status()});
+      if (issued.ctx.cutoff.CancelRequested()) continue;
+      failures.push_back({issued.sources[k], table.status()});
       continue;
     }
     ++successes;
-    AppendUnionIds(&merged, *table);
-    if (row_limit > 0 && merged.NumRows() >= row_limit) ctx.cutoff.Cancel();
-  }
-  if (!failures.empty()) {
-    if (!options_->partial_results) {
-      return AggregateFailures(federation_, "subquery evaluation", failures,
-                               futures.size());
-    }
-    // Graceful degradation: each per-endpoint result is one branch of the
-    // subquery's UNION — dropping a branch yields a subset of the exact
-    // answer, which is exactly what partial_results promises.
-    if (metrics != nullptr) {
-      for (const EndpointFailure& f : failures) {
-        metrics->RecordEndpointDropped(
-            federation_->id(static_cast<size_t>(f.endpoint)));
-      }
-      if (successes == 0) metrics->RecordSubqueryDropped();
+    AppendUnionIds(merged, *table);
+    if (issued.row_limit > 0 && merged->NumRows() >= issued.row_limit) {
+      issued.ctx.cutoff.Cancel();
     }
   }
-  return merged;
+  if (failures.empty()) return Status::OK();
+  if (!options_->partial_results) {
+    return AggregateFailures(federation_, "subquery evaluation", failures,
+                             issued.futures.size());
+  }
+  // Graceful degradation: each per-endpoint result is one branch of the
+  // subquery's UNION — dropping a branch yields a subset of the exact
+  // answer, which is exactly what partial_results promises.
+  if (metrics != nullptr) {
+    for (const EndpointFailure& f : failures) {
+      metrics->RecordEndpointDropped(
+          federation_->id(static_cast<size_t>(f.endpoint)));
+    }
+    if (successes == 0) metrics->RecordSubqueryDropped();
+  }
+  return Status::OK();
 }
 
 Result<IdTable> SapeExecutor::Execute(
@@ -316,13 +321,15 @@ Result<IdTable> SapeExecutor::Execute(
       tracer->Annotate(span, "limit_pushdown",
                        static_cast<uint64_t>(row_limit));
     }
-    Result<IdTable> table =
-        RunEverywhere(subqueries[0], triples, nullptr, nullptr, dict, metrics,
-                      cancel, span, row_limit);
+    IdTable table;
+    table.vars = subqueries[0].projection;
+    Status status = CollectEverywhere(
+        IssueEverywhere(subqueries[0], triples, nullptr, nullptr, dict,
+                        metrics, cancel, span, row_limit),
+        &table);
     if (tracer != nullptr) tracer->EndSpan(span);
-    if (table.ok() && cancel.Cancelled()) {
-      return cancel.StatusAt("subquery evaluation");
-    }
+    if (!status.ok()) return status;
+    if (cancel.Cancelled()) return cancel.StatusAt("subquery evaluation");
     return table;
   }
 
@@ -525,14 +532,15 @@ Result<IdTable> SapeExecutor::Execute(
     auto [bind_var, bindings] = found_bindings_for(sq);
     if (bind_var.empty()) {
       // Nothing to bind with: evaluate unbound like phase 1.
-      Result<IdTable> t = RunEverywhere(sq, triples, nullptr, nullptr,
-                                        dict, metrics, cancel, sq_span);
-      if (!t.ok()) {
-        end_sq_span(0);
-        return t.status();
-      }
-      end_sq_span(t->NumRows());
-      tables.push_back(std::move(t).value());
+      IdTable t;
+      t.vars = sq.projection;
+      Status status = CollectEverywhere(
+          IssueEverywhere(sq, triples, nullptr, nullptr, dict, metrics,
+                          cancel, sq_span),
+          &t);
+      end_sq_span(t.NumRows());
+      if (!status.ok()) return status;
+      tables.push_back(std::move(t));
       tables = JoinConnected(std::move(tables), pool_,
                              options_->join_partitions, &cancel);
       continue;
@@ -603,7 +611,11 @@ Result<IdTable> SapeExecutor::Execute(
       if (!kept.empty()) sources = std::move(kept);
     }
 
-    // Bound join: ship the found bindings in VALUES blocks.
+    // Bound join: ship the found bindings in VALUES blocks. The first
+    // block goes alone; once it has landed, every other block goes out in
+    // one wave, and the parts are unioned in block order. The token is
+    // checked before each of the two sends, so a cancel seen after the
+    // first block stops the join before the other blocks are sent.
     Subquery bound_sq = sq;
     bound_sq.sources = sources;
     if (std::find(bound_sq.projection.begin(), bound_sq.projection.end(),
@@ -614,37 +626,44 @@ Result<IdTable> SapeExecutor::Execute(
     merged.vars = bound_sq.projection;
     const size_t block = std::max<size_t>(1, options_->bound_join_block_size);
     size_t values_blocks = 0;
-    for (size_t start = 0; start < bindings.size(); start += block) {
-      // Re-check per chunk: a bound join with many binding blocks must
-      // stop at the first block past the deadline/cancel, not overshoot
-      // by the full remaining chunk count.
+    size_t waves = 0;
+    Status status;
+    for (size_t start = 0; start < bindings.size() && status.ok();) {
       if (cancel.Cancelled()) {
         end_sq_span(merged.NumRows());
         return cancel.StatusAt("bound join");
       }
-      sparql::ValuesClause values;
-      values.vars.push_back(sparql::Variable{bind_var});
-      size_t end = std::min(bindings.size(), start + block);
-      std::vector<rdf::TermId> chunk_ids(bindings.begin() + start,
-                                         bindings.begin() + end);
-      for (rdf::TermId id : chunk_ids) {
-        values.rows.push_back({dict->term(id)});
+      const size_t wave_end =
+          waves == 0 ? std::min(block, bindings.size()) : bindings.size();
+      std::vector<Issued> wave;
+      for (; start < wave_end; start += block) {
+        sparql::ValuesClause values;
+        values.vars.push_back(sparql::Variable{bind_var});
+        std::vector<rdf::TermId> chunk_ids(
+            bindings.begin() + start,
+            bindings.begin() + std::min(wave_end, start + block));
+        for (rdf::TermId id : chunk_ids) {
+          values.rows.push_back({dict->term(id)});
+        }
+        wave.push_back(IssueEverywhere(bound_sq, triples, &values, &chunk_ids,
+                                       dict, metrics, cancel, sq_span));
       }
-      ++values_blocks;
-      Result<IdTable> part =
-          RunEverywhere(bound_sq, triples, &values, &chunk_ids, dict, metrics,
-                        cancel, sq_span);
-      if (!part.ok()) {
-        end_sq_span(merged.NumRows());
-        return part.status();
+      ++waves;
+      values_blocks += wave.size();
+      // Every block is collected, even after one failed, so no issued
+      // request outlives this frame; the first failure is the answer.
+      for (Issued& issued : wave) {
+        Status part = CollectEverywhere(std::move(issued), &merged);
+        if (status.ok()) status = part;
       }
-      AppendUnionIds(&merged, *part);
     }
     if (tracer != nullptr) {
       tracer->Annotate(sq_span, "values_blocks",
                        static_cast<uint64_t>(values_blocks));
+      tracer->Annotate(sq_span, "waves", static_cast<uint64_t>(waves));
     }
     end_sq_span(merged.NumRows());
+    if (!status.ok()) return status;
     tables.push_back(std::move(merged));
     track_peak(tables);
     tables = JoinConnected(std::move(tables), pool_,

@@ -26,8 +26,12 @@ namespace lusail::core {
 /// subqueries in increasing refined-cardinality order as bound joins:
 /// the already-found bindings of a shared variable are shipped in VALUES
 /// blocks; generic single-pattern subqueries first refine their relevant
-/// sources with sampled ASK probes. The global join runs as a parallel
-/// partitioned hash join in the order chosen by the DP join optimizer.
+/// sources with sampled ASK probes. A bound join sends its first block
+/// alone and, once that block has landed, every other block in one wave,
+/// unioning the parts in block order; so it costs at most two serial
+/// round trips, and a cancel seen after the first block sends nothing
+/// more. The global join runs as a parallel partitioned hash join in the
+/// order chosen by the DP join optimizer.
 class SapeExecutor {
  public:
   SapeExecutor(const fed::Federation* federation, ThreadPool* pool,
@@ -38,9 +42,10 @@ class SapeExecutor {
   /// table (all subquery projections merged). With options.enable_sape
   /// false, every subquery runs concurrently (no delaying) and results
   /// are joined at the federator — the paper's "LADE only" mode.
-  /// The token is checked before every endpoint fetch, between VALUES
-  /// chunks of a bound join, and around every global-join step, so
-  /// execution unwinds with kTimeout within one chunk of it firing.
+  /// The token is checked before every endpoint fetch, before a bound
+  /// join's first VALUES block and again before its wave of the other
+  /// blocks, and around every global-join step, so execution unwinds
+  /// with kTimeout within one wave of it firing.
   ///
   /// `row_limit` > 0 is a pushdown hint: the caller needs any `row_limit`
   /// rows (top-level LIMIT, no ORDER BY/DISTINCT, nothing downstream that
@@ -57,30 +62,44 @@ class SapeExecutor {
       size_t row_limit = 0);
 
  private:
-  /// Runs one subquery (optionally with a VALUES block) at all of its
-  /// relevant endpoints concurrently and unions the results in `dict`'s
-  /// id space. When `values` is set, `bound_ids` must carry the block's
-  /// binding ids — they key the shared result cache via an id-space
-  /// fingerprint instead of hashing the serialized block. Requests are
-  /// traced as children of `trace_parent` (the subquery's span) — an
-  /// explicit parent, because requests run on pool threads while the
-  /// collector's default parent tracks the caller's current phase.
-  /// `row_limit` > 0 appends a LIMIT clause to the generated text (any
-  /// `row_limit` rows satisfy the caller) and arms a row budget: once the
-  /// running union holds that many rows, a budget token fires and every
-  /// fetch not yet sent is skipped (IssueContext::cutoff). Requests
-  /// already sent are not interrupted, and one that fails after the
-  /// budget fired contributes nothing — the budget is a cutoff for
-  /// upstream work, not a failure.
-  Result<IdTable> RunEverywhere(const Subquery& sq,
-                                const std::vector<sparql::TriplePattern>& triples,
-                                const sparql::ValuesClause* values,
-                                const std::vector<rdf::TermId>* bound_ids,
-                                TermDictionary* dict,
-                                fed::MetricsCollector* metrics,
-                                const CancelToken& cancel,
-                                obs::SpanId trace_parent = 0,
-                                size_t row_limit = 0);
+  /// One subquery's requests as sent by IssueEverywhere and not yet
+  /// collected: one future per source, in `sources` order, and the
+  /// context they were issued under (its cutoff is the row budget).
+  struct Issued {
+    std::vector<int> sources;
+    std::vector<std::future<Result<IdTable>>> futures;
+    fed::IssueContext ctx;
+    size_t row_limit = 0;
+  };
+
+  /// Sends one subquery (optionally with a VALUES block) to all of its
+  /// relevant endpoints at once and returns without waiting. When
+  /// `values` is set, `bound_ids` must carry the block's binding ids —
+  /// they key the shared result cache via an id-space fingerprint
+  /// instead of hashing the serialized block. Requests are traced as
+  /// children of `trace_parent` (the subquery's span) — an explicit
+  /// parent, because requests run on pool threads while the collector's
+  /// default parent tracks the caller's current phase. `row_limit` > 0
+  /// appends a LIMIT clause to the generated text (any `row_limit` rows
+  /// satisfy the caller) and arms a row budget (see CollectEverywhere).
+  Issued IssueEverywhere(const Subquery& sq,
+                         const std::vector<sparql::TriplePattern>& triples,
+                         const sparql::ValuesClause* values,
+                         const std::vector<rdf::TermId>* bound_ids,
+                         TermDictionary* dict, fed::MetricsCollector* metrics,
+                         const CancelToken& cancel,
+                         obs::SpanId trace_parent = 0, size_t row_limit = 0);
+
+  /// Waits for every future of `issued` — all of them, whatever fails,
+  /// so nothing a response touches is released under it — and appends
+  /// the answers to `merged` in source order. Failed endpoints fail the
+  /// call with one status naming them all, or, with partial_results,
+  /// are recorded as dropped. Under a row budget, once `merged` holds
+  /// `row_limit` rows the budget token fires and every fetch not yet
+  /// sent is skipped (IssueContext::cutoff); requests already sent are
+  /// not interrupted, and one that fails after the budget fired
+  /// contributes nothing — the budget is a cutoff, not a failure.
+  Status CollectEverywhere(Issued issued, IdTable* merged);
 
   /// One endpoint request in id space, issued through Federation::Issue
   /// and routed through the federation's shared result cache when this

@@ -320,9 +320,9 @@ std::vector<Result<uint64_t>> Federation::RunProbes(
                   std::move(probe_ctx),
                   [kind, n](Result<net::QueryResponse> response)
                       -> Result<std::vector<uint64_t>> {
-                    LUSAIL_ASSIGN_OR_RETURN(sparql::ResultTable table,
-                                            ToTable(std::move(response)));
-                    return sparql::DecodeProbeAnswer(kind, table, n);
+                    if (!response.ok()) return response.status();
+                    return core::DecodeProbeIds(kind, *response->ids,
+                                                *response->ids_dict, n);
                   }));
   }
   std::vector<Result<uint64_t>> values(probes.size(), uint64_t{0});

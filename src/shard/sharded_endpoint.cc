@@ -739,9 +739,7 @@ Result<QueryResponse> ShardedEndpoint::ExecuteProbeBatch(
     }
     LUSAIL_ASSIGN_OR_RETURN(
         std::vector<uint64_t> member_values,
-        sparql::DecodeProbeAnswer(
-            kind, core::DecodeIdTable(*r->ids, *r->ids_dict),
-            branches.size()));
+        core::DecodeProbeIds(kind, *r->ids, *r->ids_dict, branches.size()));
     for (size_t k = 0; k < branches.size(); ++k) {
       const size_t b = branches[k];
       const uint64_t v = member_values[k];

@@ -11,8 +11,8 @@ namespace lusail::sparql {
 namespace {
 
 /// The index a batched answer's tag names, when it is one of [0, n).
-std::optional<size_t> TagIndex(const std::optional<rdf::Term>& tag, size_t n) {
-  if (!tag.has_value() || !tag->is_literal()) return std::nullopt;
+std::optional<size_t> TagIndex(const rdf::Term* tag, size_t n) {
+  if (tag == nullptr || !tag->is_literal()) return std::nullopt;
   const std::string& lex = tag->lexical();
   if (lex.empty() || lex.size() > 19) return std::nullopt;
   size_t value = 0;
@@ -65,9 +65,9 @@ bool Mentions(const GraphPattern& gp, const std::string& var,
   return false;
 }
 
-int ColumnOf(const ResultTable& table, const std::string& var) {
-  for (size_t i = 0; i < table.vars.size(); ++i) {
-    if (table.vars[i] == var) return static_cast<int>(i);
+int ColumnOf(const std::vector<std::string>& vars, const std::string& var) {
+  for (size_t i = 0; i < vars.size(); ++i) {
+    if (vars[i] == var) return static_cast<int>(i);
   }
   return -1;
 }
@@ -145,32 +145,34 @@ std::optional<ProbeBatch> MatchProbeBatch(const Query& query) {
   return batch;
 }
 
-Result<std::vector<uint64_t>> DecodeProbeAnswer(ProbeKind kind,
-                                                const ResultTable& table,
-                                                size_t n) {
+Result<std::vector<uint64_t>> DecodeProbeAnswer(
+    ProbeKind kind, const std::vector<std::string>& vars, size_t rows,
+    const ProbeCellReader& cell, size_t n) {
   std::vector<uint64_t> values(n, 0);
-  if (n == 0 || table.rows.empty()) return values;
+  if (n == 0 || rows == 0) return values;
   if (n == 1) {
     if (kind == ProbeKind::kAsk) {
       values[0] = 1;
-    } else if (!table.rows[0].empty() && table.rows[0][0].has_value()) {
-      values[0] = ParseCountLiteral(*table.rows[0][0]);
+    } else if (!vars.empty()) {
+      if (const rdf::Term* count = cell(0, 0)) {
+        values[0] = ParseCountLiteral(*count);
+      }
     }
     return values;
   }
-  const int tag_col = ColumnOf(table, kProbeTag);
+  const int tag_col = ColumnOf(vars, kProbeTag);
   int count_col = -1;
   if (kind == ProbeKind::kCount) {
-    for (size_t i = 0; i < table.vars.size(); ++i) {
+    for (size_t i = 0; i < vars.size(); ++i) {
       if (static_cast<int>(i) != tag_col) count_col = static_cast<int>(i);
     }
   }
   if (tag_col < 0 || (kind == ProbeKind::kCount && count_col < 0)) {
     return Status::Internal("batched probe answer lacks its columns");
   }
-  for (const auto& row : table.rows) {
+  for (size_t r = 0; r < rows; ++r) {
     std::optional<size_t> index =
-        TagIndex(row[static_cast<size_t>(tag_col)], n);
+        TagIndex(cell(r, static_cast<size_t>(tag_col)), n);
     if (!index.has_value()) {
       return Status::Internal("batched probe answer names an unknown tag");
     }
@@ -178,10 +180,24 @@ Result<std::vector<uint64_t>> DecodeProbeAnswer(ProbeKind kind,
       values[*index] = 1;
       continue;
     }
-    const std::optional<rdf::Term>& cell = row[static_cast<size_t>(count_col)];
-    if (cell.has_value()) values[*index] = ParseCountLiteral(*cell);
+    if (const rdf::Term* count = cell(r, static_cast<size_t>(count_col))) {
+      values[*index] = ParseCountLiteral(*count);
+    }
   }
   return values;
+}
+
+Result<std::vector<uint64_t>> DecodeProbeAnswer(ProbeKind kind,
+                                                const ResultTable& table,
+                                                size_t n) {
+  return DecodeProbeAnswer(
+      kind, table.vars, table.rows.size(),
+      [&table](size_t row, size_t col) -> const rdf::Term* {
+        const auto& cells = table.rows[row];
+        return col < cells.size() && cells[col].has_value() ? &*cells[col]
+                                                            : nullptr;
+      },
+      n);
 }
 
 rdf::Term CountTerm(uint64_t count) {

@@ -2,6 +2,7 @@
 #define LUSAIL_SPARQL_PROBE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,9 +69,21 @@ struct ProbeBatch {
 /// points into `query`, which must outlive it.
 std::optional<ProbeBatch> MatchProbeBatch(const Query& query);
 
-/// Decodes the answer to ProbeText(kind, n bodies) into one value per
-/// probe: 0 or 1 for ASK, the count for COUNT. Errors when a batched
-/// answer lacks its columns or carries a tag outside [0, n).
+/// Reads one cell of a probe answer: the term at (row, col), or null
+/// when the cell is unbound.
+using ProbeCellReader =
+    std::function<const rdf::Term*(size_t row, size_t col)>;
+
+/// Decodes the answer to ProbeText(kind, n bodies), `rows` rows over
+/// `vars` whose cells `cell` reads, into one value per probe: 0 or 1 for
+/// ASK, the count for COUNT. Reads only the tag and count cells. Errors
+/// when a batched answer lacks its columns or carries a tag outside
+/// [0, n).
+Result<std::vector<uint64_t>> DecodeProbeAnswer(
+    ProbeKind kind, const std::vector<std::string>& vars, size_t rows,
+    const ProbeCellReader& cell, size_t n);
+
+/// The same, over a string table.
 Result<std::vector<uint64_t>> DecodeProbeAnswer(ProbeKind kind,
                                                 const ResultTable& table,
                                                 size_t n);
