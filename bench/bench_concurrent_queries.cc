@@ -128,8 +128,9 @@ int main() {
   std::printf("cold requests: %llu\nwarm requests: %llu\nreduction: %.1fx\n",
               static_cast<unsigned long long>(cold_requests),
               static_cast<unsigned long long>(warm_requests), reduction);
-  std::printf("cache stats: %s\n",
-              shared_cache.ToJson().Pretty().c_str());
+  obs::MetricsSnapshot cache_metrics;
+  shared_cache.ExportMetrics(&cache_metrics);
+  std::printf("cache stats: %s\n", cache_metrics.ToJson().Pretty().c_str());
   if (warm_requests >= cold_requests) {
     std::printf("FAIL: warm run must issue strictly fewer endpoint "
                 "requests than cold\n");
@@ -169,7 +170,10 @@ int main() {
     }
   }
   service.Drain();
-  std::printf("query service: %s\n", service.StatsJson().Serialize().c_str());
+  obs::MetricsSnapshot service_metrics;
+  service.ExportMetrics(&service_metrics);
+  std::printf("query service: %s\n",
+              service_metrics.ToJson().Serialize().c_str());
   std::printf("OK: 8 concurrent queries matched sequential results\n");
   return 0;
 }

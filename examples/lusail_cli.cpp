@@ -19,7 +19,9 @@
 //                         (load in chrome://tracing or Perfetto)
 //   --cache-stats         attach a shared cross-query cache (with
 //                         subquery-result memoization) and print its
-//                         hit/miss/eviction counters after the query
+//                         lusail_cache_* samples (hits, misses,
+//                         evictions, occupancy per tier) as metrics
+//                         snapshot JSON after the query
 //   --deadline-ms <ms>    per-query deadline (default 60000). The budget
 //                         covers the whole federated run; with --remote the
 //                         remaining budget is forwarded to every endpoint
@@ -85,10 +87,13 @@
 //                         first-row latency next to the total.
 //   --metrics-port <n>    serve a federator-side stats listener on port n
 //                         (0 = ephemeral) for the lifetime of the run:
-//                         GET /metrics is the Prometheus exposition of the
-//                         HTTP client, replica, resilience, and cache
-//                         counters; GET /debug/queries is the flight
-//                         recorder. The listener has no /sparql backend.
+//                         GET /metrics is the Prometheus exposition of
+//                         every endpoint's telemetry (HTTP client, replica,
+//                         resilience, shard), the federation's breakers,
+//                         the cache and the engine dictionary; GET /stats
+//                         is the same snapshot as JSON; GET /debug/queries
+//                         is the flight recorder. The listener has no
+//                         /sparql backend.
 //   --slow-ms <n>         log queries slower than n ms as one-line JSON
 //   --log-json            log every completed query as one JSON line
 //
@@ -118,7 +123,6 @@
 #include "core/id_table.h"
 #include "core/lusail_engine.h"
 #include "net/replica.h"
-#include "net/resilience.h"
 #include "obs/explain.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -699,33 +703,7 @@ int main(int argc, char** argv) {
   core::LusailEngine* metered_engine = nullptr;  // Set once built below.
   obs::ScopedCollector federation_metrics(
       &metrics, [&](obs::MetricsSnapshot* snapshot) {
-        for (size_t i = 0; i < federation->size(); ++i) {
-          net::Endpoint* endpoint = federation->endpoint(i);
-          if (auto* http = dynamic_cast<rpc::HttpSparqlEndpoint*>(endpoint)) {
-            http->ExportMetrics(snapshot);
-          } else if (auto* resilient =
-                         dynamic_cast<net::ResilientEndpoint*>(endpoint)) {
-            resilient->ExportMetrics(snapshot);
-          } else if (auto* group = dynamic_cast<net::ReplicaGroup*>(endpoint)) {
-            group->ExportMetrics(snapshot);
-          } else if (auto* sharded =
-                         dynamic_cast<shard::ShardedEndpoint*>(endpoint)) {
-            sharded->ExportMetrics(snapshot);
-            for (size_t m = 0; m < sharded->NumShards(); ++m) {
-              net::Endpoint* member = sharded->member(m);
-              if (auto* http =
-                      dynamic_cast<rpc::HttpSparqlEndpoint*>(member)) {
-                http->ExportMetrics(snapshot);
-              } else if (auto* member_group =
-                             dynamic_cast<net::ReplicaGroup*>(member)) {
-                member_group->ExportMetrics(snapshot);
-              }
-            }
-          }
-        }
-        if (federation->query_cache() != nullptr) {
-          federation->query_cache()->ExportMetrics(snapshot);
-        }
+        federation->ExportMetrics(snapshot);
         if (metered_engine != nullptr) {
           metered_engine->ExportMetrics(snapshot);  // Dictionary gauges.
         }
@@ -802,9 +780,9 @@ int main(int argc, char** argv) {
   if (options.engine == "lusail" || options.engine == "lade") {
     // ID-space fast path for remote federations: HTTP responses parse
     // straight into the engine dictionary (SRJ -> IdTable) and reach the
-    // executor with zero federator-side string rows. Baselines keep
-    // string responses; replica groups keep them too (their inner
-    // endpoints answer through the group, not directly).
+    // executor with nothing to re-encode. Other engines and a replica
+    // group's replicas parse into a dictionary local to each response,
+    // whose ids the federation translates into the engine's.
     for (size_t i = 0; i < federation->size(); ++i) {
       if (auto* http = dynamic_cast<rpc::HttpSparqlEndpoint*>(
               federation->endpoint(i))) {
@@ -937,21 +915,14 @@ int main(int argc, char** argv) {
   // One Prometheus-style line per shard counter, so scripts (and CI) can
   // assert on routing behavior without scraping a metrics port.
   for (const shard::ShardedEndpoint* sharded : sharded_endpoints) {
-    shard::ShardedEndpointStats s = sharded->stats();
-    const char* id = sharded->id().c_str();
-    std::fprintf(stderr,
-                 "# lusail_shard_queries_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_fanout_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_pruned_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_single_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_broadcast_total{endpoint=\"%s\"} %llu\n"
-                 "# lusail_shard_partial_total{endpoint=\"%s\"} %llu\n",
-                 id, static_cast<unsigned long long>(s.queries),
-                 id, static_cast<unsigned long long>(s.fanout_requests),
-                 id, static_cast<unsigned long long>(s.pruned_shards),
-                 id, static_cast<unsigned long long>(s.single_shard_queries),
-                 id, static_cast<unsigned long long>(s.broadcast_fallbacks),
-                 id, static_cast<unsigned long long>(s.partial_queries));
+    obs::MetricsSnapshot snapshot;
+    sharded->ExportMetrics(&snapshot);
+    std::istringstream exposition(snapshot.RenderPrometheus());
+    for (std::string line; std::getline(exposition, line);) {
+      if (line.rfind("lusail_shard_", 0) == 0) {
+        std::fprintf(stderr, "# %s\n", line.c_str());
+      }
+    }
   }
   if (engine == &lusail) {
     core::DictionaryStats dict_stats = lusail.dictionary()->GetStats();
@@ -984,8 +955,10 @@ int main(int argc, char** argv) {
     }
   }
   if (options.cache_stats) {
+    obs::MetricsSnapshot snapshot;
+    shared_cache.ExportMetrics(&snapshot);
     std::fprintf(stderr, "# cache stats:\n%s\n",
-                 shared_cache.ToJson().Pretty().c_str());
+                 snapshot.ToJson().Pretty().c_str());
   }
   if (!options.cache_file.empty()) {
     Status saved = shared_cache.SaveToDisk(options.cache_file);

@@ -43,8 +43,9 @@ class CachedAskEndpoint : public net::Endpoint {
   /// probes).
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
-  /// Emits lusail_ask_cache_{hits,misses}_total{endpoint=<id>}.
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const {
+  /// Emits lusail_ask_cache_{hits,misses}_total{endpoint=<id>}, then the
+  /// inner endpoint's metrics.
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override {
     obs::MetricLabels labels = {{"endpoint", id()}};
     snapshot->AddCounter("lusail_ask_cache_hits_total",
                          "ASK queries answered from the verdict tier.",
@@ -52,6 +53,7 @@ class CachedAskEndpoint : public net::Endpoint {
     snapshot->AddCounter("lusail_ask_cache_misses_total",
                          "ASK queries evaluated by the inner endpoint.",
                          labels, static_cast<double>(misses()));
+    inner_->ExportMetrics(snapshot);
   }
 
  private:

@@ -155,20 +155,6 @@ PersistedTier<V> ReadTier(SnapshotReader* reader, FromU64 from_u64) {
 
 }  // namespace
 
-obs::JsonValue TierStats::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("hits", hits);
-  out.Set("misses", misses);
-  out.Set("hit_rate", HitRate());
-  out.Set("insertions", insertions);
-  out.Set("evictions", evictions);
-  out.Set("invalidations", invalidations);
-  out.Set("expired", expired);
-  out.Set("entries", entries);
-  out.Set("bytes", bytes);
-  return out;
-}
-
 FederationCache::FederationCache(FederationCacheOptions options)
     : verdicts_(options.verdict_capacity, 0, options.verdict_max_age_ms),
       counts_(options.count_capacity, 0, options.count_max_age_ms),
@@ -350,14 +336,6 @@ Result<uint64_t> FederationCache::LoadFromDisk(const std::string& path) {
   uint64_t restored = verdicts_.RestorePersisted(verdict_tier, sizeof(bool));
   restored += counts_.RestorePersisted(count_tier, sizeof(uint64_t));
   return restored;
-}
-
-obs::JsonValue FederationCache::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("verdicts", VerdictStats().ToJson());
-  out.Set("counts", CountStats().ToJson());
-  out.Set("results", ResultStats().ToJson());
-  return out;
 }
 
 void FederationCache::ExportMetrics(obs::MetricsSnapshot* snapshot) const {

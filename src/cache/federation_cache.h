@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "sparql/ast.h"
 #include "sparql/result_table.h"
@@ -38,8 +37,6 @@ struct TierStats {
     return total == 0 ? 0.0 : static_cast<double>(hits) /
                                   static_cast<double>(total);
   }
-
-  obs::JsonValue ToJson() const;
 };
 
 /// One cache entry in its persistable form (no LRU links, no absolute
@@ -321,7 +318,7 @@ struct FederationCacheOptions {
 ///   3. *Results* — whole subquery result tables (opt-in per engine via
 ///      LusailOptions::result_cache), byte-budgeted.
 ///
-/// All tiers are bounded LRU with hit/miss/eviction counters (ToJson).
+/// All tiers are bounded LRU with hit/miss/eviction counters.
 /// Stores that mutate call Invalidate(endpoint_id) to evict exactly that
 /// endpoint's entries from every tier. Unlike the per-engine AskCache,
 /// this registry is shared by all engines and queries on the federation —
@@ -409,10 +406,6 @@ class FederationCache {
   TierStats VerdictStats() const { return verdicts_.Stats(); }
   TierStats CountStats() const { return counts_.Stats(); }
   TierStats ResultStats() const { return results_.Stats(); }
-
-  /// {"verdicts": {...}, "counts": {...}, "results": {...}} with the
-  /// hit/miss/eviction/occupancy counters of each tier.
-  obs::JsonValue ToJson() const;
 
   /// Emits lusail_cache_* counters and occupancy gauges, one sample per
   /// tier labelled {tier="verdicts"|"counts"|"results"}.

@@ -3,25 +3,8 @@
 #include <utility>
 
 #include "cache/federation_cache.h"
-#include "net/replica.h"
-#include "net/resilience.h"
 
 namespace lusail::cache {
-
-obs::JsonValue QueryServiceStats::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("accepted", accepted);
-  out.Set("rejected", rejected);
-  out.Set("completed", completed);
-  out.Set("failed", failed);
-  out.Set("in_flight", in_flight);
-  out.Set("queued", queued);
-  out.Set("running", running);
-  out.Set("expired_in_queue", expired_in_queue);
-  out.Set("cancelled", cancelled);
-  out.Set("wait", wait.ToJson());
-  return out;
-}
 
 QueryService::QueryService(const fed::Federation* federation,
                            QueryServiceOptions options)
@@ -146,34 +129,6 @@ QueryServiceStats QueryService::Stats() const {
   return s;
 }
 
-obs::JsonValue QueryService::StatsJson() const {
-  obs::JsonValue out = Stats().ToJson();
-  const fed::Federation* federation = engine_.federation();
-  if (federation == nullptr) return out;
-  obs::JsonValue endpoints = obs::JsonValue::Array();
-  for (size_t i = 0; i < federation->size(); ++i) {
-    obs::JsonValue entry = obs::JsonValue::Object();
-    entry.Set("id", federation->id(i));
-    entry.Set("breaker_state",
-              std::string(net::CircuitBreaker::StateName(
-                  federation->breaker(i)->state())));
-    entry.Set("breaker_trips", federation->breaker(i)->trips());
-    net::Endpoint* endpoint = federation->endpoint(i);
-    if (auto* resilient = dynamic_cast<net::ResilientEndpoint*>(endpoint)) {
-      // Includes a nested "replica_group" when the wrapper sits over one.
-      entry.Set("resilience", resilient->StatsJson());
-    } else if (auto* group = dynamic_cast<net::ReplicaGroup*>(endpoint)) {
-      entry.Set("replica_group", group->StatsJson());
-    }
-    endpoints.Append(std::move(entry));
-  }
-  out.Set("endpoints", std::move(endpoints));
-  if (FederationCache* cache = federation->query_cache()) {
-    out.Set("cache", cache->ToJson());
-  }
-  return out;
-}
-
 void QueryService::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   QueryServiceStats s = Stats();
   obs::MetricLabels none;
@@ -198,6 +153,9 @@ void QueryService::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   snapshot->AddGauge("lusail_service_in_flight",
                      "Queries currently queued or running.", none,
                      static_cast<double>(s.in_flight));
+  snapshot->AddGauge("lusail_service_queued",
+                     "Queries admitted and waiting for a worker.", none,
+                     static_cast<double>(s.queued));
   snapshot->AddGauge("lusail_service_running",
                      "Queries currently executing on a worker.", none,
                      static_cast<double>(s.running));
@@ -206,18 +164,8 @@ void QueryService::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   // lusail_engine_dictionary_* — the id space the service executes in.
   engine_.ExportMetrics(snapshot);
 
-  const fed::Federation* federation = engine_.federation();
-  if (federation == nullptr) return;
-  for (size_t i = 0; i < federation->size(); ++i) {
-    net::Endpoint* endpoint = federation->endpoint(i);
-    if (auto* resilient = dynamic_cast<net::ResilientEndpoint*>(endpoint)) {
-      resilient->ExportMetrics(snapshot);  // Includes a wrapped group.
-    } else if (auto* group = dynamic_cast<net::ReplicaGroup*>(endpoint)) {
-      group->ExportMetrics(snapshot);
-    }
-  }
-  if (FederationCache* cache = federation->query_cache()) {
-    cache->ExportMetrics(snapshot);
+  if (const fed::Federation* federation = engine_.federation()) {
+    federation->ExportMetrics(snapshot);
   }
 }
 

@@ -17,7 +17,6 @@
 #include "federation/federation.h"
 #include "obs/endpoint_stats.h"
 #include "obs/flight_recorder.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace lusail::cache {
@@ -54,9 +53,7 @@ struct QueryServiceStats {
   /// clients give the service less budget than its queue wait.
   uint64_t expired_in_queue = 0;
   uint64_t cancelled = 0;  ///< Cancel(id) calls that matched a live query.
-  obs::LatencyHistogram wait;  ///< Queue wait, p50/p95/p99 via ToJson.
-
-  obs::JsonValue ToJson() const;
+  obs::LatencyHistogram wait;  ///< Queue wait, admission to start.
 };
 
 /// Handle returned by SubmitCancellable: the service-assigned query id
@@ -106,15 +103,10 @@ class QueryService {
 
   QueryServiceStats Stats() const;
 
-  /// The Stats() counters plus an "endpoints" section with each
-  /// endpoint's circuit-breaker state and — for replica groups and
-  /// resilient wrappers — failover/hedge counters and per-replica
-  /// health, and a "cache" section when a FederationCache is attached.
-  obs::JsonValue StatsJson() const;
-
-  /// Emits lusail_service_* counters, the queue-wait histogram, and the
-  /// nested exports of every endpoint wrapper plus the federation cache
-  /// — everything /metrics needs from the serving layer in one call.
+  /// Emits lusail_service_* counters and gauges, the queue-wait
+  /// histogram, the engine dictionary's gauges and
+  /// Federation::ExportMetrics — everything /metrics needs from the
+  /// serving layer in one call.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
 
   /// Warm-loads the federation's shared FederationCache from a

@@ -143,7 +143,8 @@ std::vector<IdTable> JoinConnected(std::vector<IdTable> tables,
 
 std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
     int ep, const std::string& text, const std::string& cache_key,
-    bool cacheable, TermDictionary* dict, fed::IssueContext ctx) {
+    bool cacheable, TermDictionary* dict, fed::IssueContext ctx,
+    bool cutoff_on_failure) {
   cache::FederationCache* shared =
       (cacheable && options_->use_cache && options_->result_cache)
           ? federation_->query_cache()
@@ -171,13 +172,19 @@ std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
       });
     }
   }
+  // Copied before ctx moves into Issue. A default token never fires.
+  CancelToken cutoff = cutoff_on_failure ? ctx.cutoff : CancelToken();
   // The string form of the response rides along exactly when the wire
   // path produced one anyway; the pure id path (parse-to-ids transport)
   // decodes only if a cache store actually needs it.
   return federation_->Issue(
       pool_, static_cast<size_t>(ep), text, std::move(ctx),
-      [shared, endpoint_id, cache_key,
-       dict](Result<net::QueryResponse> response) {
+      [shared, endpoint_id, cache_key, dict, cutoff](
+          Result<net::QueryResponse> response) mutable -> Result<IdTable> {
+        if (!response.ok()) {
+          if (cutoff.CancelRequested()) return IdTable();
+          cutoff.Cancel();
+        }
         std::optional<sparql::ResultTable> wire;
         Result<IdTable> ids = fed::Federation::ToIds(
             std::move(response), dict, shared != nullptr ? &wire : nullptr);
@@ -198,7 +205,7 @@ SapeExecutor::Issued SapeExecutor::IssueEverywhere(
     const sparql::ValuesClause* values,
     const std::vector<rdf::TermId>* bound_ids, TermDictionary* dict,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
-    obs::SpanId trace_parent, size_t row_limit) {
+    obs::SpanId trace_parent, size_t row_limit, const CancelToken* failed) {
   std::string text = sq.ToSparql(triples, values);
   // The LIMIT rides inside the text, so the shared result cache keys a
   // limited fetch separately from the unlimited one — a capped answer
@@ -236,10 +243,12 @@ SapeExecutor::Issued SapeExecutor::IssueEverywhere(
   issued.ctx.trace_parent = trace_parent;
   issued.ctx.kind = fed::RequestKind::kFetch;
   if (row_limit > 0) issued.ctx.cutoff = CancelToken::Cancellable();
+  if (failed != nullptr) issued.ctx.cutoff = *failed;
   issued.futures.reserve(sq.sources.size());
   for (int ep : sq.sources) {
-    issued.futures.push_back(
-        FetchEndpoint(ep, text, cache_key, cacheable, dict, issued.ctx));
+    issued.futures.push_back(FetchEndpoint(ep, text, cache_key, cacheable,
+                                           dict, issued.ctx,
+                                           failed != nullptr));
   }
   return issued;
 }
@@ -253,7 +262,9 @@ Status SapeExecutor::CollectEverywhere(Issued issued, IdTable* merged) {
     if (!table.ok()) {
       // Skipped, or failed after the union already held enough rows:
       // either way the answer needs nothing from it.
-      if (issued.ctx.cutoff.CancelRequested()) continue;
+      if (issued.row_limit > 0 && issued.ctx.cutoff.CancelRequested()) {
+        continue;
+      }
       failures.push_back({issued.sources[k], table.status()});
       continue;
     }
@@ -615,7 +626,9 @@ Result<IdTable> SapeExecutor::Execute(
     // block goes alone; once it has landed, every other block goes out in
     // one wave, and the parts are unioned in block order. The token is
     // checked before each of the two sends, so a cancel seen after the
-    // first block stops the join before the other blocks are sent.
+    // first block stops the join before the other blocks are sent. Unless
+    // a failed block is merely dropped (partial_results), the first
+    // failure fires `failed` and the blocks not yet sent skip the wire.
     Subquery bound_sq = sq;
     bound_sq.sources = sources;
     if (std::find(bound_sq.projection.begin(), bound_sq.projection.end(),
@@ -627,6 +640,8 @@ Result<IdTable> SapeExecutor::Execute(
     const size_t block = std::max<size_t>(1, options_->bound_join_block_size);
     size_t values_blocks = 0;
     size_t waves = 0;
+    const CancelToken failed = CancelToken::Cancellable();
+    const CancelToken* cutoff = options_->partial_results ? nullptr : &failed;
     Status status;
     for (size_t start = 0; start < bindings.size() && status.ok();) {
       if (cancel.Cancelled()) {
@@ -646,7 +661,8 @@ Result<IdTable> SapeExecutor::Execute(
           values.rows.push_back({dict->term(id)});
         }
         wave.push_back(IssueEverywhere(bound_sq, triples, &values, &chunk_ids,
-                                       dict, metrics, cancel, sq_span));
+                                       dict, metrics, cancel, sq_span,
+                                       /*row_limit=*/0, cutoff));
       }
       ++waves;
       values_blocks += wave.size();

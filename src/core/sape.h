@@ -30,8 +30,10 @@ namespace lusail::core {
 /// alone and, once that block has landed, every other block in one wave,
 /// unioning the parts in block order; so it costs at most two serial
 /// round trips, and a cancel seen after the first block sends nothing
-/// more. The global join runs as a parallel partitioned hash join in the
-/// order chosen by the DP join optimizer.
+/// more. Without partial_results the first failed block fails the join,
+/// so its failure fires a cutoff shared by the join's blocks and those
+/// not yet sent skip the wire. The global join runs as a parallel
+/// partitioned hash join in the order chosen by the DP join optimizer.
 class SapeExecutor {
  public:
   SapeExecutor(const fed::Federation* federation, ThreadPool* pool,
@@ -82,13 +84,19 @@ class SapeExecutor {
   /// default parent tracks the caller's current phase. `row_limit` > 0
   /// appends a LIMIT clause to the generated text (any `row_limit` rows
   /// satisfy the caller) and arms a row budget (see CollectEverywhere).
+  /// A non-null `failed` is a cutoff shared with other Issued (a bound
+  /// join's blocks): the first fetch that fails fires it, so fetches not
+  /// yet sent are skipped, and a fetch that fails or is skipped after it
+  /// fired answers an empty table, because that first failure already
+  /// decides the call.
   Issued IssueEverywhere(const Subquery& sq,
                          const std::vector<sparql::TriplePattern>& triples,
                          const sparql::ValuesClause* values,
                          const std::vector<rdf::TermId>* bound_ids,
                          TermDictionary* dict, fed::MetricsCollector* metrics,
                          const CancelToken& cancel,
-                         obs::SpanId trace_parent = 0, size_t row_limit = 0);
+                         obs::SpanId trace_parent = 0, size_t row_limit = 0,
+                         const CancelToken* failed = nullptr);
 
   /// Waits for every future of `issued` — all of them, whatever fails,
   /// so nothing a response touches is released under it — and appends
@@ -113,11 +121,14 @@ class SapeExecutor {
   /// string rows into `dict` on the pool. A miss is decoded by
   /// Federation::ToIds on the pool, so an endpoint parsing straight into
   /// `dict` hands back ids untouched.
+  /// `cutoff_on_failure` makes a failure fire ctx.cutoff (see
+  /// IssueEverywhere's `failed`).
   std::future<Result<IdTable>> FetchEndpoint(int ep, const std::string& text,
                                              const std::string& cache_key,
                                              bool cacheable,
                                              TermDictionary* dict,
-                                             fed::IssueContext ctx);
+                                             fed::IssueContext ctx,
+                                             bool cutoff_on_failure = false);
 
   const fed::Federation* federation_;
   ThreadPool* pool_;

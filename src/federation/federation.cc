@@ -5,6 +5,7 @@
 #include <cctype>
 #include <optional>
 
+#include "cache/federation_cache.h"
 #include "net/latency_model.h"
 #include "obs/trace_context.h"
 
@@ -61,6 +62,20 @@ size_t Federation::Add(std::shared_ptr<net::Endpoint> endpoint) {
   endpoints_.push_back(std::move(endpoint));
   breakers_.push_back(std::make_unique<net::CircuitBreaker>(breaker_config_));
   return endpoints_.size() - 1;
+}
+
+void Federation::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    endpoints_[i]->ExportMetrics(snapshot);
+    obs::MetricLabels labels{{"endpoint", id(i)}};
+    breakers_[i]->ExportState(snapshot, "lusail_federation_breaker_state",
+                              labels);
+    snapshot->AddCounter("lusail_federation_breaker_trips_total",
+                         "Federation circuit-breaker transitions to open.",
+                         std::move(labels),
+                         static_cast<double>(breakers_[i]->trips()));
+  }
+  if (query_cache_ != nullptr) query_cache_->ExportMetrics(snapshot);
 }
 
 void Federation::ConfigureBreakers(const net::CircuitBreakerConfig& config) {

@@ -23,6 +23,7 @@
 #include "net/resilience.h"
 #include "obs/endpoint_stats.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sparql/probe.h"
 #include "sparql/result_table.h"
@@ -396,6 +397,13 @@ class Federation {
     query_cache_ = cache;
   }
   cache::FederationCache* query_cache() const { return query_cache_; }
+
+  /// Scrape-time telemetry of the federation: each endpoint's own
+  /// (net::Endpoint::ExportMetrics, which walks its decorators), the
+  /// state and trips of the breaker guarding each endpoint
+  /// ({endpoint=<id>}) and the attached query cache's. An attached stats
+  /// registry exports itself (EndpointStatsRegistry::ExportMetrics).
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
 
   /// Issues `text` at endpoint `i` and returns a future for
   /// `on_response(response)`. This is the one request path of every

@@ -11,6 +11,10 @@
 #include "core/dictionary.h"
 #include "core/id_table.h"
 
+namespace lusail::obs {
+class MetricsSnapshot;
+}  // namespace lusail::obs
+
 namespace lusail::net {
 
 /// How a response physically travelled. In-process endpoints leave the
@@ -158,6 +162,13 @@ class Endpoint {
                                                const CancelToken& cancel,
                                                const StreamOptions& options,
                                                const StreamSink& sink);
+
+  /// Adds this endpoint's telemetry to `snapshot` at scrape time. An
+  /// endpoint with counters of its own exports them; a decorator exports
+  /// its own and then forwards to every endpoint it wraps, so one call on
+  /// the outermost endpoint reports the whole stack, each layer once.
+  /// The default has nothing to report.
+  virtual void ExportMetrics(obs::MetricsSnapshot* /*snapshot*/) const {}
 };
 
 }  // namespace lusail::net

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <thread>
+#include <utility>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace lusail::net {
 
@@ -101,6 +103,32 @@ FaultStats FaultInjectingEndpoint::stats() const {
   stats.outage_failures = outage_failures_.load(std::memory_order_relaxed);
   stats.passed_through = passed_through_.load(std::memory_order_relaxed);
   return stats;
+}
+
+void FaultInjectingEndpoint::ExportMetrics(
+    obs::MetricsSnapshot* snapshot) const {
+  FaultStats s = stats();
+  obs::MetricLabels labels{{"endpoint", id()}};
+  snapshot->AddCounter("lusail_fault_requests_total",
+                       "Requests reaching the fault injector.", labels,
+                       static_cast<double>(s.requests));
+  snapshot->AddCounter("lusail_fault_passed_through_total",
+                       "Requests the inner endpoint served.", labels,
+                       static_cast<double>(s.passed_through));
+  const std::pair<const char*, uint64_t> injected[] = {
+      {"error", s.injected_errors},
+      {"timeout", s.injected_timeouts},
+      {"rate_limit", s.injected_rate_limits},
+      {"slowdown", s.injected_slowdowns},
+      {"outage", s.outage_failures}};
+  for (const auto& [kind, count] : injected) {
+    obs::MetricLabels kind_labels = labels;
+    kind_labels.emplace_back("kind", kind);
+    snapshot->AddCounter("lusail_fault_injected_total",
+                         "Faults injected, by kind.", std::move(kind_labels),
+                         static_cast<double>(count));
+  }
+  inner_->ExportMetrics(snapshot);
 }
 
 void FaultInjectingEndpoint::ResetHistory() {

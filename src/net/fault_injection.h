@@ -103,6 +103,10 @@ class FaultInjectingEndpoint : public Endpoint {
   const FaultProfile& profile() const { return profile_; }
   FaultStats stats() const;
 
+  /// Emits lusail_fault_* counters labelled {endpoint=<id>}, then the
+  /// inner endpoint's metrics.
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
+
   /// Forgets all request history (occurrence counters and stats); the
   /// fault stream restarts from the beginning.
   void ResetHistory();

@@ -8,26 +8,6 @@
 
 namespace lusail::net {
 
-namespace {
-
-const char* HealthName(bool healthy) {
-  return healthy ? "healthy" : "unhealthy";
-}
-
-}  // namespace
-
-obs::JsonValue ReplicaGroupStats::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("requests", requests);
-  out.Set("failovers", failovers);
-  out.Set("probes", probes);
-  out.Set("hedges_launched", hedges_launched);
-  out.Set("hedge_wins", hedge_wins);
-  out.Set("hedge_losses", hedge_losses);
-  out.Set("breaker_skips", breaker_skips);
-  return out;
-}
-
 ReplicaGroup::ReplicaGroup(std::string id,
                            std::vector<std::shared_ptr<Endpoint>> replicas,
                            ReplicaGroupOptions options)
@@ -509,13 +489,23 @@ void ReplicaGroup::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   snapshot->AddCounter("lusail_replica_breaker_skips_total",
                        "Replicas skipped on an open breaker.", labels,
                        static_cast<double>(s.breaker_skips));
+  const Clock::time_point now = Clock::now();
   for (const auto& replica : replicas_) {
     obs::MetricLabels replica_labels{{"endpoint", id_},
                                      {"replica", replica->endpoint->id()}};
     obs::LatencyHistogram latency;
+    Health health;
+    bool stale;
+    bool probed;
     {
       std::lock_guard<std::mutex> lock(replica->mu);
       latency = replica->latency;
+      health = replica->health;
+      stale = health != Health::kUnknown &&
+              std::chrono::duration<double, std::milli>(
+                  now - replica->verdict_at)
+                      .count() > options_.health_decay_ms;
+      probed = replica->probed;
     }
     snapshot->AddHistogram("lusail_replica_latency_seconds",
                            "Per-replica request latency.", replica_labels,
@@ -523,44 +513,28 @@ void ReplicaGroup::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
     snapshot->AddGauge(
         "lusail_replica_breaker_open",
         "1 when the replica's circuit breaker would reject a request.",
-        std::move(replica_labels),
-        replica->breaker.WouldAllowRequest() ? 0.0 : 1.0);
+        replica_labels, replica->breaker.WouldAllowRequest() ? 0.0 : 1.0);
+    replica->breaker.ExportState(snapshot, "lusail_replica_breaker_state",
+                                 replica_labels);
+    snapshot->AddCounter("lusail_replica_breaker_trips_total",
+                         "Replica circuit-breaker transitions to open.",
+                         replica_labels,
+                         static_cast<double>(replica->breaker.trips()));
+    snapshot->AddStateSet(
+        "lusail_replica_health", "Latest health verdict on the replica.",
+        replica_labels, "verdict", {"healthy", "unhealthy", "unknown"},
+        health == Health::kHealthy     ? "healthy"
+        : health == Health::kUnhealthy ? "unhealthy"
+                                       : "unknown");
+    snapshot->AddGauge("lusail_replica_health_stale",
+                       "1 when the verdict is older than the health decay "
+                       "and the replica ranks as unknown again.",
+                       replica_labels, stale ? 1.0 : 0.0);
+    snapshot->AddGauge("lusail_replica_probed",
+                       "1 once a lazy probe was issued (or skipped).",
+                       replica_labels, probed ? 1.0 : 0.0);
+    replica->endpoint->ExportMetrics(snapshot);
   }
-}
-
-obs::JsonValue ReplicaGroup::StatsJson() const {
-  obs::JsonValue out = stats().ToJson();
-  out.Set("id", id_);
-  obs::JsonValue replicas = obs::JsonValue::Array();
-  Clock::time_point now = Clock::now();
-  for (const auto& replica : replicas_) {
-    obs::JsonValue entry = obs::JsonValue::Object();
-    entry.Set("id", replica->endpoint->id());
-    entry.Set("breaker_state", std::string(CircuitBreaker::StateName(
-                                   replica->breaker.state())));
-    entry.Set("breaker_trips", replica->breaker.trips());
-    {
-      std::lock_guard<std::mutex> lock(replica->mu);
-      double age_ms =
-          std::chrono::duration<double, std::milli>(now - replica->verdict_at)
-              .count();
-      bool fresh = replica->health != Health::kUnknown &&
-                   age_ms <= options_.health_decay_ms;
-      std::string health = "unknown";
-      if (replica->health != Health::kUnknown) {
-        health = HealthName(replica->health == Health::kHealthy);
-        if (!fresh) health += " (stale)";
-      }
-      entry.Set("health", std::move(health));
-      entry.Set("probed", replica->probed);
-      entry.Set("latency_count", replica->latency.count());
-      entry.Set("latency_p50_ms", replica->latency.P50());
-      entry.Set("latency_p95_ms", replica->latency.P95());
-    }
-    replicas.Append(std::move(entry));
-  }
-  out.Set("replicas", std::move(replicas));
-  return out;
 }
 
 }  // namespace lusail::net

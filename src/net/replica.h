@@ -17,7 +17,6 @@
 #include "net/endpoint.h"
 #include "net/resilience.h"
 #include "obs/endpoint_stats.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace lusail::net {
@@ -65,8 +64,6 @@ struct ReplicaGroupStats {
   uint64_t hedge_wins = 0;       ///< Hedge answered first (and won).
   uint64_t hedge_losses = 0;     ///< Primary answered first despite hedge.
   uint64_t breaker_skips = 0;    ///< Replicas skipped on an open breaker.
-
-  obs::JsonValue ToJson() const;
 };
 
 /// N replicas of one logical endpoint behind a single Endpoint facade.
@@ -128,14 +125,12 @@ class ReplicaGroup : public Endpoint {
 
   ReplicaGroupStats stats() const;
 
-  /// Group counters plus a per-replica section: breaker state, health
-  /// verdict (healthy / unhealthy / unknown / stale), probe status, and
-  /// latency percentiles.
-  obs::JsonValue StatsJson() const;
-
-  /// Emits lusail_replica_* counters ({endpoint=<group id>}) and the
-  /// per-replica latency histograms ({endpoint,replica}).
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
+  /// Emits lusail_replica_* counters ({endpoint=<group id>}) and, per
+  /// replica ({endpoint,replica}), its latency histogram, breaker state
+  /// and trips, health verdict (healthy / unhealthy / unknown, plus
+  /// whether the verdict is stale) and whether it was probed; then each
+  /// replica's own metrics.
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
   const ReplicaGroupOptions& options() const { return options_; }
 

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/rng.h"
-#include "net/replica.h"
 
 namespace lusail::net {
 
@@ -129,6 +128,13 @@ const char* CircuitBreaker::StateName(State state) {
       return "half-open";
   }
   return "unknown";
+}
+
+void CircuitBreaker::ExportState(obs::MetricsSnapshot* snapshot,
+                                 const std::string& name,
+                                 const obs::MetricLabels& labels) const {
+  snapshot->AddStateSet(name, "Circuit-breaker state.", labels, "state",
+                        {"closed", "open", "half-open"}, StateName(state()));
 }
 
 // ---------------------------------------------------------------------
@@ -376,18 +382,6 @@ ResilienceStats ResilientEndpoint::stats() const {
   return stats;
 }
 
-obs::JsonValue ResilienceStats::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("requests", requests);
-  out.Set("attempts", attempts);
-  out.Set("retries", retries);
-  out.Set("failures", failures);
-  out.Set("breaker_rejections", breaker_rejections);
-  out.Set("breaker_trips", breaker_trips);
-  out.Set("backoff_ms", backoff_ms);
-  return out;
-}
-
 void ResilientEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   ResilienceStats s = stats();
   obs::MetricLabels labels{{"endpoint", id()}};
@@ -414,24 +408,10 @@ void ResilientEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
                        s.backoff_ms / 1e3);
   snapshot->AddGauge(
       "lusail_resilience_breaker_open",
-      "1 when the breaker would reject a request right now.",
-      std::move(labels), breaker_.WouldAllowRequest() ? 0.0 : 1.0);
-  if (const auto* group = dynamic_cast<const ReplicaGroup*>(inner_.get())) {
-    group->ExportMetrics(snapshot);
-  }
-}
-
-obs::JsonValue ResilientEndpoint::StatsJson() const {
-  obs::JsonValue out = stats().ToJson();
-  out.Set("breaker_state", std::string(CircuitBreaker::StateName(
-                               breaker_.state())));
-  out.Set("breaker_trips_total", breaker_.trips());
-  // A resilient wrapper around a replica group exposes the group's
-  // failover/hedge counters and per-replica breakers alongside its own.
-  if (const auto* group = dynamic_cast<const ReplicaGroup*>(inner_.get())) {
-    out.Set("replica_group", group->StatsJson());
-  }
-  return out;
+      "1 when the breaker would reject a request right now.", labels,
+      breaker_.WouldAllowRequest() ? 0.0 : 1.0);
+  breaker_.ExportState(snapshot, "lusail_resilience_breaker_state", labels);
+  inner_->ExportMetrics(snapshot);
 }
 
 }  // namespace lusail::net

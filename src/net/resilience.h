@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "net/endpoint.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -129,6 +128,10 @@ class CircuitBreaker {
 
   static const char* StateName(State state);
 
+  /// Emits `name`{labels,state=closed|open|half-open} as a state set.
+  void ExportState(obs::MetricsSnapshot* snapshot, const std::string& name,
+                   const obs::MetricLabels& labels) const;
+
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -184,8 +187,6 @@ struct ResilienceStats {
   uint64_t breaker_rejections = 0;
   uint64_t breaker_trips = 0;
   double backoff_ms = 0.0;
-
-  obs::JsonValue ToJson() const;
 };
 
 /// Decorator giving any endpoint a retry policy and a circuit breaker.
@@ -219,13 +220,9 @@ class ResilientEndpoint : public Endpoint {
 
   ResilienceStats stats() const;
 
-  /// Operational snapshot: the cumulative stats plus the breaker's
-  /// current state ("closed" / "open" / "half-open") and trip count.
-  obs::JsonValue StatsJson() const;
-
-  /// Emits lusail_resilience_* counters labelled {endpoint=<id>}; a
-  /// wrapped ReplicaGroup exports its lusail_replica_* metrics too.
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
+  /// Emits lusail_resilience_* counters and the breaker's state labelled
+  /// {endpoint=<id>}, then the wrapped endpoint's metrics.
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
  private:
   std::shared_ptr<Endpoint> inner_;

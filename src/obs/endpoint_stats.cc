@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 
 namespace lusail::obs {
 
@@ -89,18 +88,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   total_us_ += other.total_us_;
 }
 
-JsonValue LatencyHistogram::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  out.Set("count", count_);
-  out.Set("mean_ms", MeanMs());
-  out.Set("min_ms", MinMs());
-  out.Set("p50_ms", P50());
-  out.Set("p95_ms", P95());
-  out.Set("p99_ms", P99());
-  out.Set("max_ms", MaxMs());
-  return out;
-}
-
 // ---------------------------------------------------------------------
 // EndpointStats
 // ---------------------------------------------------------------------
@@ -122,31 +109,6 @@ void EndpointStats::Merge(const EndpointStats& other) {
   wire_bytes_sent += other.wire_bytes_sent;
   wire_bytes_received += other.wire_bytes_received;
   latency.Merge(other.latency);
-}
-
-JsonValue EndpointStats::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  out.Set("requests", requests);
-  out.Set("successes", successes);
-  out.Set("errors", errors);
-  out.Set("timeouts", timeouts);
-  out.Set("retries", retries);
-  out.Set("breaker_rejections", breaker_rejections);
-  out.Set("breaker_trips", breaker_trips);
-  out.Set("bytes_sent", bytes_sent);
-  out.Set("bytes_received", bytes_received);
-  out.Set("rows_received", rows_received);
-  if (network_requests > 0) {
-    JsonValue transport = JsonValue::Object();
-    transport.Set("network_requests", network_requests);
-    transport.Set("connections_opened", connections_opened);
-    transport.Set("connections_reused", connections_reused);
-    transport.Set("wire_bytes_sent", wire_bytes_sent);
-    transport.Set("wire_bytes_received", wire_bytes_received);
-    out.Set("transport", std::move(transport));
-  }
-  out.Set("latency", latency.ToJson());
-  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -276,16 +238,6 @@ void EndpointStatsRegistry::Merge(const EndpointStatsRegistry& other) {
   }
 }
 
-JsonValue EndpointStatsRegistry::ToJson() const {
-  JsonValue endpoints = JsonValue::Object();
-  for (const auto& [id, stats] : All()) {
-    endpoints.Set(id, stats.ToJson());
-  }
-  JsonValue out = JsonValue::Object();
-  out.Set("endpoints", std::move(endpoints));
-  return out;
-}
-
 void EndpointStatsRegistry::ExportMetrics(MetricsSnapshot* snapshot) const {
   for (const auto& [id, stats] : All()) {
     MetricLabels labels = {{"endpoint", id}};
@@ -322,29 +274,23 @@ void EndpointStatsRegistry::ExportMetrics(MetricsSnapshot* snapshot) const {
     snapshot->AddHistogram("lusail_endpoint_latency_seconds",
                            "Successful-request latency.", labels,
                            stats.latency);
+    if (stats.network_requests == 0) continue;
+    snapshot->AddCounter("lusail_endpoint_network_requests_total",
+                         "Requests that crossed a real socket.", labels,
+                         static_cast<double>(stats.network_requests));
+    snapshot->AddCounter("lusail_endpoint_network_connections_opened_total",
+                         "Fresh TCP connects.", labels,
+                         static_cast<double>(stats.connections_opened));
+    snapshot->AddCounter("lusail_endpoint_network_connections_reused_total",
+                         "Pooled keep-alive connections reused.", labels,
+                         static_cast<double>(stats.connections_reused));
+    snapshot->AddCounter("lusail_endpoint_network_bytes_sent_total",
+                         "Wire bytes written, HTTP framing included.", labels,
+                         static_cast<double>(stats.wire_bytes_sent));
+    snapshot->AddCounter("lusail_endpoint_network_bytes_received_total",
+                         "Wire bytes read, HTTP framing included.", labels,
+                         static_cast<double>(stats.wire_bytes_received));
   }
-}
-
-std::string EndpointStatsRegistry::ToText() const {
-  std::string out =
-      "endpoint                 reqs    ok   err    to  retry  brk  "
-      "p50ms    p95ms    p99ms\n";
-  for (const auto& [id, s] : All()) {
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%-22s %6llu %5llu %5llu %5llu %6llu %4llu %8.3f %8.3f "
-                  "%8.3f\n",
-                  id.c_str(),
-                  static_cast<unsigned long long>(s.requests),
-                  static_cast<unsigned long long>(s.successes),
-                  static_cast<unsigned long long>(s.errors),
-                  static_cast<unsigned long long>(s.timeouts),
-                  static_cast<unsigned long long>(s.retries),
-                  static_cast<unsigned long long>(s.breaker_trips),
-                  s.latency.P50(), s.latency.P95(), s.latency.P99());
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace lusail::obs

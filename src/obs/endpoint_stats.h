@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/json.h"
-
 namespace lusail::obs {
 
 class MetricsSnapshot;  // metrics.h includes this header; declared here
@@ -45,8 +43,6 @@ class LatencyHistogram {
 
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
 
-  JsonValue ToJson() const;
-
  private:
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t count_ = 0;
@@ -79,7 +75,6 @@ struct EndpointStats {
   LatencyHistogram latency;
 
   void Merge(const EndpointStats& other);
-  JsonValue ToJson() const;
 };
 
 /// Everything one completed endpoint exchange contributes to the stats,
@@ -140,14 +135,9 @@ class EndpointStatsRegistry {
   /// histogram merges).
   void Merge(const EndpointStatsRegistry& other);
 
-  /// {"endpoints": {"<id>": {...counters, latency percentiles...}}}
-  JsonValue ToJson() const;
-
-  /// Fixed-width table for terminal output.
-  std::string ToText() const;
-
   /// Emits lusail_endpoint_* counters and the success-latency histogram,
-  /// one sample per endpoint labelled {endpoint=<id>}.
+  /// one sample per endpoint labelled {endpoint=<id>}; endpoints reached
+  /// over a socket add the lusail_endpoint_network_* transport counters.
   void ExportMetrics(MetricsSnapshot* snapshot) const;
 
  private:

@@ -140,6 +140,30 @@ void MetricsSnapshot::AddHistogram(const std::string& name,
       std::move(sample));
 }
 
+void MetricsSnapshot::AddStateSet(const std::string& name,
+                                  const std::string& help,
+                                  const MetricLabels& labels,
+                                  const std::string& key,
+                                  const std::vector<std::string>& states,
+                                  const std::string& current) {
+  for (const std::string& state : states) {
+    MetricLabels state_labels = labels;
+    state_labels.emplace_back(key, state);
+    AddGauge(name, help, std::move(state_labels),
+             state == current ? 1.0 : 0.0);
+  }
+}
+
+const MetricSample* MetricsSnapshot::Find(const std::string& name,
+                                          const MetricLabels& labels) const {
+  auto it = index_.find(name);
+  if (it == index_.end()) return nullptr;
+  for (const MetricSample& sample : families_[it->second].samples) {
+    if (sample.labels == labels) return &sample;
+  }
+  return nullptr;
+}
+
 std::string MetricsSnapshot::RenderPrometheus() const {
   std::string out;
   for (const MetricFamily& family : families_) {
@@ -191,6 +215,15 @@ JsonValue MetricsSnapshot::ToJson() const {
       if (family.type == MetricType::kHistogram) {
         entry.Set("count", sample.count);
         entry.Set("sum_seconds", sample.sum_seconds);
+        JsonValue buckets = JsonValue::Array();
+        for (size_t b = 0; b < sample.buckets.size(); ++b) {
+          if (sample.buckets[b] == 0) continue;
+          JsonValue bucket = JsonValue::Object();
+          bucket.Set("le", BucketBoundSeconds(b));
+          bucket.Set("count", sample.buckets[b]);
+          buckets.Append(std::move(bucket));
+        }
+        entry.Set("buckets", std::move(buckets));
       } else {
         entry.Set("value", sample.value);
       }

@@ -59,7 +59,20 @@ class MetricsSnapshot {
   void AddHistogram(const std::string& name, const std::string& help,
                     MetricLabels labels, const LatencyHistogram& histogram);
 
+  /// A state set: one gauge per entry of `states`, labelled `labels` plus
+  /// {<key>=<state>}, 1 for `current` and 0 for the others, so every
+  /// series exists on every scrape whatever the state.
+  void AddStateSet(const std::string& name, const std::string& help,
+                   const MetricLabels& labels, const std::string& key,
+                   const std::vector<std::string>& states,
+                   const std::string& current);
+
   const std::vector<MetricFamily>& families() const { return families_; }
+
+  /// The sample of family `name` whose labels equal `labels` (same pairs,
+  /// same order), or null.
+  const MetricSample* Find(const std::string& name,
+                           const MetricLabels& labels) const;
 
   /// Prometheus text exposition format (version 0.0.4): # HELP / # TYPE
   /// lines per family, histogram buckets as cumulative `_bucket{le=...}`
@@ -67,8 +80,10 @@ class MetricsSnapshot {
   /// with `_sum` and `_count`.
   std::string RenderPrometheus() const;
 
-  /// The same data as a JSON object keyed by metric name, for the bench
-  /// dump files.
+  /// The same data as a JSON object keyed by metric name: per sample its
+  /// labels and value, or for a histogram its count, sum and non-empty
+  /// buckets ({"le": upper bound in seconds, "count": samples in that
+  /// bucket alone}). GET /stats and the bench dump files render this.
   JsonValue ToJson() const;
 
  private:

@@ -102,22 +102,6 @@ StatusCode CodeForHttpStatus(int http_status, const std::string& code_name) {
   }
 }
 
-obs::JsonValue HttpServerStats::ToJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("connections_accepted", connections_accepted);
-  out.Set("requests", requests);
-  out.Set("bad_requests", bad_requests);
-  out.Set("failed_queries", failed_queries);
-  out.Set("truncated_results", truncated_results);
-  out.Set("timed_out_queries", timed_out_queries);
-  out.Set("cancelled_queries", cancelled_queries);
-  out.Set("streamed_requests", streamed_requests);
-  out.Set("stream_aborts", stream_aborts);
-  out.Set("bytes_in", bytes_in);
-  out.Set("bytes_out", bytes_out);
-  return out;
-}
-
 HttpServer::HttpServer(std::shared_ptr<net::Endpoint> endpoint,
                        HttpServerOptions options)
     : endpoint_(std::move(endpoint)), options_(std::move(options)) {
@@ -280,6 +264,13 @@ void HttpServer::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   snapshot->AddCounter("lusail_rpc_bytes_out_total",
                        "Wire bytes written, headers included.", labels,
                        static_cast<double>(s.bytes_out));
+}
+
+obs::MetricsSnapshot HttpServer::CollectMetrics() const {
+  obs::MetricsSnapshot snapshot;
+  ExportMetrics(&snapshot);
+  if (options_.metrics != nullptr) options_.metrics->CollectInto(&snapshot);
+  return snapshot;
 }
 
 void HttpServer::AcceptLoop() {
@@ -456,21 +447,16 @@ HttpResponse HttpServer::Handle(const HttpRequest& request, int fd,
   if (target == "/stats" && request.method == "GET") {
     obs::JsonValue body = obs::JsonValue::Object();
     body.Set("endpoint", endpoint_id());
-    body.Set("server", stats().ToJson());
+    body.Set("metrics", CollectMetrics().ToJson());
     return JsonResponse(200, std::move(body));
   }
   if (target == "/metrics" && request.method == "GET") {
-    obs::MetricsSnapshot snapshot;
-    ExportMetrics(&snapshot);
-    if (options_.metrics != nullptr) {
-      options_.metrics->CollectInto(&snapshot);
-    }
     HttpResponse response;
     response.status = 200;
     response.reason = "OK";
     response.SetHeader("Content-Type",
                        "text/plain; version=0.0.4; charset=utf-8");
-    response.body = snapshot.RenderPrometheus();
+    response.body = CollectMetrics().RenderPrometheus();
     return response;
   }
   if (target == "/debug/queries" && request.method == "GET") {

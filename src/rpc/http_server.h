@@ -97,8 +97,6 @@ struct HttpServerStats {
   uint64_t stream_aborts = 0;   ///< Streams cut after the head was sent.
   uint64_t bytes_in = 0;        ///< Wire bytes read (headers included).
   uint64_t bytes_out = 0;       ///< Wire bytes written.
-
-  obs::JsonValue ToJson() const;
 };
 
 /// A dependency-free, multi-threaded HTTP/1.1 server (POSIX sockets) that
@@ -109,7 +107,9 @@ struct HttpServerStats {
 ///                  -> 200 application/sparql-results+json (SRJ; ASK
 ///                     queries use the spec's boolean form)
 ///   GET  /health   -> {"ok":true,"endpoint":<id>}
-///   GET  /stats    -> server + endpoint counters as JSON
+///   GET  /metrics  -> CollectMetrics() as Prometheus text
+///   GET  /stats    -> {"endpoint":<id>,"metrics":<the same snapshot as
+///                     JSON (obs::MetricsSnapshot::ToJson)>}
 ///
 /// Endpoint failures map onto HTTP statuses (parse error 400, unsupported
 /// 501, timeout 504, unavailable 503, internal 500) with an
@@ -177,6 +177,10 @@ class HttpServer {
   /// Emits the server's own lusail_rpc_* counters, labelled
   /// {server=<server_name>}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
+
+  /// The one snapshot GET /metrics and GET /stats render: ExportMetrics
+  /// plus every collector of `options.metrics`.
+  obs::MetricsSnapshot CollectMetrics() const;
 
  private:
   /// Per-connection state that outlives any single worker task: the

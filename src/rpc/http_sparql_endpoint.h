@@ -106,7 +106,7 @@ class HttpSparqlEndpoint : public net::Endpoint {
   void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict);
 
   /// Emits lusail_http_client_* counters labelled {endpoint=id}.
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
   /// Closes every pooled idle connection (tests, endpoint restarts).
   void CloseIdleConnections();

@@ -248,6 +248,9 @@ void ShardedEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
   snapshot->AddCounter("lusail_shard_failures_total",
                        "Shard member requests that failed.", labels,
                        static_cast<double>(s.shard_failures));
+  for (const auto& member : members_) {
+    if (member != nullptr) member->ExportMetrics(snapshot);
+  }
 }
 
 // --- Planning -------------------------------------------------------------

@@ -132,8 +132,9 @@ class ShardedEndpoint : public net::Endpoint {
 
   ShardedEndpointStats stats() const;
 
-  /// Emits lusail_shard_* counters labelled {endpoint=<logical id>}.
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
+  /// Emits lusail_shard_* counters labelled {endpoint=<logical id>}, then
+  /// every member's metrics.
+  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
   const ShardedEndpointOptions& options() const { return options_; }
 

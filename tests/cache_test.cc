@@ -28,6 +28,8 @@
 #include "core/lusail_engine.h"
 #include "core/sape.h"
 #include "net/sparql_endpoint.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
 #include "sparql/parser.h"
 #include "sparql/probe.h"
 #include "workload/federation_builder.h"
@@ -153,8 +155,12 @@ TEST(FederationCacheTest, PerTierTtlExpiresIndependently) {
   EXPECT_EQ(cache.ResultStats().expired, 1u);
   EXPECT_EQ(cache.VerdictStats().expired, 0u);
 
-  obs::JsonValue json = cache.ToJson();
-  EXPECT_EQ(json.Get("results").Get("expired").AsUint(), 1u);
+  obs::MetricsSnapshot snapshot;
+  cache.ExportMetrics(&snapshot);
+  const obs::MetricSample* expired =
+      snapshot.Find("lusail_cache_expired_total", {{"tier", "results"}});
+  ASSERT_NE(expired, nullptr);
+  EXPECT_EQ(expired->value, 1.0);
 }
 
 TEST(FederationCacheTest, ThreeTiersAreIndependent) {
@@ -215,11 +221,21 @@ TEST(FederationCacheTest, ResultTierHonorsByteBudget) {
 TEST(FederationCacheTest, JsonExportCarriesAllTiers) {
   cache::FederationCache cache;
   cache.PutVerdict("k", "ep", true);
-  obs::JsonValue json = cache.ToJson();
-  EXPECT_TRUE(json.Has("verdicts"));
-  EXPECT_TRUE(json.Has("counts"));
-  EXPECT_TRUE(json.Has("results"));
-  EXPECT_EQ(json.Get("verdicts").Get("insertions").AsDouble(), 1.0);
+  obs::MetricsSnapshot snapshot;
+  cache.ExportMetrics(&snapshot);
+  // The JSON form of the snapshot, as GET /stats and --cache-stats show it.
+  obs::JsonValue json = snapshot.ToJson();
+  std::vector<std::string> tiers;
+  for (const obs::JsonValue& sample :
+       json.Get("lusail_cache_insertions_total").Get("samples").items()) {
+    const std::string tier = sample.Get("labels").Get("tier").AsString();
+    tiers.push_back(tier);
+    if (tier == "verdicts") {
+      EXPECT_EQ(sample.Get("value").AsDouble(), 1.0);
+    }
+  }
+  EXPECT_EQ(tiers,
+            (std::vector<std::string>{"verdicts", "counts", "results"}));
 }
 
 // ---------------------------------------------------------------------
@@ -435,10 +451,18 @@ TEST_F(SharedCacheLubmTest, ConcurrentQueriesMatchSequential) {
   EXPECT_EQ(stats.running, 0u);
   EXPECT_EQ(stats.wait.count(), 8u);
   EXPECT_GE(stats.wait.P99(), stats.wait.P50());
-  obs::JsonValue json = service.StatsJson();
-  EXPECT_EQ(json.Get("queued").AsUint(), 0u);
-  EXPECT_EQ(json.Get("wait").Get("count").AsUint(), 8u);
-  EXPECT_TRUE(json.Get("wait").Has("p95_ms"));
+  obs::MetricsSnapshot snapshot;
+  service.ExportMetrics(&snapshot);
+  const obs::MetricSample* queued = snapshot.Find("lusail_service_queued", {});
+  ASSERT_NE(queued, nullptr);
+  EXPECT_EQ(queued->value, 0.0);
+  const obs::MetricSample* wait =
+      snapshot.Find("lusail_service_queue_wait_seconds", {});
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count, 8u);
+  uint64_t bucketed = 0;
+  for (uint64_t n : wait->buckets) bucketed += n;
+  EXPECT_EQ(bucketed, 8u);
   federation_->set_query_cache(nullptr);
 }
 

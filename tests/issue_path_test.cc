@@ -21,6 +21,7 @@
 #include "federation/federation.h"
 #include "net/replica.h"
 #include "net/sparql_endpoint.h"
+#include "obs/metrics.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
 
@@ -255,13 +256,19 @@ TEST(FederationIssueTest, ReplicaMembersStillSleepUnderTheScope) {
                                     fed::Federation::NonEmpty)
                              .get();
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-  const obs::JsonValue json = group->StatsJson();
-  const obs::JsonValue& replicas = json.Get("replicas");
+  obs::MetricsSnapshot snapshot;
+  group->ExportMetrics(&snapshot);
   uint64_t timed = 0;
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    if (replicas[i].Get("latency_count").AsUint() == 0) continue;
+  for (size_t i = 0; i < group->NumReplicas(); ++i) {
+    const obs::MetricSample* latency = snapshot.Find(
+        "lusail_replica_latency_seconds",
+        {{"endpoint", "group"}, {"replica", group->replica_id(i)}});
+    ASSERT_NE(latency, nullptr);
+    if (latency->count == 0) continue;
     ++timed;
-    EXPECT_GE(replicas[i].Get("latency_p50_ms").AsDouble(), 20.0);
+    // One request: its p50 is its latency, the histogram's sum.
+    EXPECT_EQ(latency->count, 1u);
+    EXPECT_GE(latency->sum_seconds * 1e3, 20.0);
   }
   EXPECT_EQ(timed, 1u);
 }

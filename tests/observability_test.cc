@@ -19,6 +19,7 @@
 #include "obs/endpoint_stats.h"
 #include "obs/explain.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "workload/federation_builder.h"
 #include "workload/qfed_generator.h"
@@ -168,10 +169,23 @@ TEST(LatencyHistogramTest, PercentilesAndMerge) {
   EXPECT_DOUBLE_EQ(other.MaxMs(), 1000.0);
   EXPECT_DOUBLE_EQ(other.MinMs(), 1.0);
 
-  obs::JsonValue json = hist.ToJson();
+  // The snapshot's JSON carries the count and the non-empty buckets the
+  // percentiles above are estimated from.
+  obs::MetricsSnapshot snapshot;
+  snapshot.AddHistogram("lusail_test_seconds", "Test.", {}, hist);
+  obs::JsonValue json =
+      snapshot.ToJson().Get("lusail_test_seconds").Get("samples")[0];
   EXPECT_EQ(json.Get("count").AsUint(), 100u);
-  EXPECT_TRUE(json.Has("p50_ms"));
-  EXPECT_TRUE(json.Has("p99_ms"));
+  uint64_t bucketed = 0;
+  double last_bound = 0.0;
+  for (const obs::JsonValue& bucket : json.Get("buckets").items()) {
+    EXPECT_GT(bucket.Get("le").AsDouble(), last_bound);
+    last_bound = bucket.Get("le").AsDouble();
+    bucketed += bucket.Get("count").AsUint();
+  }
+  EXPECT_EQ(bucketed, 100u);
+  // 100 ms lands in [65.536, 131.072) ms, the highest bucket.
+  EXPECT_DOUBLE_EQ(last_bound, 0.131072);
 }
 
 TEST(EndpointStatsRegistryTest, RecordMergeAndJson) {
@@ -202,12 +216,16 @@ TEST(EndpointStatsRegistryTest, RecordMergeAndJson) {
   EXPECT_EQ(other.Get("ep1").requests, 4u);
   EXPECT_EQ(other.Get("ep1").latency.count(), 3u);
 
-  obs::JsonValue json = other.ToJson();
-  const obs::JsonValue& endpoints = json.Get("endpoints");
-  EXPECT_TRUE(endpoints.Has("ep1"));
-  EXPECT_TRUE(endpoints.Has("ep3"));
-  EXPECT_EQ(endpoints.Get("ep1").Get("requests").AsUint(), 4u);
-  EXPECT_FALSE(other.ToText().empty());
+  obs::MetricsSnapshot snapshot;
+  other.ExportMetrics(&snapshot);
+  const obs::MetricSample* ep1_requests =
+      snapshot.Find("lusail_endpoint_requests_total", {{"endpoint", "ep1"}});
+  ASSERT_NE(ep1_requests, nullptr);
+  EXPECT_EQ(ep1_requests->value, 4.0);
+  EXPECT_NE(
+      snapshot.Find("lusail_endpoint_requests_total", {{"endpoint", "ep3"}}),
+      nullptr);
+  EXPECT_FALSE(snapshot.RenderPrometheus().empty());
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "net/replica.h"
 #include "net/resilience.h"
 #include "net/sparql_endpoint.h"
+#include "obs/metrics.h"
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
 #include "store/triple_store.h"
@@ -294,22 +295,62 @@ TEST(ReplicaGroupTest, OpenBreakersAreSkippedAndSurfaceInAvailability) {
   EXPECT_GE(group.stats().breaker_skips, 1u);
 }
 
-TEST(ReplicaGroupTest, StatsJsonCarriesPerReplicaHealth) {
+/// The value of sample `name`{labels}, or -1 when the snapshot has none.
+double SampleValue(const obs::MetricsSnapshot& snapshot,
+                   const std::string& name, const obs::MetricLabels& labels) {
+  const obs::MetricSample* sample = snapshot.Find(name, labels);
+  return sample == nullptr ? -1.0 : sample->value;
+}
+
+/// Replica `replica`'s health verdict in `group`'s metrics, rendered as
+/// "healthy", "unhealthy (stale)", "unknown", ...
+std::string HealthOf(const net::ReplicaGroup& group,
+                     const std::string& replica) {
+  obs::MetricsSnapshot snapshot;
+  group.ExportMetrics(&snapshot);
+  const obs::MetricLabels labels{{"endpoint", group.id()},
+                                 {"replica", replica}};
+  std::string health;
+  for (const char* verdict : {"healthy", "unhealthy", "unknown"}) {
+    obs::MetricLabels verdict_labels = labels;
+    verdict_labels.emplace_back("verdict", verdict);
+    if (SampleValue(snapshot, "lusail_replica_health", verdict_labels) == 1) {
+      health += verdict;
+    }
+  }
+  if (SampleValue(snapshot, "lusail_replica_health_stale", labels) == 1) {
+    health += " (stale)";
+  }
+  return health;
+}
+
+TEST(ReplicaGroupTest, MetricsCarryPerReplicaHealth) {
   net::ReplicaGroup group("ep",
                           {PlainReplica("ep#0"), PlainReplica("ep#1")},
                           SequentialOptions());
   ASSERT_TRUE(group.Query(kQuery).ok());
 
-  obs::JsonValue json = group.StatsJson();
-  EXPECT_EQ(json.Get("id").AsString(), "ep");
-  EXPECT_EQ(json.Get("requests").AsUint(), 1u);
-  const obs::JsonValue& replicas = json.Get("replicas");
-  ASSERT_EQ(replicas.size(), 2u);
-  EXPECT_EQ(replicas[0].Get("id").AsString(), "ep#0");
-  EXPECT_EQ(replicas[0].Get("breaker_state").AsString(), "closed");
-  EXPECT_EQ(replicas[0].Get("health").AsString(), "healthy");
-  EXPECT_EQ(replicas[1].Get("health").AsString(), "unknown");
-  EXPECT_GE(replicas[0].Get("latency_count").AsUint(), 1u);
+  obs::MetricsSnapshot snapshot;
+  group.ExportMetrics(&snapshot);
+  EXPECT_EQ(SampleValue(snapshot, "lusail_replica_requests_total",
+                        {{"endpoint", "ep"}}),
+            1.0);
+  const obs::MetricLabels first{{"endpoint", "ep"}, {"replica", "ep#0"}};
+  const obs::MetricLabels second{{"endpoint", "ep"}, {"replica", "ep#1"}};
+  obs::MetricLabels closed = first;
+  closed.emplace_back("state", "closed");
+  EXPECT_EQ(SampleValue(snapshot, "lusail_replica_breaker_state", closed),
+            1.0);
+  EXPECT_EQ(
+      SampleValue(snapshot, "lusail_replica_breaker_trips_total", second),
+      0.0);
+  EXPECT_EQ(HealthOf(group, "ep#0"), "healthy");
+  EXPECT_EQ(HealthOf(group, "ep#1"), "unknown");
+  EXPECT_EQ(SampleValue(snapshot, "lusail_replica_probed", second), 0.0);
+  const obs::MetricSample* latency =
+      snapshot.Find("lusail_replica_latency_seconds", first);
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GE(latency->count, 1u);
 }
 
 TEST(ReplicaGroupTest, HealthVerdictsDecayToStale) {
@@ -317,18 +358,16 @@ TEST(ReplicaGroupTest, HealthVerdictsDecayToStale) {
   options.health_decay_ms = 30.0;
   net::ReplicaGroup group("ep", {PlainReplica("ep#0")}, options);
   ASSERT_TRUE(group.Query(kQuery).ok());
-  EXPECT_EQ(group.StatsJson().Get("replicas")[0].Get("health").AsString(),
-            "healthy");
+  EXPECT_EQ(HealthOf(group, "ep#0"), "healthy");
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_EQ(group.StatsJson().Get("replicas")[0].Get("health").AsString(),
-            "healthy (stale)");
+  EXPECT_EQ(HealthOf(group, "ep#0"), "healthy (stale)");
 }
 
 // ---------------------------------------------------------------------
 // Service and source-selection integration
 // ---------------------------------------------------------------------
 
-TEST(ReplicaGroupTest, QueryServiceStatsJsonSurfacesReplicaGroups) {
+TEST(ReplicaGroupTest, QueryServiceMetricsSurfaceReplicaGroups) {
   fed::Federation federation;
   federation.Add(std::make_shared<net::ReplicaGroup>(
       "grouped",
@@ -345,20 +384,30 @@ TEST(ReplicaGroupTest, QueryServiceStatsJsonSurfacesReplicaGroups) {
   ASSERT_TRUE(submitted->get().ok());
   service.Drain();
 
-  obs::JsonValue json = service.StatsJson();
-  const obs::JsonValue& endpoints = json.Get("endpoints");
-  ASSERT_EQ(endpoints.size(), 2u);
-  bool saw_group = false;
-  for (const obs::JsonValue& entry : endpoints.items()) {
-    ASSERT_TRUE(entry.Has("breaker_state"));
-    if (entry.Get("id").AsString() == "grouped") {
-      saw_group = true;
-      ASSERT_TRUE(entry.Has("replica_group"));
-      EXPECT_EQ(entry.Get("replica_group").Get("replicas").size(), 2u);
+  obs::MetricsSnapshot snapshot;
+  service.ExportMetrics(&snapshot);
+  for (const char* id : {"grouped", "plain"}) {
+    double states = 0;
+    for (const char* state : {"closed", "open", "half-open"}) {
+      double value = SampleValue(snapshot, "lusail_federation_breaker_state",
+                                 {{"endpoint", id}, {"state", state}});
+      ASSERT_GE(value, 0.0) << id << " " << state;
+      states += value;
     }
+    EXPECT_EQ(states, 1.0) << id;
   }
-  EXPECT_TRUE(saw_group);
-  EXPECT_TRUE(json.Has("cache"));
+  for (const char* replica : {"grouped#0", "grouped#1"}) {
+    EXPECT_NE(snapshot.Find("lusail_replica_latency_seconds",
+                            {{"endpoint", "grouped"}, {"replica", replica}}),
+              nullptr)
+        << replica;
+  }
+  EXPECT_EQ(snapshot.Find("lusail_replica_requests_total",
+                          {{"endpoint", "plain"}}),
+            nullptr);
+  EXPECT_GE(SampleValue(snapshot, "lusail_cache_hits_total",
+                        {{"tier", "verdicts"}}),
+            0.0);
 }
 
 TEST(ReplicaGroupTest, SourceSelectionSkipsGroupsWithEveryBreakerOpen) {

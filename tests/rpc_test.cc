@@ -13,14 +13,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/cached_endpoint.h"
+#include "cache/federation_cache.h"
+#include "cache/query_service.h"
 #include "core/lusail_engine.h"
+#include "net/fault_injection.h"
 #include "net/replica.h"
 #include "net/resilience.h"
 #include "net/sparql_endpoint.h"
@@ -32,6 +38,8 @@
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
 #include "rpc/results_json.h"
+#include "shard/shard_map.h"
+#include "shard/sharded_endpoint.h"
 #include "store/triple_store.h"
 #include "workload/federation_builder.h"
 #include "workload/lubm_generator.h"
@@ -1352,6 +1360,185 @@ TEST(StatsListenerTest, NullEndpointServesMetricsButNotSparql) {
           std::to_string(body.size()) + "\r\n\r\n" + body);
   EXPECT_NE(sparql.find("HTTP/1.1 503"), std::string::npos) << sparql;
   server.Stop();
+}
+
+/// The JSON body of a raw HTTP response.
+obs::JsonValue JsonBody(const std::string& response) {
+  size_t body_start = response.find("\r\n\r\n");
+  if (body_start == std::string::npos) return obs::JsonValue();
+  auto parsed = obs::JsonValue::Parse(response.substr(body_start + 4));
+  return parsed.ok() ? *parsed : obs::JsonValue();
+}
+
+TEST(MetricsEndpointTest, StatsAndMetricsReadOneSnapshot) {
+  obs::MetricsRegistry registry;
+  obs::ScopedCollector collector(
+      &registry, [](obs::MetricsSnapshot* snapshot) {
+        snapshot->AddCounter("lusail_custom_total", "A custom counter.", {},
+                             7);
+      });
+  HttpServerOptions options;
+  options.metrics = &registry;
+  HttpServer server(TinyEndpoint("EP"), options);
+  ASSERT_TRUE(server.Start().ok());
+  HttpSparqlEndpoint client("EP", "127.0.0.1", server.port());
+  const std::string query = "SELECT ?s WHERE { ?s <http://ex/p> ?o }";
+  ASSERT_TRUE(client.Query(query).ok());
+  ASSERT_TRUE(client.Query(query).ok());
+
+  std::string metrics = RawExchange(
+      server.port(),
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  obs::JsonValue stats = JsonBody(RawExchange(
+      server.port(),
+      "GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
+  server.Stop();
+
+  EXPECT_EQ(stats.Get("endpoint").AsString(), "EP");
+  const obs::JsonValue& snapshot = stats.Get("metrics");
+  const obs::JsonValue& requests =
+      snapshot.Get("lusail_rpc_requests_total").Get("samples");
+  ASSERT_EQ(requests.size(), 1u) << stats.Serialize();
+  EXPECT_EQ(requests[0].Get("labels").Get("server").AsString(), "EP");
+  EXPECT_EQ(requests[0].Get("value").AsDouble(), 2.0);
+  EXPECT_EQ(requests[0].Get("value").AsDouble(),
+            SampleValue(metrics, "lusail_rpc_requests_total{server=\"EP\"}"))
+      << metrics;
+  // Registry collectors reach both renderings too.
+  EXPECT_EQ(snapshot.Get("lusail_custom_total").Get("samples")[0]
+                .Get("value")
+                .AsDouble(),
+            7.0);
+  EXPECT_NE(metrics.find("lusail_custom_total 7"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Federation telemetry: one export walks every endpoint kind
+// ---------------------------------------------------------------------
+
+/// A federation over loopback HTTP with one endpoint of each shape: a
+/// bare client ("plain"), a resilient replica group of two clients
+/// ("group": group#0, group#1), and a 2-shard endpoint whose members are
+/// clients ("sharded": sharded#0, sharded#1). A fault injector that
+/// injects nothing wraps "extra", and sharded#1 sits behind an ASK cache,
+/// so every decorator kind has to forward the export to its client.
+class FederationTelemetryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    federation_.Add(Serve("plain", TinyStore()));
+    federation_.Add(std::make_shared<net::FaultInjectingEndpoint>(
+        Serve("extra", TinyStore()), net::FaultProfile::None()));
+    federation_.Add(std::make_shared<net::ResilientEndpoint>(
+        std::make_shared<net::ReplicaGroup>(
+            "group", std::vector<std::shared_ptr<net::Endpoint>>{
+                         Serve("group#0", TinyStore()),
+                         Serve("group#1", TinyStore())}),
+        net::RetryPolicy::Standard(2)));
+    shard::ShardMap map = shard::ShardMap::HashRing(2);
+    std::vector<std::unique_ptr<store::TripleStore>> slices;
+    for (int k = 0; k < 2; ++k) {
+      slices.push_back(std::make_unique<store::TripleStore>());
+    }
+    for (int i = 0; i < 5; ++i) {
+      rdf::TermTriple triple{rdf::Term::Iri("http://ex/s" + std::to_string(i)),
+                             rdf::Term::Iri("http://ex/p"),
+                             rdf::Term::Integer(i)};
+      slices[map.ShardOfSubject(triple.subject)]->Add(triple);
+    }
+    std::vector<std::shared_ptr<net::Endpoint>> members;
+    for (int k = 0; k < 2; ++k) {
+      slices[k]->Freeze();
+      members.push_back(
+          Serve("sharded#" + std::to_string(k), std::move(slices[k])));
+    }
+    members[1] = std::make_shared<cache::CachedAskEndpoint>(members[1],
+                                                            &ask_cache_);
+    federation_.Add(std::make_shared<shard::ShardedEndpoint>(
+        "sharded", map, std::move(members)));
+  }
+
+  void TearDown() override {
+    for (auto& server : servers_) server->Stop();
+  }
+
+  /// Serves `store` on a loopback HttpServer; returns a client for it.
+  std::shared_ptr<net::Endpoint> Serve(
+      const std::string& id, std::unique_ptr<store::TripleStore> store) {
+    auto server = std::make_unique<HttpServer>(
+        std::make_shared<net::SparqlEndpoint>(id, std::move(store),
+                                              net::LatencyModel::None()));
+    EXPECT_TRUE(server->Start().ok());
+    auto client =
+        std::make_shared<HttpSparqlEndpoint>(id, "127.0.0.1", server->port());
+    servers_.push_back(std::move(server));
+    return client;
+  }
+
+  std::vector<std::unique_ptr<HttpServer>> servers_;
+  cache::FederationCache ask_cache_;
+  fed::Federation federation_;
+};
+
+TEST_F(FederationTelemetryTest, EveryEndpointExportsOnce) {
+  cache::QueryService service(&federation_);
+  // Scrapes race the live queries, as /metrics scrapes do in a server.
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      obs::MetricsSnapshot snapshot;
+      service.ExportMetrics(&snapshot);
+    }
+  });
+  std::vector<std::future<Result<fed::FederatedResult>>> futures;
+  for (int i = 0; i < 4; ++i) {
+    auto submitted =
+        service.Submit("SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . }");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  }
+  for (auto& future : futures) {
+    Result<fed::FederatedResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->table.NumRows(), 20u);  // 5 rows from each endpoint.
+  }
+  service.Drain();
+  done.store(true);
+  scraper.join();
+
+  obs::MetricsSnapshot snapshot;
+  service.ExportMetrics(&snapshot);
+  for (const char* client :
+       {"plain", "extra", "group#0", "group#1", "sharded#0", "sharded#1"}) {
+    EXPECT_NE(snapshot.Find("lusail_http_client_requests_total",
+                            {{"endpoint", client}}),
+              nullptr)
+        << client;
+  }
+  const obs::MetricSample* plain = snapshot.Find(
+      "lusail_http_client_requests_total", {{"endpoint", "plain"}});
+  ASSERT_NE(plain, nullptr);
+  EXPECT_GT(plain->value, 0.0);
+  const obs::MetricLabels group{{"endpoint", "group"}};
+  const obs::MetricLabels sharded{{"endpoint", "sharded"}};
+  EXPECT_NE(snapshot.Find("lusail_resilience_requests_total", group),
+            nullptr);
+  EXPECT_NE(snapshot.Find("lusail_replica_requests_total", group), nullptr);
+  EXPECT_NE(snapshot.Find("lusail_shard_queries_total", sharded), nullptr);
+  EXPECT_NE(snapshot.Find("lusail_shard_fanout_total", sharded), nullptr);
+  EXPECT_NE(snapshot.Find("lusail_fault_requests_total",
+                          {{"endpoint", "extra"}}),
+            nullptr);
+  EXPECT_NE(snapshot.Find("lusail_ask_cache_hits_total",
+                          {{"endpoint", "sharded#1"}}),
+            nullptr);
+
+  std::set<std::pair<std::string, obs::MetricLabels>> seen;
+  for (const obs::MetricFamily& family : snapshot.families()) {
+    for (const obs::MetricSample& sample : family.samples) {
+      EXPECT_TRUE(seen.emplace(family.name, sample.labels).second)
+          << family.name << " repeats a label set";
+    }
+  }
 }
 
 }  // namespace

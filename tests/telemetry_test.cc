@@ -598,9 +598,19 @@ TEST(EndpointStatsTest, ExportMetricsEmitsPerEndpointSamples) {
   exchange.success = true;
   exchange.latency_ms = 1.0;
   registry.RecordExchange("EP1", exchange);
+  exchange.network = true;
+  exchange.wire_bytes_received = 250;
   registry.RecordExchange("EP2", exchange);
   MetricsSnapshot snapshot;
   registry.ExportMetrics(&snapshot);
+  // Transport counters appear for endpoints reached over a socket only.
+  EXPECT_EQ(snapshot.Find("lusail_endpoint_network_requests_total",
+                          {{"endpoint", "EP1"}}),
+            nullptr);
+  const obs::MetricSample* wire = snapshot.Find(
+      "lusail_endpoint_network_bytes_received_total", {{"endpoint", "EP2"}});
+  ASSERT_NE(wire, nullptr);
+  EXPECT_EQ(wire->value, 250.0);
   std::string text = snapshot.RenderPrometheus();
   EXPECT_NE(text.find("lusail_endpoint_requests_total{endpoint=\"EP1\"} 1"),
             std::string::npos)
