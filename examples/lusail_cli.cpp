@@ -781,8 +781,8 @@ int main(int argc, char** argv) {
     // ID-space fast path for remote federations: HTTP responses parse
     // straight into the engine dictionary (SRJ -> IdTable) and reach the
     // executor with nothing to re-encode. Other engines and a replica
-    // group's replicas parse into a dictionary local to each response,
-    // whose ids the federation translates into the engine's.
+    // group's replicas parse into each client's own dictionary, whose ids
+    // the federation translates into the engine's.
     for (size_t i = 0; i < federation->size(); ++i) {
       if (auto* http = dynamic_cast<rpc::HttpSparqlEndpoint*>(
               federation->endpoint(i))) {

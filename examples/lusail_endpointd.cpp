@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
       &metrics, [&](obs::MetricsSnapshot* snapshot) {
         if (cache_file.empty()) return;
         verdict_cache.ExportMetrics(snapshot);
-        if (cached != nullptr) cached->ExportMetrics(snapshot);
       });
   server_options.server_name = id;
   server_options.metrics = &metrics;

@@ -56,6 +56,8 @@ class CachedAskEndpoint : public net::Endpoint {
     inner_->ExportMetrics(snapshot);
   }
 
+  bool Available() const override { return inner_->Available(); }
+
  private:
   std::shared_ptr<net::Endpoint> inner_;
   FederationCache* cache_;

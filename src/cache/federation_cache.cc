@@ -177,25 +177,6 @@ std::string FederationCache::PatternKey(const std::string& endpoint_id,
   return Key(endpoint_id, slot(tp.s) + " " + slot(tp.p) + " " + slot(tp.o));
 }
 
-uint64_t FederationCache::ApproxTableBytes(const sparql::ResultTable& table) {
-  // Heap footprint estimate: per-cell Term strings plus vector/optional
-  // overhead. The exact constant matters less than being monotone in the
-  // real footprint, so the byte budget bounds memory proportionally.
-  uint64_t bytes = sizeof(sparql::ResultTable);
-  for (const std::string& v : table.vars) bytes += v.size() + 32;
-  for (const auto& row : table.rows) {
-    bytes += 24;  // Row vector header.
-    for (const auto& cell : row) {
-      bytes += sizeof(std::optional<rdf::Term>);
-      if (cell.has_value()) {
-        bytes += cell->lexical().size() + cell->datatype().size() +
-                 cell->lang().size();
-      }
-    }
-  }
-  return bytes;
-}
-
 std::optional<bool> FederationCache::GetVerdict(const std::string& key) {
   return verdicts_.Get(key);
 }
@@ -216,16 +197,22 @@ void FederationCache::PutCount(const std::string& key,
   counts_.Put(key, endpoint_id, count, sizeof(uint64_t));
 }
 
-std::optional<sparql::ResultTable> FederationCache::GetResult(
+std::optional<CachedAnswer> FederationCache::GetResult(
     const std::string& endpoint_id, const std::string& query_text) {
   return results_.Get(Key(endpoint_id, query_text));
 }
 
 void FederationCache::PutResult(const std::string& endpoint_id,
                                 const std::string& query_text,
-                                const sparql::ResultTable& table) {
-  results_.Put(Key(endpoint_id, query_text), endpoint_id, table,
-               ApproxTableBytes(table));
+                                CachedAnswer answer) {
+  const core::IdTable& ids = *answer.ids;
+  uint64_t bytes = sizeof(core::IdTable);
+  for (size_t c = 0; c < ids.NumVars(); ++c) {
+    bytes += ids.vars[c].size() + 32 +
+             ids.Column(c).size() * sizeof(rdf::TermId);
+  }
+  results_.Put(Key(endpoint_id, query_text), endpoint_id, std::move(answer),
+               bytes);
 }
 
 void FederationCache::Invalidate(const std::string& endpoint_id) {

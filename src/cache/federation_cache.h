@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -13,9 +14,10 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/id_table.h"
 #include "obs/metrics.h"
+#include "rdf/dictionary.h"
 #include "sparql/ast.h"
-#include "sparql/result_table.h"
 
 namespace lusail::cache {
 
@@ -37,6 +39,15 @@ struct TierStats {
     return total == 0 ? 0.0 : static_cast<double>(hits) /
                                   static_cast<double>(total);
   }
+};
+
+/// A tier-3 entry: a subquery answer as its endpoint returned it, ids plus
+/// the source that resolves them. Both are shared with the response, so a
+/// put copies nothing and a hit is a refcount bump; a consumer brings the
+/// ids into its own dictionary (Federation::ToIds) and never mutates them.
+struct CachedAnswer {
+  std::shared_ptr<const core::IdTable> ids;
+  std::shared_ptr<const rdf::TermSource> terms;
 };
 
 /// One cache entry in its persistable form (no LRU links, no absolute
@@ -315,8 +326,8 @@ struct FederationCacheOptions {
 ///   1. *Verdicts* — boolean answers of ASK source-selection probes and
 ///      GJV locality check queries, keyed by (endpoint id, query text).
 ///   2. *Counts* — COUNT-probe cardinalities, same key shape.
-///   3. *Results* — whole subquery result tables (opt-in per engine via
-///      LusailOptions::result_cache), byte-budgeted.
+///   3. *Results* — whole subquery answers in ID space (opt-in per engine
+///      via LusailOptions::result_cache), byte-budgeted by their id cells.
 ///
 /// All tiers are bounded LRU with hit/miss/eviction counters.
 /// Stores that mutate call Invalidate(endpoint_id) to evict exactly that
@@ -342,10 +353,6 @@ class FederationCache {
   static std::string PatternKey(const std::string& endpoint_id,
                                 const sparql::TriplePattern& tp);
 
-  /// Approximate in-memory footprint of a result table (terms + row
-  /// vectors), used against the tier-3 byte budget.
-  static uint64_t ApproxTableBytes(const sparql::ResultTable& table);
-
   // --- Tier 1: boolean verdicts (ASK probes, locality checks) ---
   std::optional<bool> GetVerdict(const std::string& key);
   void PutVerdict(const std::string& key, const std::string& endpoint_id,
@@ -356,12 +363,14 @@ class FederationCache {
   void PutCount(const std::string& key, const std::string& endpoint_id,
                 uint64_t count);
 
-  // --- Tier 3: subquery result tables ---
-  std::optional<sparql::ResultTable> GetResult(const std::string& endpoint_id,
-                                               const std::string& query_text);
+  // --- Tier 3: subquery answers ---
+  std::optional<CachedAnswer> GetResult(const std::string& endpoint_id,
+                                        const std::string& query_text);
+  /// Charges the answer's own id cells and variable names against the
+  /// byte budget; its term source is shared with the endpoint that
+  /// minted it and is not charged.
   void PutResult(const std::string& endpoint_id,
-                 const std::string& query_text,
-                 const sparql::ResultTable& table);
+                 const std::string& query_text, CachedAnswer answer);
 
   /// Outdates every tier's entries derived from `endpoint_id` (call when
   /// the endpoint's store mutates). O(1): bumps the endpoint's
@@ -389,7 +398,7 @@ class FederationCache {
 
   /// Writes a versioned, checksummed binary snapshot of the verdict and
   /// COUNT tiers to `path` (atomically: tmp file + rename). Result
-  /// tables are deliberately not persisted — they are byte-heavy and
+  /// answers are deliberately not persisted — they are byte-heavy and
   /// cheap to recompute relative to the ASK-probe stampede a cold
   /// verdict tier causes. Stale/expired entries are skipped and
   /// per-endpoint generation stamps are included, so invalidations that
@@ -414,7 +423,7 @@ class FederationCache {
  private:
   LruTier<bool> verdicts_;
   LruTier<uint64_t> counts_;
-  LruTier<sparql::ResultTable> results_;
+  LruTier<CachedAnswer> results_;
 
   mutable std::mutex members_mu_;
   std::unordered_map<std::string, std::vector<std::string>> members_;

@@ -152,7 +152,7 @@ std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
   std::string endpoint_id;
   if (shared != nullptr) {
     endpoint_id = federation_->id(static_cast<size_t>(ep));
-    std::optional<sparql::ResultTable> hit =
+    std::optional<cache::CachedAnswer> hit =
         shared->GetResult(endpoint_id, cache_key);
     if (hit.has_value()) {
       obs::Tracer* tracer =
@@ -162,21 +162,19 @@ std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
             tracer->StartSpan("cache hit " + endpoint_id, "cache",
                               ctx.trace_parent);
         tracer->Annotate(span, "rows",
-                         static_cast<uint64_t>(hit->rows.size()));
+                         static_cast<uint64_t>(hit->ids->NumRows()));
         tracer->EndSpan(span);
       }
-      // The shared cache stores wire-format string rows (it outlives any
-      // one dictionary), so a hit re-interns, on the pool like a response.
-      return pool_->Submit([table = std::move(*hit), dict]() {
-        return Result<IdTable>(EncodeResultTable(table, dict));
+      // A hit enters this engine's id space as a response does, on the
+      // pool; the shared table itself is only read.
+      return pool_->Submit([hit = std::move(*hit), dict]() {
+        return Result<IdTable>(
+            fed::Federation::ToIds(*hit.ids, *hit.terms, dict));
       });
     }
   }
   // Copied before ctx moves into Issue. A default token never fires.
   CancelToken cutoff = cutoff_on_failure ? ctx.cutoff : CancelToken();
-  // The string form of the response rides along exactly when the wire
-  // path produced one anyway; the pure id path (parse-to-ids transport)
-  // decodes only if a cache store actually needs it.
   return federation_->Issue(
       pool_, static_cast<size_t>(ep), text, std::move(ctx),
       [shared, endpoint_id, cache_key, dict, cutoff](
@@ -185,18 +183,15 @@ std::future<Result<IdTable>> SapeExecutor::FetchEndpoint(
           if (cutoff.CancelRequested()) return IdTable();
           cutoff.Cancel();
         }
-        std::optional<sparql::ResultTable> wire;
-        Result<IdTable> ids = fed::Federation::ToIds(
-            std::move(response), dict, shared != nullptr ? &wire : nullptr);
-        if (shared != nullptr && ids.ok()) {
-          if (wire.has_value()) {
-            shared->PutResult(endpoint_id, cache_key, *wire);
-          } else {
-            shared->PutResult(endpoint_id, cache_key,
-                              DecodeIdTable(*ids, *dict));
-          }
+        if (shared == nullptr || !response.ok()) {
+          return fed::Federation::ToIds(std::move(response), dict);
         }
-        return ids;
+        // The cache keeps the response's own table, so this engine takes a
+        // copy (or a translation), never the table itself.
+        shared->PutResult(endpoint_id, cache_key,
+                          {response->ids, response->ids_dict});
+        return Result<IdTable>(
+            fed::Federation::ToIds(*response->ids, *response->ids_dict, dict));
       });
 }
 

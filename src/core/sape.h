@@ -117,10 +117,11 @@ class SapeExecutor {
   /// id-space fingerprint of the VALUES binding block for bound
   /// (delayed-phase) fetches — so a warm serving process skips repeated
   /// bound joins too. A hit is recorded as a "cache" span instead of a
-  /// request span, issues no request, and is re-encoded from the cache's
-  /// string rows into `dict` on the pool. A miss is decoded by
-  /// Federation::ToIds on the pool, so an endpoint parsing straight into
-  /// `dict` hands back ids untouched.
+  /// request span, issues no request, and enters `dict` through
+  /// Federation::ToIds on the pool, as a response does. A miss goes
+  /// through the same ToIds, so an endpoint parsing straight into `dict`
+  /// hands back ids untouched; a stored miss leaves its table to the cache
+  /// and hands back a copy.
   /// `cutoff_on_failure` makes a failure fire ctx.cutoff (see
   /// IssueEverywhere's `failed`).
   std::future<Result<IdTable>> FetchEndpoint(int ep, const std::string& text,

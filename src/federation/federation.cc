@@ -288,22 +288,24 @@ Result<sparql::ResultTable> Federation::ToTable(
   return core::DecodeIdTable(*response->ids, *response->ids_dict);
 }
 
-Result<core::IdTable> Federation::ToIds(
-    Result<net::QueryResponse> response, core::TermDictionary* dict,
-    std::optional<sparql::ResultTable>* wire_table) {
+Result<core::IdTable> Federation::ToIds(Result<net::QueryResponse> response,
+                                        core::TermDictionary* dict) {
   if (!response.ok()) return response.status();
   if (response->ids_dict.get() == dict) {
     // Fast path: the transport already interned into our dictionary;
     // the ids are the result, no string rows ever existed.
     return std::move(*response->ids);
   }
-  // Ids of another space (an in-process endpoint's store, a response-local
-  // dictionary, or another engine's): translate each distinct id once. A
-  // cache store gets the string form too.
-  if (wire_table != nullptr) {
-    *wire_table = core::DecodeIdTable(*response->ids, *response->ids_dict);
-  }
-  return core::TranslateIds(*response->ids, *response->ids_dict, dict);
+  return ToIds(*response->ids, *response->ids_dict, dict);
+}
+
+core::IdTable Federation::ToIds(const core::IdTable& ids,
+                                const rdf::TermSource& terms,
+                                core::TermDictionary* dict) {
+  if (&terms == dict) return ids;
+  // Ids of another space (an in-process endpoint's store, an HTTP client's
+  // own dictionary, or another engine's): translate each distinct id once.
+  return core::TranslateIds(ids, terms, dict);
 }
 
 Result<bool> Federation::NonEmpty(const Result<net::QueryResponse>& response) {

@@ -466,17 +466,19 @@ class Federation {
 
   /// The response as a core::IdTable in `dict`'s id space. When the
   /// endpoint parses straight into this dictionary
-  /// (HttpSparqlEndpoint::set_parse_dictionary), the ids pass through
+  /// (HttpSparqlEndpoint::set_parse_dictionary), the ids are moved out
   /// untouched; ids of any other space (an in-process endpoint's store
-  /// ids, a response-local or another engine's dictionary) go through
-  /// core::TranslateIds, each distinct id interned once. When
-  /// `wire_table` is non-null it receives the string form of a
-  /// translated response (for result-cache stores); it stays nullopt on
-  /// the same-dictionary path, where the caller decides whether decoding
-  /// is worth it.
-  static Result<core::IdTable> ToIds(
-      Result<net::QueryResponse> response, core::TermDictionary* dict,
-      std::optional<sparql::ResultTable>* wire_table = nullptr);
+  /// ids, an HTTP client's own or another engine's dictionary) go through
+  /// core::TranslateIds, each distinct id interned once.
+  static Result<core::IdTable> ToIds(Result<net::QueryResponse> response,
+                                     core::TermDictionary* dict);
+
+  /// `ids`, minted by `terms`, in `dict`'s id space, leaving `ids` intact
+  /// (a table the result cache shares): a copy when `terms` is `dict`,
+  /// core::TranslateIds otherwise.
+  static core::IdTable ToIds(const core::IdTable& ids,
+                             const rdf::TermSource& terms,
+                             core::TermDictionary* dict);
 
   /// True iff the response carries a row: an ASK verdict, or a locality
   /// check that found a witness.

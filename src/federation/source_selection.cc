@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "cache/federation_cache.h"
-#include "net/replica.h"
-#include "shard/sharded_endpoint.h"
 
 namespace lusail::fed {
 
@@ -15,19 +13,14 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
   const size_t num_eps = federation_->size();
   std::vector<std::vector<int>> sources(patterns.size());
 
-  // Replica-group / shard health consult: a group whose every replica
-  // has an open breaker — or a sharded endpoint whose every shard is
-  // known-dead — cannot answer a probe, so don't spend deadline budget
-  // asking. Evaluated once per endpoint, not per pattern.
-  std::vector<bool> group_dead(num_eps, false);
+  // Health consult: an endpoint that knows it cannot answer (a replica
+  // group whose every breaker is open, a sharded endpoint whose every
+  // shard is such a group, either behind any decorator) is not probed,
+  // so no deadline budget or retry backoff is spent asking. Evaluated
+  // once per endpoint, not per pattern.
+  std::vector<bool> unavailable(num_eps, false);
   for (size_t ei = 0; ei < num_eps; ++ei) {
-    if (const auto* group =
-            dynamic_cast<const net::ReplicaGroup*>(federation_->endpoint(ei))) {
-      group_dead[ei] = !group->HasAvailableReplica();
-    } else if (const auto* sharded = dynamic_cast<const shard::ShardedEndpoint*>(
-                   federation_->endpoint(ei))) {
-      group_dead[ei] = !sharded->HasAvailableShard();
-    }
+    unavailable[ei] = !federation_->endpoint(ei)->Available();
   }
 
   // Cached verdicts first; every other (pattern, endpoint) pair becomes
@@ -53,7 +46,7 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
           continue;
         }
       }
-      if (group_dead[ei]) {
+      if (unavailable[ei]) {
         if (tolerate_failures) {
           // Same conservative keep as a failed probe, without issuing it:
           // execution-time failover decides the endpoint's fate.
@@ -61,8 +54,9 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
           continue;
         }
         return Status::Unavailable(
-            "every replica of " + federation_->id(ei) +
-            " has an open circuit breaker; source selection cannot probe it");
+            federation_->id(ei) +
+            " is unavailable (open circuit breakers); source selection "
+            "cannot probe it");
       }
       probes.push_back({ei, sparql::ProbeBody(patterns[pi])});
       probe_pattern.push_back(pi);

@@ -35,12 +35,13 @@ struct QueryResponse {
   /// The answer in ID space; a successful response always carries both.
   /// `ids_dict` resolves the ids to terms: an in-process SparqlEndpoint
   /// answers in its store's ids, a transport parses into its parse
-  /// dictionary (rpc::HttpSparqlEndpoint::set_parse_dictionary) or a
-  /// response-local one, and a consumer holding a different dictionary
-  /// translates the ids (Federation::ToIds) instead of comparing
-  /// incomparable ids. Strings exist only where a consumer decodes them
-  /// (core::DecodeIdTable). ASK answers have zero columns and 0 or 1
-  /// rows. Decorators pass both through untouched.
+  /// dictionary (rpc::HttpSparqlEndpoint::set_parse_dictionary), and a
+  /// consumer holding a different dictionary translates the ids
+  /// (Federation::ToIds) instead of comparing incomparable ids. Ids
+  /// already minted stay valid in `ids_dict`, so a consumer may keep both
+  /// (the shared result cache does). Strings exist only where a consumer
+  /// decodes them (core::DecodeIdTable). ASK answers have zero columns
+  /// and 0 or 1 rows. Decorators pass both through untouched.
   std::shared_ptr<core::IdTable> ids;
   std::shared_ptr<const rdf::TermSource> ids_dict;
 
@@ -169,6 +170,12 @@ class Endpoint {
   /// the outermost endpoint reports the whole stack, each layer once.
   /// The default has nothing to report.
   virtual void ExportMetrics(obs::MetricsSnapshot* /*snapshot*/) const {}
+
+  /// False when this endpoint knows it cannot answer a request now (every
+  /// replica behind an open circuit breaker), so source selection skips
+  /// probing it. Decorators forward to the endpoint they wrap; the
+  /// default, with no health state to consult, is always available.
+  virtual bool Available() const { return true; }
 };
 
 }  // namespace lusail::net

@@ -107,6 +107,8 @@ class FaultInjectingEndpoint : public Endpoint {
   /// inner endpoint's metrics.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
+  bool Available() const override { return inner_->Available(); }
+
   /// Forgets all request history (occurrence counters and stats); the
   /// fault stream restarts from the beginning.
   void ResetHistory();

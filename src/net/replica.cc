@@ -34,7 +34,7 @@ const std::string& ReplicaGroup::replica_id(size_t i) const {
   return replicas_[i]->endpoint->id();
 }
 
-bool ReplicaGroup::HasAvailableReplica() const {
+bool ReplicaGroup::Available() const {
   for (const auto& replica : replicas_) {
     if (replica->breaker.WouldAllowRequest()) return true;
   }

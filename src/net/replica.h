@@ -118,7 +118,7 @@ class ReplicaGroup : public Endpoint {
   /// True when at least one replica's breaker would admit a request now.
   /// Source selection uses this to skip ASK probes against groups whose
   /// every replica is known-dead.
-  bool HasAvailableReplica() const;
+  bool Available() const override;
 
   const CircuitBreaker& breaker(size_t i) const;
   CircuitBreaker* mutable_breaker(size_t i);

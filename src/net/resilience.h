@@ -224,6 +224,8 @@ class ResilientEndpoint : public Endpoint {
   /// {endpoint=<id>}, then the wrapped endpoint's metrics.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
 
+  bool Available() const override { return inner_->Available(); }
+
  private:
   std::shared_ptr<Endpoint> inner_;
   RetryPolicy policy_;

@@ -89,29 +89,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
 }
 
 // ---------------------------------------------------------------------
-// EndpointStats
-// ---------------------------------------------------------------------
-
-void EndpointStats::Merge(const EndpointStats& other) {
-  requests += other.requests;
-  successes += other.successes;
-  errors += other.errors;
-  timeouts += other.timeouts;
-  retries += other.retries;
-  breaker_rejections += other.breaker_rejections;
-  breaker_trips += other.breaker_trips;
-  bytes_sent += other.bytes_sent;
-  bytes_received += other.bytes_received;
-  rows_received += other.rows_received;
-  network_requests += other.network_requests;
-  connections_opened += other.connections_opened;
-  connections_reused += other.connections_reused;
-  wire_bytes_sent += other.wire_bytes_sent;
-  wire_bytes_received += other.wire_bytes_received;
-  latency.Merge(other.latency);
-}
-
-// ---------------------------------------------------------------------
 // EndpointStatsRegistry
 // ---------------------------------------------------------------------
 
@@ -146,61 +123,6 @@ void EndpointStatsRegistry::RecordExchange(const std::string& endpoint_id,
   }
 }
 
-void EndpointStatsRegistry::RecordSuccess(const std::string& endpoint_id,
-                                          double latency_ms,
-                                          uint64_t bytes_sent,
-                                          uint64_t bytes_received,
-                                          uint64_t rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EndpointStats& s = stats_[endpoint_id];
-  ++s.requests;
-  ++s.successes;
-  s.bytes_sent += bytes_sent;
-  s.bytes_received += bytes_received;
-  s.rows_received += rows;
-  s.latency.Record(latency_ms);
-}
-
-void EndpointStatsRegistry::RecordFailure(const std::string& endpoint_id,
-                                          bool timeout) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EndpointStats& s = stats_[endpoint_id];
-  ++s.requests;
-  if (timeout) {
-    ++s.timeouts;
-  } else {
-    ++s.errors;
-  }
-}
-
-void EndpointStatsRegistry::RecordResilience(const std::string& endpoint_id,
-                                             uint64_t retries,
-                                             uint64_t breaker_rejections,
-                                             uint64_t breaker_trips) {
-  if (retries == 0 && breaker_rejections == 0 && breaker_trips == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  EndpointStats& s = stats_[endpoint_id];
-  s.retries += retries;
-  s.breaker_rejections += breaker_rejections;
-  s.breaker_trips += breaker_trips;
-}
-
-void EndpointStatsRegistry::RecordTransport(const std::string& endpoint_id,
-                                            bool reused_connection,
-                                            uint64_t wire_bytes_sent,
-                                            uint64_t wire_bytes_received) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EndpointStats& s = stats_[endpoint_id];
-  ++s.network_requests;
-  if (reused_connection) {
-    ++s.connections_reused;
-  } else {
-    ++s.connections_opened;
-  }
-  s.wire_bytes_sent += wire_bytes_sent;
-  s.wire_bytes_received += wire_bytes_received;
-}
-
 EndpointStats EndpointStatsRegistry::Get(
     const std::string& endpoint_id) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -228,14 +150,6 @@ size_t EndpointStatsRegistry::size() const {
 void EndpointStatsRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.clear();
-}
-
-void EndpointStatsRegistry::Merge(const EndpointStatsRegistry& other) {
-  std::vector<std::pair<std::string, EndpointStats>> theirs = other.All();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, stats] : theirs) {
-    stats_[id].Merge(stats);
-  }
 }
 
 void EndpointStatsRegistry::ExportMetrics(MetricsSnapshot* snapshot) const {

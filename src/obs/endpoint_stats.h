@@ -73,8 +73,6 @@ struct EndpointStats {
   uint64_t wire_bytes_sent = 0;      ///< Bytes written incl. HTTP framing.
   uint64_t wire_bytes_received = 0;  ///< Bytes read incl. HTTP framing.
   LatencyHistogram latency;
-
-  void Merge(const EndpointStats& other);
 };
 
 /// Everything one completed endpoint exchange contributes to the stats,
@@ -98,8 +96,7 @@ struct EndpointExchange {
 
 /// Thread-safe registry of per-endpoint statistics spanning queries and
 /// engines. Attach one to a Federation (set_stats_registry) and every
-/// request any engine issues through that federation is accounted here;
-/// registries from different federations (or processes) merge.
+/// request any engine issues through that federation is accounted here.
 class EndpointStatsRegistry {
  public:
   EndpointStatsRegistry() = default;
@@ -107,20 +104,9 @@ class EndpointStatsRegistry {
   EndpointStatsRegistry& operator=(const EndpointStatsRegistry&) = delete;
 
   /// Applies a whole exchange (outcome + resilience + transport) in one
-  /// lock acquisition. Preferred over the piecemeal Record* methods for
-  /// per-request accounting: cheaper, and atomic with respect to All().
+  /// lock acquisition, so it is atomic with respect to All().
   void RecordExchange(const std::string& endpoint_id,
                       const EndpointExchange& exchange);
-
-  void RecordSuccess(const std::string& endpoint_id, double latency_ms,
-                     uint64_t bytes_sent, uint64_t bytes_received,
-                     uint64_t rows);
-  void RecordFailure(const std::string& endpoint_id, bool timeout);
-  void RecordResilience(const std::string& endpoint_id, uint64_t retries,
-                        uint64_t breaker_rejections, uint64_t breaker_trips);
-  /// Transport accounting for a request that crossed a real socket.
-  void RecordTransport(const std::string& endpoint_id, bool reused_connection,
-                       uint64_t wire_bytes_sent, uint64_t wire_bytes_received);
 
   /// Copy of one endpoint's stats (default-constructed when unknown).
   EndpointStats Get(const std::string& endpoint_id) const;
@@ -130,10 +116,6 @@ class EndpointStatsRegistry {
 
   size_t size() const;
   void Clear();
-
-  /// Folds another registry into this one (per-endpoint counter sums and
-  /// histogram merges).
-  void Merge(const EndpointStatsRegistry& other);
 
   /// Emits lusail_endpoint_* counters and the success-latency histogram,
   /// one sample per endpoint labelled {endpoint=<id>}; endpoints reached

@@ -269,6 +269,7 @@ void HttpServer::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
 obs::MetricsSnapshot HttpServer::CollectMetrics() const {
   obs::MetricsSnapshot snapshot;
   ExportMetrics(&snapshot);
+  if (endpoint_ != nullptr) endpoint_->ExportMetrics(&snapshot);
   if (options_.metrics != nullptr) options_.metrics->CollectInto(&snapshot);
   return snapshot;
 }

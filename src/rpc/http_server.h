@@ -178,8 +178,10 @@ class HttpServer {
   /// {server=<server_name>}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const;
 
-  /// The one snapshot GET /metrics and GET /stats render: ExportMetrics
-  /// plus every collector of `options.metrics`.
+  /// The one snapshot GET /metrics and GET /stats render: ExportMetrics,
+  /// the fronted endpoint's own ExportMetrics (its whole decorator stack;
+  /// none for a server without an endpoint), plus every collector of
+  /// `options.metrics`.
   obs::MetricsSnapshot CollectMetrics() const;
 
  private:

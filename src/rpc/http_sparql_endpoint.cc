@@ -184,7 +184,8 @@ HttpSparqlEndpoint::HttpSparqlEndpoint(std::string id, std::string host,
     : id_(std::move(id)),
       host_(std::move(host)),
       port_(port),
-      options_(options) {}
+      options_(options),
+      parse_dict_(std::make_shared<core::TermDictionary>()) {}
 
 HttpSparqlEndpoint::~HttpSparqlEndpoint() { CloseIdleConnections(); }
 
@@ -428,7 +429,7 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
   net::QueryResponse out;
   // The SRJ body is decoded straight into dictionary ids: no string term
   // rows exist for this response.
-  std::shared_ptr<core::TermDictionary> parse_dict = ResponseDictionary();
+  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
   LUSAIL_ASSIGN_OR_RETURN(core::IdTable ids,
                           ParseSrjToIds(http.body, parse_dict.get()));
   out.ids = std::make_shared<core::IdTable>(std::move(ids));
@@ -446,17 +447,14 @@ Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
 
 void HttpSparqlEndpoint::set_parse_dictionary(
     std::shared_ptr<core::TermDictionary> dict) {
+  if (dict == nullptr) dict = std::make_shared<core::TermDictionary>();
   std::lock_guard<std::mutex> lock(pool_mu_);
   parse_dict_ = std::move(dict);
 }
 
-std::shared_ptr<core::TermDictionary>
-HttpSparqlEndpoint::ResponseDictionary() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (parse_dict_ != nullptr) return parse_dict_;
-  }
-  return std::make_shared<core::TermDictionary>();
+std::shared_ptr<core::TermDictionary> HttpSparqlEndpoint::parse_dictionary() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return parse_dict_;
 }
 
 Result<net::QueryResponse> HttpSparqlEndpoint::QueryCancellable(
@@ -535,7 +533,7 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
     return cancel.StatusAt("cancelled endpoint request");
   }
 
-  std::shared_ptr<core::TermDictionary> parse_dict = ResponseDictionary();
+  std::shared_ptr<core::TermDictionary> parse_dict = parse_dictionary();
   SrjChunkDecoder decoder(parse_dict);
 
   net::StreamSummary summary;

@@ -53,6 +53,13 @@ struct HttpClientStats {
 /// so a Lusail server abandons evaluation once this client has given up
 /// (foreign endpoints ignore the header).
 ///
+/// Responses are parsed straight into ids (SRJ -> IdTable, no string
+/// rows) in one parse dictionary the client owns for its lifetime, so an
+/// answer's `ids_dict` outlives the answer (a result-cache entry may keep
+/// it). It holds only terms that Federation::ToIds interns into the
+/// engine dictionary anyway; an engine that passes its own dictionary
+/// (set_parse_dictionary) skips that translation altogether.
+///
 /// Thread-safe: concurrent queries each use their own pooled connection
 /// (per-host keep-alive pool, capped at max_idle_connections). A reused
 /// connection that turns out to be dead before any response byte is
@@ -85,7 +92,7 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Streaming variant: the request carries "X-Lusail-Stream", and a
   /// chunked response is decoded incrementally — each wire chunk's rows
   /// are delivered through `sink` the moment they parse (into the parse
-  /// dictionary, or one local to the response), so neither the response
+  /// dictionary), so neither the response
   /// body nor the result table is ever held whole on this side. A
   /// Content-Length response from a server that ignores the header
   /// degrades to read-fully-then-deliver. `options.max_rows` cuts the
@@ -97,12 +104,10 @@ class HttpSparqlEndpoint : public net::Endpoint {
 
   HttpClientStats stats() const;
 
-  /// Responses are parsed straight into ids (SRJ -> IdTable, no string
-  /// rows): into `dict` when set, so an engine passing its own dictionary
-  /// lets Federation::ToIds consume the ids with zero re-encoding, and
-  /// otherwise (nullptr, the default) into a dictionary local to each
-  /// response. Thread-safe; takes effect for requests issued after the
-  /// call.
+  /// Parses later responses into `dict` (an engine's own dictionary, so
+  /// Federation::ToIds consumes the ids with zero re-encoding); nullptr
+  /// restores a fresh private dictionary. Thread-safe; takes effect for
+  /// requests issued after the call.
   void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict);
 
   /// Emits lusail_http_client_* counters labelled {endpoint=id}.
@@ -160,8 +165,8 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Maps a parse failure of the HTTP framing to kUnavailable.
   Status Malformed(const Status& s) const;
 
-  /// The parse dictionary, or a fresh one for a single response.
-  std::shared_ptr<core::TermDictionary> ResponseDictionary();
+  /// The dictionary a response starting now parses into.
+  std::shared_ptr<core::TermDictionary> parse_dictionary();
 
   std::string id_;
   std::string host_;
@@ -170,7 +175,8 @@ class HttpSparqlEndpoint : public net::Endpoint {
 
   std::mutex pool_mu_;
   std::vector<int> idle_fds_;
-  std::shared_ptr<core::TermDictionary> parse_dict_;  ///< Guarded by pool_mu_.
+  /// Never null. Guarded by pool_mu_.
+  std::shared_ptr<core::TermDictionary> parse_dict_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> connections_opened_{0};

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/finisher.h"
-#include "net/replica.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "sparql/parser.h"
@@ -192,15 +191,9 @@ std::vector<std::string> ShardedEndpoint::MemberIds() const {
   return member_ids_;
 }
 
-bool ShardedEndpoint::HasAvailableShard() const {
+bool ShardedEndpoint::Available() const {
   for (const auto& member : members_) {
-    if (member == nullptr) continue;
-    if (const auto* group =
-            dynamic_cast<const net::ReplicaGroup*>(member.get())) {
-      if (group->HasAvailableReplica()) return true;
-      continue;
-    }
-    return true;  // Plain endpoints have no breaker state to consult.
+    if (member != nullptr && member->Available()) return true;
   }
   return false;
 }

@@ -117,11 +117,11 @@ class ShardedEndpoint : public net::Endpoint {
   std::vector<std::string> MemberIds() const;
   const ShardMap& map() const { return map_; }
 
-  /// True when at least one shard member would admit a request now (a
-  /// member that is a ReplicaGroup counts as available iff it has an
-  /// available replica). Source selection uses this to skip ASK probes
-  /// against endpoints whose every shard is known-dead.
-  bool HasAvailableShard() const;
+  /// True when at least one shard member is Available() (a replicated
+  /// member is iff one of its replicas' breakers admits a request). Source
+  /// selection uses this to skip ASK probes against endpoints whose every
+  /// shard is known-dead.
+  bool Available() const override;
 
   /// Dictionary gather results are encoded into (and responses returned
   /// in). Defaults to a private dictionary; engines share theirs so the

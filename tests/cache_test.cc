@@ -147,7 +147,7 @@ TEST(FederationCacheTest, PerTierTtlExpiresIndependently) {
   cache.PutVerdict(key, "ep0", true);
   sparql::ResultTable table;
   table.vars = {"x"};
-  cache.PutResult("ep0", "q", table);
+  cache.PutResult("ep0", "q", IdPayload(table));
 
   cache.AdvanceTimeForTesting(2000.0);
   EXPECT_TRUE(cache.GetVerdict(key).has_value());
@@ -171,14 +171,16 @@ TEST(FederationCacheTest, ThreeTiersAreIndependent) {
   sparql::ResultTable table;
   table.vars = {"x"};
   table.rows.push_back({rdf::Term::Iri("urn:a")});
-  cache.PutResult("ep0", "SELECT ...", table);
+  cache.PutResult("ep0", "SELECT ...", IdPayload(table));
 
   EXPECT_EQ(cache.GetVerdict(key), std::optional<bool>(true));
   EXPECT_EQ(cache.GetCount(key), std::optional<uint64_t>(42));
   auto result = cache.GetResult("ep0", "SELECT ...");
   ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->rows.size(), 1u);
-  EXPECT_EQ(result->rows[0][0]->lexical(), "urn:a");
+  sparql::ResultTable decoded = core::DecodeIdTable(*result->ids,
+                                                    *result->terms);
+  ASSERT_EQ(decoded.rows.size(), 1u);
+  EXPECT_EQ(decoded.rows[0][0]->lexical(), "urn:a");
 }
 
 TEST(FederationCacheTest, InvalidateEvictsEveryTier) {
@@ -190,7 +192,7 @@ TEST(FederationCacheTest, InvalidateEvictsEveryTier) {
   cache.PutCount(k0, "ep0", 7);
   sparql::ResultTable table;
   table.vars = {"x"};
-  cache.PutResult("ep0", "q", table);
+  cache.PutResult("ep0", "q", IdPayload(table));
 
   cache.Invalidate("ep0");
   EXPECT_FALSE(cache.GetVerdict(k0).has_value());
@@ -205,13 +207,16 @@ TEST(FederationCacheTest, ResultTierHonorsByteBudget) {
   cache::FederationCache cache(options);
   sparql::ResultTable table;
   table.vars = {"x"};
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 200; ++i) {
     table.rows.push_back(
         {rdf::Term::Iri("urn:value-" + std::to_string(i))});
   }
-  ASSERT_GT(cache::FederationCache::ApproxTableBytes(table), 1000u);
-  for (int i = 0; i < 16; ++i) {
-    cache.PutResult("ep0", "query " + std::to_string(i), table);
+  cache::CachedAnswer answer = IdPayload(table);
+  cache.PutResult("ep0", "query 0", answer);
+  // Each entry is charged for its 200 id cells.
+  ASSERT_GT(cache.ResultStats().bytes, 200 * sizeof(rdf::TermId));
+  for (int i = 1; i < 16; ++i) {
+    cache.PutResult("ep0", "query " + std::to_string(i), answer);
   }
   cache::TierStats stats = cache.ResultStats();
   EXPECT_GT(stats.evictions, 0u);
@@ -221,6 +226,10 @@ TEST(FederationCacheTest, ResultTierHonorsByteBudget) {
 TEST(FederationCacheTest, JsonExportCarriesAllTiers) {
   cache::FederationCache cache;
   cache.PutVerdict("k", "ep", true);
+  sparql::ResultTable table;
+  table.vars = {"x"};
+  table.rows.push_back({rdf::Term::Iri("urn:a")});
+  cache.PutResult("ep", "q", IdPayload(table));
   obs::MetricsSnapshot snapshot;
   cache.ExportMetrics(&snapshot);
   // The JSON form of the snapshot, as GET /stats and --cache-stats show it.
@@ -230,8 +239,8 @@ TEST(FederationCacheTest, JsonExportCarriesAllTiers) {
        json.Get("lusail_cache_insertions_total").Get("samples").items()) {
     const std::string tier = sample.Get("labels").Get("tier").AsString();
     tiers.push_back(tier);
-    if (tier == "verdicts") {
-      EXPECT_EQ(sample.Get("value").AsDouble(), 1.0);
+    if (tier == "verdicts" || tier == "results") {
+      EXPECT_EQ(sample.Get("value").AsDouble(), 1.0) << tier;
     }
   }
   EXPECT_EQ(tiers,
@@ -881,7 +890,7 @@ TEST(CacheSnapshotTest, ResultTablesAreDeliberatelyNotPersisted) {
   sparql::ResultTable table;
   table.vars = {"s"};
   table.rows.push_back({rdf::Term::Iri("http://ex/s")});
-  original.PutResult("ep0", "SELECT q", table);
+  original.PutResult("ep0", "SELECT q", IdPayload(table));
   ASSERT_TRUE(original.SaveToDisk(path).ok());
 
   cache::FederationCache restored;

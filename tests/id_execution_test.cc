@@ -4,12 +4,14 @@
 // against the evaluator's own solution modifiers, and — end to end —
 // row-identity of the transport ID path (responses parsed straight into
 // the engine dictionary) against the string path and the union-graph
-// oracle over a loopback LUBM federation.
+// oracle over a loopback LUBM federation, with and without the shared
+// result cache.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/federation_cache.h"
 #include "common/rng.h"
 #include "core/dictionary.h"
 #include "core/finisher.h"
@@ -28,6 +31,8 @@
 #include "net/sparql_endpoint.h"
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
+#include "shard/shard_map.h"
+#include "shard/sharded_endpoint.h"
 #include "sparql/evaluator.h"
 #include "sparql/parser.h"
 #include "store/triple_store.h"
@@ -639,6 +644,119 @@ TEST_F(IdExecutionLoopbackTest, IdPathIsRowIdenticalToStringPathAndOracle) {
   // transport interned while parsing responses.
   EXPECT_GT(id_engine.dictionary()->size(), 0u);
   for (auto& client : clients_) client->set_parse_dictionary(nullptr);
+}
+
+// ---------------------------------------------------------------------
+// Shared result cache: ID-space entries on every transport
+// ---------------------------------------------------------------------
+
+/// Runs the LUBM query set with the shared result cache on: cold in
+/// engine A, warm in a fresh engine B (whose dictionary differs from the
+/// entries'), and warm again in A (whose dictionary minted the entries
+/// when the transport parses into it). `attach` points the transport at
+/// an engine before it runs. Every run must equal the oracle; the cold
+/// run's rows are the reference for the LIMIT query, whose subset the
+/// oracle does not fix. Any table moved out of the cache shows up as a
+/// wrong answer in a later warm run.
+void ExpectResultCacheMatchesOracle(
+    fed::Federation* federation,
+    const std::function<void(core::LusailEngine*)>& attach,
+    const std::map<std::string, std::multiset<std::string>>& oracle) {
+  cache::FederationCache cache;
+  federation->set_query_cache(&cache);
+  core::LusailOptions options;
+  options.result_cache = true;
+  core::LusailEngine first(federation, options);
+  core::LusailEngine fresh(federation, options);
+  std::map<std::string, std::multiset<std::string>> cold;
+  int run = 0;
+  for (core::LusailEngine* engine : {&first, &fresh, &first}) {
+    attach(engine);
+    for (const auto& [label, text] : workload::LubmGenerator::BenchmarkQueries()) {
+      auto result = engine->Execute(text);
+      ASSERT_TRUE(result.ok()) << label << " run " << run << ": "
+                               << result.status().ToString();
+      std::multiset<std::string> rows = RowBag(result->table);
+      if (run == 0) cold[label] = rows;
+      EXPECT_EQ(rows, cold[label]) << label << " run " << run;
+      auto it = oracle.find(label);
+      if (it != oracle.end()) {
+        EXPECT_EQ(rows, it->second) << label << " run " << run;
+      }
+    }
+    ++run;
+  }
+  EXPECT_GT(cache.ResultStats().hits, 0u);
+  federation->set_query_cache(nullptr);
+}
+
+TEST_F(IdExecutionLoopbackTest, ResultCacheHitsMatchOracleOnEveryTransport) {
+  std::map<std::string, std::multiset<std::string>> oracle;
+  for (const auto& [label, text] : workload::LubmGenerator::BenchmarkQueries()) {
+    auto parsed = sparql::ParseQuery(text);
+    ASSERT_TRUE(parsed.ok());
+    if (!parsed->limit.has_value()) oracle[label] = RowBag(Oracle(text));
+  }
+  auto unattached = [](core::LusailEngine*) {};
+
+  {
+    SCOPED_TRACE("in process");
+    std::unique_ptr<fed::Federation> in_process =
+        workload::BuildFederation(specs_, net::LatencyModel::None());
+    ExpectResultCacheMatchesOracle(in_process.get(), unattached, oracle);
+  }
+  {
+    // Responses parse into the running engine's dictionary: the fast
+    // path, where the cache shares the very table ToIds would consume.
+    SCOPED_TRACE("http, engine dictionary");
+    ExpectResultCacheMatchesOracle(
+        &remote_,
+        [&](core::LusailEngine* engine) {
+          for (auto& client : clients_) {
+            client->set_parse_dictionary(engine->dictionary());
+          }
+        },
+        oracle);
+    for (auto& client : clients_) client->set_parse_dictionary(nullptr);
+  }
+  {
+    SCOPED_TRACE("http, client dictionary");
+    ExpectResultCacheMatchesOracle(&remote_, unattached, oracle);
+  }
+
+  // Every university as a 3-shard endpoint gathering into the engine's
+  // dictionary.
+  SCOPED_TRACE("3 shards");
+  fed::Federation sharded;
+  std::vector<std::shared_ptr<shard::ShardedEndpoint>> endpoints;
+  shard::ShardMap map = shard::ShardMap::HashRing(3);
+  for (const auto& spec : specs_) {
+    std::vector<std::unique_ptr<store::TripleStore>> slices;
+    for (size_t k = 0; k < map.NumShards(); ++k) {
+      slices.push_back(std::make_unique<store::TripleStore>());
+    }
+    for (const auto& triple : spec.triples) {
+      slices[map.ShardOfSubject(triple.subject)]->Add(triple);
+    }
+    std::vector<std::shared_ptr<net::Endpoint>> members;
+    for (size_t k = 0; k < slices.size(); ++k) {
+      slices[k]->Freeze();
+      members.push_back(std::make_shared<net::SparqlEndpoint>(
+          spec.id + "#" + std::to_string(k), std::move(slices[k]),
+          net::LatencyModel::None()));
+    }
+    endpoints.push_back(std::make_shared<shard::ShardedEndpoint>(
+        spec.id, map, std::move(members)));
+    sharded.Add(endpoints.back());
+  }
+  ExpectResultCacheMatchesOracle(
+      &sharded,
+      [&](core::LusailEngine* engine) {
+        for (auto& endpoint : endpoints) {
+          endpoint->set_parse_dictionary(engine->dictionary());
+        }
+      },
+      oracle);
 }
 
 // ---------------------------------------------------------------------

@@ -189,12 +189,26 @@ TEST(LatencyHistogramTest, PercentilesAndMerge) {
 }
 
 TEST(EndpointStatsRegistryTest, RecordMergeAndJson) {
+  auto success = [](double latency_ms, uint64_t bytes_received,
+                    uint64_t rows) {
+    obs::EndpointExchange exchange;
+    exchange.success = true;
+    exchange.latency_ms = latency_ms;
+    exchange.bytes_sent = 100;
+    exchange.bytes_received = bytes_received;
+    exchange.rows = rows;
+    return exchange;
+  };
   obs::EndpointStatsRegistry reg;
-  reg.RecordSuccess("ep1", 5.0, 100, 2000, 10);
-  reg.RecordSuccess("ep1", 7.0, 100, 3000, 20);
-  reg.RecordFailure("ep1", /*timeout=*/true);
-  reg.RecordFailure("ep2", /*timeout=*/false);
-  reg.RecordResilience("ep1", 2, 1, 1);
+  reg.RecordExchange("ep1", success(5.0, 2000, 10));
+  reg.RecordExchange("ep1", success(7.0, 3000, 20));
+  obs::EndpointExchange timed_out;
+  timed_out.timeout = true;
+  timed_out.retries = 2;
+  timed_out.breaker_rejections = 1;
+  timed_out.breaker_trips = 1;
+  reg.RecordExchange("ep1", timed_out);
+  reg.RecordExchange("ep2", obs::EndpointExchange());
 
   obs::EndpointStats ep1 = reg.Get("ep1");
   EXPECT_EQ(ep1.requests, 3u);
@@ -207,23 +221,16 @@ TEST(EndpointStatsRegistryTest, RecordMergeAndJson) {
   EXPECT_EQ(ep1.latency.count(), 2u);
   EXPECT_EQ(reg.Get("ep2").errors, 1u);
   EXPECT_EQ(reg.Get("unknown").requests, 0u);
-
-  obs::EndpointStatsRegistry other;
-  other.RecordSuccess("ep1", 3.0, 50, 500, 5);
-  other.RecordSuccess("ep3", 1.0, 10, 10, 1);
-  other.Merge(reg);
-  EXPECT_EQ(other.size(), 3u);
-  EXPECT_EQ(other.Get("ep1").requests, 4u);
-  EXPECT_EQ(other.Get("ep1").latency.count(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
 
   obs::MetricsSnapshot snapshot;
-  other.ExportMetrics(&snapshot);
+  reg.ExportMetrics(&snapshot);
   const obs::MetricSample* ep1_requests =
       snapshot.Find("lusail_endpoint_requests_total", {{"endpoint", "ep1"}});
   ASSERT_NE(ep1_requests, nullptr);
-  EXPECT_EQ(ep1_requests->value, 4.0);
+  EXPECT_EQ(ep1_requests->value, 3.0);
   EXPECT_NE(
-      snapshot.Find("lusail_endpoint_requests_total", {{"endpoint", "ep3"}}),
+      snapshot.Find("lusail_endpoint_requests_total", {{"endpoint", "ep2"}}),
       nullptr);
   EXPECT_FALSE(snapshot.RenderPrometheus().empty());
 }

@@ -282,12 +282,12 @@ TEST(ReplicaGroupTest, OpenBreakersAreSkippedAndSurfaceInAvailability) {
   options.breaker_config.open_cooldown_ms = 1e9;  // Never half-opens here.
   net::ReplicaGroup group("ep", {FaultyReplica("ep#0", down)}, options);
 
-  EXPECT_TRUE(group.HasAvailableReplica());
+  EXPECT_TRUE(group.Available());
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(group.Query(kQuery).ok());
   }
   EXPECT_EQ(group.breaker(0).state(), net::CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(group.HasAvailableReplica());
+  EXPECT_FALSE(group.Available());
 
   auto rejected = group.Query(kQuery);
   ASSERT_FALSE(rejected.ok());
@@ -423,7 +423,7 @@ TEST(ReplicaGroupTest, SourceSelectionSkipsGroupsWithEveryBreakerOpen) {
           FaultyReplica("dead#0", down)},
       options);
   // Trip the lone replica's breaker with direct traffic.
-  while (group->HasAvailableReplica()) {
+  while (group->Available()) {
     ASSERT_FALSE(group->Query(kQuery).ok());
   }
 
@@ -449,6 +449,46 @@ TEST(ReplicaGroupTest, SourceSelectionSkipsGroupsWithEveryBreakerOpen) {
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_TRUE(partial->profile.partial);
   EXPECT_EQ(partial->table.rows.size(), 5u);
+}
+
+TEST(ReplicaGroupTest, SourceSelectionSeesDeadGroupsThroughDecorators) {
+  net::ReplicaGroupOptions options = SequentialOptions();
+  options.breaker_config.window_size = 4;
+  options.breaker_config.min_samples = 2;
+  options.breaker_config.open_cooldown_ms = 1e9;
+  auto group = std::make_shared<net::ReplicaGroup>(
+      "dead",
+      std::vector<std::shared_ptr<net::Endpoint>>{PlainReplica("dead#0"),
+                                                  PlainReplica("dead#1")},
+      options);
+  // Trip both breakers without sending the group a request.
+  for (size_t i = 0; i < group->NumReplicas(); ++i) {
+    while (group->breaker(i).state() != net::CircuitBreaker::State::kOpen) {
+      group->mutable_breaker(i)->RecordFailure();
+    }
+  }
+  ASSERT_FALSE(group->Available());
+
+  // A retrying wrapper would otherwise spend its backoff schedule against
+  // a group that rejects every attempt.
+  auto resilient = std::make_shared<net::ResilientEndpoint>(
+      group, net::RetryPolicy::Standard(4));
+  EXPECT_FALSE(resilient->Available());
+
+  fed::Federation federation;
+  federation.Add(resilient);
+  federation.Add(PlainReplica("alive"));
+  core::LusailEngine strict(&federation);
+  auto failed = strict.Execute(kQuery);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed.status().message().find("dead"), std::string::npos)
+      << failed.status().ToString();
+  EXPECT_NE(failed.status().message().find("source selection"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(group->stats().requests, 0u);
+  EXPECT_EQ(resilient->stats().requests, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1412,6 +1412,35 @@ TEST(MetricsEndpointTest, StatsAndMetricsReadOneSnapshot) {
   EXPECT_NE(metrics.find("lusail_custom_total 7"), std::string::npos);
 }
 
+TEST(MetricsEndpointTest, FrontedEndpointExportsWithoutACollector) {
+  cache::FederationCache cache;
+  HttpServer server(
+      std::make_shared<cache::CachedAskEndpoint>(TinyEndpoint("EP"), &cache));
+  ASSERT_TRUE(server.Start().ok());
+  HttpSparqlEndpoint client("EP", "127.0.0.1", server.port());
+  const std::string ask = "ASK { ?s <http://ex/p> ?o }";
+  ASSERT_TRUE(client.Query(ask).ok());  // Miss, then cached.
+  ASSERT_TRUE(client.Query(ask).ok());  // Hit.
+
+  std::string metrics = RawExchange(
+      server.port(),
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  obs::JsonValue stats = JsonBody(RawExchange(
+      server.port(),
+      "GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
+  server.Stop();
+
+  EXPECT_EQ(SampleValue(metrics,
+                        "lusail_ask_cache_hits_total{endpoint=\"EP\"}"),
+            1.0)
+      << metrics;
+  const obs::JsonValue& hits =
+      stats.Get("metrics").Get("lusail_ask_cache_hits_total").Get("samples");
+  ASSERT_EQ(hits.size(), 1u) << stats.Serialize();
+  EXPECT_EQ(hits[0].Get("labels").Get("endpoint").AsString(), "EP");
+  EXPECT_EQ(hits[0].Get("value").AsDouble(), 1.0);
+}
+
 // ---------------------------------------------------------------------
 // Federation telemetry: one export walks every endpoint kind
 // ---------------------------------------------------------------------

@@ -606,8 +606,8 @@ TEST_F(ShardedEndpointTest, InvalidatingTheLogicalEndpointReachesMembers) {
   EXPECT_GT(sharded_->stats().fanout_requests, fanout_warm);
 }
 
-TEST_F(ShardedEndpointTest, HasAvailableShardTrueForPlainMembers) {
-  EXPECT_TRUE(sharded_->HasAvailableShard());
+TEST_F(ShardedEndpointTest, AvailableTrueForPlainMembers) {
+  EXPECT_TRUE(sharded_->Available());
   EXPECT_EQ(sharded_->NumShards(), 4u);
   EXPECT_EQ(sharded_->MemberIds().size(), 4u);
 }

@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "cache/federation_cache.h"
 #include "core/dictionary.h"
 #include "core/id_table.h"
 #include "net/endpoint.h"
@@ -18,6 +19,13 @@ inline void SetPayload(net::QueryResponse* response,
   response->ids = std::make_shared<core::IdTable>(
       core::EncodeResultTable(table, dict.get()));
   response->ids_dict = std::move(dict);
+}
+
+/// `table` as a result-cache entry, encoded as SetPayload encodes it.
+inline cache::CachedAnswer IdPayload(const sparql::ResultTable& table) {
+  net::QueryResponse response;
+  SetPayload(&response, table);
+  return {response.ids, response.ids_dict};
 }
 
 }  // namespace lusail
