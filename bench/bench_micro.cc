@@ -22,6 +22,7 @@
 #include "core/id_table.h"
 #include "federation/federation.h"
 #include "net/sparql_endpoint.h"
+#include "rpc/results_json.h"
 #include "sparql/evaluator.h"
 #include "sparql/parser.h"
 #include "store/triple_store.h"
@@ -394,6 +395,87 @@ BENCHMARK(BM_CancellationLatency)
     ->Arg(512)->Arg(2048)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
+
+/// A ~207 KB SRJ answer: 850 rows of (?s ?p ?o) from a two-university
+/// endpoint, in store ids plus the store's term source, as the server
+/// holds it before writing the wire body. IRIs and literals mix as in
+/// any LUBM answer.
+const net::QueryResponse& SrjAnswer() {
+  static net::SparqlEndpoint endpoint("bench", BuildStore(2),
+                                      net::LatencyModel::None());
+  static const net::QueryResponse answer =
+      *endpoint.Query("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 850");
+  return answer;
+}
+
+const std::string& SrjBody() {
+  static const std::string body =
+      rpc::IdTableToSrj(*SrjAnswer().ids, *SrjAnswer().ids_dict);
+  return body;
+}
+
+/// The server's SRJ writer: ids plus term source to compact SRJ, as an
+/// HttpServer writes a buffered answer. bytes/s counts SRJ bytes out.
+void BM_SrjWrite(benchmark::State& state) {
+  const net::QueryResponse& answer = SrjAnswer();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string body = rpc::IdTableToSrj(*answer.ids, *answer.ids_dict);
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_SrjWrite)->Unit(benchmark::kMicrosecond);
+
+/// The client's buffered SRJ reader, ParseSrjToIds, into a warm
+/// dictionary (every term already interned, as on a warm engine).
+/// bytes/s counts SRJ bytes in.
+void BM_SrjParse(benchmark::State& state) {
+  const std::string& body = SrjBody();
+  core::TermDictionary dict;
+  if (!rpc::ParseSrjToIds(body, &dict).ok()) {
+    state.SkipWithError("SRJ body did not parse");
+    return;
+  }
+  for (auto _ : state) {
+    Result<core::IdTable> ids = rpc::ParseSrjToIds(body, &dict);
+    benchmark::DoNotOptimize(ids.ok());
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * body.size()));
+}
+BENCHMARK(BM_SrjParse)->Unit(benchmark::kMicrosecond);
+
+/// The client's streamed SRJ reader, SrjChunkDecoder, over the same body
+/// cut into 16 KB wire chunks, taking the decoded rows after each one,
+/// into a warm dictionary. bytes/s counts SRJ bytes in.
+void BM_SrjChunkDecode(benchmark::State& state) {
+  constexpr size_t kChunk = 16384;
+  const std::string& body = SrjBody();
+  auto dict = std::make_shared<core::TermDictionary>();
+  if (!rpc::ParseSrjToIds(body, dict.get()).ok()) {
+    state.SkipWithError("SRJ body did not parse");
+    return;
+  }
+  for (auto _ : state) {
+    rpc::SrjChunkDecoder decoder(dict);
+    size_t rows = 0;
+    for (size_t pos = 0; pos < body.size(); pos += kChunk) {
+      if (!decoder.Feed(std::string_view(body).substr(pos, kChunk)).ok()) {
+        state.SkipWithError("SRJ chunk did not decode");
+        return;
+      }
+      rows += decoder.TakeIds().NumRows();
+    }
+    benchmark::DoNotOptimize(decoder.Finish().ok());
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * body.size()));
+}
+BENCHMARK(BM_SrjChunkDecode)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace lusail

@@ -780,26 +780,13 @@ int main(int argc, char** argv) {
   if (options.engine == "lusail" || options.engine == "lade") {
     // ID-space fast path for remote federations: HTTP responses parse
     // straight into the engine dictionary (SRJ -> IdTable) and reach the
-    // executor with nothing to re-encode. Other engines and a replica
-    // group's replicas parse into each client's own dictionary, whose ids
-    // the federation translates into the engine's.
+    // executor with nothing to re-encode. Every decorator (replica
+    // groups, shards, resilience and fault layers) hands the dictionary
+    // on to the clients it wraps; in-process endpoints ignore it. Other
+    // engines keep each client's own dictionary, whose ids the
+    // federation translates into the engine's.
     for (size_t i = 0; i < federation->size(); ++i) {
-      if (auto* http = dynamic_cast<rpc::HttpSparqlEndpoint*>(
-              federation->endpoint(i))) {
-        http->set_parse_dictionary(lusail.dictionary());
-      } else if (auto* sharded = dynamic_cast<shard::ShardedEndpoint*>(
-                     federation->endpoint(i))) {
-        // The gather site unions into the engine dictionary, and member
-        // responses parse straight into it too, so scattered subquery
-        // rows reach SAPE with zero re-encoding.
-        sharded->set_parse_dictionary(lusail.dictionary());
-        for (size_t m = 0; m < sharded->NumShards(); ++m) {
-          if (auto* member_http = dynamic_cast<rpc::HttpSparqlEndpoint*>(
-                  sharded->member(m))) {
-            member_http->set_parse_dictionary(lusail.dictionary());
-          }
-        }
-      }
+      federation->endpoint(i)->set_parse_dictionary(lusail.dictionary());
     }
   }
   baselines::FedXOptions fedx_options;

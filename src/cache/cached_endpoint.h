@@ -58,6 +58,11 @@ class CachedAskEndpoint : public net::Endpoint {
 
   bool Available() const override { return inner_->Available(); }
 
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override {
+    inner_->set_parse_dictionary(std::move(dict));
+  }
+
  private:
   std::shared_ptr<net::Endpoint> inner_;
   FederationCache* cache_;

@@ -176,6 +176,16 @@ class Endpoint {
   /// probing it. Decorators forward to the endpoint they wrap; the
   /// default, with no health state to consult, is always available.
   virtual bool Available() const { return true; }
+
+  /// Hands a transport the dictionary to parse later responses into (an
+  /// engine's own, so Federation::ToIds consumes the ids with no
+  /// re-encoding); nullptr restores the transport's private one.
+  /// Decorators forward it to every endpoint they wrap, so one call on
+  /// the outermost endpoint reaches every transport in the stack. The
+  /// default, with nothing to parse, ignores it. Call before issuing the
+  /// queries it should affect.
+  virtual void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> /*dict*/) {}
 };
 
 }  // namespace lusail::net

@@ -109,6 +109,11 @@ class FaultInjectingEndpoint : public Endpoint {
 
   bool Available() const override { return inner_->Available(); }
 
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override {
+    inner_->set_parse_dictionary(std::move(dict));
+  }
+
   /// Forgets all request history (occurrence counters and stats); the
   /// fault stream restarts from the beginning.
   void ResetHistory();

@@ -41,6 +41,13 @@ bool ReplicaGroup::Available() const {
   return false;
 }
 
+void ReplicaGroup::set_parse_dictionary(
+    std::shared_ptr<core::TermDictionary> dict) {
+  for (const auto& replica : replicas_) {
+    replica->endpoint->set_parse_dictionary(dict);
+  }
+}
+
 const CircuitBreaker& ReplicaGroup::breaker(size_t i) const {
   return replicas_[i]->breaker;
 }

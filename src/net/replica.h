@@ -120,6 +120,10 @@ class ReplicaGroup : public Endpoint {
   /// every replica is known-dead.
   bool Available() const override;
 
+  /// Forwards to every replica.
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override;
+
   const CircuitBreaker& breaker(size_t i) const;
   CircuitBreaker* mutable_breaker(size_t i);
 

@@ -226,6 +226,11 @@ class ResilientEndpoint : public Endpoint {
 
   bool Available() const override { return inner_->Available(); }
 
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override {
+    inner_->set_parse_dictionary(std::move(dict));
+  }
+
  private:
   std::shared_ptr<Endpoint> inner_;
   RetryPolicy policy_;

@@ -193,8 +193,15 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ >= kJsonMaxDepth) {
+        return Error("nesting deeper than " + std::to_string(kJsonMaxDepth));
+      }
+      ++depth_;
+      Result<JsonValue> container = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return container;
+    }
     if (c == '"') {
       LUSAIL_ASSIGN_OR_RETURN(std::string s, ParseString());
       return JsonValue(std::move(s));
@@ -315,6 +322,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Containers open around pos_.
 };
 
 }  // namespace

@@ -11,6 +11,11 @@
 
 namespace lusail::obs {
 
+/// Deepest array/object nesting JsonValue::Parse (and the rpc layer's SRJ
+/// scanner) accepts. Both read bytes off the network, so the recursion
+/// needs a bound well above any document this repo writes.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// A minimal JSON document tree used by the observability layer: the
 /// Chrome trace exporter, EXPLAIN's machine-readable form, the endpoint
 /// statistics reports, and the bench metric dumps. Objects preserve
@@ -77,7 +82,8 @@ class JsonValue {
   std::string Pretty() const;
 
   /// Parses a JSON document. Numbers become doubles; objects keep the
-  /// source key order.
+  /// source key order. Fails with kInvalidArgument on malformed input and
+  /// on nesting deeper than kJsonMaxDepth.
   static Result<JsonValue> Parse(const std::string& text);
 
   bool operator==(const JsonValue& other) const;

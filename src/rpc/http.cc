@@ -528,18 +528,35 @@ Result<HttpResponse> HttpConnection::ReadResponse(const HttpLimits& limits,
 
   LUSAIL_ASSIGN_OR_RETURN(size_t body_size,
                           ContentLengthOf(response.headers, limits));
-  response.body.reserve(body_size);
-  while (response.body.size() < body_size) {
-    int rc = FillBuffer(deadline);
-    if (rc == 0) return Status::Unavailable("connection closed mid-body");
-    if (rc == -1) return Status::Timeout("HTTP read deadline expired");
-    if (rc == -2) return Status::Unavailable("HTTP connection error");
-    size_t want = body_size - response.body.size();
-    size_t have = std::min(want, buffer_.size() - pos_);
-    response.body.append(buffer_, pos_, have);
-    pos_ += have;
-  }
+  LUSAIL_RETURN_NOT_OK(ReadBodyInto(body_size, deadline, &response.body));
   return response;
+}
+
+Status HttpConnection::ReadBodyInto(size_t size, const Deadline& deadline,
+                                    std::string* body) {
+  body->resize(size);
+  const size_t buffered = std::min(size, buffer_.size() - pos_);
+  std::memcpy(body->data(), buffer_.data() + pos_, buffered);
+  pos_ += buffered;
+  size_t have = buffered;
+  while (have < size) {
+    // Try the socket first and wait only when it has nothing yet.
+    ssize_t n = ::recv(fd_, body->data() + have, size - have, MSG_DONTWAIT);
+    if (n > 0) {
+      have += static_cast<size_t>(n);
+      bytes_read_ += static_cast<uint64_t>(n);
+      continue;
+    }
+    if (n == 0) return Status::Unavailable("connection closed mid-body");
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Status::Unavailable("HTTP connection error");
+    }
+    int ready = PollFd(fd_, POLLIN, deadline);
+    if (ready == -1) return Status::Timeout("HTTP read deadline expired");
+    if (ready < 0) return Status::Unavailable("HTTP connection error");
+  }
+  return Status::OK();
 }
 
 Result<HttpResponse> HttpConnection::ReadResponseHead(

@@ -162,6 +162,12 @@ class HttpConnection {
   /// timeout, -2 on connection error, else 1.
   int FillBuffer(const Deadline& deadline);
 
+  /// Reads a `size`-byte body into `*body`: first what the buffer already
+  /// holds, then recv straight into the body's tail, so each body byte is
+  /// copied once and no byte past the body is taken off the socket.
+  Status ReadBodyInto(size_t size, const Deadline& deadline,
+                      std::string* body);
+
   /// Reads one CRLF-terminated line (terminator stripped). Used for chunk
   /// size lines and trailer headers.
   Status ReadLine(const HttpLimits& limits, const Deadline& deadline,

@@ -649,15 +649,16 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
     // blocks here, the sink fails, and QueryStreaming unwinds — the slow
     // client back-pressures the evaluator instead of growing a buffer.
     auto sink = [&](net::StreamBatch&& batch) -> Status {
-      sparql::ResultTable batch_table =
-          core::DecodeIdTable(*batch.ids, *batch.ids_dict);
       std::string wire;
       if (!head_sent) {
-        wire = send_head(batch_table.vars);
+        wire = send_head(batch.ids->vars);
         head_sent = true;
       }
-      if (!batch_table.rows.empty()) {
-        wire += EncodeChunk(SrjStreamBindings(batch_table, &first_binding));
+      if (batch.ids->NumRows() > 0) {
+        std::string bindings;
+        AppendSrjBindings(*batch.ids, *batch.ids_dict, &first_binding,
+                          &bindings);
+        wire += EncodeChunk(bindings);
       }
       if (wire.empty()) return Status::OK();
       Status sent = SendAll(
@@ -831,7 +832,7 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
   }
 
   // Cut to max_result_rows in ID space, so only the rows shipped are
-  // decoded.
+  // written.
   const core::IdTable* ids = evaluated->ids.get();
   core::IdTable cut;
   bool truncated = false;
@@ -842,8 +843,6 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
     truncated = true;
     truncated_results_.fetch_add(1, std::memory_order_relaxed);
   }
-  const sparql::ResultTable table =
-      core::DecodeIdTable(*ids, *evaluated->ids_dict);
 
   HttpResponse response;
   response.status = 200;
@@ -854,9 +853,9 @@ HttpResponse HttpServer::HandleSparql(const HttpRequest& request, int fd,
   response.SetHeader("X-Lusail-Server-Ms",
                      std::to_string(server_timer.ElapsedMillis()));
   if (truncated) response.SetHeader("X-Lusail-Truncated", "true");
-  response.body = ResultTableToSrj(table);
+  response.body = IdTableToSrj(*ids, *evaluated->ids_dict);
   return finish(std::move(response), "ok",
-                static_cast<uint64_t>(table.rows.size()), truncated, false);
+                static_cast<uint64_t>(ids->NumRows()), truncated, false);
 }
 
 }  // namespace lusail::rpc

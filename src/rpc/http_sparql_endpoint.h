@@ -108,7 +108,8 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// Federation::ToIds consumes the ids with zero re-encoding); nullptr
   /// restores a fresh private dictionary. Thread-safe; takes effect for
   /// requests issued after the call.
-  void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict);
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override;
 
   /// Emits lusail_http_client_* counters labelled {endpoint=id}.
   void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;

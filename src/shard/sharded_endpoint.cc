@@ -191,6 +191,15 @@ std::vector<std::string> ShardedEndpoint::MemberIds() const {
   return member_ids_;
 }
 
+void ShardedEndpoint::set_parse_dictionary(
+    std::shared_ptr<core::TermDictionary> dict) {
+  for (const auto& member : members_) {
+    if (member != nullptr) member->set_parse_dictionary(dict);
+  }
+  dict_ = dict != nullptr ? std::move(dict)
+                          : std::make_shared<core::TermDictionary>();
+}
+
 bool ShardedEndpoint::Available() const {
   for (const auto& member : members_) {
     if (member != nullptr && member->Available()) return true;

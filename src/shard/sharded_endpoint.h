@@ -124,11 +124,12 @@ class ShardedEndpoint : public net::Endpoint {
   bool Available() const override;
 
   /// Dictionary gather results are encoded into (and responses returned
-  /// in). Defaults to a private dictionary; engines share theirs so the
-  /// Federation::ToIds fast path applies. Call before issuing queries.
-  void set_parse_dictionary(std::shared_ptr<core::TermDictionary> dict) {
-    dict_ = std::move(dict);
-  }
+  /// in), also handed to every member so their responses parse straight
+  /// into it. Defaults to a private dictionary, which nullptr restores;
+  /// engines share theirs so the Federation::ToIds fast path applies.
+  /// Call before issuing queries.
+  void set_parse_dictionary(
+      std::shared_ptr<core::TermDictionary> dict) override;
 
   ShardedEndpointStats stats() const;
 

@@ -21,13 +21,17 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cached_endpoint.h"
 #include "cache/federation_cache.h"
 #include "common/rng.h"
 #include "core/dictionary.h"
 #include "core/finisher.h"
 #include "core/id_table.h"
 #include "core/lusail_engine.h"
+#include "net/fault_injection.h"
 #include "net/latency_model.h"
+#include "net/replica.h"
+#include "net/resilience.h"
 #include "net/sparql_endpoint.h"
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
@@ -757,6 +761,77 @@ TEST_F(IdExecutionLoopbackTest, ResultCacheHitsMatchOracleOnEveryTransport) {
         }
       },
       oracle);
+}
+
+// ---------------------------------------------------------------------
+// Parse dictionary through decorator stacks
+// ---------------------------------------------------------------------
+
+TEST(ParseDictionaryForwardingTest,
+     ReplicaClientsBehindDecoratorsParseIntoTheEngineDictionary) {
+  // Two replicas of one endpoint, each an HTTP client of its own server,
+  // behind ReplicaGroup <- ResilientEndpoint <- FaultInjectingEndpoint <-
+  // CachedAskEndpoint. One call on the outermost layer must reach both
+  // clients.
+  workload::LubmConfig config = workload::LubmConfig::Small();
+  config.num_universities = 1;
+  workload::LubmGenerator generator(config);
+  std::vector<std::unique_ptr<rpc::HttpServer>> servers;
+  std::vector<std::shared_ptr<net::Endpoint>> replicas;
+  for (int r = 0; r < 2; ++r) {
+    auto store = std::make_unique<store::TripleStore>();
+    for (const rdf::TermTriple& t : generator.GenerateUniversity(0)) {
+      store->Add(t);
+    }
+    store->Freeze();
+    servers.push_back(std::make_unique<rpc::HttpServer>(
+        std::make_shared<net::SparqlEndpoint>("U0", std::move(store),
+                                              net::LatencyModel::None())));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    replicas.push_back(std::make_shared<rpc::HttpSparqlEndpoint>(
+        "U0", "127.0.0.1", servers.back()->port()));
+  }
+  auto group = std::make_shared<net::ReplicaGroup>("U0", replicas);
+  auto resilient =
+      std::make_shared<net::ResilientEndpoint>(group, net::RetryPolicy());
+  auto faulty = std::make_shared<net::FaultInjectingEndpoint>(
+      resilient, net::FaultProfile());
+  cache::FederationCache cache;
+  cache::CachedAskEndpoint outer(faulty, &cache);
+
+  auto engine_dict = std::make_shared<core::TermDictionary>();
+  outer.set_parse_dictionary(engine_dict);
+  const std::string query = workload::LubmGenerator::Q1();
+  Result<net::QueryResponse> through_stack = outer.Query(query);
+  ASSERT_TRUE(through_stack.ok()) << through_stack.status().ToString();
+  ASSERT_GT(through_stack->RowCount(), 0u);
+  EXPECT_EQ(through_stack->ids_dict.get(), engine_dict.get());
+  uint64_t streamed_rows = 0;
+  Result<net::StreamSummary> streamed = outer.QueryStreaming(
+      query, CancelToken(), net::StreamOptions{},
+      [&](net::StreamBatch&& batch) {
+        EXPECT_EQ(batch.ids_dict.get(), engine_dict.get());
+        streamed_rows += batch.NumRows();
+        return Status::OK();
+      });
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed_rows, through_stack->RowCount());
+  // Every replica's client got the dictionary, not only the one the
+  // group ranks first.
+  for (const auto& replica : replicas) {
+    Result<net::QueryResponse> direct = replica->Query(query);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct->ids_dict.get(), engine_dict.get());
+  }
+
+  // nullptr gives each client a private dictionary again.
+  outer.set_parse_dictionary(nullptr);
+  for (const auto& replica : replicas) {
+    Result<net::QueryResponse> direct = replica->Query(query);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_NE(direct->ids_dict.get(), engine_dict.get());
+  }
+  for (auto& server : servers) server->Stop();
 }
 
 // ---------------------------------------------------------------------
