@@ -10,11 +10,10 @@ namespace lusail::baselines {
 std::string HibiscusIndex::Authority(const rdf::Term& term) {
   if (term.is_literal()) return "~lit";
   if (term.is_blank()) return "~bnode";
-  const std::string& iri = term.lexical();
+  const std::string_view iri = term.lexical();
   size_t scheme_end = iri.find("://");
-  if (scheme_end == std::string::npos) return iri;
-  size_t host_end = iri.find('/', scheme_end + 3);
-  return host_end == std::string::npos ? iri : iri.substr(0, host_end);
+  if (scheme_end == std::string_view::npos) return std::string(iri);
+  return std::string(iri.substr(0, iri.find('/', scheme_end + 3)));
 }
 
 HibiscusIndex HibiscusIndex::Build(const fed::Federation& federation) {
@@ -29,10 +28,17 @@ HibiscusIndex HibiscusIndex::Build(const fed::Federation& federation) {
     EndpointSummary& summary = index.endpoints_[e];
     for (const store::EncodedTriple& t :
          store.Match(std::nullopt, std::nullopt, std::nullopt)) {
-      const std::string& pred = store.dict().term(t.p).lexical();
-      summary.subject_auths[pred].insert(
-          Authority(store.dict().term(t.s)));
-      summary.object_auths[pred].insert(Authority(store.dict().term(t.o)));
+      const std::string_view pred = store.dict().term(t.p).lexical();
+      auto subjects = summary.subject_auths.find(pred);
+      if (subjects == summary.subject_auths.end()) {
+        subjects = summary.subject_auths.try_emplace(std::string(pred)).first;
+      }
+      subjects->second.insert(Authority(store.dict().term(t.s)));
+      auto objects = summary.object_auths.find(pred);
+      if (objects == summary.object_auths.end()) {
+        objects = summary.object_auths.try_emplace(std::string(pred)).first;
+      }
+      objects->second.insert(Authority(store.dict().term(t.o)));
     }
   }
   index.build_millis_ = timer.ElapsedMillis();
@@ -43,7 +49,7 @@ std::optional<std::vector<int>> HibiscusIndex::Sources(
     const sparql::TriplePattern& tp) const {
   // Variable predicates are outside the summary's reach; fall back to ASK.
   if (tp.p.is_variable()) return std::nullopt;
-  const std::string& pred = tp.p.term().lexical();
+  const std::string_view pred = tp.p.term().lexical();
   std::vector<int> out;
   for (size_t e = 0; e < endpoints_.size(); ++e) {
     const EndpointSummary& summary = endpoints_[e];

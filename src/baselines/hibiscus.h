@@ -53,8 +53,8 @@ class HibiscusIndex : public SourceProvider {
  private:
   struct EndpointSummary {
     /// predicate IRI -> authorities of its subjects / objects.
-    std::map<std::string, std::set<std::string>> subject_auths;
-    std::map<std::string, std::set<std::string>> object_auths;
+    std::map<std::string, std::set<std::string>, std::less<>> subject_auths;
+    std::map<std::string, std::set<std::string>, std::less<>> object_auths;
   };
   std::vector<EndpointSummary> endpoints_;
   double build_millis_ = 0.0;

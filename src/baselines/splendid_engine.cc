@@ -48,12 +48,17 @@ void SplendidEngine::BuildIndex() {
     VoidStats& stats = index_[e];
     stats.total_triples = store.size();
     for (rdf::TermId p : store.Predicates()) {
-      const std::string& pred = store.dict().term(p).lexical();
-      stats.predicate_counts[pred] = store.StatsFor(p).triples;
+      const std::string_view pred = store.dict().term(p).lexical();
+      stats.predicate_counts[std::string(pred)] = store.StatsFor(p).triples;
       if (pred == rdf::kRdfType) {
         for (const store::EncodedTriple& t :
              store.Match(std::nullopt, p, std::nullopt)) {
-          ++stats.class_counts[store.dict().term(t.o).lexical()];
+          const std::string_view cls = store.dict().term(t.o).lexical();
+          auto it = stats.class_counts.find(cls);
+          if (it == stats.class_counts.end()) {
+            it = stats.class_counts.try_emplace(std::string(cls)).first;
+          }
+          ++it->second;
         }
       }
     }
@@ -65,7 +70,7 @@ Result<std::vector<int>> SplendidEngine::SourcesFor(
     const TriplePattern& tp, fed::MetricsCollector* metrics,
     const CancelToken& cancel) {
   if (!index_.empty() && tp.p.is_term() && tp.p.term().is_iri()) {
-    const std::string& pred = tp.p.term().lexical();
+    const std::string_view pred = tp.p.term().lexical();
     bool is_type = pred == rdf::kRdfType;
     std::vector<int> out;
     for (size_t e = 0; e < index_.size(); ++e) {
@@ -98,7 +103,7 @@ double SplendidEngine::EstimateCardinality(
     const VoidStats& stats = index_[e];
     double est;
     if (tp.p.is_term() && tp.p.term().is_iri()) {
-      const std::string& pred = tp.p.term().lexical();
+      const std::string_view pred = tp.p.term().lexical();
       if (pred == rdf::kRdfType && tp.o.is_term()) {
         auto it = stats.class_counts.find(tp.o.term().lexical());
         est = it == stats.class_counts.end() ? 0.0

@@ -57,8 +57,8 @@ class SplendidEngine : public fed::FederatedEngine {
  private:
   struct VoidStats {
     uint64_t total_triples = 0;
-    std::map<std::string, uint64_t> predicate_counts;
-    std::map<std::string, uint64_t> class_counts;
+    std::map<std::string, uint64_t, std::less<>> predicate_counts;
+    std::map<std::string, uint64_t, std::less<>> class_counts;
   };
 
   Result<std::vector<int>> SourcesFor(const sparql::TriplePattern& tp,

@@ -18,12 +18,12 @@ std::atomic<uint64_t>& EpochCounter() {
   return counter;
 }
 
-/// Approximate resident cost of one interned term: string payloads plus
-/// its deque entries (the term and its content hash). The shard's slot
-/// array is charged separately.
+/// Approximate resident cost of one interned term: its block (charged
+/// to this dictionary even when a store shares it) plus its deque
+/// entries, the handle and the content hash. The shard's index is
+/// charged separately.
 size_t TermBytes(const rdf::Term& term) {
-  return term.lexical().size() + term.datatype().size() +
-         term.lang().size() + sizeof(rdf::Term) + sizeof(uint64_t);
+  return term.BlockBytes() + sizeof(rdf::Term) + sizeof(uint64_t);
 }
 
 /// How many cells ahead InternBatch prefetches the home slot: far enough
@@ -103,7 +103,7 @@ void AppendU64(std::string* out, uint64_t v) {
   }
 }
 
-void AppendString(std::string* out, const std::string& s) {
+void AppendString(std::string* out, std::string_view s) {
   AppendU64(out, s.size());
   out->append(s);
 }
@@ -151,13 +151,13 @@ class DictReader {
     return v;
   }
 
-  std::string Str() {
+  std::string_view Str() {
     uint64_t length = U64();
     if (!ok_ || !Require(length)) {
       ok_ = false;
-      return std::string();
+      return std::string_view();
     }
-    std::string s = data_.substr(pos_, length);
+    std::string_view s(data_.data() + pos_, length);
     pos_ += length;
     return s;
   }
@@ -180,22 +180,19 @@ class DictReader {
   bool ok_ = true;
 };
 
-rdf::Term TermFromFields(uint8_t kind, std::string lexical,
-                         std::string datatype, std::string lang) {
+/// The term a snapshot record describes. A language tag wins over a
+/// datatype, and non-literals keep only their lexical form, as the named
+/// rdf::Term factories build them.
+rdf::Term TermFromFields(uint8_t kind, std::string_view lexical,
+                         std::string_view datatype, std::string_view lang) {
   switch (static_cast<rdf::TermKind>(kind)) {
     case rdf::TermKind::kIri:
-      return rdf::Term::Iri(std::move(lexical));
+      return rdf::Term::Iri(lexical);
     case rdf::TermKind::kBlankNode:
-      return rdf::Term::BlankNode(std::move(lexical));
+      return rdf::Term::BlankNode(lexical);
     case rdf::TermKind::kLiteral:
-      if (!lang.empty()) {
-        return rdf::Term::LangLiteral(std::move(lexical), std::move(lang));
-      }
-      if (!datatype.empty()) {
-        return rdf::Term::TypedLiteral(std::move(lexical),
-                                       std::move(datatype));
-      }
-      return rdf::Term::Literal(std::move(lexical));
+      if (!lang.empty()) return rdf::Term::LangLiteral(lexical, lang);
+      return rdf::Term::TypedLiteral(lexical, datatype);
   }
   return rdf::Term();
 }
@@ -283,16 +280,15 @@ Result<uint64_t> TermDictionary::LoadFromDisk(const std::string& path) {
     parsed[s].reserve(reader.ok() ? n : 0);
     for (uint64_t i = 0; reader.ok() && i < n; ++i) {
       uint8_t kind = reader.U8();
-      std::string lexical = reader.Str();
-      std::string datatype = reader.Str();
-      std::string lang = reader.Str();
+      std::string_view lexical = reader.Str();
+      std::string_view datatype = reader.Str();
+      std::string_view lang = reader.Str();
       if (!reader.ok()) break;
       if (kind > static_cast<uint8_t>(rdf::TermKind::kBlankNode)) {
         return Status::InvalidArgument(
             "dictionary snapshot has an unknown term kind: " + path);
       }
-      rdf::Term term = TermFromFields(kind, std::move(lexical),
-                                      std::move(datatype), std::move(lang));
+      rdf::Term term = TermFromFields(kind, lexical, datatype, lang);
       if ((term.Hash() & kShardMask) != s) {
         return Status::InvalidArgument(
             "dictionary snapshot term hashes to the wrong shard (stale or "
@@ -320,46 +316,29 @@ Result<uint64_t> TermDictionary::LoadFromDisk(const std::string& path) {
 TermDictionary::TermDictionary()
     : epoch_(EpochCounter().fetch_add(1, std::memory_order_relaxed)) {}
 
-size_t TermDictionary::Probe(const Shard& shard, const rdf::Term& term,
-                             uint64_t hash) {
-  const size_t mask = shard.slots.size() - 1;
-  for (size_t i = hash >> shard.slot_shift;; i = (i + 1) & mask) {
-    const Slot& slot = shard.slots[i];
-    if (slot.id == rdf::kInvalidTermId ||
-        (slot.hash == hash && shard.terms[slot.id >> 4] == term)) {
-      return i;
-    }
+template <typename Matches, typename Make>
+rdf::TermId TermDictionary::FindOrInsert(Shard* shard, uint64_t hash,
+                                         Matches matches, Make make) {
+  const size_t slot = shard->index.Find(hash, [&](rdf::TermId id) {
+    return matches(shard->terms[id >> 4]);
+  });
+  if (shard->index.id(slot) != rdf::kInvalidTermId) {
+    return shard->index.id(slot);
   }
+  rdf::TermId id = (static_cast<rdf::TermId>(shard->terms.size()) << 4) |
+                   (hash & kShardMask);
+  const rdf::Term& term = shard->terms.emplace_back(make());
+  shard->hashes.push_back(HashTermContent(term));
+  shard->bytes += TermBytes(term);
+  shard->index.Insert(slot, hash, id);
+  return id;
 }
 
 rdf::TermId TermDictionary::FindOrInsert(Shard* shard, const rdf::Term& term,
                                          uint64_t hash) {
-  const size_t slot = Probe(*shard, term, hash);
-  if (shard->slots[slot].id != rdf::kInvalidTermId) {
-    return shard->slots[slot].id;
-  }
-  rdf::TermId id = (static_cast<rdf::TermId>(shard->terms.size()) << 4) |
-                   (hash & kShardMask);
-  shard->terms.push_back(term);
-  shard->hashes.push_back(HashTermContent(term));
-  shard->bytes += TermBytes(term);
-  shard->slots[slot] = Slot{hash, id};
-  if (2 * shard->terms.size() > shard->slots.size()) {
-    // Double the index, re-placing slots by their stored hashes.
-    std::vector<Slot> grown(2 * shard->slots.size(),
-                            Slot{0, rdf::kInvalidTermId});
-    const unsigned shift = shard->slot_shift - 1;
-    const size_t mask = grown.size() - 1;
-    for (const Slot& old : shard->slots) {
-      if (old.id == rdf::kInvalidTermId) continue;
-      size_t i = old.hash >> shift;
-      while (grown[i].id != rdf::kInvalidTermId) i = (i + 1) & mask;
-      grown[i] = old;
-    }
-    shard->slots = std::move(grown);
-    shard->slot_shift = shift;
-  }
-  return id;
+  return FindOrInsert(
+      shard, hash, [&](const rdf::Term& stored) { return stored == term; },
+      [&] { return term; });
 }
 
 rdf::TermId TermDictionary::Intern(const rdf::Term& term) {
@@ -367,6 +346,21 @@ rdf::TermId TermDictionary::Intern(const rdf::Term& term) {
   Shard& shard = shards_[hash & kShardMask];
   std::lock_guard<std::mutex> lock(shard.mu);
   return FindOrInsert(&shard, term, hash);
+}
+
+rdf::TermId TermDictionary::InternFields(rdf::TermKind kind,
+                                         std::string_view lexical,
+                                         std::string_view datatype,
+                                         std::string_view lang) {
+  const uint64_t hash = rdf::Term::HashFields(kind, lexical, datatype, lang);
+  Shard& shard = shards_[hash & kShardMask];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return FindOrInsert(
+      &shard, hash,
+      [&](const rdf::Term& stored) {
+        return stored.HasFields(kind, lexical, datatype, lang);
+      },
+      [&] { return rdf::Term::FromFields(kind, lexical, datatype, lang); });
 }
 
 void TermDictionary::InternBatch(const rdf::Term* const* terms, size_t n,
@@ -393,8 +387,7 @@ void TermDictionary::InternBatch(const rdf::Term* const* terms, size_t n,
     std::lock_guard<std::mutex> lock(shard.mu);
     for (size_t k = begin[s]; k < begin[s + 1]; ++k) {
       if (k + kPrefetchDistance < begin[s + 1]) {
-        uint64_t ahead = hashes[order[k + kPrefetchDistance]];
-        __builtin_prefetch(&shard.slots[ahead >> shard.slot_shift]);
+        shard.index.Prefetch(hashes[order[k + kPrefetchDistance]]);
       }
       const uint32_t i = order[k];
       out[i] = FindOrInsert(&shard, *terms[i], hashes[i]);
@@ -412,7 +405,9 @@ rdf::TermId TermDictionary::Lookup(const rdf::Term& term) const {
   const uint64_t hash = term.Hash();
   const Shard& shard = shards_[hash & kShardMask];
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.slots[Probe(shard, term, hash)].id;
+  return shard.index.id(shard.index.Find(hash, [&](rdf::TermId id) {
+    return shard.terms[id >> 4] == term;
+  }));
 }
 
 const rdf::Term& TermDictionary::term(rdf::TermId id) const {
@@ -487,7 +482,7 @@ DictionaryStats TermDictionary::GetStats() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.terms += shard.terms.size();
-    stats.bytes += shard.bytes + shard.slots.size() * sizeof(Slot);
+    stats.bytes += shard.bytes + shard.index.MemoryUsageBytes();
   }
   {
     std::lock_guard<std::mutex> lock(memo_mu_);

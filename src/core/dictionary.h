@@ -2,12 +2,12 @@
 #define LUSAIL_CORE_DICTIONARY_H_
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -41,11 +41,11 @@ struct DictionaryStats {
 /// expression trees with no per-row copies.
 ///
 /// A term is hashed once (rdf::Term::Hash): the low 4 bits pick the
-/// shard and the high bits the home slot in the shard's index, a flat
-/// open-addressing array of (hash, id) slots. Probes compare the stored
-/// hash before touching the term, so a warm hit reads one slot and the
-/// one term it names. InternBatch and TermBatch group a column by shard
-/// and take each shard lock once.
+/// shard and the high bits the home slot in the shard's rdf::TermIndex.
+/// The shard's deque holds a handle to the caller's term block, so a
+/// term interned from a store answer shares the store's bytes.
+/// InternBatch and TermBatch group a column by shard and take each shard
+/// lock once.
 ///
 /// The dictionary is owned by the engine and lives across queries (terms
 /// are never evicted; LUBM-scale federations intern a few hundred
@@ -73,6 +73,13 @@ class TermDictionary final : public rdf::TermSource {
   /// taken once per call.
   void InternBatch(const rdf::Term* const* terms, size_t n,
                    rdf::TermId* out);
+
+  /// Interns the term with exactly these fields, as
+  /// Intern(rdf::Term::FromFields(kind, lexical, datatype, lang)) would,
+  /// but hashes and compares the views in place: a term already interned
+  /// costs no allocation, and a block is built only for a new one.
+  rdf::TermId InternFields(rdf::TermKind kind, std::string_view lexical,
+                           std::string_view datatype, std::string_view lang);
 
   /// Returns the id of `term` if interned, otherwise kInvalidTermId.
   rdf::TermId Lookup(const rdf::Term& term) const;
@@ -144,33 +151,21 @@ class TermDictionary final : public rdf::TermSource {
   static constexpr size_t kShards = 16;
   static constexpr uint64_t kShardMask = kShards - 1;
 
-  /// One index entry: the term's rdf::Term::Hash and its id. An empty
-  /// slot holds kInvalidTermId.
-  struct Slot {
-    uint64_t hash;
-    rdf::TermId id;
-  };
-  static constexpr size_t kMinSlots = 16;
-
   struct Shard {
     mutable std::mutex mu;
     std::deque<rdf::Term> terms;
     std::deque<uint64_t> hashes;  ///< content_hash, parallel to `terms`.
-    /// Power-of-two index, at most half full; a term's home slot is the
-    /// top `64 - slot_shift` bits of its hash, probed linearly.
-    std::vector<Slot> slots =
-        std::vector<Slot>(kMinSlots, Slot{0, rdf::kInvalidTermId});
-    /// 64 - log2(slots.size()).
-    unsigned slot_shift = 64 - std::countr_zero(kMinSlots);
-    size_t bytes = 0;  ///< TermBytes of every term (slots not included).
+    rdf::TermIndex index;         ///< Keyed by rdf::Term::Hash.
+    size_t bytes = 0;  ///< TermBytes of every term (index not included).
   };
 
-  /// Index of the slot holding `term` in `shard`, or of the empty slot
-  /// where it would go. Caller holds shard.mu.
-  static size_t Probe(const Shard& shard, const rdf::Term& term,
-                      uint64_t hash);
-  /// Id of `term` (whose Hash() is `hash`) in its shard, interning it
-  /// there first when absent. Caller holds shard->mu.
+  /// Id of the term whose Hash() is `hash` and for which `matches` holds
+  /// in `shard`; when absent, interns `make()` there first. Caller holds
+  /// shard->mu.
+  template <typename Matches, typename Make>
+  static rdf::TermId FindOrInsert(Shard* shard, uint64_t hash,
+                                  Matches matches, Make make);
+  /// FindOrInsert of `term` itself.
   static rdf::TermId FindOrInsert(Shard* shard, const rdf::Term& term,
                                   uint64_t hash);
 

@@ -1,99 +1,142 @@
 #include "rdf/term.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <new>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/string_util.h"
 
 namespace lusail::rdf {
 
-Term Term::Iri(std::string iri) {
+Term Term::FromFields(TermKind kind, std::string_view lexical,
+                      std::string_view datatype, std::string_view lang) {
   Term t;
-  t.kind_ = TermKind::kIri;
-  t.lexical_ = std::move(iri);
+  const size_t size = lexical.size() + datatype.size() + lang.size();
+  if (kind == TermKind::kIri && size == 0) return t;
+  if (size > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("rdf::Term fields exceed 4 GiB");
+  }
+  void* block = ::operator new(sizeof(Rep) + size);
+  t.rep_ = new (block) Rep{{1},
+                           kind,
+                           static_cast<uint32_t>(lexical.size()),
+                           static_cast<uint32_t>(datatype.size()),
+                           static_cast<uint32_t>(lang.size())};
+  char* out = t.rep_->bytes();
+  // memcpy of an empty view may see a null pointer; skip those.
+  if (!lexical.empty()) std::memcpy(out, lexical.data(), lexical.size());
+  out += lexical.size();
+  if (!datatype.empty()) std::memcpy(out, datatype.data(), datatype.size());
+  out += datatype.size();
+  if (!lang.empty()) std::memcpy(out, lang.data(), lang.size());
   return t;
 }
 
-Term Term::Literal(std::string lexical) {
-  Term t;
-  t.kind_ = TermKind::kLiteral;
-  t.lexical_ = std::move(lexical);
-  return t;
+void Term::Free(Rep* rep) {
+  rep->~Rep();
+  ::operator delete(rep);
 }
 
-Term Term::TypedLiteral(std::string lexical, std::string datatype) {
-  Term t;
-  t.kind_ = TermKind::kLiteral;
-  t.lexical_ = std::move(lexical);
-  t.datatype_ = std::move(datatype);
-  return t;
+bool Term::SameFields(const Term& other) const {
+  // A term without a block is the empty IRI, and no block holds that.
+  if (rep_ == nullptr || other.rep_ == nullptr) return false;
+  const Rep& a = *rep_;
+  const Rep& b = *other.rep_;
+  return a.kind == b.kind && a.lexical_size == b.lexical_size &&
+         a.datatype_size == b.datatype_size && a.lang_size == b.lang_size &&
+         std::memcmp(a.bytes(), b.bytes(),
+                     size_t{a.lexical_size} + a.datatype_size + a.lang_size) ==
+             0;
 }
 
-Term Term::LangLiteral(std::string lexical, std::string lang) {
-  Term t;
-  t.kind_ = TermKind::kLiteral;
-  t.lexical_ = std::move(lexical);
-  t.lang_ = std::move(lang);
-  return t;
+size_t Term::BlockBytes() const {
+  if (rep_ == nullptr) return 0;
+  return sizeof(Rep) + rep_->lexical_size + rep_->datatype_size +
+         rep_->lang_size;
+}
+
+Term Term::Iri(std::string_view iri) {
+  return FromFields(TermKind::kIri, iri, {}, {});
+}
+
+Term Term::Literal(std::string_view lexical) {
+  return FromFields(TermKind::kLiteral, lexical, {}, {});
+}
+
+Term Term::TypedLiteral(std::string_view lexical, std::string_view datatype) {
+  return FromFields(TermKind::kLiteral, lexical, datatype, {});
+}
+
+Term Term::LangLiteral(std::string_view lexical, std::string_view lang) {
+  return FromFields(TermKind::kLiteral, lexical, {}, lang);
 }
 
 Term Term::Integer(int64_t value) {
-  return TypedLiteral(std::to_string(value), std::string(kXsdInteger));
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  return TypedLiteral(std::string_view(buf, static_cast<size_t>(end - buf)),
+                      kXsdInteger);
 }
 
 Term Term::Double(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", value);
-  return TypedLiteral(buf, std::string(kXsdDouble));
+  return TypedLiteral(buf, kXsdDouble);
 }
 
-Term Term::BlankNode(std::string label) {
-  Term t;
-  t.kind_ = TermKind::kBlankNode;
-  t.lexical_ = std::move(label);
-  return t;
+Term Term::BlankNode(std::string_view label) {
+  return FromFields(TermKind::kBlankNode, label, {}, {});
 }
 
 bool Term::IsNumeric() const {
-  return kind_ == TermKind::kLiteral &&
-         (datatype_ == kXsdInteger || datatype_ == kXsdDecimal ||
-          datatype_ == kXsdDouble);
+  if (!is_literal()) return false;
+  const std::string_view dt = datatype();
+  return dt == kXsdInteger || dt == kXsdDecimal || dt == kXsdDouble;
 }
 
-double Term::AsDouble() const { return std::strtod(lexical_.c_str(), nullptr); }
+double Term::AsDouble() const {
+  // strtod needs a terminated string; the block's bytes are not.
+  return std::strtod(std::string(lexical()).c_str(), nullptr);
+}
 
 std::string Term::ToString() const {
-  switch (kind_) {
+  std::string out;
+  out.reserve(SerializedSize());
+  switch (kind()) {
     case TermKind::kIri:
-      return "<" + lexical_ + ">";
+      out.append("<").append(lexical()).append(">");
+      break;
     case TermKind::kBlankNode:
-      return "_:" + lexical_;
-    case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical_) + "\"";
-      if (!lang_.empty()) {
-        out += "@" + lang_;
-      } else if (!datatype_.empty()) {
-        out += "^^<" + datatype_ + ">";
+      out.append("_:").append(lexical());
+      break;
+    case TermKind::kLiteral:
+      out.append("\"").append(EscapeLiteral(lexical())).append("\"");
+      if (!lang().empty()) {
+        out.append("@").append(lang());
+      } else if (!datatype().empty()) {
+        out.append("^^<").append(datatype()).append(">");
       }
-      return out;
-    }
+      break;
   }
-  return "";
+  return out;
 }
 
 size_t Term::SerializedSize() const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kIri:
     case TermKind::kBlankNode:
-      return lexical_.size() + 2;  // <iri> or _:label
+      return lexical().size() + 2;  // <iri> or _:label
     case TermKind::kLiteral: {
-      size_t size = EscapedLiteralSize(lexical_) + 2;
-      if (!lang_.empty()) {
-        size += lang_.size() + 1;  // @lang
-      } else if (!datatype_.empty()) {
-        size += datatype_.size() + 4;  // ^^<dt>
+      size_t size = EscapedLiteralSize(lexical()) + 2;
+      if (!lang().empty()) {
+        size += lang().size() + 1;  // @lang
+      } else if (!datatype().empty()) {
+        size += datatype().size() + 4;  // ^^<dt>
       }
       return size;
     }
@@ -110,10 +153,10 @@ Result<Term> Term::Parse(std::string_view token) {
     if (token.back() != '>') {
       return Status::ParseError("unterminated IRI: " + std::string(token));
     }
-    return Term::Iri(std::string(token.substr(1, token.size() - 2)));
+    return Term::Iri(token.substr(1, token.size() - 2));
   }
   if (StartsWith(token, "_:")) {
-    return Term::BlankNode(std::string(token.substr(2)));
+    return Term::BlankNode(token.substr(2));
   }
   if (token.front() == '"') {
     // Find the closing quote, honoring backslash escapes.
@@ -134,14 +177,13 @@ Result<Term> Term::Parse(std::string_view token) {
     std::string lexical = UnescapeLiteral(token.substr(1, close - 1));
     std::string_view rest = token.substr(close + 1);
     if (rest.empty()) {
-      return Term::Literal(std::move(lexical));
+      return Term::Literal(lexical);
     }
     if (rest.front() == '@') {
-      return Term::LangLiteral(std::move(lexical), std::string(rest.substr(1)));
+      return Term::LangLiteral(lexical, rest.substr(1));
     }
     if (StartsWith(rest, "^^<") && rest.back() == '>') {
-      return Term::TypedLiteral(std::move(lexical),
-                                std::string(rest.substr(3, rest.size() - 4)));
+      return Term::TypedLiteral(lexical, rest.substr(3, rest.size() - 4));
     }
     return Status::ParseError("malformed literal suffix: " +
                               std::string(token));
@@ -150,8 +192,9 @@ Result<Term> Term::Parse(std::string_view token) {
 }
 
 bool Term::operator<(const Term& other) const {
-  return std::tie(kind_, lexical_, datatype_, lang_) <
-         std::tie(other.kind_, other.lexical_, other.datatype_, other.lang_);
+  return std::tuple(kind(), lexical(), datatype(), lang()) <
+         std::tuple(other.kind(), other.lexical(), other.datatype(),
+                    other.lang());
 }
 
 namespace {
@@ -168,7 +211,7 @@ constexpr uint64_t kHashLength = 0xa0761d6478bd642fULL;
 constexpr uint64_t kHashWord = 0xe7037ed1a0b428dbULL;
 
 /// Folds `field`'s length, then its bytes 8 at a time, into `h`.
-inline uint64_t HashField(uint64_t h, const std::string& field) {
+inline uint64_t HashField(uint64_t h, std::string_view field) {
   const char* p = field.data();
   size_t n = field.size();
   h = Mum(h ^ n, kHashLength);
@@ -187,11 +230,12 @@ inline uint64_t HashField(uint64_t h, const std::string& field) {
 
 }  // namespace
 
-size_t Term::Hash() const {
-  uint64_t h = 0x8ebc6af09c88c6e3ULL ^ static_cast<uint64_t>(kind_);
-  h = HashField(h, lexical_);
-  h = HashField(h, datatype_);
-  h = HashField(h, lang_);
+size_t Term::HashFields(TermKind kind, std::string_view lexical,
+                        std::string_view datatype, std::string_view lang) {
+  uint64_t h = 0x8ebc6af09c88c6e3ULL ^ static_cast<uint64_t>(kind);
+  h = HashField(h, lexical);
+  h = HashField(h, datatype);
+  h = HashField(h, lang);
   return h;
 }
 

@@ -1,10 +1,12 @@
 #ifndef LUSAIL_RDF_TERM_H_
 #define LUSAIL_RDF_TERM_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/status.h"
 
@@ -34,23 +36,49 @@ inline constexpr std::string_view kRdfType =
     "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
 /// An RDF term: IRI, literal (with optional datatype IRI or language tag),
-/// or blank node. Terms are immutable value types; equality is structural.
+/// or blank node. Terms are immutable values; equality is structural.
+///
+/// A Term is one pointer to an immutable, reference-counted block that
+/// holds the kind, the three field lengths and the field bytes back to
+/// back, allocated at its exact size. Copying a term bumps the count
+/// (relaxed), so every store, dictionary and answer holding the same
+/// term shares one copy of its bytes; the last handle frees the block.
+/// The default term and an empty IRI hold no block and allocate nothing.
+/// Copies and drops of one term are safe from any number of threads.
 class Term {
  public:
   /// Default-constructs an empty IRI; only useful as a placeholder.
-  Term() : kind_(TermKind::kIri) {}
+  Term() = default;
+
+  Term(const Term& other) noexcept : rep_(other.rep_) {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Term(Term&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
+  Term& operator=(const Term& other) noexcept {
+    Term copy(other);
+    std::swap(rep_, copy.rep_);
+    return *this;
+  }
+  Term& operator=(Term&& other) noexcept {
+    Term taken(std::move(other));
+    std::swap(rep_, taken.rep_);
+    return *this;
+  }
+  ~Term() {
+    if (rep_ != nullptr) Release(rep_);
+  }
 
   /// Creates an IRI term.
-  static Term Iri(std::string iri);
+  static Term Iri(std::string_view iri);
 
   /// Creates a plain (xsd:string) literal.
-  static Term Literal(std::string lexical);
+  static Term Literal(std::string_view lexical);
 
   /// Creates a typed literal.
-  static Term TypedLiteral(std::string lexical, std::string datatype);
+  static Term TypedLiteral(std::string_view lexical, std::string_view datatype);
 
   /// Creates a language-tagged literal.
-  static Term LangLiteral(std::string lexical, std::string lang);
+  static Term LangLiteral(std::string_view lexical, std::string_view lang);
 
   /// Creates an xsd:integer literal.
   static Term Integer(int64_t value);
@@ -59,21 +87,41 @@ class Term {
   static Term Double(double value);
 
   /// Creates a blank node with the given label (no leading "_:").
-  static Term BlankNode(std::string label);
+  static Term BlankNode(std::string_view label);
 
-  TermKind kind() const { return kind_; }
-  bool is_iri() const { return kind_ == TermKind::kIri; }
-  bool is_literal() const { return kind_ == TermKind::kLiteral; }
-  bool is_blank() const { return kind_ == TermKind::kBlankNode; }
+  /// Creates a term with exactly these fields. The named factories above
+  /// are this with the fields they leave empty.
+  static Term FromFields(TermKind kind, std::string_view lexical,
+                         std::string_view datatype, std::string_view lang);
+
+  TermKind kind() const {
+    return rep_ != nullptr ? rep_->kind : TermKind::kIri;
+  }
+  bool is_iri() const { return kind() == TermKind::kIri; }
+  bool is_literal() const { return kind() == TermKind::kLiteral; }
+  bool is_blank() const { return kind() == TermKind::kBlankNode; }
+
+  // The fields view the term's block: valid while any copy of the term
+  // lives.
 
   /// The lexical form: IRI string, literal value, or blank-node label.
-  const std::string& lexical() const { return lexical_; }
+  std::string_view lexical() const {
+    if (rep_ == nullptr) return {};
+    return {rep_->bytes(), rep_->lexical_size};
+  }
 
   /// Datatype IRI for literals ("" when plain or language-tagged).
-  const std::string& datatype() const { return datatype_; }
+  std::string_view datatype() const {
+    if (rep_ == nullptr) return {};
+    return {rep_->bytes() + rep_->lexical_size, rep_->datatype_size};
+  }
 
   /// Language tag for literals ("" when absent).
-  const std::string& lang() const { return lang_; }
+  std::string_view lang() const {
+    if (rep_ == nullptr) return {};
+    return {rep_->bytes() + rep_->lexical_size + rep_->datatype_size,
+            rep_->lang_size};
+  }
 
   /// True for literals whose datatype is a numeric XSD type.
   bool IsNumeric() const;
@@ -91,10 +139,17 @@ class Term {
   static Result<Term> Parse(std::string_view token);
 
   bool operator==(const Term& other) const {
-    return kind_ == other.kind_ && lexical_ == other.lexical_ &&
-           datatype_ == other.datatype_ && lang_ == other.lang_;
+    return rep_ == other.rep_ || SameFields(other);
   }
   bool operator!=(const Term& other) const { return !(*this == other); }
+
+  /// True when this term's fields are exactly these: equality with
+  /// FromFields(kind, lexical, datatype, lang), without building it.
+  bool HasFields(TermKind kind, std::string_view lexical,
+                 std::string_view datatype, std::string_view lang) const {
+    return this->kind() == kind && this->lexical() == lexical &&
+           this->datatype() == datatype && this->lang() == lang;
+  }
 
   /// Total order for use in sorted containers (kind, lexical, datatype,
   /// lang).
@@ -104,13 +159,43 @@ class Term {
   /// folded in ahead of its bytes, so ("ab","c") and ("a","bc") separate.
   /// core::TermDictionary places terms in shards by this hash, so a change
   /// to it must bump that dictionary's snapshot version.
-  size_t Hash() const;
+  size_t Hash() const {
+    return HashFields(kind(), lexical(), datatype(), lang());
+  }
+
+  /// Hash() of FromFields(kind, lexical, datatype, lang), without
+  /// building the term.
+  static size_t HashFields(TermKind kind, std::string_view lexical,
+                           std::string_view datatype, std::string_view lang);
+
+  /// Resident bytes of this handle's block (0 for a term without one):
+  /// what one more distinct term costs whoever holds the first handle.
+  size_t BlockBytes() const;
 
  private:
-  TermKind kind_;
-  std::string lexical_;
-  std::string datatype_;
-  std::string lang_;
+  /// The shared block: this header, then lexical, datatype and lang back
+  /// to back. Counts and lengths are 32-bit: FromFields rejects fields
+  /// of 4 GiB or more in total, and 2^32 handles to one block would need
+  /// 32 GiB of handles.
+  struct Rep {
+    std::atomic<uint32_t> refs;
+    TermKind kind;
+    uint32_t lexical_size;
+    uint32_t datatype_size;
+    uint32_t lang_size;
+    char* bytes() { return reinterpret_cast<char*>(this + 1); }
+    const char* bytes() const {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+  };
+
+  static void Release(Rep* rep) {
+    if (rep->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) Free(rep);
+  }
+  static void Free(Rep* rep);
+  bool SameFields(const Term& other) const;
+
+  Rep* rep_ = nullptr;
 };
 
 /// std::hash adapter for Term.

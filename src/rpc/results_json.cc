@@ -626,29 +626,31 @@ class SrjScanner {
     return true;
   }
 
-  /// The term a value object describes; false for an unknown type.
-  static bool MakeTerm(std::string_view type, std::string_view value,
-                       bool has_lang, std::string_view lang,
-                       bool has_datatype, std::string_view datatype,
-                       rdf::Term* term) {
+  /// Interns the term a value object describes into the current cell,
+  /// straight from the views; false for an unknown type.
+  bool InternValue(std::string_view type, std::string_view value,
+                   bool has_lang, std::string_view lang, bool has_datatype,
+                   std::string_view datatype) {
+    rdf::TermKind kind;
+    std::string_view term_datatype, term_lang;
     if (type == "uri") {
-      *term = rdf::Term::Iri(std::string(value));
+      kind = rdf::TermKind::kIri;
     } else if (type == "bnode") {
-      *term = rdf::Term::BlankNode(std::string(value));
+      kind = rdf::TermKind::kBlankNode;
     } else if (type == "literal" || type == "typed-literal") {
       // Precedence (see results_json.h): a non-empty language tag wins
       // over a datatype; an empty xml:lang means "no language".
+      kind = rdf::TermKind::kLiteral;
       if (has_lang && !lang.empty()) {
-        *term = rdf::Term::LangLiteral(std::string(value), std::string(lang));
+        term_lang = lang;
       } else if (has_datatype) {
-        *term = rdf::Term::TypedLiteral(std::string(value),
-                                        std::string(datatype));
-      } else {
-        *term = rdf::Term::Literal(std::string(value));
+        term_datatype = datatype;
       }
     } else {
       return false;
     }
+    row_[col_] = dict_->InternFields(kind, value, term_datatype, term_lang);
+    ++cells_;
     return true;
   }
 
@@ -658,13 +660,10 @@ class SrjScanner {
                   "SRJ binding value needs string \"type\" and \"value\" "
                   "members");
     }
-    rdf::Term term;
-    if (!MakeTerm(type_, value_, has_lang_, lang_, has_datatype_, datatype_,
-                  &term)) {
+    if (!InternValue(type_, value_, has_lang_, lang_, has_datatype_,
+                     datatype_)) {
       return Fail(at, "unknown SRJ term type \"" + type_ + "\"");
     }
-    row_[col_] = dict_->Intern(term);
-    ++cells_;
     return true;
   }
 
@@ -730,13 +729,9 @@ class SrjScanner {
       has_datatype = true;
     }
     if (p == nullptr || p == end || *p != '}') return nullptr;
-    rdf::Term term;
-    if (!MakeTerm(type, value, has_lang, lang, has_datatype, datatype,
-                  &term)) {
+    if (!InternValue(type, value, has_lang, lang, has_datatype, datatype)) {
       return nullptr;
     }
-    row_[col_] = dict_->Intern(term);
-    ++cells_;
     AfterValue();
     return p + 1;
   }

@@ -11,9 +11,12 @@ namespace {
 
 using rdf::Term;
 
+/// The two booleans, each one shared block: a filter's verdict per row
+/// costs no allocation.
 Term BoolTerm(bool b) {
-  return Term::TypedLiteral(b ? "true" : "false",
-                            std::string(rdf::kXsdBoolean));
+  static const Term kTrue = Term::TypedLiteral("true", rdf::kXsdBoolean);
+  static const Term kFalse = Term::TypedLiteral("false", rdf::kXsdBoolean);
+  return b ? kTrue : kFalse;
 }
 
 /// SPARQL effective boolean value of a term; nullopt on type error.
@@ -186,7 +189,7 @@ std::optional<Term> EvalExpr(const Expr& expr, const VarLookup& lookup) {
         return Term::Iri(
             "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString");
       }
-      return Term::Iri(std::string(rdf::kXsdString));
+      return Term::Iri(rdf::kXsdString);
     }
     case ExprOp::kIsIri: {
       auto a = EvalExpr(expr.args[0], lookup);

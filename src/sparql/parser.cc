@@ -256,6 +256,15 @@ class Parser {
                                         : std::string(t.text);
   }
 
+  /// Consumes the next token and views its text (a string's unescaped
+  /// body), valid while the parser lives: what a term is built from,
+  /// with no string in between.
+  std::string_view TakeText() {
+    const Token& t = tokens_[pos_++];
+    return t.kind == TokenKind::kString ? std::string_view(literals_[t.literal])
+                                        : t.text;
+  }
+
   bool IsKeyword(std::string_view kw, size_t ahead = 0) const {
     const Token& t = Peek(ahead);
     return t.kind == TokenKind::kIdent && EqualsIgnoreCase(t.text, kw);
@@ -569,7 +578,7 @@ class Parser {
   Result<TermOrVar> ParseVerb() {
     if (Peek().kind == TokenKind::kIdent && Peek().text == "a") {
       Advance();
-      return TermOrVar(rdf::Term::Iri(std::string(rdf::kRdfType)));
+      return TermOrVar(rdf::Term::Iri(rdf::kRdfType));
     }
     return ParseTermOrVar();
   }
@@ -580,7 +589,7 @@ class Parser {
       case TokenKind::kVar:
         return TermOrVar(Variable{Take()});
       case TokenKind::kIri:
-        return TermOrVar(rdf::Term::Iri(Take()));
+        return TermOrVar(rdf::Term::Iri(TakeText()));
       case TokenKind::kPname: {
         LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(Take()));
         return TermOrVar(std::move(term));
@@ -590,11 +599,11 @@ class Parser {
         return TermOrVar(std::move(lit));
       }
       case TokenKind::kNumber:
-        return TermOrVar(NumberToTerm(Take()));
+        return TermOrVar(NumberToTerm(TakeText()));
       case TokenKind::kIdent:
         if (t.text == "true" || t.text == "false") {
-          return TermOrVar(rdf::Term::TypedLiteral(
-              Take(), std::string(rdf::kXsdBoolean)));
+          return TermOrVar(
+              rdf::Term::TypedLiteral(TakeText(), rdf::kXsdBoolean));
         }
         return Error("unexpected identifier '" + std::string(t.text) +
                      "' in pattern");
@@ -605,28 +614,27 @@ class Parser {
 
   /// Consumes a kString token plus optional @lang / ^^<dt> suffix.
   Result<rdf::Term> ParseLiteralTail() {
-    std::string lexical = Take();
+    const std::string_view lexical = TakeText();
     if (Peek().kind == TokenKind::kLangTag) {
-      return rdf::Term::LangLiteral(std::move(lexical), Take());
+      return rdf::Term::LangLiteral(lexical, TakeText());
     }
     if (ConsumePunct("^^")) {
       if (Peek().kind == TokenKind::kIri) {
-        return rdf::Term::TypedLiteral(std::move(lexical), Take());
+        return rdf::Term::TypedLiteral(lexical, TakeText());
       }
       if (Peek().kind == TokenKind::kPname) {
         LUSAIL_ASSIGN_OR_RETURN(rdf::Term dt, ResolvePname(Take()));
-        return rdf::Term::TypedLiteral(std::move(lexical), dt.lexical());
+        return rdf::Term::TypedLiteral(lexical, dt.lexical());
       }
       return Error("expected datatype IRI after ^^");
     }
-    return rdf::Term::Literal(std::move(lexical));
+    return rdf::Term::Literal(lexical);
   }
 
-  static rdf::Term NumberToTerm(std::string text) {
+  static rdf::Term NumberToTerm(std::string_view text) {
     const bool is_double = text.find_first_of(".eE") != std::string::npos;
     return rdf::Term::TypedLiteral(
-        std::move(text),
-        std::string(is_double ? rdf::kXsdDouble : rdf::kXsdInteger));
+        text, is_double ? rdf::kXsdDouble : rdf::kXsdInteger);
   }
 
   /// Parses a VALUES data block (after the keyword) into `*vc`.
@@ -769,7 +777,9 @@ class Parser {
       return inner;
     }
     if (t.kind == TokenKind::kVar) return Expr::Var(Take());
-    if (t.kind == TokenKind::kIri) return Expr::Const(rdf::Term::Iri(Take()));
+    if (t.kind == TokenKind::kIri) {
+      return Expr::Const(rdf::Term::Iri(TakeText()));
+    }
     if (t.kind == TokenKind::kPname) {
       LUSAIL_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(Take()));
       return Expr::Const(std::move(term));
@@ -778,11 +788,13 @@ class Parser {
       LUSAIL_ASSIGN_OR_RETURN(rdf::Term lit, ParseLiteralTail());
       return Expr::Const(std::move(lit));
     }
-    if (t.kind == TokenKind::kNumber) return Expr::Const(NumberToTerm(Take()));
+    if (t.kind == TokenKind::kNumber) {
+      return Expr::Const(NumberToTerm(TakeText()));
+    }
     if (t.kind == TokenKind::kIdent) {
       if (t.text == "true" || t.text == "false") {
         return Expr::Const(
-            rdf::Term::TypedLiteral(Take(), std::string(rdf::kXsdBoolean)));
+            rdf::Term::TypedLiteral(TakeText(), rdf::kXsdBoolean));
       }
       static const std::pair<const char*, ExprOp> kFuncs[] = {
           {"BOUND", ExprOp::kBound},         {"STR", ExprOp::kStr},

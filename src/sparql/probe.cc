@@ -1,7 +1,6 @@
 #include "sparql/probe.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <limits>
 
 #include "sparql/serializer.h"
@@ -13,7 +12,7 @@ namespace {
 /// The index a batched answer's tag names, when it is one of [0, n).
 std::optional<size_t> TagIndex(const rdf::Term* tag, size_t n) {
   if (tag == nullptr || !tag->is_literal()) return std::nullopt;
-  const std::string& lex = tag->lexical();
+  const std::string_view lex = tag->lexical();
   if (lex.empty() || lex.size() > 19) return std::nullopt;
   size_t value = 0;
   for (char c : lex) {
@@ -201,14 +200,13 @@ Result<std::vector<uint64_t>> DecodeProbeAnswer(ProbeKind kind,
 }
 
 rdf::Term CountTerm(uint64_t count) {
-  return rdf::Term::TypedLiteral(std::to_string(count),
-                                 std::string(rdf::kXsdInteger));
+  return rdf::Term::TypedLiteral(std::to_string(count), rdf::kXsdInteger);
 }
 
 uint64_t ParseCountLiteral(const rdf::Term& term) {
-  const std::string& lex = term.lexical();
+  const std::string_view lex = term.lexical();
   // Fast path: a plain decimal integer (optionally '+'-signed), which is
-  // what COUNT(*) yields everywhere. strtoull keeps all 64 bits where a
+  // what COUNT(*) yields everywhere. from_chars keeps all 64 bits where a
   // double round-trip would round above 2^53.
   size_t start = (!lex.empty() && lex[0] == '+') ? 1 : 0;
   bool all_digits = lex.size() > start;
@@ -219,11 +217,13 @@ uint64_t ParseCountLiteral(const rdf::Term& term) {
     }
   }
   if (all_digits) {
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(lex.c_str() + start, &end, 10);
-    if (errno == ERANGE) return std::numeric_limits<uint64_t>::max();
-    if (end == lex.c_str() + lex.size()) return static_cast<uint64_t>(value);
+    uint64_t value = 0;
+    auto [end, ec] =
+        std::from_chars(lex.data() + start, lex.data() + lex.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      return std::numeric_limits<uint64_t>::max();
+    }
+    if (end == lex.data() + lex.size()) return value;
   }
   // Fallback: scientific/decimal forms ("1.2e3") via double, saturating
   // instead of invoking the undefined negative/overflow casts.

@@ -15,7 +15,11 @@ using rdf::TermTriple;
 constexpr const char* kUb = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
 
 Term UbIri(const std::string& local) { return Term::Iri(kUb + local); }
-Term RdfType() { return Term::Iri(std::string(rdf::kRdfType)); }
+/// One shared block for every rdf:type predicate the generator emits.
+Term RdfType() {
+  static const Term type = Term::Iri(rdf::kRdfType);
+  return type;
+}
 
 void Add(std::vector<TermTriple>* out, Term s, Term p, Term o) {
   out->push_back(TermTriple{std::move(s), std::move(p), std::move(o)});

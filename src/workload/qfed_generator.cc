@@ -14,7 +14,11 @@ constexpr const char* kDis = "http://diseasome.example.org/vocab#";
 constexpr const char* kSid = "http://sider.example.org/vocab#";
 constexpr const char* kDm = "http://dailymed.example.org/vocab#";
 
-Term RdfType() { return Term::Iri(std::string(rdf::kRdfType)); }
+/// One shared block for every rdf:type predicate the generator emits.
+Term RdfType() {
+  static const Term type = Term::Iri(rdf::kRdfType);
+  return type;
+}
 
 void Add(std::vector<TermTriple>* out, Term s, Term p, Term o) {
   out->push_back(TermTriple{std::move(s), std::move(p), std::move(o)});

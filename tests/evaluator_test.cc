@@ -220,7 +220,7 @@ std::multiset<std::string> Rows(const ResultTable& table) {
         line += "-";
         continue;
       }
-      std::string lexical = row[i]->lexical();
+      std::string lexical(row[i]->lexical());
       if (lexical.rfind("http://ex/", 0) == 0) lexical.erase(0, 10);
       line += lexical;
     }

@@ -981,5 +981,139 @@ TEST(DictionarySnapshotTest, TruncatedAndBadMagicSnapshotsAreRejected) {
   std::remove(path.c_str());
 }
 
+
+// ---------------------------------------------------------------------
+// Term blocks: snapshots, answer lifetime and the bytes gauge
+// ---------------------------------------------------------------------
+
+TEST(TermBlockSnapshotTest, LoadsVersion2BytesWrittenBeforeTermBlocks) {
+  // SaveToDisk output of a dictionary holding <http://example.org/a>,
+  // "chat"@fr and "a\0b" (in that order), written when a term was a kind
+  // plus three std::strings. Shard placement follows Term::Hash, so this
+  // loads only while the hash is unchanged.
+  static const char kBytes[] =
+      "\x4c\x55\x53\x44\x49\x43\x54\x53\x02\x00\x00\x00\x10\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "\x00\x00\x00\x00\x01\x03\x00\x00\x00\x00\x00\x00\x00\x61\x00\x62"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x14\x00\x00\x00\x00\x00\x00\x00\x68\x74\x74\x70\x3a\x2f\x2f"
+      "\x65\x78\x61\x6d\x70\x6c\x65\x2e\x6f\x72\x67\x2f\x61\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x04\x00"
+      "\x00\x00\x00\x00\x00\x00\x63\x68\x61\x74\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x66\x72\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc1\x20\xd2\x97"
+      "\xdd\xab\xce\xab";
+  const std::string path = DictSnapshotPath("version2_golden");
+  WriteFileBytes(path, std::string(kBytes, sizeof(kBytes) - 1));
+  core::TermDictionary dict;
+  auto loaded = dict.LoadFromDisk(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 3u);
+  const rdf::Term iri = rdf::Term::Iri("http://example.org/a");
+  const rdf::Term lang = rdf::Term::LangLiteral("chat", "fr");
+  const rdf::Term nul = rdf::Term::Literal(std::string("a\0b", 3));
+  EXPECT_EQ(dict.Lookup(iri), 5u);
+  EXPECT_EQ(dict.Lookup(lang), 7u);
+  EXPECT_EQ(dict.Lookup(nul), 3u);
+  EXPECT_EQ(dict.content_hash(5), 0x47c0c33f00a75647ULL);
+  EXPECT_EQ(dict.content_hash(7), 0xb4288b1706aeef40ULL);
+  EXPECT_EQ(dict.content_hash(3), 0x99d7f840cf9895b3ULL);
+  EXPECT_EQ(dict.term(3).lexical(), std::string_view("a\0b", 3));
+
+  // Saving the same terms again writes the same bytes.
+  core::TermDictionary rebuilt;
+  rebuilt.Intern(iri);
+  rebuilt.Intern(lang);
+  rebuilt.Intern(nul);
+  const std::string again = DictSnapshotPath("version2_again");
+  ASSERT_TRUE(rebuilt.SaveToDisk(again).ok());
+  EXPECT_EQ(ReadFileBytes(again), std::string(kBytes, sizeof(kBytes) - 1));
+  std::remove(path.c_str());
+  std::remove(again.c_str());
+}
+
+TEST(TermBlockLifetimeTest, AnswerCellsOutliveEngineFederationAndStores) {
+  auto federation = workload::BuildFederation(workload::Figure1Federation(),
+                                              net::LatencyModel::None());
+  auto engine = std::make_unique<core::LusailEngine>(federation.get());
+  Result<fed::FederatedResult> result =
+      engine->Execute(workload::Figure2QueryQa());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->table.NumRows(), 3u);
+  std::vector<std::string> expected;
+  for (const auto& row : result->table.rows) {
+    for (const auto& cell : row) {
+      expected.push_back(cell.has_value() ? cell->ToString() : "UNDEF");
+    }
+  }
+  // The cells share blocks with the engine dictionary and the stores;
+  // dropping every other owner must leave them readable.
+  engine.reset();
+  federation.reset();
+  std::vector<std::string> after;
+  for (const auto& row : result->table.rows) {
+    for (const auto& cell : row) {
+      after.push_back(cell.has_value() ? cell->ToString() : "UNDEF");
+    }
+  }
+  EXPECT_EQ(after, expected);
+}
+
+TEST(TermBlockGaugeTest, EngineDictionaryBytesGrowByTheBlockPerNewTerm) {
+  auto federation = workload::BuildFederation(workload::Figure1Federation(),
+                                              net::LatencyModel::None());
+  core::LusailEngine engine(federation.get());
+  ASSERT_TRUE(engine.Execute(workload::Figure2QueryQa()).ok());
+  auto bytes = [&engine] {
+    obs::MetricsSnapshot snapshot;
+    engine.ExportMetrics(&snapshot);
+    const obs::MetricSample* sample =
+        snapshot.Find("lusail_engine_dictionary_bytes", {});
+    return sample == nullptr ? -1.0 : sample->value;
+  };
+  const double before = bytes();
+  ASSERT_GT(before, 0.0);
+  constexpr int kTerms = 2000;
+  size_t block_bytes = 0;
+  for (int i = 0; i < kTerms; ++i) {
+    char lexical[32];
+    std::snprintf(lexical, sizeof(lexical), "http://ex/t%06d", i);
+    const rdf::Term term = rdf::Term::Iri(lexical);
+    block_bytes += term.BlockBytes();
+    engine.dictionary()->Intern(term);
+  }
+  // Each new term costs its block plus its handle and content hash in the
+  // shard deques; the index adds at most a few slots per term. Charging
+  // the old three-string layout (104 bytes of Term plus the bytes) would
+  // overshoot the upper bound.
+  const double per_term = (bytes() - before) / kTerms;
+  const double block = static_cast<double>(block_bytes) / kTerms;
+  EXPECT_GE(per_term, block + sizeof(rdf::Term) + sizeof(uint64_t));
+  EXPECT_LE(per_term, block + sizeof(rdf::Term) + sizeof(uint64_t) + 64);
+}
+
+TEST(TermDictionaryTest, InternFieldsMatchesInternWithoutBuildingHits) {
+  core::TermDictionary by_term;
+  core::TermDictionary by_fields;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const rdf::Term& t : TermZoo()) {
+      const rdf::TermId id = by_term.Intern(t);
+      EXPECT_EQ(
+          by_fields.InternFields(t.kind(), t.lexical(), t.datatype(), t.lang()),
+          id)
+          << t.ToString();
+      EXPECT_EQ(by_fields.term(id), t);
+    }
+    EXPECT_EQ(by_fields.size(), by_term.size());
+    EXPECT_EQ(by_fields.GetStats().bytes, by_term.GetStats().bytes);
+  }
+}
+
 }  // namespace
 }  // namespace lusail

@@ -1,8 +1,10 @@
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dictionary.h"
 #include "rdf/dictionary.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -158,6 +160,137 @@ TEST(TermTest, SerializedSizeMatchesToString) {
     EXPECT_EQ(term.SerializedSize(), term.ToString().size())
         << term.ToString();
   }
+}
+
+// ---------------------------------------------------------------------
+// Term blocks: hashes, sharing and concurrent reference counts
+// ---------------------------------------------------------------------
+
+/// One term of each shape, with the Term::Hash and
+/// core::TermDictionary::content_hash values recorded when a term was
+/// still a kind plus three std::strings. Shard placement and the
+/// snapshot format depend on Hash; shared cache keys on content_hash.
+struct GoldenTerm {
+  Term term;
+  uint64_t hash;
+  uint64_t content_hash;
+};
+
+std::vector<GoldenTerm> GoldenTerms() {
+  return {
+      {Term::Iri("http://example.org/a"), 0x27d93e72027b6845ULL,
+       0x47c0c33f00a75647ULL},
+      {Term::Literal("hello"), 0x8edc5a07fd7ea2f4ULL, 0x680ab7088c42e442ULL},
+      {Term::TypedLiteral("42", kXsdInteger), 0x2426ff1969e77ad3ULL,
+       0xb0b9516283a34625ULL},
+      {Term::LangLiteral("chat", "fr"), 0x9fa719f7f61d8207ULL,
+       0xb4288b1706aeef40ULL},
+      {Term::BlankNode("b0"), 0x4010fb2d3fd94232ULL, 0xde846234f101469dULL},
+      {Term::Literal(std::string("a\0b", 3)), 0x532d4bb1e136dee3ULL,
+       0x99d7f840cf9895b3ULL},
+      {Term(), 0x0a2906c389afb97bULL, 0xd8e3d7186bb5e26dULL},
+  };
+}
+
+TEST(TermBlockTest, HashesMatchTheGoldenValues) {
+  for (const GoldenTerm& golden : GoldenTerms()) {
+    const Term& t = golden.term;
+    EXPECT_EQ(t.Hash(), golden.hash) << t.ToString();
+    EXPECT_EQ(Term::HashFields(t.kind(), t.lexical(), t.datatype(), t.lang()),
+              golden.hash)
+        << t.ToString();
+  }
+}
+
+TEST(TermBlockTest, ContentHashesMatchTheGoldenValues) {
+  core::TermDictionary dict;
+  for (const GoldenTerm& golden : GoldenTerms()) {
+    EXPECT_EQ(dict.content_hash(dict.Intern(golden.term)),
+              golden.content_hash)
+        << golden.term.ToString();
+  }
+}
+
+TEST(TermBlockTest, EmbeddedNulSurvivesEveryField) {
+  const std::string lexical("a\0b", 3);
+  const std::string lang("x\0y", 3);
+  Term t = Term::LangLiteral(lexical, lang);
+  EXPECT_EQ(t.lexical(), lexical);
+  EXPECT_EQ(t.lang(), lang);
+  EXPECT_NE(t, Term::LangLiteral("a", lang));
+  EXPECT_EQ(t, Term::LangLiteral(lexical, lang));
+}
+
+TEST(TermBlockTest, CopiesShareOneBlock) {
+  Term a = Term::TypedLiteral("7", kXsdInteger);
+  Term b = a;
+  EXPECT_EQ(a.lexical().data(), b.lexical().data());
+  EXPECT_EQ(a.datatype().data(), b.datatype().data());
+  Dictionary dict;
+  EXPECT_EQ(dict.term(dict.Intern(a)).lexical().data(), a.lexical().data());
+  Term moved = std::move(b);
+  EXPECT_EQ(moved, a);
+  EXPECT_EQ(b, Term());  // A moved-from term is the empty IRI.
+  b = moved;
+  EXPECT_EQ(b.lexical().data(), a.lexical().data());
+}
+
+TEST(TermBlockTest, DefaultAndEmptyIriHoldNoBlock) {
+  EXPECT_EQ(Term().BlockBytes(), 0u);
+  EXPECT_EQ(Term::Iri("").BlockBytes(), 0u);
+  EXPECT_EQ(Term::Iri(""), Term());
+  EXPECT_TRUE(Term().is_iri());
+  EXPECT_TRUE(Term().lexical().empty());
+  // An empty literal or blank label is not the empty IRI.
+  EXPECT_GT(Term::Literal("").BlockBytes(), 0u);
+  EXPECT_NE(Term::Literal(""), Term());
+  EXPECT_NE(Term::BlankNode(""), Term());
+  Term iri = Term::Iri("http://example.org/a");
+  EXPECT_EQ(iri.BlockBytes(), Term::Iri("http://example.org/b").BlockBytes());
+  EXPECT_GT(iri.BlockBytes(), iri.lexical().size());
+}
+
+TEST(TermBlockTest, FieldViewsAgreeWithBuiltTerms) {
+  const std::vector<Term> terms = {
+      Term::Iri("http://example.org/a"), Term::Literal("x"),
+      Term::TypedLiteral("1", kXsdInteger), Term::LangLiteral("x", "en"),
+      Term::BlankNode("b"), Term()};
+  for (const Term& t : terms) {
+    EXPECT_EQ(Term::FromFields(t.kind(), t.lexical(), t.datatype(), t.lang()),
+              t);
+    EXPECT_TRUE(t.HasFields(t.kind(), t.lexical(), t.datatype(), t.lang()));
+    EXPECT_FALSE(t.HasFields(t.kind(), "other", t.datatype(), t.lang()));
+  }
+  // Field boundaries count: ("ab", "c") is not ("a", "bc").
+  Term split = Term::TypedLiteral("ab", "c");
+  EXPECT_FALSE(split.HasFields(TermKind::kLiteral, "a", "bc", ""));
+  EXPECT_NE(split, Term::TypedLiteral("a", "bc"));
+}
+
+TEST(TermBlockTest, ConcurrentCopiesAndDropsAreClean) {
+  const std::vector<Term> shared = {
+      Term::Iri("http://example.org/shared"), Term::Literal("shared"),
+      Term::Integer(42), Term::LangLiteral("geteilt", "de")};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, t] {
+      std::vector<Term> held;
+      for (int i = 0; i < kRounds; ++i) {
+        const Term& source = shared[(i + t) % shared.size()];
+        held.push_back(source);
+        Term copy = held.back();
+        Term moved = std::move(copy);
+        copy = moved;
+        if (held.size() == 16) held.clear();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(shared[0], Term::Iri("http://example.org/shared"));
+  EXPECT_EQ(shared[2], Term::Integer(42));
+  EXPECT_EQ(shared[3].lang(), "de");
 }
 
 // ---------------------------------------------------------------------
