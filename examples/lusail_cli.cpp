@@ -89,7 +89,7 @@
 //                         (0 = ephemeral) for the lifetime of the run:
 //                         GET /metrics is the Prometheus exposition of
 //                         every endpoint's telemetry (HTTP client, replica,
-//                         resilience, shard), the federation's breakers,
+//                         shard), the federation's breakers,
 //                         the cache and the engine dictionary; GET /stats
 //                         is the same snapshot as JSON; GET /debug/queries
 //                         is the flight recorder. The listener has no

@@ -45,9 +45,10 @@
 // On startup it prints one machine-readable line to stdout:
 //   READY <id> <port>
 // so scripts (and the loopback tests) can scrape the ephemeral port.
-// SIGINT/SIGTERM trigger a graceful drain. Query it with:
-//   curl -s -X POST http://127.0.0.1:<port>/sparql \
-//        -H 'Content-Type: application/sparql-query' \
+// SIGINT/SIGTERM trigger a graceful drain. Query it with (one command
+// line):
+//   curl -s -X POST http://127.0.0.1:<port>/sparql
+//        -H 'Content-Type: application/sparql-query'
 //        --data 'SELECT * WHERE { ?s ?p ?o } LIMIT 3'
 
 #include <csignal>

@@ -75,7 +75,7 @@ Result<std::vector<std::vector<int>>> FedXEngine::SelectSources(
     LUSAIL_ASSIGN_OR_RETURN(
         std::vector<std::vector<int>> asked,
         selector.SelectSources(need_ask, metrics, cancel,
-                               options_.use_cache, Retry()));
+                               options_.use_cache, &options_.retry_policy));
     for (size_t k = 0; k < need_ask.size(); ++k) {
       sources[need_ask_index[k]] = std::move(asked[k]);
     }
@@ -193,7 +193,7 @@ Result<IdTable> FedXEngine::BoundJoinStep(
   fed::IssueContext ctx;
   ctx.metrics = metrics;
   ctx.cancel = cancel;
-  ctx.retry = Retry();
+  ctx.retry = &options_.retry_policy;
   ctx.kind = fed::RequestKind::kFetch;
   auto fetch_all = [&]() -> Result<IdTable> {
     // No bindings to ship: fetch the operand fully from all its sources.

@@ -44,7 +44,7 @@ struct FedXOptions {
   size_t num_threads = 0;
   bool use_cache = true;
 
-  /// Client-side retry policy for endpoint requests (same decorator the
+  /// Client-side retry policy for endpoint requests (same retry path the
   /// Lusail engine uses, so resilience comparisons are apples-to-apples).
   /// Disabled (fail-stop) by default.
   net::RetryPolicy retry_policy;
@@ -119,11 +119,6 @@ class FedXEngine : public fed::FederatedEngine {
       const sparql::GraphPattern& pattern, std::optional<uint64_t> result_cap,
       core::TermDictionary* dict, fed::MetricsCollector* metrics,
       const CancelToken& cancel, fed::ExecutionProfile* profile);
-
-  /// The engine's retry policy, or null when retries are disabled.
-  const net::RetryPolicy* Retry() const {
-    return options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
-  }
 
   const fed::Federation* federation_;
   FedXOptions options_;

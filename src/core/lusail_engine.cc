@@ -167,8 +167,7 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   out.query = query;
   fed::MetricsCollector metrics;
   CancelToken cancel;
-  const net::RetryPolicy* retry =
-      options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
+  const net::RetryPolicy* retry = &options_.retry_policy;
   const bool tolerate = options_.partial_results;
 
   // Combined pattern list: the mandatory triples plus the top-level plain
@@ -293,8 +292,7 @@ Result<IdTable> LusailEngine::ExecuteBgp(
     }
   }
 
-  const net::RetryPolicy* retry =
-      options_.retry_policy.enabled() ? &options_.retry_policy : nullptr;
+  const net::RetryPolicy* retry = &options_.retry_policy;
   const bool tolerate = options_.partial_results;
   fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(

@@ -32,12 +32,6 @@ std::vector<rdf::TermId> DistinctColumn(const IdTable& table,
   return out;
 }
 
-/// The engine's retry policy, or null when retries are disabled (the
-/// federation then uses the plain fail-stop request path).
-const net::RetryPolicy* RetryOf(const LusailOptions* options) {
-  return options->retry_policy.enabled() ? &options->retry_policy : nullptr;
-}
-
 /// One failed endpoint request: which endpoint, and why.
 struct EndpointFailure {
   int endpoint;
@@ -234,7 +228,7 @@ SapeExecutor::Issued SapeExecutor::IssueEverywhere(
   issued.row_limit = row_limit;
   issued.ctx.metrics = metrics;
   issued.ctx.cancel = cancel;
-  issued.ctx.retry = RetryOf(options_);
+  issued.ctx.retry = &options_->retry_policy;
   issued.ctx.trace_parent = trace_parent;
   issued.ctx.kind = fed::RequestKind::kFetch;
   if (row_limit > 0) issued.ctx.cutoff = CancelToken::Cancellable();
@@ -366,7 +360,7 @@ Result<IdTable> SapeExecutor::Execute(
     int endpoint;
     std::future<Result<IdTable>> result;
   };
-  const net::RetryPolicy* retry = RetryOf(options_);
+  const net::RetryPolicy* retry = &options_->retry_policy;
   std::vector<Fetch> fetches;
   std::vector<size_t> phase1_order;
   std::map<size_t, IdTable> phase1_tables;

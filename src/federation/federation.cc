@@ -270,18 +270,6 @@ void Federation::Complete(const std::shared_ptr<Exchange>& ex) const {
   ex->done(std::move(ex->response));
 }
 
-Result<sparql::ResultTable> Federation::Execute(
-    size_t i, const std::string& text, MetricsCollector* metrics,
-    const CancelToken& cancel, const net::RetryPolicy* retry,
-    obs::SpanId trace_parent) const {
-  IssueContext ctx;
-  ctx.metrics = metrics;
-  ctx.cancel = cancel;
-  ctx.retry = retry;
-  ctx.trace_parent = trace_parent;
-  return Issue(nullptr, i, text, std::move(ctx), ToTable).get();
-}
-
 Result<sparql::ResultTable> Federation::ToTable(
     Result<net::QueryResponse> response) {
   if (!response.ok()) return response.status();

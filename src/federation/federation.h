@@ -449,14 +449,6 @@ class Federation {
     return future;
   }
 
-  /// Issue with no pool, waited on and decoded by ToTable: the calling
-  /// thread sends, the timer completes. For callers without a pool.
-  Result<sparql::ResultTable> Execute(size_t i, const std::string& text,
-                                      MetricsCollector* metrics,
-                                      const CancelToken& cancel,
-                                      const net::RetryPolicy* retry = nullptr,
-                                      obs::SpanId trace_parent = 0) const;
-
   // --- Response decoders for Issue's on_response ---
 
   /// The response as a string table; ids are decoded through the

@@ -82,8 +82,8 @@ struct FaultStats {
 /// Decorator that injects transient errors, timeouts, rate-limit
 /// rejections, slow responses, and outage bursts in front of any
 /// endpoint, reproducibly per seed. This is the chaos half of the fault
-/// tolerance layer; ResilientEndpoint and the engines' retry policies are
-/// the recovery half.
+/// tolerance layer; the engines' retry policies, run by the federation
+/// under its per-endpoint circuit breakers, are the recovery half.
 class FaultInjectingEndpoint : public Endpoint {
  public:
   FaultInjectingEndpoint(std::shared_ptr<Endpoint> inner,

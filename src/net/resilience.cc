@@ -1,7 +1,6 @@
 #include "net/resilience.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <thread>
 
@@ -143,6 +142,10 @@ void CircuitBreaker::ExportState(obs::MetricsSnapshot* snapshot,
 
 namespace {
 
+/// Seed of the backoff jitter stream. QueryWithRetry mixes in the query
+/// text, so each request's sleeps are reproducible.
+constexpr uint64_t kJitterSeed = 0x5eedULL;
+
 /// Sleeps `millis`, clamped to the remaining deadline. Returns the time
 /// actually slept.
 double SleepWithin(double millis, const Deadline& deadline) {
@@ -165,10 +168,7 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
   const Deadline& deadline = cancel.deadline();
   RetryOutcome local;
   RetryOutcome* out = outcome != nullptr ? outcome : &local;
-  if (!policy.use_circuit_breaker) breaker = nullptr;
-
-  // Jitter stream: reproducible per (seed, query text).
-  Rng rng(policy.jitter_seed ^ std::hash<std::string>{}(text));
+  Rng rng(kJitterSeed ^ std::hash<std::string>{}(text));
   int max_attempts = std::max(1, policy.max_attempts);
   double prev_backoff = policy.initial_backoff_ms;
   Status last = Status::Unavailable("no attempt issued to " + endpoint->id());
@@ -222,20 +222,12 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
     }
     if (!last.IsRetryable() || attempt + 1 >= max_attempts) break;
 
-    double backoff;
-    if (policy.decorrelated_jitter) {
-      // AWS-style decorrelated jitter: U[initial, 3 * previous].
-      double lo = policy.initial_backoff_ms;
-      double hi = std::max(lo, prev_backoff * 3.0);
-      backoff = lo + rng.NextDouble() * (hi - lo);
-    } else {
-      backoff = prev_backoff;
-    }
-    backoff = std::min(backoff, policy.max_backoff_ms);
-    prev_backoff = policy.decorrelated_jitter
-                       ? backoff
-                       : std::min(prev_backoff * policy.backoff_multiplier,
-                                  policy.max_backoff_ms);
+    // AWS-style decorrelated jitter: U[initial, 3 * previous], capped.
+    double lo = policy.initial_backoff_ms;
+    double hi = std::max(lo, prev_backoff * 3.0);
+    double backoff =
+        std::min(lo + rng.NextDouble() * (hi - lo), policy.max_backoff_ms);
+    prev_backoff = backoff;
     // A retry whose deadline is already gone is doomed: don't sleep, don't
     // issue it — surface the timeout now so the caller gets its thread
     // back. (Previously this `break` returned the prior attempt's status,
@@ -256,162 +248,6 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                                    " attempts to " + endpoint->id() + ")");
   }
   return last;
-}
-
-// ---------------------------------------------------------------------
-// ResilientEndpoint
-// ---------------------------------------------------------------------
-
-Result<QueryResponse> ResilientEndpoint::QueryCancellable(
-    const std::string& text, const CancelToken& cancel) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  RetryOutcome outcome;
-  Result<QueryResponse> response =
-      QueryWithRetry(inner_.get(), text, cancel, policy_, &breaker_, &outcome);
-  attempts_.fetch_add(outcome.attempts, std::memory_order_relaxed);
-  retries_.fetch_add(outcome.retries, std::memory_order_relaxed);
-  breaker_rejections_.fetch_add(outcome.breaker_rejections,
-                                std::memory_order_relaxed);
-  breaker_trips_.fetch_add(outcome.breaker_trips, std::memory_order_relaxed);
-  // llround, not a truncating cast: sub-microsecond sleeps must not
-  // vanish from the totals (same fix as MetricsCollector::RecordExchange).
-  backoff_us_.fetch_add(
-      static_cast<uint64_t>(std::llround(outcome.backoff_ms * 1000.0)),
-      std::memory_order_relaxed);
-  if (!response.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
-  return response;
-}
-
-Result<StreamSummary> ResilientEndpoint::QueryStreaming(
-    const std::string& text, const CancelToken& cancel,
-    const StreamOptions& options, const StreamSink& sink) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const Deadline& deadline = cancel.deadline();
-  CircuitBreaker* breaker = policy_.use_circuit_breaker ? &breaker_ : nullptr;
-
-  // Once the sink has seen any batch, a retry would replay rows at the
-  // consumer; a failure after that point is final.
-  bool delivered = false;
-  StreamSink guarded = [&](StreamBatch&& batch) -> Status {
-    delivered = true;
-    return sink(std::move(batch));
-  };
-
-  Rng rng(policy_.jitter_seed ^ std::hash<std::string>{}(text));
-  int max_attempts = std::max(1, policy_.max_attempts);
-  double prev_backoff = policy_.initial_backoff_ms;
-  Status last = Status::Unavailable("no attempt issued to " + id());
-
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (cancel.CancelRequested()) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      return cancel.StatusAt("endpoint retry loop");
-    }
-    if (deadline.Expired()) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Timeout("query deadline expired before attempt " +
-                             std::to_string(attempt + 1) + " to " + id());
-    }
-    if (breaker != nullptr && !breaker->AllowRequest()) {
-      breaker_rejections_.fetch_add(1, std::memory_order_relaxed);
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("circuit breaker open for " + id());
-    }
-    attempts_.fetch_add(1, std::memory_order_relaxed);
-    Result<StreamSummary> summary =
-        inner_->QueryStreaming(text, cancel, options, guarded);
-    if (summary.ok()) {
-      if (breaker != nullptr) breaker->RecordSuccess();
-      return summary;
-    }
-    last = summary.status();
-    bool self_inflicted_timeout =
-        last.code() == StatusCode::kTimeout &&
-        (deadline.Expired() || cancel.CancelRequested());
-    if (breaker != nullptr && !self_inflicted_timeout &&
-        (last.IsRetryable() || last.code() == StatusCode::kInternal)) {
-      if (breaker->RecordFailure()) {
-        breaker_trips_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (delivered || !last.IsRetryable() || attempt + 1 >= max_attempts) {
-      break;
-    }
-
-    double backoff;
-    if (policy_.decorrelated_jitter) {
-      double lo = policy_.initial_backoff_ms;
-      double hi = std::max(lo, prev_backoff * 3.0);
-      backoff = lo + rng.NextDouble() * (hi - lo);
-    } else {
-      backoff = prev_backoff;
-    }
-    backoff = std::min(backoff, policy_.max_backoff_ms);
-    prev_backoff = policy_.decorrelated_jitter
-                       ? backoff
-                       : std::min(prev_backoff * policy_.backoff_multiplier,
-                                  policy_.max_backoff_ms);
-    if (deadline.has_deadline() && deadline.RemainingMillis() <= 0.0) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Timeout("query deadline expired before retry " +
-                             std::to_string(attempt + 2) + " to " + id() +
-                             " (last attempt: " + last.ToString() + ")");
-    }
-    double slept = SleepWithin(backoff, deadline);
-    backoff_us_.fetch_add(
-        static_cast<uint64_t>(std::llround(slept * 1000.0)),
-        std::memory_order_relaxed);
-    retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  failures_.fetch_add(1, std::memory_order_relaxed);
-  return last;
-}
-
-ResilienceStats ResilientEndpoint::stats() const {
-  ResilienceStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.attempts = attempts_.load(std::memory_order_relaxed);
-  stats.retries = retries_.load(std::memory_order_relaxed);
-  stats.failures = failures_.load(std::memory_order_relaxed);
-  stats.breaker_rejections =
-      breaker_rejections_.load(std::memory_order_relaxed);
-  stats.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  stats.backoff_ms =
-      static_cast<double>(backoff_us_.load(std::memory_order_relaxed)) /
-      1000.0;
-  return stats;
-}
-
-void ResilientEndpoint::ExportMetrics(obs::MetricsSnapshot* snapshot) const {
-  ResilienceStats s = stats();
-  obs::MetricLabels labels{{"endpoint", id()}};
-  snapshot->AddCounter("lusail_resilience_requests_total",
-                       "Queries entering the resilient wrapper.", labels,
-                       static_cast<double>(s.requests));
-  snapshot->AddCounter("lusail_resilience_attempts_total",
-                       "Requests issued to the inner endpoint.", labels,
-                       static_cast<double>(s.attempts));
-  snapshot->AddCounter("lusail_resilience_retries_total",
-                       "Attempts beyond the first.", labels,
-                       static_cast<double>(s.retries));
-  snapshot->AddCounter("lusail_resilience_failures_total",
-                       "Queries that failed after all retries.", labels,
-                       static_cast<double>(s.failures));
-  snapshot->AddCounter("lusail_resilience_breaker_rejections_total",
-                       "Requests refused by the open breaker.", labels,
-                       static_cast<double>(s.breaker_rejections));
-  snapshot->AddCounter("lusail_resilience_breaker_trips_total",
-                       "Breaker transitions to open.", labels,
-                       static_cast<double>(s.breaker_trips));
-  snapshot->AddCounter("lusail_resilience_backoff_seconds_total",
-                       "Total backoff sleep time.", labels,
-                       s.backoff_ms / 1e3);
-  snapshot->AddGauge(
-      "lusail_resilience_breaker_open",
-      "1 when the breaker would reject a request right now.", labels,
-      breaker_.WouldAllowRequest() ? 0.0 : 1.0);
-  breaker_.ExportState(snapshot, "lusail_resilience_breaker_state", labels);
-  inner_->ExportMetrics(snapshot);
 }
 
 }  // namespace lusail::net

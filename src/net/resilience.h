@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -23,8 +22,8 @@ namespace lusail::net {
 ///
 /// Retries apply only to retryable failures (Status::IsRetryable():
 /// kUnavailable, kTimeout); malformed queries and engine bugs fail
-/// immediately. Between attempts the client sleeps an exponentially
-/// growing backoff with decorrelated jitter, capped both by
+/// immediately. Between attempts the client sleeps a backoff with
+/// decorrelated jitter (U[initial, 3 * previous]), capped both by
 /// `max_backoff_ms` and by the remaining query deadline, so a retry loop
 /// never sleeps past the deadline.
 struct RetryPolicy {
@@ -37,27 +36,10 @@ struct RetryPolicy {
   /// Upper bound for any single backoff sleep.
   double max_backoff_ms = 50.0;
 
-  /// Growth factor of the deterministic (jitter-free) backoff schedule.
-  double backoff_multiplier = 2.0;
-
-  /// Decorrelated jitter (sleep ~ U[initial, 3 * previous]) instead of
-  /// the deterministic schedule; avoids synchronized retry storms.
-  bool decorrelated_jitter = true;
-
-  /// Seed for the jitter RNG; the per-request stream also mixes in the
-  /// query text so runs are reproducible.
-  uint64_t jitter_seed = 0x5eedULL;
-
-  /// Consult the per-endpoint circuit breaker (when the caller provides
-  /// one) before each attempt.
-  bool use_circuit_breaker = true;
-
   bool enabled() const { return max_attempts > 1; }
 
-  static RetryPolicy NoRetry() { return RetryPolicy{}; }
-
   /// A sensible production default: up to `attempts` tries with jittered
-  /// exponential backoff between 2 ms and 50 ms.
+  /// backoff between 2 ms and 50 ms.
   static RetryPolicy Standard(int attempts = 4) {
     RetryPolicy p;
     p.max_attempts = attempts;
@@ -148,7 +130,7 @@ class CircuitBreaker {
 };
 
 /// Per-call resilience accounting returned by QueryWithRetry; callers
-/// fold it into their own stats (engine metrics, decorator counters).
+/// fold it into their own stats (engine metrics, endpoint telemetry).
 struct RetryOutcome {
   int attempts = 0;            ///< Requests actually issued.
   int retries = 0;             ///< attempts - 1, when > 0.
@@ -157,7 +139,8 @@ struct RetryOutcome {
   double backoff_ms = 0.0;     ///< Total time slept between attempts.
 };
 
-/// The shared retry loop: issues `text` at `endpoint` under `policy`,
+/// The retry loop of Federation's request path: issues `text` at
+/// `endpoint` under `policy`,
 /// consulting `breaker` (may be null) before each attempt and recording
 /// outcomes into it. Every attempt goes to QueryCancellable with `cancel`,
 /// and the loop checks the token before each attempt: no attempt starts
@@ -168,7 +151,8 @@ struct RetryOutcome {
 /// receives per-call accounting. With a non-null `tracer`, every issued
 /// attempt and every breaker rejection becomes a child span of
 /// `trace_parent` (retries are thus visible in query traces as
-/// "attempt N" spans under the request span).
+/// "attempt N" spans under the request span). The jitter stream is seeded
+/// from the query text, so a request's backoff sleeps are reproducible.
 Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                                      const std::string& text,
                                      const CancelToken& cancel,
@@ -177,73 +161,6 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                                      RetryOutcome* outcome,
                                      obs::Tracer* tracer = nullptr,
                                      obs::SpanId trace_parent = 0);
-
-/// Cumulative client-side statistics of one ResilientEndpoint.
-struct ResilienceStats {
-  uint64_t requests = 0;            ///< Calls to Query*.
-  uint64_t attempts = 0;            ///< Requests issued to the inner endpoint.
-  uint64_t retries = 0;
-  uint64_t failures = 0;            ///< Calls that failed after all retries.
-  uint64_t breaker_rejections = 0;
-  uint64_t breaker_trips = 0;
-  double backoff_ms = 0.0;
-};
-
-/// Decorator giving any endpoint a retry policy and a circuit breaker.
-/// Stacks under FaultInjectingEndpoint in tests and over real endpoints
-/// in deployments:
-///
-///   engine -> ResilientEndpoint -> FaultInjectingEndpoint -> SparqlEndpoint
-class ResilientEndpoint : public Endpoint {
- public:
-  ResilientEndpoint(std::shared_ptr<Endpoint> inner, RetryPolicy policy,
-                    CircuitBreakerConfig breaker_config = CircuitBreakerConfig())
-      : inner_(std::move(inner)), policy_(policy), breaker_(breaker_config) {}
-
-  const std::string& id() const override { return inner_->id(); }
-
-  Result<QueryResponse> QueryCancellable(const std::string& text,
-                                         const CancelToken& cancel) override;
-
-  /// Streaming with retries restricted to attempts that delivered nothing:
-  /// once the sink has seen a batch, a retry would replay rows, so a
-  /// mid-stream failure surfaces to the caller instead. Breaker accounting
-  /// matches the buffered path.
-  Result<StreamSummary> QueryStreaming(const std::string& text,
-                                       const CancelToken& cancel,
-                                       const StreamOptions& options,
-                                       const StreamSink& sink) override;
-
-  const CircuitBreaker& breaker() const { return breaker_; }
-  CircuitBreaker* mutable_breaker() { return &breaker_; }
-  const RetryPolicy& policy() const { return policy_; }
-
-  ResilienceStats stats() const;
-
-  /// Emits lusail_resilience_* counters and the breaker's state labelled
-  /// {endpoint=<id>}, then the wrapped endpoint's metrics.
-  void ExportMetrics(obs::MetricsSnapshot* snapshot) const override;
-
-  bool Available() const override { return inner_->Available(); }
-
-  void set_parse_dictionary(
-      std::shared_ptr<core::TermDictionary> dict) override {
-    inner_->set_parse_dictionary(std::move(dict));
-  }
-
- private:
-  std::shared_ptr<Endpoint> inner_;
-  RetryPolicy policy_;
-  CircuitBreaker breaker_;
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> attempts_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> failures_{0};
-  std::atomic<uint64_t> breaker_rejections_{0};
-  std::atomic<uint64_t> breaker_trips_{0};
-  std::atomic<uint64_t> backoff_us_{0};
-};
 
 }  // namespace lusail::net
 

@@ -44,8 +44,8 @@ struct HttpClientStats {
 ///
 /// Because this implements the same interface as the in-process
 /// endpoints — QueryCancellable and its CancelToken — the entire client
-/// stack (ResilientEndpoint, circuit breakers, FederationCache, tracer
-/// spans, endpoint telemetry) composes over the network unchanged:
+/// stack (the federation's retries and circuit breakers, FederationCache,
+/// tracer spans, endpoint telemetry) composes over the network unchanged:
 /// transport failures surface as kUnavailable and deadline expiry as
 /// kTimeout, both retryable, exactly like the simulated fault layer.
 ///

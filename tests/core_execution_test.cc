@@ -69,8 +69,12 @@ TEST(DelayDecisionTest, ThresholdsAreMonotonic) {
   auto mu_sigma = DecideDelayed(cards, eps, DelayThreshold::kMuSigma);
   auto mu_2sigma = DecideDelayed(cards, eps, DelayThreshold::kMu2Sigma);
   for (size_t i = 0; i < cards.size(); ++i) {
-    if (mu_2sigma[i]) EXPECT_TRUE(mu_sigma[i]) << i;
-    if (mu_sigma[i]) EXPECT_TRUE(mu[i]) << i;
+    if (mu_2sigma[i]) {
+      EXPECT_TRUE(mu_sigma[i]) << i;
+    }
+    if (mu_sigma[i]) {
+      EXPECT_TRUE(mu[i]) << i;
+    }
   }
 }
 

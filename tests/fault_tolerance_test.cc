@@ -53,6 +53,20 @@ std::unique_ptr<ChaosFederation> WrapWithFaults(
   return out;
 }
 
+/// Issues `text` at endpoint `i` of `federation` under `retry` and waits
+/// for the decoded table.
+Result<sparql::ResultTable> IssueAndWait(const fed::Federation& federation,
+                                         size_t i, const std::string& text,
+                                         fed::MetricsCollector* metrics,
+                                         const net::RetryPolicy* retry) {
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.retry = retry;
+  return federation
+      .Issue(nullptr, i, text, std::move(ctx), fed::Federation::ToTable)
+      .get();
+}
+
 /// Order-independent row fingerprints for result comparison.
 std::vector<std::string> CanonicalRows(const sparql::ResultTable& table) {
   std::vector<std::string> rows;
@@ -188,6 +202,14 @@ net::CircuitBreakerConfig TightBreaker() {
   return config;
 }
 
+/// A breaker that never trips (a failure rate never exceeds 1), for tests
+/// about retries alone.
+net::CircuitBreakerConfig NeverTrippingBreaker() {
+  net::CircuitBreakerConfig config;
+  config.failure_rate_threshold = 2.0;
+  return config;
+}
+
 TEST(CircuitBreakerTest, TripsAtFailureRateThreshold) {
   net::CircuitBreaker breaker(TightBreaker());
   EXPECT_EQ(breaker.state(), net::CircuitBreaker::State::kClosed);
@@ -228,52 +250,63 @@ TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
 }
 
 // ---------------------------------------------------------------------
-// ResilientEndpoint decorator
+// Federation request path: retries and the per-endpoint breaker
 // ---------------------------------------------------------------------
 
-TEST(ResilientEndpointTest, RetriesThroughTransientFaults) {
+TEST(FederationRetryTest, RetriesThroughTransientFaults) {
   auto injector = std::make_shared<net::FaultInjectingEndpoint>(
       std::make_shared<net::SparqlEndpoint>("ep0", TinyStore(),
                                             net::LatencyModel::None()),
       net::FaultProfile::Transient(0.5, 11));
+  fed::Federation federation;
+  federation.Add(injector);
+  // At a 50% fault rate the breaker could legitimately open; this test
+  // is about the retry loop alone.
+  federation.ConfigureBreakers(NeverTrippingBreaker());
   net::RetryPolicy policy = net::RetryPolicy::Standard(8);
   policy.initial_backoff_ms = 0.1;
   policy.max_backoff_ms = 0.5;
-  // At a 50% fault rate the breaker could legitimately open; this test
-  // is about the retry loop alone.
-  policy.use_circuit_breaker = false;
-  net::ResilientEndpoint endpoint(injector, policy);
+  fed::MetricsCollector metrics;
   for (int i = 0; i < 20; ++i) {
-    auto r = endpoint.Query("ASK { ?s <http://ex/p> ?o . }");
+    auto r = IssueAndWait(federation, 0, "ASK { ?s <http://ex/p> ?o . }",
+                          &metrics, &policy);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  net::ResilienceStats stats = endpoint.stats();
-  EXPECT_EQ(stats.requests, 20u);
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(stats.failures, 0u);
-  EXPECT_GT(stats.attempts, stats.requests);
+  fed::ExecutionProfile profile;
+  metrics.FillCounters(&profile);
+  EXPECT_EQ(profile.requests, 20u);
+  EXPECT_GT(profile.retries, 0u);
+  // Every attempt reached the endpoint: one per request plus each retry.
+  EXPECT_EQ(injector->stats().requests, profile.requests + profile.retries);
 }
 
-TEST(ResilientEndpointTest, BreakerOpensOnPersistentOutageAndFailsFast) {
+TEST(FederationBreakerTest, BreakerOpensOnPersistentOutageAndFailsFast) {
   auto injector = std::make_shared<net::FaultInjectingEndpoint>(
       std::make_shared<net::SparqlEndpoint>("ep0", TinyStore(),
                                             net::LatencyModel::None()),
       net::FaultProfile::None());
   injector->set_down(true);
+  fed::Federation federation;
+  federation.Add(injector);
+  federation.ConfigureBreakers(TightBreaker());
   net::RetryPolicy policy = net::RetryPolicy::Standard(3);
   policy.initial_backoff_ms = 0.1;
   policy.max_backoff_ms = 0.5;
-  net::ResilientEndpoint endpoint(injector, policy, TightBreaker());
+  fed::MetricsCollector metrics;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(endpoint.Query("ASK { ?s ?p ?o . }").ok());
+    EXPECT_FALSE(
+        IssueAndWait(federation, 0, "ASK { ?s ?p ?o . }", &metrics, &policy)
+            .ok());
   }
-  net::ResilienceStats stats = endpoint.stats();
-  EXPECT_GE(stats.breaker_trips, 1u);
-  EXPECT_GT(stats.breaker_rejections, 0u);
-  EXPECT_EQ(endpoint.breaker().state(), net::CircuitBreaker::State::kOpen);
+  fed::ExecutionProfile profile;
+  metrics.FillCounters(&profile);
+  EXPECT_GE(profile.breaker_trips, 1u);
+  EXPECT_GT(profile.breaker_rejections, 0u);
+  EXPECT_EQ(federation.breaker(0)->state(), net::CircuitBreaker::State::kOpen);
   // Fail-fast: once open, attempts stop growing with each call.
-  EXPECT_LT(stats.attempts, 10u * 3u);
-  auto r = endpoint.Query("ASK { ?s ?p ?o . }");
+  EXPECT_LT(injector->stats().requests, 10u * 3u);
+  auto r = IssueAndWait(federation, 0, "ASK { ?s ?p ?o . }", &metrics,
+                        &policy);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("circuit breaker open"),
             std::string::npos);
@@ -375,19 +408,19 @@ TEST(DeadlineRetryTest, NoDoomedAttemptAfterDeadlineExpires) {
   EXPECT_EQ(outcome.retries, 0);
 }
 
-/// A fired cancel token stops the retry loop before any attempt, and
-/// ResilientEndpoint::QueryCancellable threads the token through.
+/// A fired cancel token stops the retry loop before any attempt.
 TEST(DeadlineRetryTest, CancelledTokenStopsRetriesBeforeAnyAttempt) {
-  auto slow = std::make_shared<SleepOutDeadlineEndpoint>(
-      "slow", StatusCode::kUnavailable);
-  net::ResilientEndpoint endpoint(slow, net::RetryPolicy::Standard(3));
+  SleepOutDeadlineEndpoint slow("slow", StatusCode::kUnavailable);
   CancelToken token = CancelToken::Cancellable();
   token.Cancel();
-  Result<net::QueryResponse> r =
-      endpoint.QueryCancellable("ASK { ?s ?p ?o . }", token);
+  net::RetryOutcome outcome;
+  Result<net::QueryResponse> r = net::QueryWithRetry(
+      &slow, "ASK { ?s ?p ?o . }", token, net::RetryPolicy::Standard(3),
+      /*breaker=*/nullptr, &outcome);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-  EXPECT_EQ(slow->attempts(), 0);
+  EXPECT_EQ(outcome.attempts, 0);
+  EXPECT_EQ(slow.attempts(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -405,15 +438,15 @@ TEST(RetryConvergenceTest, FlakyFederationMatchesFaultFreeResults) {
   // The same data behind 20%-flaky endpoints, with retries enabled.
   auto chaos =
       WrapWithFaults(gen.GenerateAll(), net::FaultProfile::Transient(0.2, 5));
-  core::LusailOptions options;
-  options.retry_policy = net::RetryPolicy::Standard(6);
-  options.retry_policy.initial_backoff_ms = 0.1;
-  options.retry_policy.max_backoff_ms = 0.5;
   // The breaker's sliding window mixes outcomes from concurrently
   // executing subqueries, so whether sustained 20% noise trips it is
   // interleaving-dependent. This test pins down retry *convergence*;
   // breaker behaviour has its own deterministic tests above and below.
-  options.retry_policy.use_circuit_breaker = false;
+  chaos->faulty.ConfigureBreakers(NeverTrippingBreaker());
+  core::LusailOptions options;
+  options.retry_policy = net::RetryPolicy::Standard(6);
+  options.retry_policy.initial_backoff_ms = 0.1;
+  options.retry_policy.max_backoff_ms = 0.5;
   core::LusailEngine flaky(&chaos->faulty, options);
 
   uint64_t total_retries = 0;
@@ -441,13 +474,14 @@ TEST(RetryConvergenceTest, SameSeedSameFaultsSameResult) {
   options.retry_policy = net::RetryPolicy::Standard(6);
   options.retry_policy.initial_backoff_ms = 0.1;
   options.retry_policy.max_backoff_ms = 0.5;
-  // Breaker state is interleaving-dependent; exclude it so the request
-  // multiset (and thus the injected-fault tallies) is exactly repeatable.
-  options.retry_policy.use_circuit_breaker = false;
 
   auto run = [&]() {
     auto chaos = WrapWithFaults(gen.GenerateAll(),
                                 net::FaultProfile::Transient(0.2, 21));
+    // Breaker state is interleaving-dependent; keep it closed so the
+    // request multiset (and thus the injected-fault tallies) is exactly
+    // repeatable.
+    chaos->faulty.ConfigureBreakers(NeverTrippingBreaker());
     core::LusailEngine engine(&chaos->faulty, options);
     auto result = engine.Execute(workload::LubmGenerator::Q2());
     EXPECT_TRUE(result.ok());
@@ -475,11 +509,12 @@ TEST(RetryConvergenceTest, BaselinesConvergeWithSameDecorators) {
   net::RetryPolicy retry = net::RetryPolicy::Standard(6);
   retry.initial_backoff_ms = 0.1;
   retry.max_backoff_ms = 0.5;
-  retry.use_circuit_breaker = false;  // Convergence, not breaker, under test.
 
   {
     auto chaos = WrapWithFaults(gen.GenerateAll(),
                                 net::FaultProfile::Transient(0.2, 13));
+    // Convergence, not breaker, under test.
+    chaos->faulty.ConfigureBreakers(NeverTrippingBreaker());
     baselines::FedXOptions options;
     options.retry_policy = retry;
     baselines::FedXEngine fedx(&chaos->faulty, options);
@@ -576,8 +611,8 @@ TEST(FederationBreakerTest, RepeatedFailuresTripTheSharedBreaker) {
   retry.max_backoff_ms = 0.2;
   fed::MetricsCollector metrics;
   for (int i = 0; i < 6; ++i) {
-    auto r = chaos->faulty.Execute(0, "ASK { ?s ?p ?o . }", &metrics,
-                                   CancelToken(), &retry);
+    auto r = IssueAndWait(chaos->faulty, 0, "ASK { ?s ?p ?o . }", &metrics,
+                          &retry);
     EXPECT_FALSE(r.ok());
   }
   EXPECT_EQ(chaos->faulty.breaker(0)->state(),

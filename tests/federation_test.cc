@@ -253,8 +253,12 @@ TEST_F(SourceSelectionTest, DeadlineExpiryYieldsTimeout) {
 
 TEST_F(SourceSelectionTest, FederationExecuteValidatesIndex) {
   MetricsCollector metrics;
-  auto result = federation_->Execute(99, "ASK { ?s ?p ?o . }", &metrics,
-                                     CancelToken());
+  IssueContext ctx;
+  ctx.metrics = &metrics;
+  auto result = federation_
+                    ->Issue(nullptr, 99, "ASK { ?s ?p ?o . }", std::move(ctx),
+                            Federation::ToTable)
+                    .get();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }

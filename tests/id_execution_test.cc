@@ -31,7 +31,6 @@
 #include "net/fault_injection.h"
 #include "net/latency_model.h"
 #include "net/replica.h"
-#include "net/resilience.h"
 #include "net/sparql_endpoint.h"
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
@@ -152,7 +151,9 @@ TEST(TermDictionaryTest, ConcurrentInterningConverges) {
     rdf::TermId id = dict.Lookup(term_of(i));
     ASSERT_NE(id, rdf::kInvalidTermId);
     for (int t = 0; t < kThreads; ++t) {
-      if (seen[t][i] != rdf::kInvalidTermId) EXPECT_EQ(seen[t][i], id);
+      if (seen[t][i] != rdf::kInvalidTermId) {
+        EXPECT_EQ(seen[t][i], id);
+      }
     }
   }
 }
@@ -770,9 +771,8 @@ TEST_F(IdExecutionLoopbackTest, ResultCacheHitsMatchOracleOnEveryTransport) {
 TEST(ParseDictionaryForwardingTest,
      ReplicaClientsBehindDecoratorsParseIntoTheEngineDictionary) {
   // Two replicas of one endpoint, each an HTTP client of its own server,
-  // behind ReplicaGroup <- ResilientEndpoint <- FaultInjectingEndpoint <-
-  // CachedAskEndpoint. One call on the outermost layer must reach both
-  // clients.
+  // behind ReplicaGroup <- FaultInjectingEndpoint <- CachedAskEndpoint.
+  // One call on the outermost layer must reach both clients.
   workload::LubmConfig config = workload::LubmConfig::Small();
   config.num_universities = 1;
   workload::LubmGenerator generator(config);
@@ -792,10 +792,8 @@ TEST(ParseDictionaryForwardingTest,
         "U0", "127.0.0.1", servers.back()->port()));
   }
   auto group = std::make_shared<net::ReplicaGroup>("U0", replicas);
-  auto resilient =
-      std::make_shared<net::ResilientEndpoint>(group, net::RetryPolicy());
-  auto faulty = std::make_shared<net::FaultInjectingEndpoint>(
-      resilient, net::FaultProfile());
+  auto faulty =
+      std::make_shared<net::FaultInjectingEndpoint>(group, net::FaultProfile());
   cache::FederationCache cache;
   cache::CachedAskEndpoint outer(faulty, &cache);
 

@@ -469,16 +469,19 @@ TEST(ReplicaGroupTest, SourceSelectionSeesDeadGroupsThroughDecorators) {
   }
   ASSERT_FALSE(group->Available());
 
-  // A retrying wrapper would otherwise spend its backoff schedule against
-  // a group that rejects every attempt.
-  auto resilient = std::make_shared<net::ResilientEndpoint>(
-      group, net::RetryPolicy::Standard(4));
-  EXPECT_FALSE(resilient->Available());
+  // The decorator must pass the group's availability through; a retrying
+  // engine would otherwise spend its backoff schedule against a group
+  // that rejects every attempt.
+  auto faulty =
+      std::make_shared<net::FaultInjectingEndpoint>(group, net::FaultProfile());
+  EXPECT_FALSE(faulty->Available());
 
   fed::Federation federation;
-  federation.Add(resilient);
+  federation.Add(faulty);
   federation.Add(PlainReplica("alive"));
-  core::LusailEngine strict(&federation);
+  core::LusailOptions retrying;
+  retrying.retry_policy = net::RetryPolicy::Standard(4);
+  core::LusailEngine strict(&federation, retrying);
   auto failed = strict.Execute(kQuery);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
@@ -488,7 +491,7 @@ TEST(ReplicaGroupTest, SourceSelectionSeesDeadGroupsThroughDecorators) {
             std::string::npos)
       << failed.status().ToString();
   EXPECT_EQ(group->stats().requests, 0u);
-  EXPECT_EQ(resilient->stats().requests, 0u);
+  EXPECT_EQ(faulty->stats().requests, 0u);
 }
 
 // ---------------------------------------------------------------------

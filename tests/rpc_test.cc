@@ -1446,7 +1446,7 @@ TEST(MetricsEndpointTest, FrontedEndpointExportsWithoutACollector) {
 // ---------------------------------------------------------------------
 
 /// A federation over loopback HTTP with one endpoint of each shape: a
-/// bare client ("plain"), a resilient replica group of two clients
+/// bare client ("plain"), a replica group of two clients
 /// ("group": group#0, group#1), and a 2-shard endpoint whose members are
 /// clients ("sharded": sharded#0, sharded#1). A fault injector that
 /// injects nothing wraps "extra", and sharded#1 sits behind an ASK cache,
@@ -1457,12 +1457,10 @@ class FederationTelemetryTest : public ::testing::Test {
     federation_.Add(Serve("plain", TinyStore()));
     federation_.Add(std::make_shared<net::FaultInjectingEndpoint>(
         Serve("extra", TinyStore()), net::FaultProfile::None()));
-    federation_.Add(std::make_shared<net::ResilientEndpoint>(
-        std::make_shared<net::ReplicaGroup>(
-            "group", std::vector<std::shared_ptr<net::Endpoint>>{
-                         Serve("group#0", TinyStore()),
-                         Serve("group#1", TinyStore())}),
-        net::RetryPolicy::Standard(2)));
+    federation_.Add(std::make_shared<net::ReplicaGroup>(
+        "group", std::vector<std::shared_ptr<net::Endpoint>>{
+                     Serve("group#0", TinyStore()),
+                     Serve("group#1", TinyStore())}));
     shard::ShardMap map = shard::ShardMap::HashRing(2);
     std::vector<std::unique_ptr<store::TripleStore>> slices;
     for (int k = 0; k < 2; ++k) {
@@ -1549,7 +1547,8 @@ TEST_F(FederationTelemetryTest, EveryEndpointExportsOnce) {
   EXPECT_GT(plain->value, 0.0);
   const obs::MetricLabels group{{"endpoint", "group"}};
   const obs::MetricLabels sharded{{"endpoint", "sharded"}};
-  EXPECT_NE(snapshot.Find("lusail_resilience_requests_total", group),
+  EXPECT_NE(snapshot.Find("lusail_federation_breaker_state",
+                          {{"endpoint", "group"}, {"state", "closed"}}),
             nullptr);
   EXPECT_NE(snapshot.Find("lusail_replica_requests_total", group), nullptr);
   EXPECT_NE(snapshot.Find("lusail_shard_queries_total", sharded), nullptr);

@@ -5,8 +5,8 @@
 // client (row identity with the buffered path across query shapes,
 // budgets, ID-space decode), the one-payload contract (every endpoint
 // kind answers buffered and streamed requests in ID space, equal to the
-// evaluator), decorator semantics (retry/failover only
-// before the first delivered batch, no hedging for streams), slow-
+// evaluator), decorator semantics (failover only before the first
+// delivered batch, no hedging for streams), slow-
 // consumer back-pressure and mid-stream disconnects, and the engine's
 // LIMIT pushdown into generated subqueries.
 
@@ -36,7 +36,6 @@
 #include "net/endpoint.h"
 #include "net/fault_injection.h"
 #include "net/replica.h"
-#include "net/resilience.h"
 #include "net/sparql_endpoint.h"
 #include "rpc/http_server.h"
 #include "rpc/http_sparql_endpoint.h"
@@ -762,7 +761,6 @@ enum class EndpointKind {
   kCachedAsk,
   kSharded,
   kReplicaGroup,
-  kResilient,
   kFaultInjecting,
 };
 
@@ -774,7 +772,6 @@ std::string KindName(const ::testing::TestParamInfo<EndpointKind>& info) {
     case EndpointKind::kCachedAsk: return "CachedAsk";
     case EndpointKind::kSharded: return "Sharded";
     case EndpointKind::kReplicaGroup: return "ReplicaGroup";
-    case EndpointKind::kResilient: return "Resilient";
     case EndpointKind::kFaultInjecting: return "FaultInjecting";
   }
   return "Unknown";
@@ -850,10 +847,6 @@ class EndpointContractTest : public ::testing::TestWithParam<EndpointKind> {
         endpoint_ = std::make_shared<net::ReplicaGroup>(
             "EP", std::vector<std::shared_ptr<net::Endpoint>>{
                       local("EP@a"), local("EP@b")});
-        break;
-      case EndpointKind::kResilient:
-        endpoint_ = std::make_shared<net::ResilientEndpoint>(
-            local("EP"), net::RetryPolicy());
         break;
       case EndpointKind::kFaultInjecting:
         endpoint_ = std::make_shared<net::FaultInjectingEndpoint>(
@@ -957,12 +950,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EndpointKind::kSparql, EndpointKind::kHttp,
                       EndpointKind::kHttpParseDictionary,
                       EndpointKind::kCachedAsk, EndpointKind::kSharded,
-                      EndpointKind::kReplicaGroup, EndpointKind::kResilient,
+                      EndpointKind::kReplicaGroup,
                       EndpointKind::kFaultInjecting),
     KindName);
 
 // ---------------------------------------------------------------------
-// Decorator semantics: retry/failover only before the first batch
+// Decorator semantics: failover only before the first batch
 // ---------------------------------------------------------------------
 
 /// Streams a fixed table; fails with kUnavailable either before any
@@ -1032,49 +1025,6 @@ sparql::ResultTable SmallTable(int rows = 6) {
     table.rows.push_back({rdf::Term::Integer(i)});
   }
   return table;
-}
-
-net::RetryPolicy FastRetry(int attempts) {
-  net::RetryPolicy policy = net::RetryPolicy::Standard(attempts);
-  policy.initial_backoff_ms = 1.0;
-  policy.max_backoff_ms = 2.0;
-  return policy;
-}
-
-TEST(ResilientStreamingTest, RetriesWhileNothingWasDelivered) {
-  auto flaky = std::make_shared<FlakyStreamEndpoint>(
-      "EP", SmallTable(), /*fail_before=*/2, /*fail_mid_stream=*/false);
-  net::ResilientEndpoint resilient(flaky, FastRetry(4));
-  uint64_t delivered = 0;
-  auto summary = resilient.QueryStreaming(
-      kScan, CancelToken(), net::StreamOptions{},
-      [&](net::StreamBatch&& batch) {
-        delivered += batch.NumRows();
-        return Status::OK();
-      });
-  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  EXPECT_EQ(delivered, 6u);  // Delivered exactly once, on attempt 3.
-  EXPECT_EQ(flaky->stream_calls(), 3);
-  EXPECT_EQ(resilient.stats().attempts, 3u);
-}
-
-TEST(ResilientStreamingTest, NeverRetriesAfterTheFirstBatch) {
-  // Rows already at the consumer cannot be taken back; a retry would
-  // replay them. The mid-stream failure must surface as-is.
-  auto flaky = std::make_shared<FlakyStreamEndpoint>(
-      "EP", SmallTable(), /*fail_before=*/0, /*fail_mid_stream=*/true);
-  net::ResilientEndpoint resilient(flaky, FastRetry(4));
-  uint64_t delivered = 0;
-  auto summary = resilient.QueryStreaming(
-      kScan, CancelToken(), net::StreamOptions{},
-      [&](net::StreamBatch&& batch) {
-        delivered += batch.NumRows();
-        return Status::OK();
-      });
-  ASSERT_FALSE(summary.ok());
-  EXPECT_EQ(summary.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(flaky->stream_calls(), 1);  // No second attempt.
-  EXPECT_EQ(delivered, 6u);             // One full batch went through.
 }
 
 TEST(ReplicaStreamingTest, FailsOverOnlyBeforeTheFirstBatch) {
