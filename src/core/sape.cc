@@ -233,11 +233,24 @@ SapeExecutor::Issued SapeExecutor::IssueEverywhere(
   issued.ctx.kind = fed::RequestKind::kFetch;
   if (row_limit > 0) issued.ctx.cutoff = CancelToken::Cancellable();
   if (failed != nullptr) issued.ctx.cutoff = *failed;
-  issued.futures.reserve(sq.sources.size());
-  for (int ep : sq.sources) {
-    issued.futures.push_back(FetchEndpoint(ep, text, cache_key, cacheable,
-                                           dict, issued.ctx,
-                                           failed != nullptr));
+  // A row-limited fetch sends its first source alone, like the bound
+  // join's first block; CollectEverywhere sends the rest unless that one
+  // fills the budget. A bound join's blocks (`failed`) go out at once.
+  auto send = [this, text = std::move(text), cache_key = std::move(cache_key),
+               cacheable, dict, ctx = issued.ctx,
+               cutoff_on_failure = failed != nullptr](int ep) {
+    return FetchEndpoint(ep, text, cache_key, cacheable, dict, ctx,
+                         cutoff_on_failure);
+  };
+  const bool first_alone =
+      row_limit > 0 && failed == nullptr && issued.sources.size() > 1;
+  issued.futures.reserve(issued.sources.size());
+  for (int ep : issued.sources) {
+    issued.futures.push_back(send(ep));
+    if (first_alone) {
+      issued.send_rest = std::move(send);
+      break;
+    }
   }
   return issued;
 }
@@ -255,12 +268,22 @@ Status SapeExecutor::CollectEverywhere(Issued issued, IdTable* merged) {
         continue;
       }
       failures.push_back({issued.sources[k], table.status()});
-      continue;
+    } else {
+      ++successes;
+      AppendUnionIds(merged, *table);
+      if (issued.row_limit > 0 && merged->NumRows() >= issued.row_limit) {
+        issued.ctx.cutoff.Cancel();
+      }
     }
-    ++successes;
-    AppendUnionIds(merged, *table);
-    if (issued.row_limit > 0 && merged->NumRows() >= issued.row_limit) {
-      issued.ctx.cutoff.Cancel();
+    // The first source went alone: send the rest in one wave unless it
+    // filled the budget, the query was cancelled, or its failure already
+    // decides the call.
+    if (k == 0 && issued.send_rest && !issued.ctx.cutoff.CancelRequested() &&
+        !issued.ctx.cancel.Cancelled() &&
+        (failures.empty() || options_->partial_results)) {
+      for (size_t j = 1; j < issued.sources.size(); ++j) {
+        issued.futures.push_back(issued.send_rest(issued.sources[j]));
+      }
     }
   }
   if (failures.empty()) return Status::OK();

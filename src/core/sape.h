@@ -1,6 +1,7 @@
 #ifndef LUSAIL_CORE_SAPE_H_
 #define LUSAIL_CORE_SAPE_H_
 
+#include <functional>
 #include <future>
 #include <vector>
 
@@ -69,9 +70,13 @@ class SapeExecutor {
   /// context they were issued under (its cutoff is the row budget).
   struct Issued {
     std::vector<int> sources;
+    /// One per source sent so far, in `sources` order.
     std::vector<std::future<Result<IdTable>>> futures;
     fed::IssueContext ctx;
     size_t row_limit = 0;
+    /// Set while a row-limited fetch's sources after the first are
+    /// unsent: sends this subquery to one more endpoint.
+    std::function<std::future<Result<IdTable>>(int endpoint)> send_rest;
   };
 
   /// Sends one subquery (optionally with a VALUES block) to all of its
@@ -88,7 +93,8 @@ class SapeExecutor {
   /// join's blocks): the first fetch that fails fires it, so fetches not
   /// yet sent are skipped, and a fetch that fails or is skipped after it
   /// fired answers an empty table, because that first failure already
-  /// decides the call.
+  /// decides the call. A row-limited fetch without `failed` sends only
+  /// its first source here; CollectEverywhere sends the rest.
   Issued IssueEverywhere(const Subquery& sq,
                          const std::vector<sparql::TriplePattern>& triples,
                          const sparql::ValuesClause* values,
@@ -107,6 +113,13 @@ class SapeExecutor {
   /// sent is skipped (IssueContext::cutoff); requests already sent are
   /// not interrupted, and one that fails after the budget fired
   /// contributes nothing — the budget is a cutoff, not a failure.
+  /// A row-limited fetch sends its first source alone, like the bound
+  /// join's first block, and the rest in one wave once that source is
+  /// merged, unless it filled the budget, the query was cancelled, or
+  /// its failure already decides the call (no partial_results). So a
+  /// first source that holds the rows costs one request however many
+  /// requests the pool overlaps, and a short one costs one extra round
+  /// trip, not one per source.
   Status CollectEverywhere(Issued issued, IdTable* merged);
 
   /// One endpoint request in id space, issued through Federation::Issue

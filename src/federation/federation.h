@@ -416,7 +416,9 @@ class Federation {
   /// - accounting and `on_response` (the caller's decode, encode and
   ///   cache puts) run back on `pool`.
   /// A request with nothing to wait for (HTTP, sleep_scale 0, a failure)
-  /// completes on the pool thread that sent it. With a null `pool`, each
+  /// completes on the pool thread that sent it; an HTTP client lends that
+  /// thread's CPU slot while it waits (ThreadPool::Blocking), so the
+  /// pool's other requests go out meanwhile. With a null `pool`, each
   /// CPU step runs on the thread that reaches it: the caller, then the
   /// timer. Every returned future must be consumed before `pool`, the
   /// metrics collector, or anything `on_response` touches goes away.

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace lusail::net {
 
@@ -146,13 +147,13 @@ namespace {
 /// text, so each request's sleeps are reproducible.
 constexpr uint64_t kJitterSeed = 0x5eedULL;
 
-/// Sleeps `millis`, clamped to the remaining deadline. Returns the time
-/// actually slept.
-double SleepWithin(double millis, const Deadline& deadline) {
+/// Sleeps `millis`, clamped to the remaining deadline. The sleep needs no
+/// CPU, so on a pool worker it lends the worker's slot.
+void SleepWithin(double millis, const Deadline& deadline) {
   double capped = std::min(millis, deadline.RemainingMillis());
-  if (capped <= 0.0) return 0.0;
+  if (capped <= 0.0) return;
+  ThreadPool::Blocking lend;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(capped));
-  return capped;
 }
 
 }  // namespace
@@ -238,7 +239,7 @@ Result<QueryResponse> QueryWithRetry(Endpoint* endpoint,
                              endpoint->id() + " (last attempt: " +
                              last.ToString() + ")");
     }
-    out->backoff_ms += SleepWithin(backoff, deadline);
+    SleepWithin(backoff, deadline);
     ++out->retries;
   }
 

@@ -136,7 +136,6 @@ struct RetryOutcome {
   int retries = 0;             ///< attempts - 1, when > 0.
   int breaker_rejections = 0;  ///< Attempts refused by an open breaker.
   int breaker_trips = 0;       ///< Failures that tripped the breaker.
-  double backoff_ms = 0.0;     ///< Total time slept between attempts.
 };
 
 /// The retry loop of Federation's request path: issues `text` at

@@ -31,7 +31,11 @@ struct HttpServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
 
-  /// Worker threads handling connections; 0 = hardware concurrency.
+  /// Worker threads handling connections; 0 = hardware concurrency. A
+  /// backend that is itself an HTTP client lends the worker's slot while
+  /// it waits for its upstream's first byte (ThreadPool::Blocking), so
+  /// such a server can have up to (1 + ThreadPool::kSparesPerWorker)
+  /// requests per worker in flight.
   size_t num_threads = 4;
 
   /// Listen backlog.

@@ -15,6 +15,7 @@
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -137,23 +138,32 @@ bool ConnectionLooksAlive(int fd) {
   return errno == EAGAIN || errno == EWOULDBLOCK;      // Open and idle.
 }
 
-// Waits for the first response bytes on `fd`. With a token another
-// thread can fire, the wait runs in poll slices so an explicit cancel can
-// interrupt it: the request is then half-closed — the server's disconnect
-// watchdog sees EOF and aborts evaluation — and the read side stays open a
-// bounded while longer for the abort response (and its span subtree),
-// reported through `*half_closed`. Fails once that grace period passes
-// without an answer; deadline expiry and socket errors are left to the
-// response reader.
-Status AwaitFirstBytes(int fd, const CancelToken& cancel, bool* half_closed) {
+// Waits for the first response bytes on `fd`. A response that is
+// already readable costs one zero-timeout poll; otherwise the wait lends
+// the pool worker's CPU slot (ThreadPool::Blocking), so the pool can send
+// other requests meanwhile, and its time is added to `*wait_ms`. With a
+// token another thread can fire, the wait runs in poll slices so an
+// explicit cancel can interrupt it: the request is then half-closed — the
+// server's disconnect watchdog sees EOF and aborts evaluation — and the
+// read side stays open a bounded while longer for the abort response (and
+// its span subtree), reported through `*half_closed`. Fails once that
+// grace period passes without an answer; deadline expiry and socket
+// errors are left to the response reader.
+Status AwaitFirstBytes(int fd, const CancelToken& cancel, bool* half_closed,
+                       double* wait_ms) {
   *half_closed = false;
-  if (!cancel.can_cancel()) return Status::OK();
+  pollfd ready{fd, POLLIN, 0};
+  if (::poll(&ready, 1, 0) > 0) return Status::OK();
+  ThreadPool::Blocking lend;
+  Stopwatch waited;
   const Deadline& deadline = cancel.deadline();
   Deadline cancel_wait;
+  Status status = Status::OK();
   for (;;) {
-    if (deadline.Expired()) return Status::OK();
+    if (deadline.Expired()) break;
     if (*half_closed && cancel_wait.Expired()) {
-      return cancel.StatusAt("cancelled endpoint request");
+      status = cancel.StatusAt("cancelled endpoint request");
+      break;
     }
     if (!*half_closed && cancel.CancelRequested()) {
       ::shutdown(fd, SHUT_WR);
@@ -161,11 +171,20 @@ Status AwaitFirstBytes(int fd, const CancelToken& cancel, bool* half_closed) {
       cancel_wait = Deadline::AfterMillis(
           std::min(kCancelResponseWaitMs, deadline.RemainingMillis()));
     }
+    // Without a token to watch, wake at least every second to re-check
+    // the deadline.
+    const int slice_ms =
+        cancel.can_cancel()
+            ? kCancelPollSliceMs
+            : static_cast<int>(std::min(deadline.RemainingMillis(), 1000.0)) +
+                  1;
     pollfd pfd{fd, POLLIN, 0};
-    int n = ::poll(&pfd, 1, kCancelPollSliceMs);
+    int n = ::poll(&pfd, 1, slice_ms);
     if (n < 0 && errno == EINTR) continue;
-    if (n != 0) return Status::OK();  // Bytes, EOF, or an error to read.
+    if (n != 0) break;  // Bytes, EOF, or an error to read.
   }
+  *wait_ms += waited.ElapsedMillis();
+  return status;
 }
 
 // The exchange accounting of a buffered response or a stream summary.
@@ -174,6 +193,19 @@ net::QueryResponse& Accounting(net::QueryResponse& response) {
 }
 net::QueryResponse& Accounting(net::StreamSummary& summary) {
   return summary.response;
+}
+
+// Splits the exchange's wire time on the span that issued it (the calling
+// thread's trace parent, the federation's "request" span): writing the
+// request, the wait for its first response byte, and reading and decoding
+// the response. Annotations only: a new span would not be counted as
+// request time.
+void AnnotateWireTimes(double send_ms, double wait_ms, double parse_ms) {
+  const obs::TraceContext* context = obs::CurrentTraceContext();
+  if (context == nullptr || context->tracer == nullptr) return;
+  context->tracer->Annotate(context->parent, "net.send_ms", send_ms);
+  context->tracer->Annotate(context->parent, "net.wait_ms", wait_ms);
+  context->tracer->Annotate(context->parent, "net.parse_ms", parse_ms);
 }
 
 }  // namespace
@@ -342,6 +374,8 @@ Result<T> HttpSparqlEndpoint::Exchange(const CancelToken& cancel,
   CancelToken effective = cancel.CappedAt(options_.default_request_timeout_ms);
 
   Stopwatch wall;
+  double send_ms = 0.0, wait_ms = 0.0, parse_ms = 0.0;  // Over attempts.
+  Result<T> result = Status(StatusCode::kInternal, "unreachable retry exit");
   // One transparent retry: a pooled connection can die between requests
   // (keep-alive race). Retrying is safe only when no response byte
   // arrived, so the request cannot have been executed-and-half-answered
@@ -353,19 +387,25 @@ Result<T> HttpSparqlEndpoint::Exchange(const CancelToken& cancel,
         AcquireConnection(effective.deadline(), &reused, &connect_ms);
     if (!acquired.ok()) {
       transport_errors_.fetch_add(1, std::memory_order_relaxed);
-      return acquired.status();
+      result = acquired.status();
+      break;
     }
     int fd = acquired.value();
 
     WireAttempt wire;
-    Result<T> result = round_trip(fd, effective, wall, &wire);
-    if (result.ok()) {
+    Stopwatch trip;
+    Result<T> attempted = round_trip(fd, effective, wall, &wire);
+    send_ms += wire.send_ms;
+    wait_ms += wire.wait_ms;
+    parse_ms +=
+        std::max(0.0, trip.ElapsedMillis() - wire.send_ms - wire.wait_ms);
+    if (attempted.ok()) {
       if (wire.conn_reusable) {
         ReleaseConnection(fd);
       } else {
         ::close(fd);
       }
-      T out = std::move(result).value();
+      T out = std::move(attempted).value();
       net::QueryResponse& response = Accounting(out);
       response.network_ms =
           std::max(0.0, wall.ElapsedMillis() - response.server_ms);
@@ -374,11 +414,12 @@ Result<T> HttpSparqlEndpoint::Exchange(const CancelToken& cancel,
       response.transport.connect_ms = connect_ms;
       response.transport.wire_bytes_sent = wire.wire_out;
       response.transport.wire_bytes_received = wire.wire_in;
-      return out;
+      result = std::move(out);
+      break;
     }
 
     ::close(fd);
-    const Status& s = result.status();
+    const Status& s = attempted.status();
     bool retryable_stale = reused && !wire.got_response_bytes &&
                            s.code() == StatusCode::kUnavailable &&
                            attempt == 0 && !effective.Cancelled();
@@ -390,21 +431,26 @@ Result<T> HttpSparqlEndpoint::Exchange(const CancelToken& cancel,
         s.code() == StatusCode::kTimeout) {
       transport_errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    return s;
+    result = s;
+    break;
   }
-  return Status(StatusCode::kInternal, "unreachable retry exit");
+  AnnotateWireTimes(send_ms, wait_ms, parse_ms);
+  return result;
 }
 
 Result<net::QueryResponse> HttpSparqlEndpoint::RoundTrip(
     int fd, const std::string& query, const CancelToken& cancel,
     WireAttempt* wire) {
   const Deadline& deadline = cancel.deadline();
+  Stopwatch send;
   std::string serialized = SerializeRequest(query, deadline, false);
   wire->wire_out = serialized.size();
   LUSAIL_RETURN_NOT_OK(SendAll(fd, serialized, deadline));
+  wire->send_ms = send.ElapsedMillis();
 
   bool half_closed = false;
-  LUSAIL_RETURN_NOT_OK(AwaitFirstBytes(fd, cancel, &half_closed));
+  LUSAIL_RETURN_NOT_OK(
+      AwaitFirstBytes(fd, cancel, &half_closed, &wire->wait_ms));
 
   HttpConnection conn(fd);
   auto response = conn.ReadResponse(options_.limits, deadline);
@@ -471,9 +517,11 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
     const net::StreamOptions& options, const net::StreamSink& sink,
     const Stopwatch& wall, WireAttempt* wire) {
   const Deadline& deadline = cancel.deadline();
+  Stopwatch send;
   std::string serialized = SerializeRequest(query, deadline, true);
   wire->wire_out = serialized.size();
   LUSAIL_RETURN_NOT_OK(SendAll(fd, serialized, deadline));
+  wire->send_ms = send.ElapsedMillis();
 
   HttpConnection conn(fd);
   // Keep the wire-in counter honest on every exit path.
@@ -487,7 +535,8 @@ Result<net::StreamSummary> HttpSparqlEndpoint::StreamRoundTrip(
   };
 
   bool half_closed = false;
-  LUSAIL_RETURN_NOT_OK(AwaitFirstBytes(fd, cancel, &half_closed));
+  LUSAIL_RETURN_NOT_OK(
+      AwaitFirstBytes(fd, cancel, &half_closed, &wire->wait_ms));
 
   auto head = conn.ReadResponseHead(options_.limits, deadline);
   if (!head.ok()) {

@@ -60,6 +60,10 @@ struct HttpClientStats {
 /// engine dictionary anyway; an engine that passes its own dictionary
 /// (set_parse_dictionary) skips that translation altogether.
 ///
+/// The wait for a response's first byte is a ThreadPool::Blocking region:
+/// on an engine pool worker it lends the worker's CPU slot, so a pool of
+/// one thread still keeps two of a query's requests in flight at once.
+///
 /// Thread-safe: concurrent queries each use their own pooled connection
 /// (per-host keep-alive pool, capped at max_idle_connections). A reused
 /// connection that turns out to be dead before any response byte is
@@ -129,6 +133,8 @@ class HttpSparqlEndpoint : public net::Endpoint {
     bool conn_reusable = false;       ///< The fd may go back into the pool.
     uint64_t wire_in = 0;             ///< Bytes read incl. HTTP framing.
     uint64_t wire_out = 0;            ///< Bytes written incl. HTTP framing.
+    double send_ms = 0.0;  ///< Serializing and writing the request.
+    double wait_ms = 0.0;  ///< Waiting for the first response byte.
   };
 
   /// The one request path of the buffered and the streaming query: caps
@@ -136,7 +142,9 @@ class HttpSparqlEndpoint : public net::Endpoint {
   /// `round_trip(fd, token, wall, &attempt)` on a pooled or fresh
   /// connection with one transparent retry when a reused connection turns
   /// out dead before any response byte, and fills the result's transport
-  /// accounting. `T` is net::QueryResponse or net::StreamSummary.
+  /// accounting. When traced, annotates the calling request span with
+  /// net.send_ms, net.wait_ms and net.parse_ms, summed over the attempts.
+  /// `T` is net::QueryResponse or net::StreamSummary.
   template <typename T, typename RoundTripFn>
   Result<T> Exchange(const CancelToken& cancel, RoundTripFn round_trip);
 

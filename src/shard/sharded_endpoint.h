@@ -40,7 +40,10 @@ struct ShardedEndpointOptions {
   /// can block inside ShardedEndpoint::Query* (the scatter-gather caller
   /// waits for its fan-out futures, so sharing the engine's SAPE pool
   /// would deadlock under load). Null means the endpoint owns a private
-  /// pool of `own_pool_threads` workers.
+  /// pool of `own_pool_threads` workers. A worker waiting on an HTTP
+  /// member's first response byte lends its slot (ThreadPool::Blocking),
+  /// so up to (1 + ThreadPool::kSparesPerWorker) member requests per
+  /// worker can be in flight.
   ThreadPool* pool = nullptr;
 
   /// Worker count for the private pool (0 = hardware concurrency).

@@ -1,7 +1,13 @@
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +16,9 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "federation/federation.h"
+#include "net/sparql_endpoint.h"
+#include "store/triple_store.h"
 
 namespace lusail {
 namespace {
@@ -161,6 +170,133 @@ TEST(ThreadPoolTest, ManyConcurrentBlockingTasksComplete) {
 TEST(ThreadPoolTest, DefaultHasAtLeastEightThreads) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 8u);
+}
+
+/// Raises `*peak` to `value` if it is lower.
+void RaisePeak(std::atomic<int>* peak, int value) {
+  int seen = peak->load();
+  while (seen < value && !peak->compare_exchange_weak(seen, value)) {
+  }
+}
+
+TEST(ThreadPoolTest, BlockedWorkerLendsItsSlot) {
+  // A's wait is opened only by B, which queues behind A on the one
+  // worker: A must lend its slot for B to run at all.
+  ThreadPool pool(1);
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::future<void> a = pool.Submit([opened] {
+    ThreadPool::Blocking lend;
+    opened.wait();
+  });
+  std::future<void> b = pool.Submit([&latch] { latch.set_value(); });
+  ASSERT_EQ(a.wait_for(std::chrono::seconds(1)), std::future_status::ready);
+  ASSERT_EQ(b.wait_for(std::chrono::seconds(1)), std::future_status::ready);
+  EXPECT_EQ(pool.spares_started(), 1u);
+}
+
+TEST(ThreadPoolTest, CpuWorkersNeverExceedTarget) {
+  // Waiters lend their slots while tasks that never block run: however
+  // many spares start, no more than two tasks are ever on CPU at once.
+  ThreadPool pool(2);
+  std::atomic<int> on_cpu{0};
+  std::atomic<int> peak{0};
+  auto enter = [&] { RaisePeak(&peak, ++on_cpu); };
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0) {
+      futures.push_back(pool.Submit([&] {
+        enter();
+        --on_cpu;
+        ThreadPool::Blocking lend;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }));
+    } else {
+      futures.push_back(pool.Submit([&] {
+        enter();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        --on_cpu;
+      }));
+    }
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_LE(peak.load(), 2);
+  EXPECT_GE(pool.spares_started(), 1u);
+}
+
+TEST(ThreadPoolTest, SparesAreBounded) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> waiting{0};
+  std::atomic<int> peak{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 20; ++i) {
+    futures.push_back(pool.Submit([&] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      ThreadPool::Blocking lend;
+      RaisePeak(&peak, ++waiting);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      --waiting;
+    }));
+  }
+  for (auto& f : futures) f.get();
+  const size_t max_threads = 2 * (1 + ThreadPool::kSparesPerWorker);
+  EXPECT_LE(max_threads, 6u);
+  EXPECT_LE(threads.size(), max_threads);
+  EXPECT_LE(pool.spares_started(), 2 * ThreadPool::kSparesPerWorker);
+  EXPECT_LE(peak.load(), static_cast<int>(max_threads));
+  EXPECT_GT(peak.load(), 2);  // The waits did overlap past two workers.
+}
+
+TEST(ThreadPoolTest, BlockingOffAPoolIsANoOp) {
+  ThreadPool pool(1);
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::future<void> busy = pool.Submit([opened] { opened.wait(); });
+  std::future<void> queued = pool.Submit([] {});
+  {
+    // This thread is no worker of the pool: it has no slot to lend, so
+    // the queued task stays queued behind the busy worker.
+    ThreadPool::Blocking lend;
+    EXPECT_EQ(queued.wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+  }
+  EXPECT_EQ(pool.spares_started(), 0u);
+  latch.set_value();
+  busy.get();
+  queued.get();
+}
+
+TEST(ThreadPoolTest, InProcessFederationStartsNoSpare) {
+  // In-process endpoints complete under the federation's DeferredWait
+  // scope, simulated waits included, so they never lend a slot.
+  fed::Federation federation;
+  for (int e = 0; e < 3; ++e) {
+    auto store = std::make_unique<store::TripleStore>();
+    for (int i = 0; i < 4; ++i) {
+      store->Add(rdf::TermTriple{
+          rdf::Term::Iri("http://ex/s" + std::to_string(e * 10 + i)),
+          rdf::Term::Iri("http://ex/p"), rdf::Term::Integer(i)});
+    }
+    store->Freeze();
+    net::LatencyModel latency = net::LatencyModel::GeoDistributed();
+    latency.sleep_scale = 0.1;
+    federation.Add(std::make_shared<net::SparqlEndpoint>(
+        "ep" + std::to_string(e), std::move(store), latency));
+  }
+  ThreadPool pool(1);
+  core::TermDictionary dict;
+  core::IdTable out;
+  ASSERT_TRUE(fed::FetchUnion(federation, &pool, {0, 1, 2},
+                              "SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }",
+                              &dict, fed::IssueContext(), &out)
+                  .ok());
+  EXPECT_EQ(out.NumRows(), 12u);
+  EXPECT_EQ(pool.spares_started(), 0u);
 }
 
 // ---------------------------------------------------------------------

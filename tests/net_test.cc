@@ -139,7 +139,6 @@ TEST(RetryDeadlineTest, BackoffNeverSleepsPastDeadline) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
   EXPECT_LT(timer.ElapsedMillis(), 500.0);
-  EXPECT_LE(outcome.backoff_ms, 80.0);
   EXPECT_LT(outcome.attempts, 50);
 }
 

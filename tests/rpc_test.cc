@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +26,8 @@
 #include "cache/cached_endpoint.h"
 #include "cache/federation_cache.h"
 #include "cache/query_service.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/lusail_engine.h"
 #include "net/fault_injection.h"
 #include "net/replica.h"
@@ -849,6 +852,71 @@ TEST(HttpServerConcurrencyTest, MoreConnectionsThanWorkersMakeProgress) {
 }
 
 // ---------------------------------------------------------------------
+// Requests in flight together on a one-thread engine pool
+// ---------------------------------------------------------------------
+
+/// A server backend that answers each request `delay_ms` late and counts
+/// how many requests all backends sharing `in_flight` serve at once.
+class SlowCountingEndpoint : public net::Endpoint {
+ public:
+  SlowCountingEndpoint(std::shared_ptr<net::Endpoint> inner, int delay_ms,
+                       std::atomic<int>* in_flight, std::atomic<int>* peak)
+      : inner_(std::move(inner)),
+        delay_ms_(delay_ms),
+        in_flight_(in_flight),
+        peak_(peak) {}
+
+  const std::string& id() const override { return inner_->id(); }
+
+  Result<net::QueryResponse> QueryCancellable(
+      const std::string& text, const CancelToken& cancel) override {
+    int now = in_flight_->fetch_add(1) + 1;
+    int seen = peak_->load();
+    while (seen < now && !peak_->compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    in_flight_->fetch_sub(1);
+    return inner_->QueryCancellable(text, cancel);
+  }
+
+ private:
+  std::shared_ptr<net::Endpoint> inner_;
+  int delay_ms_;
+  std::atomic<int>* in_flight_;
+  std::atomic<int>* peak_;
+};
+
+TEST(HttpOverlapTest, OneThreadPoolOverlapsRequests) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  std::vector<std::unique_ptr<HttpServer>> servers;
+  fed::Federation federation;
+  for (int i = 0; i < 4; ++i) {
+    const std::string id = "EP" + std::to_string(i);
+    servers.push_back(std::make_unique<HttpServer>(
+        std::make_shared<SlowCountingEndpoint>(TinyEndpoint(id), 30,
+                                               &in_flight, &peak)));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    federation.Add(std::make_shared<HttpSparqlEndpoint>(
+        id, "127.0.0.1", servers.back()->port()));
+  }
+  // The one engine thread lends its slot while it waits for a response,
+  // so the pool sends the next request instead of queueing it.
+  ThreadPool pool(1);
+  core::TermDictionary dict;
+  core::IdTable out;
+  Status status = fed::FetchUnion(
+      federation, &pool, {0, 1, 2, 3},
+      "SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }", &dict,
+      fed::IssueContext(), &out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out.NumRows(), 20u);
+  EXPECT_GE(peak.load(), 2);
+  EXPECT_LE(pool.spares_started(), ThreadPool::kSparesPerWorker);
+  for (auto& server : servers) server->Stop();
+}
+
+// ---------------------------------------------------------------------
 // Trace propagation over the wire
 // ---------------------------------------------------------------------
 
@@ -997,6 +1065,54 @@ TEST(TracePropagationTest, ClientGraftsServerSubtreeUnderItsRequestSpan) {
     }
   }
   EXPECT_TRUE(served_by);
+  server.Stop();
+}
+
+TEST(TracePropagationTest, RequestSpanSplitsTheWireTime) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  HttpServer server(std::make_shared<SlowCountingEndpoint>(
+      TinyEndpoint("EP"), 20, &in_flight, &peak));
+  ASSERT_TRUE(server.Start().ok());
+  HttpSparqlEndpoint client("EP", "127.0.0.1", server.port());
+
+  auto tracer = std::make_shared<obs::Tracer>();
+  tracer->set_trace_id(obs::GenerateTraceId());
+  obs::SpanId request_span = tracer->StartSpan("request", "request");
+  Stopwatch wall;
+  {
+    obs::TraceContext context;
+    context.tracer = tracer;
+    context.trace_id = tracer->trace_id();
+    context.parent = request_span;
+    obs::TraceContextScope scope(context);
+    auto response = client.QueryWithDeadline(
+        "SELECT ?s WHERE { ?s <http://ex/p> ?o }",
+        Deadline::AfterMillis(10000));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  }
+  const double wall_ms = wall.ElapsedMillis();
+  tracer->EndSpan(request_span);
+
+  // One value of each, on the request span itself; no span is added.
+  obs::Trace trace = tracer->Snapshot();
+  std::map<std::string, std::vector<double>> times;
+  for (const obs::Span& span : trace.spans) {
+    for (const auto& annotation : span.annotations) {
+      if (annotation.key.rfind("net.", 0) != 0) continue;
+      EXPECT_EQ(span.id, request_span) << annotation.key;
+      times[annotation.key].push_back(std::stod(annotation.value));
+    }
+  }
+  for (const char* key : {"net.send_ms", "net.wait_ms", "net.parse_ms"}) {
+    ASSERT_EQ(times[key].size(), 1u) << key;
+    EXPECT_GE(times[key][0], 0.0) << key;
+  }
+  // The backend answers 20 ms late, and the wait holds that time.
+  EXPECT_GE(times["net.wait_ms"][0], 15.0);
+  EXPECT_LE(times["net.send_ms"][0] + times["net.wait_ms"][0] +
+                times["net.parse_ms"][0],
+            wall_ms);
   server.Stop();
 }
 

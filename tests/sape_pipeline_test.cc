@@ -1,6 +1,7 @@
 // Tests for SAPE's pipelined bound join: a delayed subquery sends its
 // first VALUES block alone, then every other block in one wave, and
-// unions the parts in block order.
+// unions the parts in block order. A row-limited whole-query fetch has
+// the same shape: its first source alone, then the rest in one wave.
 
 #include <algorithm>
 #include <atomic>
@@ -331,6 +332,113 @@ TEST(SapeBoundJoinPipelineTest, PartialResultsDropTheFailedBlock) {
   metrics.FillCounters(&profile);
   EXPECT_EQ(profile.failed_endpoint_ids, std::vector<std::string>{"ep1"});
   EXPECT_EQ(profile.subqueries_dropped, 0u);
+}
+
+/// Six endpoints answering one pattern, `?s <urn:p> ?o`, each behind a
+/// FailOnTextEndpoint: endpoint e holds `rows[e]` triples, and ep0 fails
+/// every request when `fail_first` holds. The whole query is one
+/// subquery, so a LIMIT takes SAPE's row-limited whole-query path.
+struct LimitFixture {
+  LimitFixture(const std::vector<size_t>& rows, bool fail_first = false) {
+    for (size_t e = 0; e < rows.size(); ++e) {
+      auto store = std::make_unique<store::TripleStore>();
+      for (size_t i = 0; i < rows[e]; ++i) {
+        store->Add({rdf::Term::Iri(Iri("s", e * 100 + i)),
+                    rdf::Term::Iri("urn:p"), rdf::Term::Integer(
+                                                 static_cast<int64_t>(i))});
+      }
+      store->Freeze();
+      const std::string id = "ep" + std::to_string(e);
+      endpoints.push_back(std::make_shared<FailOnTextEndpoint>(
+          std::make_shared<net::SparqlEndpoint>(id, std::move(store),
+                                                net::LatencyModel::None()),
+          fail_first && e == 0 ? "SELECT" : ""));
+      federation.Add(endpoints.back());
+      whole.sources.push_back(static_cast<int>(e));
+    }
+    auto query = sparql::ParseQuery("SELECT ?s ?o WHERE { ?s <urn:p> ?o . }");
+    EXPECT_TRUE(query.ok()) << query.status().ToString();
+    if (query.ok()) triples = query->where.triples;
+    whole.triple_indices = {0};
+    whole.projection = {"s", "o"};
+  }
+
+  Result<core::IdTable> Run(const core::LusailOptions& options,
+                            size_t row_limit, size_t pool_threads,
+                            fed::MetricsCollector* metrics = nullptr) {
+    ThreadPool pool(pool_threads);
+    core::SapeExecutor sape(&federation, &pool, &options);
+    core::TermDictionary dict;
+    return sape.Execute({whole}, triples, &dict, metrics, CancelToken(),
+                        nullptr, row_limit);
+  }
+
+  /// Requests each endpoint received, in endpoint order.
+  std::vector<uint64_t> Requests() const {
+    std::vector<uint64_t> out;
+    for (const auto& ep : endpoints) out.push_back(ep->requests());
+    return out;
+  }
+
+  std::vector<std::shared_ptr<FailOnTextEndpoint>> endpoints;
+  fed::Federation federation;
+  std::vector<sparql::TriplePattern> triples;
+  core::Subquery whole;
+};
+
+TEST(SapeLimitRampTest, FirstSourceHoldingTheRowsIsOneRequest) {
+  for (size_t threads : {1u, 4u}) {
+    LimitFixture fixture({10, 10, 10, 10, 10, 10});
+    auto result = fixture.Run(core::LusailOptions(), 5, threads);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->NumRows(), 5u) << threads << " threads";
+    EXPECT_EQ(fixture.Requests(),
+              (std::vector<uint64_t>{1, 0, 0, 0, 0, 0}))
+        << threads << " threads";
+  }
+}
+
+TEST(SapeLimitRampTest, ShortFirstSourceSendsTheRestInOneWave) {
+  // Two rows per source against a budget of 11: the first source is
+  // short, so the other five go out together, and only the last of them
+  // fills the budget.
+  for (size_t threads : {1u, 4u}) {
+    LimitFixture fixture({2, 2, 2, 2, 2, 2});
+    auto result = fixture.Run(core::LusailOptions(), 11, threads);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->NumRows(), 12u) << threads << " threads";
+    EXPECT_EQ(fixture.Requests(),
+              (std::vector<uint64_t>{1, 1, 1, 1, 1, 1}))
+        << threads << " threads";
+  }
+}
+
+TEST(SapeLimitRampTest, PartialResultsSendTheRestPastAFailedFirstSource) {
+  LimitFixture fixture({2, 2, 2, 2, 2, 2}, /*fail_first=*/true);
+  core::LusailOptions options;
+  options.partial_results = true;
+  fed::MetricsCollector metrics;
+  auto result = fixture.Run(options, 10, 1, &metrics);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // ep0 fails and the other five answer two rows each.
+  EXPECT_EQ(result->NumRows(), 10u);
+  EXPECT_EQ(fixture.Requests(), (std::vector<uint64_t>{1, 1, 1, 1, 1, 1}));
+  fed::ExecutionProfile profile;
+  metrics.FillCounters(&profile);
+  EXPECT_EQ(profile.failed_endpoint_ids, std::vector<std::string>{"ep0"});
+}
+
+TEST(SapeLimitRampTest, FailedFirstSourceWithoutPartialResultsSendsNoMore) {
+  // Without partial_results the first failure decides the call, so the
+  // other sources are never asked.
+  for (size_t threads : {1u, 4u}) {
+    LimitFixture fixture({2, 2, 2, 2, 2, 2}, /*fail_first=*/true);
+    auto result = fixture.Run(core::LusailOptions(), 10, threads);
+    EXPECT_FALSE(result.ok()) << threads << " threads";
+    EXPECT_EQ(fixture.Requests(),
+              (std::vector<uint64_t>{1, 0, 0, 0, 0, 0}))
+        << threads << " threads";
+  }
 }
 
 }  // namespace
