@@ -9,7 +9,8 @@
 // probePairs counts the logical (pattern, endpoint) ASK and COUNT probes
 // the paper's per-pair probing sends; requests and askReq count the
 // physical requests, with one batched probe request per endpoint and
-// phase.
+// phase. serialWaves counts the sets of requests the query waited on one
+// after another (LADE's checks and COUNT probes are one set).
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +46,7 @@ void RunLusailProfiled(benchmark::State& state, core::LusailEngine* engine,
   state.counters["requests"] = static_cast<double>(last.requests);
   state.counters["askReq"] = static_cast<double>(last.ask_requests);
   state.counters["probePairs"] = static_cast<double>(last.probe_pairs);
+  state.counters["serialWaves"] = static_cast<double>(last.serial_waves);
 }
 
 }  // namespace

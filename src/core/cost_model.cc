@@ -52,14 +52,25 @@ Status CostModel::CollectStatistics(
     const std::vector<sparql::Expr>& filters,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     const net::RetryPolicy* retry, bool tolerate_failures, bool use_cache) {
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = retry;
+  return Collect(
+      Send(triples, sources, filters, ctx, tolerate_failures, use_cache));
+}
+
+CostModel::Sent CostModel::Send(
+    const std::vector<sparql::TriplePattern>& triples,
+    const std::vector<std::vector<int>>& sources,
+    const std::vector<sparql::Expr>& filters, const fed::IssueContext& ctx,
+    bool tolerate_failures, bool use_cache) {
   // Cached counts first; every other (pattern, endpoint) pair becomes a
   // probe, and each endpoint's probes go out as one request. Cache keys
   // stay the single-probe text, so they do not depend on the batching.
-  cache::FederationCache* shared =
-      use_cache ? federation_->query_cache() : nullptr;
-  std::vector<fed::Probe> probes;
-  std::vector<int> probe_tp;
-  std::vector<std::string> probe_key;
+  Sent sent;
+  sent.shared = use_cache ? federation_->query_cache() : nullptr;
+  sent.tolerate_failures = tolerate_failures;
   for (size_t ti = 0; ti < triples.size(); ++ti) {
     // Push filters whose variables all appear in this single pattern.
     std::vector<const sparql::Expr*> pushed;
@@ -81,44 +92,45 @@ Status CostModel::CollectStatistics(
     for (int ep : sources[ti]) {
       std::string key = cache::FederationCache::Key(
           federation_->id(static_cast<size_t>(ep)), text);
-      if (shared != nullptr) {
-        std::optional<uint64_t> cached = shared->GetCount(key);
+      if (sent.shared != nullptr) {
+        std::optional<uint64_t> cached = sent.shared->GetCount(key);
         if (cached.has_value()) {
           counts_[{static_cast<int>(ti), ep}] = *cached;
           continue;
         }
       }
-      probes.push_back({static_cast<size_t>(ep), body});
-      probe_tp.push_back(static_cast<int>(ti));
-      probe_key.push_back(std::move(key));
+      sent.probes.push_back({static_cast<size_t>(ep), body});
+      sent.probe_tp.push_back(static_cast<int>(ti));
+      sent.probe_key.push_back(std::move(key));
     }
   }
+  sent.requests = federation_->SendProbes(pool_, sparql::ProbeKind::kCount,
+                                          sent.probes, ctx);
+  return sent;
+}
 
-  fed::IssueContext ctx;
-  ctx.metrics = metrics;
-  ctx.cancel = cancel;
-  ctx.retry = retry;
-  std::vector<Result<uint64_t>> answers = federation_->RunProbes(
-      pool_, sparql::ProbeKind::kCount, probes, ctx);
+Status CostModel::Collect(Sent sent) {
+  std::vector<Result<uint64_t>> answers =
+      fed::Federation::CollectProbes(std::move(sent.requests));
   size_t failed = 0;
   Status first_error;
-  for (size_t i = 0; i < probes.size(); ++i) {
+  for (size_t i = 0; i < sent.probes.size(); ++i) {
     if (!answers[i].ok()) {
       ++failed;
       if (first_error.ok()) first_error = answers[i].status();
       continue;
     }
-    const int ep = static_cast<int>(probes[i].endpoint);
-    counts_[{probe_tp[i], ep}] = *answers[i];
-    if (shared != nullptr) {
-      shared->PutCount(probe_key[i], federation_->id(probes[i].endpoint),
-                       *answers[i]);
+    const size_t ep = sent.probes[i].endpoint;
+    counts_[{sent.probe_tp[i], static_cast<int>(ep)}] = *answers[i];
+    if (sent.shared != nullptr) {
+      sent.shared->PutCount(sent.probe_key[i], federation_->id(ep),
+                            *answers[i]);
     }
   }
-  if (failed > 0 && !tolerate_failures) {
+  if (failed > 0 && !sent.tolerate_failures) {
     return Status(first_error.code(),
                   std::to_string(failed) + " of " +
-                      std::to_string(probes.size()) +
+                      std::to_string(sent.probes.size()) +
                       " COUNT probes failed; first: " +
                       first_error.ToString());
   }

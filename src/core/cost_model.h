@@ -30,9 +30,20 @@ class CostModel {
   CostModel(const fed::Federation* federation, ThreadPool* pool)
       : federation_(federation), pool_(pool) {}
 
-  /// Issues the COUNT probes and stores the statistics: each endpoint's
-  /// uncached probes travel as one batched request (sparql/probe.h), all
-  /// endpoints in parallel.
+  /// COUNT probes sent by Send and not yet collected.
+  struct Sent {
+    std::vector<fed::Probe> probes;
+    std::vector<int> probe_tp;           ///< Pattern of each probe.
+    std::vector<std::string> probe_key;  ///< Cache key of each probe.
+    fed::SentProbes requests;
+    /// The shared cache fresh counts go to; null without use_cache.
+    cache::FederationCache* shared = nullptr;
+    bool tolerate_failures = false;
+  };
+
+  /// Issues the COUNT probes and stores the statistics:
+  /// Collect(Send(...)). Each endpoint's uncached probes travel as one
+  /// batched request (sparql/probe.h), all endpoints in parallel.
   /// Probes go through `retry` when given. A failed probe normally fails
   /// collection; with `tolerate_failures` it is skipped instead — its
   /// (pattern, endpoint) count stays 0, biasing that subquery toward the
@@ -48,6 +59,19 @@ class CostModel {
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false,
                            bool use_cache = true);
+
+  /// CollectStatistics's send half: stores the cached counts and sends
+  /// every other probe under `ctx` (its metrics, cancel, retry and trace
+  /// parent), without waiting.
+  Sent Send(const std::vector<sparql::TriplePattern>& triples,
+            const std::vector<std::vector<int>>& sources,
+            const std::vector<sparql::Expr>& filters,
+            const fed::IssueContext& ctx, bool tolerate_failures,
+            bool use_cache);
+
+  /// CollectStatistics's collect half: waits for every request of `sent`,
+  /// whatever fails, and stores the counts.
+  Status Collect(Sent sent);
 
   /// Cardinality of pattern `tp_index` at endpoint `ep` (0 if unprobed).
   uint64_t PatternCount(int tp_index, int ep) const;

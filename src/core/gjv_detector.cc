@@ -46,7 +46,22 @@ Result<GjvResult> GjvDetector::Detect(
     const std::vector<std::vector<int>>& sources,
     fed::MetricsCollector* metrics, const CancelToken& cancel,
     bool use_cache, const net::RetryPolicy* retry, bool tolerate_failures) {
-  GjvResult result;
+  fed::IssueContext ctx;
+  ctx.metrics = metrics;
+  ctx.cancel = cancel;
+  ctx.retry = retry;
+  return Collect(Send(triples, sources, ctx, use_cache, tolerate_failures));
+}
+
+GjvDetector::Sent GjvDetector::Send(
+    const std::vector<TriplePattern>& triples,
+    const std::vector<std::vector<int>>& sources,
+    const fed::IssueContext& ctx, bool use_cache, bool tolerate_failures) {
+  Sent sent;
+  sent.metrics = ctx.metrics;
+  sent.shared = use_cache ? federation_->query_cache() : nullptr;
+  sent.tolerate_failures = tolerate_failures;
+  GjvResult& result = sent.result;
   std::vector<JoinVariable> join_vars = QueryGraph::JoinVariables(triples);
   std::vector<Check> checks;
 
@@ -121,21 +136,11 @@ Result<GjvResult> GjvDetector::Detect(
     }
   }
 
-  // Execute the checks at their relevant endpoints through the pool.
-  struct Pending {
-    size_t check_index;
-    std::string cache_key;
-    std::string endpoint_id;
-    std::future<Result<bool>> nonempty;
-  };
-  cache::FederationCache* shared =
-      use_cache ? federation_->query_cache() : nullptr;
-  std::vector<Pending> pending;
-  for (size_t ci = 0; ci < checks.size(); ++ci) {
-    const Check& check = checks[ci];
+  // Send the checks to their relevant endpoints through the pool.
+  cache::FederationCache* shared = sent.shared;
+  for (const Check& check : checks) {
     // Both patterns of the pair have the same relevant sources here.
-    const std::vector<int>& eps = sources[check.pair.first];
-    for (int ep : eps) {
+    for (int ep : sources[check.pair.first]) {
       std::string key = federation_->id(ep) + "|" + check.query_text;
       if (use_cache) {
         std::optional<bool> cached = cache_->Get(key);
@@ -148,54 +153,53 @@ Result<GjvResult> GjvDetector::Detect(
           continue;
         }
       }
-      Pending p;
-      p.check_index = ci;
-      p.cache_key = key;
-      p.endpoint_id = federation_->id(ep);
-      fed::IssueContext ctx;
-      ctx.metrics = metrics;
-      ctx.cancel = cancel;
-      ctx.retry = retry;
-      p.nonempty = federation_->Issue(pool_, static_cast<size_t>(ep),
-                                      check.query_text, std::move(ctx),
-                                      fed::Federation::NonEmpty);
-      pending.push_back(std::move(p));
-      ++result.check_queries;
+      Sent::Request request;
+      request.var = check.var;
+      request.pair = check.pair;
+      request.cache_key = std::move(key);
+      request.endpoint_id = federation_->id(ep);
+      request.nonempty = federation_->Issue(pool_, static_cast<size_t>(ep),
+                                            check.query_text, ctx,
+                                            fed::Federation::NonEmpty);
+      sent.requests.push_back(std::move(request));
     }
   }
+  result.check_queries = sent.requests.size();
+  return sent;
+}
 
+Result<GjvResult> GjvDetector::Collect(Sent sent) {
+  GjvResult& result = sent.result;
   std::vector<Status> failures;
-  for (Pending& p : pending) {
-    Result<bool> nonempty = p.nonempty.get();
+  for (Sent::Request& request : sent.requests) {
+    Result<bool> nonempty = request.nonempty.get();
     if (!nonempty.ok()) {
-      if (tolerate_failures) {
+      if (sent.tolerate_failures) {
         // Unverifiable locality: conservatively treat the pair as causing
         // (its variable goes global), which is always correct — it only
         // costs an extra federator-side join.
-        result.causes[checks[p.check_index].var].insert(
-            checks[p.check_index].pair);
+        result.causes[request.var].insert(request.pair);
       } else {
         failures.push_back(nonempty.status());
       }
       continue;
     }
-    cache_->Put(p.cache_key, *nonempty);
-    if (shared != nullptr) {
-      shared->PutVerdict(p.cache_key, p.endpoint_id, *nonempty);
+    cache_->Put(request.cache_key, *nonempty);
+    if (sent.shared != nullptr) {
+      sent.shared->PutVerdict(request.cache_key, request.endpoint_id,
+                              *nonempty);
     }
-    if (*nonempty) {
-      result.causes[checks[p.check_index].var].insert(
-          checks[p.check_index].pair);
-    }
+    if (*nonempty) result.causes[request.var].insert(request.pair);
   }
+  if (sent.metrics != nullptr) sent.metrics->NoteWaited();
   if (!failures.empty()) {
     std::string msg = std::to_string(failures.size()) + " of " +
-                      std::to_string(pending.size()) +
+                      std::to_string(sent.requests.size()) +
                       " locality check queries failed; first: " +
                       failures.front().ToString();
     return Status(failures.front().code(), std::move(msg));
   }
-  return result;
+  return std::move(result);
 }
 
 }  // namespace lusail::core

@@ -1,6 +1,7 @@
 #ifndef LUSAIL_CORE_GJV_DETECTOR_H_
 #define LUSAIL_CORE_GJV_DETECTOR_H_
 
+#include <future>
 #include <map>
 #include <set>
 #include <string>
@@ -67,18 +68,50 @@ class GjvDetector {
               ThreadPool* pool)
       : federation_(federation), cache_(check_cache), pool_(pool) {}
 
+  /// Locality checks sent by Send and not yet collected.
+  struct Sent {
+    /// One check request in flight at one endpoint.
+    struct Request {
+      std::string var;
+      std::pair<int, int> pair;  ///< The pair a witness makes causing.
+      std::string cache_key;
+      std::string endpoint_id;
+      std::future<Result<bool>> nonempty;
+    };
+    /// What needed no request: step 1's verdicts and cached checks.
+    GjvResult result;
+    std::vector<Request> requests;
+    fed::MetricsCollector* metrics = nullptr;
+    /// The shared cache fresh verdicts go to; null without use_cache.
+    cache::FederationCache* shared = nullptr;
+    bool tolerate_failures = false;
+  };
+
   /// Runs detection for `triples`, whose per-pattern relevant sources are
-  /// `sources` (from source selection). `use_cache=false` forces fresh
-  /// check queries. Check queries go through `retry` when given. A failed
-  /// check normally fails detection; with `tolerate_failures` the pair is
-  /// conservatively treated as a causing pair instead (uncached) — its
-  /// variable becomes global, which is always correct, just less optimal.
+  /// `sources` (from source selection): Collect(Send(...)). `use_cache=false`
+  /// forces fresh check queries. Check queries go through `retry` when
+  /// given. A failed check normally fails detection; with
+  /// `tolerate_failures` the pair is conservatively treated as a causing
+  /// pair instead (uncached) — its variable becomes global, which is
+  /// always correct, just less optimal.
   Result<GjvResult> Detect(const std::vector<sparql::TriplePattern>& triples,
                            const std::vector<std::vector<int>>& sources,
                            fed::MetricsCollector* metrics,
                            const CancelToken& cancel, bool use_cache,
                            const net::RetryPolicy* retry = nullptr,
                            bool tolerate_failures = false);
+
+  /// Detect's send half: settles what needs no request and sends every
+  /// other check under `ctx` (its metrics, cancel, retry and trace
+  /// parent), without waiting.
+  Sent Send(const std::vector<sparql::TriplePattern>& triples,
+            const std::vector<std::vector<int>>& sources,
+            const fed::IssueContext& ctx, bool use_cache,
+            bool tolerate_failures);
+
+  /// Detect's collect half: waits for every request of `sent`, whatever
+  /// fails, caches the verdicts and returns the result.
+  Result<GjvResult> Collect(Sent sent);
 
   /// Builds the Figure 5 check-query text for one (outer, inner) pair:
   /// SELECT ?v WHERE { [type triples] <outer pattern> FILTER NOT EXISTS {

@@ -44,6 +44,48 @@ std::set<std::string> PatternVars(
   return vars;
 }
 
+/// What a group's BGP sees of the rest of its group. Execution and
+/// EXPLAIN derive it the same way.
+struct BgpScope {
+  /// Variables the BGP's result must keep: the caller's, everything
+  /// nested blocks join on, and the group's filters' variables.
+  std::set<std::string> needed;
+  /// Variables that other *join blocks* of this group observe: an
+  /// OPTIONAL push-down must keep its overlap with these inside its host
+  /// subquery, or the local left join would not commute with the global
+  /// joins. (Projection-only and residual-filter variables do not block
+  /// the push-down — the host simply projects them.)
+  std::set<std::string> outside_vars;
+  /// Filters whose variables are all inside the BGP go down the LADE
+  /// pipeline; the rest are applied after nested blocks join in.
+  std::vector<sparql::Expr> filters;
+  std::vector<sparql::Expr> residual_filters;
+};
+
+BgpScope ScopeOfBgp(const sparql::GraphPattern& pattern,
+                    const std::set<std::string>& needed_vars) {
+  BgpScope scope;
+  scope.needed = needed_vars;
+  for (const auto& chain : pattern.unions) {
+    for (const auto& alt : chain) alt.CollectVariables(&scope.outside_vars);
+  }
+  scope.needed.insert(scope.outside_vars.begin(), scope.outside_vars.end());
+  for (const auto& opt : pattern.optionals) {
+    opt.CollectVariables(&scope.needed);
+  }
+  const std::set<std::string> bgp_vars = PatternVars(pattern.triples);
+  for (const sparql::Expr& f : pattern.filters) {
+    std::set<std::string> fv;
+    f.CollectVariables(&fv);
+    scope.needed.insert(fv.begin(), fv.end());
+    bool inside = std::all_of(fv.begin(), fv.end(), [&](const auto& v) {
+      return bgp_vars.count(v) > 0;
+    });
+    (inside ? scope.filters : scope.residual_filters).push_back(f);
+  }
+  return scope;
+}
+
 /// OPTIONAL push-down (Section 3: "Lusail determines where to add the
 /// FILTER and OPTIONAL clauses during query decomposition"). A plain
 /// optional block is pushed into a host subquery when the endpoints can
@@ -166,67 +208,25 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   AnalyzedQuery out;
   out.query = query;
   fed::MetricsCollector metrics;
-  CancelToken cancel;
-  const net::RetryPolicy* retry = &options_.retry_policy;
-  const bool tolerate = options_.partial_results;
+  fed::ExecutionProfile profile;
 
-  // Combined pattern list: the mandatory triples plus the top-level plain
-  // OPTIONAL candidates, exactly as ExecuteBgp probes them — EXPLAIN must
-  // show the plan execution would use.
-  std::vector<sparql::TriplePattern> combined = query.where.triples;
-  std::vector<std::pair<size_t, size_t>> optional_ranges;
-  std::vector<const sparql::GraphPattern*> plain_optionals;
-  if (options_.enable_optional_pushdown) {
-    for (const sparql::GraphPattern& opt : query.where.optionals) {
-      if (!IsPlainOptional(opt)) continue;
-      optional_ranges.emplace_back(combined.size(),
-                                   combined.size() + opt.triples.size());
-      combined.insert(combined.end(), opt.triples.begin(),
-                      opt.triples.end());
-      plain_optionals.push_back(&opt);
-    }
+  // The top-level group's BGP, planned exactly as ExecutePattern plans it.
+  const BgpScope scope = ScopeOfBgp(query.where, NeededVars(query));
+  std::vector<const sparql::GraphPattern*> candidates;
+  for (const sparql::GraphPattern& opt : query.where.optionals) {
+    candidates.push_back(&opt);
   }
-
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  std::vector<const sparql::GraphPattern*> unpushed;
   LUSAIL_ASSIGN_OR_RETURN(
-      std::vector<std::vector<int>> sources,
-      selector.SelectSources(combined, &metrics, cancel,
-                             options_.use_cache, retry, tolerate));
-  out.sources.assign(sources.begin(),
-                     sources.begin() + query.where.triples.size());
-
-  GjvDetector detector(federation_, &check_cache_, &pool_);
-  LUSAIL_ASSIGN_OR_RETURN(
-      out.gjvs, detector.Detect(combined, sources, &metrics, cancel,
-                                options_.use_cache, retry, tolerate));
-
-  CostModel cost_model(federation_, &pool_);
-  LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
-      query.where.triples, out.sources, query.where.filters, &metrics,
-      cancel, retry, tolerate, options_.use_cache));
-  Decomposer decomposer(&cost_model);
-  std::set<std::string> needed = NeededVars(query);
-  out.decomposition =
-      decomposer.Decompose(query.where.triples, out.sources, out.gjvs,
-                           query.where.filters, needed);
-
-  // OPTIONAL push-down over the top-level group, mirroring
-  // ExecutePattern's variable-visibility setup.
-  std::set<std::string> outside_vars;
-  for (const auto& chain : query.where.unions) {
-    for (const auto& alt : chain) alt.CollectVariables(&outside_vars);
-  }
-  std::set<std::string> analysis_needed = needed;
-  analysis_needed.insert(outside_vars.begin(), outside_vars.end());
-  for (const auto& opt : query.where.optionals) {
-    opt.CollectVariables(&analysis_needed);
-  }
-  for (const sparql::Expr& f : query.where.filters) {
-    f.CollectVariables(&analysis_needed);
-  }
-  out.pushed_optionals = PushPlainOptionals(
-      plain_optionals, optional_ranges, query.where.triples, sources,
-      out.gjvs, outside_vars, analysis_needed, &out.decomposition, nullptr);
+      BgpPlan plan,
+      PlanBgp(query.where.triples, scope.filters, candidates,
+              scope.outside_vars, scope.needed, &metrics, CancelToken(),
+              &profile, &unpushed));
+  out.sources.assign(plan.sources.begin(),
+                     plan.sources.begin() + query.where.triples.size());
+  out.gjvs = std::move(plan.gjvs);
+  out.decomposition = std::move(plan.decomposition);
+  out.pushed_optionals = plan.pushed_optionals;
   out.unpushed_optionals =
       query.where.optionals.size() - out.pushed_optionals;
 
@@ -259,6 +259,114 @@ Result<AnalyzedQuery> LusailEngine::Analyze(const std::string& sparql_text) {
   return out;
 }
 
+Result<LusailEngine::BgpPlan> LusailEngine::PlanBgp(
+    const std::vector<sparql::TriplePattern>& triples,
+    const std::vector<sparql::Expr>& filters,
+    const std::vector<const sparql::GraphPattern*>& candidate_optionals,
+    const std::set<std::string>& outside_vars,
+    const std::set<std::string>& needed_vars,
+    fed::MetricsCollector* metrics, const CancelToken& cancel,
+    fed::ExecutionProfile* profile,
+    std::vector<const sparql::GraphPattern*>* unpushed_optionals) {
+  // Phase A: source selection — for the mandatory patterns and for the
+  // push-down candidates' patterns (needed by the locality analysis).
+  Stopwatch timer;
+  fed::PhaseSpan source_span(metrics, "source selection");
+  std::vector<sparql::TriplePattern> combined = triples;
+  std::vector<std::pair<size_t, size_t>> optional_ranges;
+  std::vector<const sparql::GraphPattern*> plain_optionals;
+  for (const sparql::GraphPattern* opt : candidate_optionals) {
+    if (!options_.enable_optional_pushdown || !IsPlainOptional(*opt)) {
+      unpushed_optionals->push_back(opt);
+      continue;
+    }
+    optional_ranges.emplace_back(combined.size(),
+                                 combined.size() + opt->triples.size());
+    combined.insert(combined.end(), opt->triples.begin(),
+                    opt->triples.end());
+    plain_optionals.push_back(opt);
+  }
+
+  BgpPlan plan;
+  const net::RetryPolicy* retry = &options_.retry_policy;
+  const bool tolerate = options_.partial_results;
+  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
+  LUSAIL_ASSIGN_OR_RETURN(
+      plan.sources,
+      selector.SelectSources(combined, metrics, cancel, options_.use_cache,
+                             retry, tolerate));
+  const std::vector<std::vector<int>>& sources = plan.sources;
+  source_span.Annotate("patterns", static_cast<uint64_t>(combined.size()));
+  source_span.End();
+  profile->source_selection_ms += timer.ElapsedMillis();
+  if (cancel.Cancelled()) return cancel.StatusAt("source selection");
+
+  // Mandatory patterns with no relevant source: the query has no answers.
+  for (size_t i = 0; i < triples.size(); ++i) {
+    if (sources[i].empty()) {
+      // Optionals cannot resurrect rows; nothing more to push.
+      unpushed_optionals->insert(unpushed_optionals->end(),
+                                 plain_optionals.begin(),
+                                 plain_optionals.end());
+      plan.no_answers = true;
+      return plan;
+    }
+  }
+
+  // Phase B: LADE — GJV detection (over mandatory + candidate-optional
+  // patterns so causing pairs across the OPTIONAL boundary are known),
+  // statistics, and decomposition of the mandatory BGP. The locality
+  // checks and the COUNT probes both need only `sources`, so they go out
+  // as one wave; each phase span parents its own requests explicitly,
+  // since the two overlap. Both halves are collected whatever fails, so
+  // no response outlives this frame.
+  timer.Restart();
+  fed::PhaseSpan lade_span(metrics, "LADE analysis");
+  GjvDetector detector(federation_, &check_cache_, &pool_);
+  CostModel cost_model(federation_, &pool_);
+  {
+    fed::PhaseSpan gjv_span(metrics, "gjv detection", lade_span.id());
+    fed::PhaseSpan stats_span(metrics, "statistics", lade_span.id());
+    fed::IssueContext ctx;
+    ctx.metrics = metrics;
+    ctx.cancel = cancel;
+    ctx.retry = retry;
+    ctx.trace_parent = gjv_span.id();
+    GjvDetector::Sent checks =
+        detector.Send(combined, sources, ctx, options_.use_cache, tolerate);
+    ctx.trace_parent = stats_span.id();
+    CostModel::Sent counts = cost_model.Send(triples, sources, filters, ctx,
+                                             tolerate, options_.use_cache);
+    Result<GjvResult> gjvs = detector.Collect(std::move(checks));
+    gjv_span.End();
+    Status stats = cost_model.Collect(std::move(counts));
+    stats_span.End();
+    LUSAIL_RETURN_NOT_OK(gjvs.status());
+    LUSAIL_RETURN_NOT_OK(stats);
+    plan.gjvs = std::move(gjvs).value();
+  }
+  {
+    fed::PhaseSpan decomp_span(metrics, "decomposition");
+    Decomposer decomposer(&cost_model);
+    plan.decomposition = decomposer.Decompose(triples, sources, plan.gjvs,
+                                              filters, needed_vars);
+    plan.pushed_optionals = PushPlainOptionals(
+        plain_optionals, optional_ranges, triples, sources, plan.gjvs,
+        outside_vars, needed_vars, &plan.decomposition, unpushed_optionals);
+    decomp_span.Annotate(
+        "subqueries",
+        static_cast<uint64_t>(plan.decomposition.subqueries.size()));
+  }
+  lade_span.Annotate(
+      "subqueries",
+      static_cast<uint64_t>(plan.decomposition.subqueries.size()));
+  lade_span.Annotate("pushed_optionals", plan.pushed_optionals);
+  lade_span.End();
+  profile->analysis_ms += timer.ElapsedMillis();
+  if (cancel.Cancelled()) return cancel.StatusAt("LADE analysis");
+  return plan;
+}
+
 Result<IdTable> LusailEngine::ExecuteBgp(
     const std::vector<sparql::TriplePattern>& triples,
     const std::vector<sparql::Expr>& filters,
@@ -269,102 +377,25 @@ Result<IdTable> LusailEngine::ExecuteBgp(
     fed::ExecutionProfile* profile,
     std::vector<const sparql::GraphPattern*>* unpushed_optionals,
     size_t row_limit) {
-  // Phase A: source selection — for the mandatory patterns and for the
-  // push-down candidates' patterns (needed by the locality analysis).
-  Stopwatch timer;
-  fed::PhaseSpan source_span(metrics, "source selection");
-  std::vector<sparql::TriplePattern> combined = triples;
-  std::vector<std::pair<size_t, size_t>> optional_ranges;
-  for (const sparql::GraphPattern* opt : candidate_optionals) {
-    if (!options_.enable_optional_pushdown || !IsPlainOptional(*opt)) {
-      unpushed_optionals->push_back(opt);
-      continue;
-    }
-    optional_ranges.emplace_back(combined.size(),
-                                 combined.size() + opt->triples.size());
-    combined.insert(combined.end(), opt->triples.begin(),
-                    opt->triples.end());
-  }
-  std::vector<const sparql::GraphPattern*> plain_optionals;
-  if (options_.enable_optional_pushdown) {
-    for (const sparql::GraphPattern* opt : candidate_optionals) {
-      if (IsPlainOptional(*opt)) plain_optionals.push_back(opt);
-    }
-  }
-
-  const net::RetryPolicy* retry = &options_.retry_policy;
-  const bool tolerate = options_.partial_results;
-  fed::SourceSelector selector(federation_, &ask_cache_, &pool_);
   LUSAIL_ASSIGN_OR_RETURN(
-      std::vector<std::vector<int>> sources,
-      selector.SelectSources(combined, metrics, cancel, options_.use_cache,
-                             retry, tolerate));
-  source_span.Annotate("patterns", static_cast<uint64_t>(combined.size()));
-  source_span.End();
-  profile->source_selection_ms += timer.ElapsedMillis();
-  if (cancel.Cancelled()) return cancel.StatusAt("source selection");
-
-  // Mandatory patterns with no relevant source: the query has no answers.
-  for (size_t i = 0; i < triples.size(); ++i) {
-    if (sources[i].empty()) {
-      IdTable empty;
-      std::set<std::string> vars = PatternVars(triples);
-      empty.vars.assign(vars.begin(), vars.end());
-      // Optionals cannot resurrect rows; nothing more to push.
-      for (const sparql::GraphPattern* opt : plain_optionals) {
-        unpushed_optionals->push_back(opt);
-      }
-      return empty;
-    }
+      BgpPlan plan,
+      PlanBgp(triples, filters, candidate_optionals, outside_vars,
+              needed_vars, metrics, cancel, profile, unpushed_optionals));
+  if (plan.no_answers) {
+    IdTable empty;
+    std::set<std::string> vars = PatternVars(triples);
+    empty.vars.assign(vars.begin(), vars.end());
+    return empty;
   }
-
-  // Phase B: LADE — GJV detection (over mandatory + candidate-optional
-  // patterns so causing pairs across the OPTIONAL boundary are known),
-  // statistics, and decomposition of the mandatory BGP.
-  timer.Restart();
-  fed::PhaseSpan lade_span(metrics, "LADE analysis");
-  GjvDetector detector(federation_, &check_cache_, &pool_);
-  Decomposition decomposition;
-  GjvResult gjvs;
-  {
-    fed::PhaseSpan gjv_span(metrics, "gjv detection");
-    LUSAIL_ASSIGN_OR_RETURN(gjvs,
-                            detector.Detect(combined, sources, metrics,
-                                            cancel, options_.use_cache,
-                                            retry, tolerate));
-  }
-  CostModel cost_model(federation_, &pool_);
-  {
-    fed::PhaseSpan stats_span(metrics, "statistics");
-    LUSAIL_RETURN_NOT_OK(cost_model.CollectStatistics(
-        triples, sources, filters, metrics, cancel, retry, tolerate,
-        options_.use_cache));
-  }
-  {
-    fed::PhaseSpan decomp_span(metrics, "decomposition");
-    Decomposer decomposer(&cost_model);
-    decomposition =
-        decomposer.Decompose(triples, sources, gjvs, filters, needed_vars);
-    profile->pushed_optionals += PushPlainOptionals(
-        plain_optionals, optional_ranges, triples, sources, gjvs,
-        outside_vars, needed_vars, &decomposition, unpushed_optionals);
-    decomp_span.Annotate(
-        "subqueries",
-        static_cast<uint64_t>(decomposition.subqueries.size()));
-  }
-  lade_span.Annotate(
-      "subqueries", static_cast<uint64_t>(decomposition.subqueries.size()));
-  lade_span.Annotate("pushed_optionals", profile->pushed_optionals);
-  lade_span.End();
-  profile->analysis_ms += timer.ElapsedMillis();
-  if (cancel.Cancelled()) return cancel.StatusAt("LADE analysis");
+  profile->pushed_optionals += plan.pushed_optionals;
 
   // Phase C: SAPE execution. The LIMIT hint survives only when no global
   // filter runs after the subqueries — a filter could discard rows a
   // capped fetch never over-delivered.
-  timer.Restart();
+  Stopwatch timer;
   fed::PhaseSpan sape_span(metrics, "SAPE execution");
   SapeExecutor sape(federation_, &pool_, &options_);
+  Decomposition& decomposition = plan.decomposition;
   size_t sape_limit = decomposition.global_filters.empty() ? row_limit : 0;
   Result<IdTable> table =
       sape.Execute(std::move(decomposition.subqueries), triples, dict,
@@ -390,53 +421,13 @@ Result<IdTable> LusailEngine::ExecutePattern(
         "used internally by Lusail's locality checks)");
   }
 
-  // Needed vars for the BGP include everything nested blocks join on.
-  std::set<std::string> bgp_needed = needed_vars;
-  std::set<std::string> nested_vars;
-  for (const auto& chain : pattern.unions) {
-    for (const auto& alt : chain) alt.CollectVariables(&nested_vars);
-  }
-  for (const auto& opt : pattern.optionals) {
-    opt.CollectVariables(&nested_vars);
-  }
-  bgp_needed.insert(nested_vars.begin(), nested_vars.end());
-  // Filters that nested blocks do not cover must survive the BGP.
-  std::set<std::string> filter_vars;
-  for (const sparql::Expr& f : pattern.filters) {
-    f.CollectVariables(&filter_vars);
-  }
-  bgp_needed.insert(filter_vars.begin(), filter_vars.end());
+  const BgpScope scope = ScopeOfBgp(pattern, needed_vars);
+  const std::set<std::string>& bgp_needed = scope.needed;
 
   IdTable table;
   bool have_table = false;
 
   if (!pattern.triples.empty()) {
-    // Filters whose variables are fully inside the BGP go down the LADE
-    // pipeline; the rest are applied after nested blocks join in.
-    std::set<std::string> bgp_vars;
-    for (const sparql::TriplePattern& tp : pattern.triples) {
-      for (const std::string& v : tp.VariableNames()) bgp_vars.insert(v);
-    }
-    std::vector<sparql::Expr> bgp_filters, residual_filters;
-    for (const sparql::Expr& f : pattern.filters) {
-      std::set<std::string> fv;
-      f.CollectVariables(&fv);
-      bool inside = std::all_of(fv.begin(), fv.end(), [&](const auto& v) {
-        return bgp_vars.count(v) > 0;
-      });
-      (inside ? bgp_filters : residual_filters).push_back(f);
-    }
-
-    // Variables that other *join blocks* of this group observe: an
-    // OPTIONAL push-down must keep its overlap with these inside its host
-    // subquery, or the local left join would not commute with the global
-    // joins. (Projection-only and residual-filter variables do not block
-    // the push-down — the host simply projects them.)
-    std::set<std::string> outside_vars;
-    for (const auto& chain : pattern.unions) {
-      for (const auto& alt : chain) alt.CollectVariables(&outside_vars);
-    }
-
     std::vector<const sparql::GraphPattern*> candidates;
     candidates.reserve(pattern.optionals.size());
     for (const sparql::GraphPattern& opt : pattern.optionals) {
@@ -448,13 +439,14 @@ Result<IdTable> LusailEngine::ExecutePattern(
     // (can drop rows), residual filters drop rows. Unpushed OPTIONALs are
     // harmless — a left join keeps every left row.
     size_t bgp_limit = (row_limit > 0 && pattern.unions.empty() &&
-                        pattern.values.empty() && residual_filters.empty())
+                        pattern.values.empty() &&
+                        scope.residual_filters.empty())
                            ? row_limit
                            : 0;
     LUSAIL_ASSIGN_OR_RETURN(
-        table, ExecuteBgp(pattern.triples, bgp_filters, candidates,
-                          outside_vars, bgp_needed, dict, metrics, cancel,
-                          profile, &unpushed, bgp_limit));
+        table, ExecuteBgp(pattern.triples, scope.filters, candidates,
+                          scope.outside_vars, bgp_needed, dict, metrics,
+                          cancel, profile, &unpushed, bgp_limit));
     have_table = true;
 
     // UNION chains and the OPTIONAL blocks that could not be pushed down
@@ -478,7 +470,7 @@ Result<IdTable> LusailEngine::ExecutePattern(
       table = JoinIds(table, right, /*left_outer=*/true);
     }
     Stopwatch filter_timer;
-    for (const sparql::Expr& f : residual_filters) {
+    for (const sparql::Expr& f : scope.residual_filters) {
       FilterIds(&table, f, *dict);
     }
     profile->execution_ms += filter_timer.ElapsedMillis();

@@ -74,7 +74,8 @@ class LusailEngine : public fed::FederatedEngine {
                                        const CancelToken& cancel) override;
   using fed::FederatedEngine::Execute;
 
-  /// Runs source selection + LADE only (no execution); for inspection.
+  /// Runs source selection + LADE only (no execution), through the same
+  /// PlanBgp as execution; for inspection and EXPLAIN.
   Result<AnalyzedQuery> Analyze(const std::string& sparql_text);
 
   /// Drops the ASK and check-query caches (Figure 12's cold-cache runs).
@@ -105,14 +106,43 @@ class LusailEngine : public fed::FederatedEngine {
   const fed::Federation* federation() const { return federation_; }
 
  private:
-  /// Full pipeline for one conjunctive pattern (triples + filters).
+  /// LADE's plan for one conjunctive pattern.
+  struct BgpPlan {
+    /// Relevant endpoints per pattern: the mandatory triples, then the
+    /// pushable OPTIONAL candidates' patterns.
+    std::vector<std::vector<int>> sources;
+    GjvResult gjvs;
+    /// The mandatory BGP's subqueries, pushed OPTIONALs inside.
+    Decomposition decomposition;
+    uint64_t pushed_optionals = 0;
+    /// A mandatory pattern has no relevant source, so the pattern has no
+    /// answers and nothing after source selection ran.
+    bool no_answers = false;
+  };
+
+  /// Source selection and LADE for one conjunctive pattern (triples +
+  /// filters): the GJV locality checks and the COUNT probes go out as one
+  /// wave, then decomposition and OPTIONAL push-down. Execution and
+  /// EXPLAIN both plan through it, so they show the same plan.
   /// `candidate_optionals` are this group's OPTIONAL blocks; those whose
   /// locality analysis allows endpoint-side evaluation are pushed into
   /// subqueries, the rest are returned via `unpushed_optionals` for the
   /// federator-level left join. `outside_vars` are variables referenced
   /// by the rest of the query (other blocks, residual filters) — an
   /// optional may only be pushed when its overlap with them stays inside
-  /// its host subquery. Appends phase timings/counters to `profile`.
+  /// its host subquery. Adds the phase timings to `profile`.
+  Result<BgpPlan> PlanBgp(
+      const std::vector<sparql::TriplePattern>& triples,
+      const std::vector<sparql::Expr>& filters,
+      const std::vector<const sparql::GraphPattern*>& candidate_optionals,
+      const std::set<std::string>& outside_vars,
+      const std::set<std::string>& needed_vars,
+      fed::MetricsCollector* metrics, const CancelToken& cancel,
+      fed::ExecutionProfile* profile,
+      std::vector<const sparql::GraphPattern*>* unpushed_optionals);
+
+  /// Full pipeline for one conjunctive pattern: PlanBgp, then SAPE.
+  /// Appends phase timings/counters to `profile`.
   Result<IdTable> ExecuteBgp(
       const std::vector<sparql::TriplePattern>& triples,
       const std::vector<sparql::Expr>& filters,

@@ -233,9 +233,9 @@ SapeExecutor::Issued SapeExecutor::IssueEverywhere(
   issued.ctx.kind = fed::RequestKind::kFetch;
   if (row_limit > 0) issued.ctx.cutoff = CancelToken::Cancellable();
   if (failed != nullptr) issued.ctx.cutoff = *failed;
-  // A row-limited fetch sends its first source alone, like the bound
-  // join's first block; CollectEverywhere sends the rest unless that one
-  // fills the budget. A bound join's blocks (`failed`) go out at once.
+  // A row-limited fetch sends its first source alone; CollectEverywhere
+  // sends the rest unless that one fills the budget. A bound join's
+  // blocks (`failed`) go out at once.
   auto send = [this, text = std::move(text), cache_key = std::move(cache_key),
                cacheable, dict, ctx = issued.ctx,
                cutoff_on_failure = failed != nullptr](int ep) {
@@ -261,6 +261,7 @@ Status SapeExecutor::CollectEverywhere(Issued issued, IdTable* merged) {
   size_t successes = 0;
   for (size_t k = 0; k < issued.futures.size(); ++k) {
     Result<IdTable> table = issued.futures[k].get();
+    if (metrics != nullptr) metrics->NoteWaited();
     if (!table.ok()) {
       // Skipped, or failed after the union already held enough rows:
       // either way the answer needs nothing from it.
@@ -420,6 +421,7 @@ Result<IdTable> SapeExecutor::Execute(
   std::set<size_t> phase1_failed_sqs;
   for (Fetch& fetch : fetches) {
     Result<IdTable> part = fetch.result.get();
+    if (metrics != nullptr) metrics->NoteWaited();
     if (!part.ok()) {
       phase1_failures.push_back({fetch.endpoint, part.status()});
       phase1_failed_sqs.insert(fetch.sq_index);
@@ -631,16 +633,20 @@ Result<IdTable> SapeExecutor::Execute(
         // On sampling-probe failure, keep the endpoint (conservative).
         if (!has.ok() || *has) kept.push_back(sources[i]);
       }
+      if (metrics != nullptr) metrics->NoteWaited();
       if (!kept.empty()) sources = std::move(kept);
     }
 
-    // Bound join: ship the found bindings in VALUES blocks. The first
-    // block goes alone; once it has landed, every other block goes out in
-    // one wave, and the parts are unioned in block order. The token is
-    // checked before each of the two sends, so a cancel seen after the
-    // first block stops the join before the other blocks are sent. Unless
-    // a failed block is merely dropped (partial_results), the first
-    // failure fires `failed` and the blocks not yet sent skip the wire.
+    // Bound join: ship the found bindings in VALUES blocks, every block in
+    // one wave, and union the parts in block order. No block needs
+    // another's answer, so the join costs one serial round trip. Unless a
+    // failed block is merely dropped (partial_results), the first failure
+    // fires `failed` and the blocks not yet sent skip the wire; a cancel
+    // stops them the same way and is checked again after the wave.
+    if (cancel.Cancelled()) {
+      end_sq_span(0);
+      return cancel.StatusAt("bound join");
+    }
     Subquery bound_sq = sq;
     bound_sq.sources = sources;
     if (std::find(bound_sq.projection.begin(), bound_sq.projection.end(),
@@ -650,47 +656,37 @@ Result<IdTable> SapeExecutor::Execute(
     IdTable merged;
     merged.vars = bound_sq.projection;
     const size_t block = std::max<size_t>(1, options_->bound_join_block_size);
-    size_t values_blocks = 0;
-    size_t waves = 0;
     const CancelToken failed = CancelToken::Cancellable();
     const CancelToken* cutoff = options_->partial_results ? nullptr : &failed;
+    std::vector<Issued> wave;
+    for (size_t start = 0; start < bindings.size(); start += block) {
+      sparql::ValuesClause values;
+      values.vars.push_back(sparql::Variable{bind_var});
+      std::vector<rdf::TermId> chunk_ids(
+          bindings.begin() + start,
+          bindings.begin() + std::min(bindings.size(), start + block));
+      for (rdf::TermId id : chunk_ids) {
+        values.rows.push_back({dict->term(id)});
+      }
+      wave.push_back(IssueEverywhere(bound_sq, triples, &values, &chunk_ids,
+                                     dict, metrics, cancel, sq_span,
+                                     /*row_limit=*/0, cutoff));
+    }
+    const size_t values_blocks = wave.size();
+    // Every block is collected, even after one failed, so no issued
+    // request outlives this frame; the first failure is the answer.
     Status status;
-    for (size_t start = 0; start < bindings.size() && status.ok();) {
-      if (cancel.Cancelled()) {
-        end_sq_span(merged.NumRows());
-        return cancel.StatusAt("bound join");
-      }
-      const size_t wave_end =
-          waves == 0 ? std::min(block, bindings.size()) : bindings.size();
-      std::vector<Issued> wave;
-      for (; start < wave_end; start += block) {
-        sparql::ValuesClause values;
-        values.vars.push_back(sparql::Variable{bind_var});
-        std::vector<rdf::TermId> chunk_ids(
-            bindings.begin() + start,
-            bindings.begin() + std::min(wave_end, start + block));
-        for (rdf::TermId id : chunk_ids) {
-          values.rows.push_back({dict->term(id)});
-        }
-        wave.push_back(IssueEverywhere(bound_sq, triples, &values, &chunk_ids,
-                                       dict, metrics, cancel, sq_span,
-                                       /*row_limit=*/0, cutoff));
-      }
-      ++waves;
-      values_blocks += wave.size();
-      // Every block is collected, even after one failed, so no issued
-      // request outlives this frame; the first failure is the answer.
-      for (Issued& issued : wave) {
-        Status part = CollectEverywhere(std::move(issued), &merged);
-        if (status.ok()) status = part;
-      }
+    for (Issued& issued : wave) {
+      Status part = CollectEverywhere(std::move(issued), &merged);
+      if (status.ok()) status = part;
     }
     if (tracer != nullptr) {
       tracer->Annotate(sq_span, "values_blocks",
                        static_cast<uint64_t>(values_blocks));
-      tracer->Annotate(sq_span, "waves", static_cast<uint64_t>(waves));
+      tracer->Annotate(sq_span, "waves", uint64_t{1});
     }
     end_sq_span(merged.NumRows());
+    if (cancel.Cancelled()) return cancel.StatusAt("bound join");
     if (!status.ok()) return status;
     tables.push_back(std::move(merged));
     track_peak(tables);

@@ -27,14 +27,13 @@ namespace lusail::core {
 /// subqueries in increasing refined-cardinality order as bound joins:
 /// the already-found bindings of a shared variable are shipped in VALUES
 /// blocks; generic single-pattern subqueries first refine their relevant
-/// sources with sampled ASK probes. A bound join sends its first block
-/// alone and, once that block has landed, every other block in one wave,
-/// unioning the parts in block order; so it costs at most two serial
-/// round trips, and a cancel seen after the first block sends nothing
-/// more. Without partial_results the first failed block fails the join,
-/// so its failure fires a cutoff shared by the join's blocks and those
-/// not yet sent skip the wire. The global join runs as a parallel
-/// partitioned hash join in the order chosen by the DP join optimizer.
+/// sources with sampled ASK probes. A bound join sends all of its blocks
+/// in one wave, since no block needs another's answer, and unions the
+/// parts in block order; so it costs one serial round trip. A cancel, or
+/// without partial_results the first failed block (which fails the join
+/// and fires a cutoff shared by the join's blocks), stops every block not
+/// yet sent. The global join runs as a parallel partitioned hash join in
+/// the order chosen by the DP join optimizer.
 class SapeExecutor {
  public:
   SapeExecutor(const fed::Federation* federation, ThreadPool* pool,
@@ -45,10 +44,10 @@ class SapeExecutor {
   /// table (all subquery projections merged). With options.enable_sape
   /// false, every subquery runs concurrently (no delaying) and results
   /// are joined at the federator — the paper's "LADE only" mode.
-  /// The token is checked before every endpoint fetch, before a bound
-  /// join's first VALUES block and again before its wave of the other
-  /// blocks, and around every global-join step, so execution unwinds
-  /// with kTimeout within one wave of it firing.
+  /// The token is checked before every endpoint fetch, before and after a
+  /// bound join's wave of VALUES blocks, and around every global-join
+  /// step, so execution unwinds with kTimeout within one wave of it
+  /// firing.
   ///
   /// `row_limit` > 0 is a pushdown hint: the caller needs any `row_limit`
   /// rows (top-level LIMIT, no ORDER BY/DISTINCT, nothing downstream that
@@ -113,10 +112,10 @@ class SapeExecutor {
   /// sent is skipped (IssueContext::cutoff); requests already sent are
   /// not interrupted, and one that fails after the budget fired
   /// contributes nothing — the budget is a cutoff, not a failure.
-  /// A row-limited fetch sends its first source alone, like the bound
-  /// join's first block, and the rest in one wave once that source is
-  /// merged, unless it filled the budget, the query was cancelled, or
-  /// its failure already decides the call (no partial_results). So a
+  /// A row-limited fetch sends its first source alone, and the rest in
+  /// one wave once that source is merged, unless it filled the budget,
+  /// the query was cancelled, or its failure already decides the call
+  /// (no partial_results). So a
   /// first source that holds the rows costs one request however many
   /// requests the pool overlaps, and a short one costs one extra round
   /// trip, not one per source.

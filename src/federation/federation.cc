@@ -36,6 +36,7 @@ obs::JsonValue ProfileToJson(const ExecutionProfile& profile) {
   out.Set("bytes_received", profile.bytes_received);
   out.Set("rows_received", profile.rows_received);
   out.Set("network_ms", profile.network_ms);
+  out.Set("serial_waves", profile.serial_waves);
   out.Set("first_row_ms", profile.first_row_ms);
   out.Set("source_selection_ms", profile.source_selection_ms);
   out.Set("analysis_ms", profile.analysis_ms);
@@ -98,6 +99,7 @@ struct Federation::Exchange {
 
 void Federation::Start(ThreadPool* pool, size_t i, std::string text,
                        IssueContext ctx, Completion done) const {
+  if (ctx.metrics != nullptr) ctx.metrics->NoteSent();
   auto ex = std::make_shared<Exchange>();
   ex->pool = pool;
   ex->endpoint = i;
@@ -301,15 +303,16 @@ Result<bool> Federation::NonEmpty(const Result<net::QueryResponse>& response) {
   return response->RowCount() > 0;
 }
 
-std::vector<Result<uint64_t>> Federation::RunProbes(
-    ThreadPool* pool, sparql::ProbeKind kind,
-    const std::vector<Probe>& probes, const IssueContext& ctx) const {
+SentProbes Federation::SendProbes(ThreadPool* pool, sparql::ProbeKind kind,
+                                  const std::vector<Probe>& probes,
+                                  const IssueContext& ctx) const {
+  SentProbes sent;
+  sent.probes = probes.size();
+  sent.metrics = ctx.metrics;
   std::vector<std::vector<size_t>> by_endpoint(size());
   for (size_t i = 0; i < probes.size(); ++i) {
     by_endpoint[probes[i].endpoint].push_back(i);
   }
-  std::vector<std::pair<size_t, std::future<Result<std::vector<uint64_t>>>>>
-      requests;
   for (size_t ep = 0; ep < by_endpoint.size(); ++ep) {
     const size_t n = by_endpoint[ep].size();
     if (n == 0) continue;
@@ -320,20 +323,23 @@ std::vector<Result<uint64_t>> Federation::RunProbes(
     probe_ctx.kind = kind == sparql::ProbeKind::kAsk ? RequestKind::kAsk
                                                      : RequestKind::kProbe;
     probe_ctx.probe_pairs = n;
-    requests.emplace_back(
-        ep, Issue(pool, ep, sparql::ProbeText(kind, bodies),
-                  std::move(probe_ctx),
-                  [kind, n](Result<net::QueryResponse> response)
-                      -> Result<std::vector<uint64_t>> {
-                    if (!response.ok()) return response.status();
-                    return core::DecodeProbeIds(kind, *response->ids,
-                                                *response->ids_dict, n);
-                  }));
+    sent.requests.emplace_back(
+        std::move(by_endpoint[ep]),
+        Issue(pool, ep, sparql::ProbeText(kind, bodies), std::move(probe_ctx),
+              [kind, n](Result<net::QueryResponse> response)
+                  -> Result<std::vector<uint64_t>> {
+                if (!response.ok()) return response.status();
+                return core::DecodeProbeIds(kind, *response->ids,
+                                            *response->ids_dict, n);
+              }));
   }
-  std::vector<Result<uint64_t>> values(probes.size(), uint64_t{0});
-  for (auto& [ep, future] : requests) {
+  return sent;
+}
+
+std::vector<Result<uint64_t>> Federation::CollectProbes(SentProbes sent) {
+  std::vector<Result<uint64_t>> values(sent.probes, uint64_t{0});
+  for (auto& [members, future] : sent.requests) {
     Result<std::vector<uint64_t>> answer = future.get();
-    const std::vector<size_t>& members = by_endpoint[ep];
     for (size_t k = 0; k < members.size(); ++k) {
       if (answer.ok()) {
         values[members[k]] = (*answer)[k];
@@ -342,6 +348,7 @@ std::vector<Result<uint64_t>> Federation::RunProbes(
       }
     }
   }
+  if (sent.metrics != nullptr) sent.metrics->NoteWaited();
   return values;
 }
 
@@ -367,6 +374,7 @@ Status FetchUnion(const Federation& federation, ThreadPool* pool,
     }
     if (first_error.ok()) core::AppendUnionIds(out, *ids);
   }
+  if (ctx.metrics != nullptr) ctx.metrics->NoteWaited();
   return first_error;
 }
 

@@ -49,6 +49,12 @@ struct ExecutionProfile {
   uint64_t rows_received = 0;  ///< Binding rows received.
   double network_ms = 0.0;     ///< Sum of simulated per-request network time.
 
+  /// Times the query's driver waited on a set of requests it had sent
+  /// (MetricsCollector::NoteWaited): the query's serial round trips. A
+  /// set counts once however many requests it holds; a set answered
+  /// entirely from caches counts nothing.
+  uint64_t serial_waves = 0;
+
   /// Wall time from the collector's birth (query start) to the completion
   /// of the first subquery or bound-join response that carried at least
   /// one binding row; probe responses (ASK, GJV checks, COUNT) never
@@ -148,6 +154,22 @@ class MetricsCollector {
     ++subqueries_dropped_;
   }
 
+  /// Notes that the driver sent a request (Federation::Issue does).
+  void NoteSent() {
+    std::lock_guard<std::mutex> lock(mu_);
+    sent_since_wait_ = true;
+  }
+
+  /// Notes that the driver waited on what it had sent: one serial wave
+  /// when a request was sent since the last wave, none otherwise. A
+  /// driver calls it after each wait, so a set collected in pieces (two
+  /// halves of one wave, or one future after another) counts once.
+  void NoteWaited() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (sent_since_wait_) ++serial_waves_;
+    sent_since_wait_ = false;
+  }
+
   // --- Tracing (optional; engines attach a tracer per traced query) ---
 
   /// Attaches a tracer; every Federation request accounted through this
@@ -194,6 +216,7 @@ class MetricsCollector {
     profile->bytes_received = bytes_received_;
     profile->rows_received = rows_received_;
     profile->network_ms = static_cast<double>(network_us_) / 1000.0;
+    profile->serial_waves = serial_waves_;
     profile->first_row_ms = first_row_ms_;
     profile->retries = retries_;
     profile->breaker_rejections = breaker_rejections_;
@@ -235,6 +258,8 @@ class MetricsCollector {
   uint64_t bytes_received_ = 0;
   uint64_t rows_received_ = 0;
   uint64_t network_us_ = 0;
+  uint64_t serial_waves_ = 0;
+  bool sent_since_wait_ = false;
   Stopwatch born_;  ///< Started at construction = query start.
   double first_row_ms_ = 0.0;
   uint64_t retries_ = 0;
@@ -257,7 +282,7 @@ class MetricsCollector {
 class PhaseSpan {
  public:
   PhaseSpan(MetricsCollector* metrics, const std::string& name)
-      : metrics_(metrics) {
+      : metrics_(metrics), owns_default_(true) {
     obs::Tracer* tracer =
         metrics_ != nullptr ? metrics_->tracer() : nullptr;
     if (tracer == nullptr) return;
@@ -265,13 +290,23 @@ class PhaseSpan {
     span_ = tracer->StartSpan(name, "phase", prev_);
     metrics_->SetTraceParent(span_);
   }
+  /// A phase under `parent` that leaves the collector's default parent
+  /// alone, for phases that overlap: their requests name it explicitly
+  /// (IssueContext::trace_parent).
+  PhaseSpan(MetricsCollector* metrics, const std::string& name,
+            obs::SpanId parent)
+      : metrics_(metrics), owns_default_(false) {
+    obs::Tracer* tracer =
+        metrics_ != nullptr ? metrics_->tracer() : nullptr;
+    if (tracer != nullptr) span_ = tracer->StartSpan(name, "phase", parent);
+  }
   PhaseSpan(const PhaseSpan&) = delete;
   PhaseSpan& operator=(const PhaseSpan&) = delete;
   ~PhaseSpan() { End(); }
 
   void End() {
     if (span_ == 0) return;
-    metrics_->SetTraceParent(prev_);
+    if (owns_default_) metrics_->SetTraceParent(prev_);
     metrics_->tracer()->EndSpan(span_);
     span_ = 0;
   }
@@ -287,6 +322,7 @@ class PhaseSpan {
 
  private:
   MetricsCollector* metrics_ = nullptr;
+  bool owns_default_;
   obs::SpanId span_ = 0;
   obs::SpanId prev_ = 0;
 };
@@ -353,6 +389,17 @@ struct IssueContext {
 struct Probe {
   size_t endpoint = 0;
   std::string body;
+};
+
+/// Probe requests sent by Federation::SendProbes and not yet collected.
+struct SentProbes {
+  size_t probes = 0;
+  /// One per endpoint request: the indices of the probes it carries, in
+  /// order, and its answer.
+  std::vector<std::pair<std::vector<size_t>,
+                        std::future<Result<std::vector<uint64_t>>>>>
+      requests;
+  MetricsCollector* metrics = nullptr;
 };
 
 /// The registry of endpoints a federated query runs against, plus the
@@ -430,8 +477,11 @@ class Federation {
   /// failures are retried with backoff under the endpoint's circuit
   /// breaker, never sleeping past the token's deadline.
   ///
-  /// The exchange is accounted into `ctx.metrics` (when non-null) and the
-  /// stats registry at completion, so both include the wait. When the
+  /// The send is noted in `ctx.metrics` on the calling thread
+  /// (MetricsCollector::NoteSent), so the caller's next NoteWaited counts
+  /// a serial wave. The exchange is accounted into `ctx.metrics` (when
+  /// non-null) and the stats registry at completion, so both include the
+  /// wait. When the
   /// collector carries a tracer, the exchange is a "request" span from
   /// send to completion, parented to `ctx.trace_parent` when non-zero,
   /// else to the collector's current default parent, with retry attempts
@@ -481,13 +531,15 @@ class Federation {
   /// Sends `probes` as one request per endpoint: that endpoint's bodies,
   /// in `probes` order, as sparql::ProbeText(kind, ...). Each request goes
   /// through Issue under `ctx`, declared as an ASK (kAsk) or other probe
-  /// with its pair count. Waits for every request and returns each
-  /// probe's value (see sparql::DecodeProbeAnswer), or the status of its
-  /// endpoint's failed request.
-  std::vector<Result<uint64_t>> RunProbes(ThreadPool* pool,
-                                          sparql::ProbeKind kind,
-                                          const std::vector<Probe>& probes,
-                                          const IssueContext& ctx) const;
+  /// with its pair count. Returns without waiting; CollectProbes waits.
+  SentProbes SendProbes(ThreadPool* pool, sparql::ProbeKind kind,
+                        const std::vector<Probe>& probes,
+                        const IssueContext& ctx) const;
+
+  /// Waits for every request of `sent` and returns each probe's value
+  /// (see sparql::DecodeProbeAnswer), in the order SendProbes got them,
+  /// or the status of its endpoint's failed request.
+  static std::vector<Result<uint64_t>> CollectProbes(SentProbes sent);
 
  private:
   /// One request from send to completion.

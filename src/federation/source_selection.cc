@@ -68,8 +68,8 @@ Result<std::vector<std::vector<int>>> SourceSelector::SelectSources(
   ctx.metrics = metrics;
   ctx.cancel = cancel;
   ctx.retry = retry;
-  std::vector<Result<uint64_t>> answers = federation_->RunProbes(
-      pool_, sparql::ProbeKind::kAsk, probes, ctx);
+  std::vector<Result<uint64_t>> answers = Federation::CollectProbes(
+      federation_->SendProbes(pool_, sparql::ProbeKind::kAsk, probes, ctx));
   std::vector<std::pair<size_t, Status>> failures;
   for (size_t i = 0; i < probes.size(); ++i) {
     const size_t ei = probes[i].endpoint;

@@ -737,10 +737,12 @@ class CancelAfterRequestEndpoint : public net::Endpoint {
   std::atomic<uint64_t> requests_{0};
 };
 
-/// Regression (per-chunk cancellation): a delayed subquery shipping its
-/// bindings in N VALUES blocks must stop at the first block past the
-/// cancel/deadline, not fire the remaining N-1 requests.
-TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
+/// A found subquery with 8 bindings on ep0 and a delayed subquery on ep1,
+/// bound in 8 one-binding VALUES blocks; ep1 fires `token` after serving
+/// each request. Runs the pair on a `threads`-thread pool and returns
+/// the result and, in `requests`, how many requests ep1 served.
+Result<core::IdTable> RunCancelledBoundJoin(size_t threads,
+                                            uint64_t* requests) {
   auto store0 = std::make_unique<store::TripleStore>();
   auto store1 = std::make_unique<store::TripleStore>();
   for (int i = 0; i < 8; ++i) {
@@ -766,7 +768,8 @@ TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
 
   auto query = sparql::ParseQuery(
       "SELECT ?s ?x ?y WHERE { ?s <urn:p> ?x . ?x <urn:q> ?y . }");
-  ASSERT_TRUE(query.ok());
+  EXPECT_TRUE(query.ok());
+  if (!query.ok()) return query.status();
 
   core::Subquery found_sq;
   found_sq.triple_indices = {0};
@@ -782,19 +785,48 @@ TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
 
   core::LusailOptions options;
   options.bound_join_block_size = 1;  // 8 bindings -> 8 VALUES chunks.
-  ThreadPool pool(4);
-  core::SapeExecutor sape(&federation, &pool, &options);
-  core::TermDictionary dict;
-  auto result = sape.Execute({found_sq, delayed_sq}, query->where.triples,
-                             &dict, nullptr, token);
+  Result<core::IdTable> result = Status::Internal("not run");
+  {
+    ThreadPool pool(threads);
+    core::SapeExecutor sape(&federation, &pool, &options);
+    core::TermDictionary dict;
+    result = sape.Execute({found_sq, delayed_sq}, query->where.triples,
+                          &dict, nullptr, token);
+  }
+  *requests = ep1->requests();
+  return result;
+}
+
+/// Regression (per-chunk cancellation): a delayed subquery shipping its
+/// bindings in N VALUES blocks must stop sending once the cancel or
+/// deadline fires, not fire the remaining requests, and still fail with
+/// the bound join's kTimeout. One pool thread sends the wave's blocks in
+/// order, so the first block's cancel reaches every later one unsent.
+TEST(SapeBoundJoinCancelTest, CancelBetweenValuesChunksStopsFetching) {
+  uint64_t requests = 0;
+  auto result = RunCancelledBoundJoin(/*threads=*/1, &requests);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("bound join"), std::string::npos)
       << result.status().ToString();
-  // One chunk was in flight when the token fired; the remaining 7 must
-  // not have been issued.
-  EXPECT_EQ(ep1->requests(), 1u);
+  // One chunk was served when the token fired; the remaining 7 must not
+  // have been sent.
+  EXPECT_EQ(requests, 1u);
+}
+
+/// On four threads up to four blocks may be on their way when the first
+/// one's cancel fires; every block after them stays unsent.
+TEST(SapeBoundJoinCancelTest, CancelMidWaveOnFourThreadsStopsFetching) {
+  uint64_t requests = 0;
+  auto result = RunCancelledBoundJoin(/*threads=*/4, &requests);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("bound join"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_GE(requests, 1u);
+  EXPECT_LT(requests, 8u);
 }
 
 // ---------------------------------------------------------------------
